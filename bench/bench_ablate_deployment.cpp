@@ -30,7 +30,7 @@ int main() {
 
   double best_threshold_peak = 1e300;
   for (std::size_t k : {4u, 8u, 11u, 16u, 24u, 36u, 72u, 144u}) {
-    auto r = (k == 144u) ? core::full_cover(geom, powers, device)
+    auto r = (k == 144u) ? core::full_cover(thermal::paper_package(), powers, device)
                          : core::threshold_cover(geom, powers, device, k);
     const double peak = thermal::to_celsius(r.min_peak_temperature);
     std::printf("%-14s %7zu %8.2f %9.2f %11.2f\n",
@@ -39,7 +39,7 @@ int main() {
     if (k <= 36u) best_threshold_peak = std::min(best_threshold_peak, peak);
   }
 
-  auto full = core::full_cover(geom, powers, device);
+  auto full = core::full_cover(thermal::paper_package(), powers, device);
   const double full_peak = thermal::to_celsius(full.min_peak_temperature);
   const bool greedy_wins = res.peak_greedy_celsius <= best_threshold_peak + 0.3 &&
                            res.peak_greedy_celsius < full_peak;

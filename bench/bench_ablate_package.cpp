@@ -5,6 +5,7 @@
 /// choices documented in DESIGN.md.
 
 #include <cstdio>
+#include <memory>
 
 #include "bench_common.h"
 
@@ -20,9 +21,12 @@ int main() {
               "#TECs", "Iopt[A]", "greedy[degC]");
   double swing_thin = 0.0, swing_thick = 0.0;
   for (double t_um : {20.0, 35.0, 50.0, 75.0, 100.0}) {
+    thermal::PackageGeometry geometry;
+    geometry.tim_thickness = t_um * 1e-6;
     core::DesignRequest req;
     req.tile_powers = powers;
-    req.geometry.tim_thickness = t_um * 1e-6;
+    req.spec = std::make_shared<const thermal::StackSpec>(
+        thermal::StackSpec::single_die(geometry));
     auto res = core::design_cooling_system(req);
     // Paper fallback if infeasible.
     while (!res.success && req.theta_limit_celsius < 110.0) {
@@ -41,9 +45,12 @@ int main() {
   std::printf("%10s %12s %8s %8s %10s %12s\n", "t_die[um]", "noTEC[degC]", "status",
               "#TECs", "Iopt[A]", "greedy[degC]");
   for (double t_um : {150.0, 300.0, 500.0}) {
+    thermal::PackageGeometry geometry;
+    geometry.die_thickness = t_um * 1e-6;
     core::DesignRequest req;
     req.tile_powers = powers;
-    req.geometry.die_thickness = t_um * 1e-6;
+    req.spec = std::make_shared<const thermal::StackSpec>(
+        thermal::StackSpec::single_die(geometry));
     auto res = core::design_cooling_system(req);
     while (!res.success && req.theta_limit_celsius < 110.0) {
       req.theta_limit_celsius += 1.0;

@@ -39,7 +39,7 @@ int main() {
   core::GreedyDeployOptions opts;
   opts.theta_max = thermal::to_kelvin(85.0);
 
-  auto fold_res = core::greedy_deploy(geom, folded, device, opts);
+  auto fold_res = core::greedy_deploy(thermal::paper_package(), folded, device, opts);
   auto multi_res = core::greedy_deploy_multi(geom, scenarios, device, opts);
 
   std::printf("=== Scenario-aware design vs folded worst case (Alpha, 85 degC) ===\n\n");

@@ -22,13 +22,13 @@ int main() {
 
   double max_gap = 0.0;
   for (const auto& chip : bench::table1_chips()) {
-    thermal::PackageModelOptions opts;  // default geometry
-    thermal::PackageModel linear = thermal::PackageModel::build(opts);
+    const auto spec = thermal::paper_package();
+    thermal::PackageModel linear = thermal::PackageModel::build(spec);
     linear.set_tile_powers(chip.tile_powers);
     const double peak_lin = thermal::to_celsius(
         linear.peak_tile_temperature(thermal::solve_steady_state(linear)));
 
-    auto nl = thermal::solve_steady_state_nonlinear(opts, chip.tile_powers);
+    auto nl = thermal::solve_steady_state_nonlinear(*spec, chip.tile_powers);
     const double peak_nl =
         thermal::to_celsius(linalg::max_entry(nl.tile_temperatures));
     const double gap = peak_nl - peak_lin;

@@ -48,7 +48,7 @@ double greedy_ms_at(std::size_t threads, const tfc::linalg::Vector& powers,
   double best = 1e300;
   for (int r = 0; r < reps; ++r) {
     const auto t0 = std::chrono::steady_clock::now();
-    (void)core::greedy_deploy(thermal::PackageGeometry{}, powers,
+    (void)core::greedy_deploy(thermal::paper_package(), powers,
                               tec::TecDeviceParams::chowdhury_superlattice(), options);
     best = std::min(best, ms_since(t0));
   }
@@ -244,7 +244,7 @@ int main() {
       sopts.policy.current_levels = {0.0, 0.5 * res.current, res.current};
     }
     for (int r = 0; r < 3; ++r) {
-      sim::ScenarioEngine engine(plan, thermal::PackageGeometry{},
+      sim::ScenarioEngine engine(plan, thermal::paper_package(),
                                  tec::TecDeviceParams::chowdhury_superlattice(),
                                  res.deployment, sopts);
       const auto t1 = std::chrono::steady_clock::now();
@@ -335,8 +335,8 @@ int main() {
     const engine::SolveContext ctx(spec, block, spec->tile_powers(),
                                    tec::TecDeviceParams::chowdhury_superlattice());
     stack_solve_ms = backend_probe_ms(ctx, 2);
-    auto system = tec::ElectroThermalSystem::assemble_from_spec(
-        *spec, block, spec->tile_powers(),
+    auto system = tec::ElectroThermalSystem::assemble(
+        spec, block, spec->tile_powers(),
         tec::TecDeviceParams::chowdhury_superlattice());
     {
       const auto t1 = std::chrono::steady_clock::now();

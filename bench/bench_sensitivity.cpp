@@ -21,7 +21,7 @@ int main() {
               design.tec_count);
   std::printf("%-22s %16s %16s %14s\n", "parameter", "d(peak)/d(rel)",
               "d(lambda)/d(rel)", "d(Iopt)/d(rel)");
-  auto rows = core::device_sensitivities(thermal::PackageGeometry{}, powers,
+  auto rows = core::device_sensitivities(thermal::paper_package(), powers,
                                          tec::TecDeviceParams::chowdhury_superlattice(),
                                          design.deployment);
   double best_cooling = 0.0;

@@ -12,26 +12,35 @@
 #include "linalg/cholesky.h"
 #include "linalg/sparse_cholesky.h"
 #include "tec/runaway.h"
+#include "thermal/validation.h"
 
 namespace {
 
 using namespace tfc;
 
-/// Package system (with TECs) at the given refinement.
+/// Package system (with TECs) at the given lateral refinement: the reference
+/// model with one device per fine cell under each TEC tile. Each fine device
+/// is 1/refine² of the full device (conductances, Seebeck coefficient and
+/// resistance all scale by the area share, as for electrically parallel
+/// sub-devices), so the pencil stays comparable across refinements.
 tec::ElectroThermalSystem make_system(std::size_t refine) {
-  thermal::PackageModelOptions opts;
-  opts.lateral_refine = refine;
   TileMask dep(12, 12);
   for (std::size_t r = 3; r <= 5; ++r) {
     for (std::size_t c = 3; c <= 7; ++c) dep.set(r, c);
   }
-  opts.tec_tiles = dep;
-  const auto dev = tec::TecDeviceParams::chowdhury_superlattice();
-  opts.tec_link = dev.thermal_link();
-  auto model = thermal::PackageModel::build(opts);
+  const auto full = tec::TecDeviceParams::chowdhury_superlattice();
   static const auto powers = bench::worst_case_map(floorplan::alpha21364());
-  model.set_tile_powers(powers);
-  return tec::ElectroThermalSystem(std::move(model), dev);
+  auto model = thermal::build_reference_model(*thermal::paper_package(), dep,
+                                               full.thermal_link(), powers,
+                                               {refine, 1, 1, 1});
+  const double share = 1.0 / double(refine * refine);
+  tec::TecDeviceParams fine = full;
+  fine.seebeck *= share;
+  fine.resistance *= share;
+  fine.internal_conductance *= share;
+  fine.g_hot_contact *= share;
+  fine.g_cold_contact *= share;
+  return tec::ElectroThermalSystem(std::move(model), fine);
 }
 
 void BM_SteadySolve_SparseCholesky(benchmark::State& state) {

@@ -6,7 +6,9 @@
 /// Our stand-in for HotSpot/FEM is the same package PDE discretized much
 /// finer (4× lateral refinement, 3 z-slabs in die and spreader). The compact
 /// model's per-tile temperatures are compared for the Alpha power map and
-/// three hypothetical chips, with and without TEC devices in the stack.
+/// two hypothetical chips, and for Alpha with TEC devices in the stack (one
+/// reference device per fine cell under each TEC tile, each carrying 1/16 of
+/// the device's thermal link).
 
 #include <cstdio>
 
@@ -21,25 +23,24 @@ int main() {
               "coarse n", "reference n");
 
   double worst = 0.0;
-  const auto run = [&](const std::string& name, const thermal::PackageModelOptions& opts,
+  const auto run = [&](const std::string& name, const TileMask& deployment,
                        const linalg::Vector& powers) {
-    auto rep = thermal::validate_against_reference(opts, powers);
+    auto rep = thermal::validate_against_reference(
+        *thermal::paper_package(), deployment,
+        tec::TecDeviceParams::chowdhury_superlattice().thermal_link(), powers);
     std::printf("%-14s %10.3f %10.3f %12zu %12zu\n", name.c_str(), rep.max_abs_diff,
                 rep.mean_abs_diff, rep.coarse_nodes, rep.reference_nodes);
     return rep.max_abs_diff;
   };
-  const auto run_bare = [&](const std::string& name,
-                            const thermal::PackageModelOptions& opts,
-                            const linalg::Vector& powers) {
-    worst = std::max(worst, run(name, opts, powers));
+  const auto run_bare = [&](const std::string& name, const linalg::Vector& powers) {
+    worst = std::max(worst, run(name, TileMask(), powers));
   };
 
   // Bare packages — the paper's protocol ("steady state analysis without the
   // TEC devices"), whose published agreement is < 1.5 °C worst case.
-  thermal::PackageModelOptions bare;
-  run_bare("Alpha", bare, bench::worst_case_map(floorplan::alpha21364()));
+  run_bare("Alpha", bench::worst_case_map(floorplan::alpha21364()));
   for (std::size_t i : {std::size_t{2}, std::size_t{7}}) {
-    run_bare(floorplan::hypothetical_chip_name(i), bare,
+    run_bare(floorplan::hypothetical_chip_name(i),
              bench::worst_case_map(floorplan::hypothetical_chip(i)));
   }
 
@@ -48,11 +49,7 @@ int main() {
   // extra discretization error at the covered tiles.
   const auto powers = bench::worst_case_map(floorplan::alpha21364());
   auto res = bench::design_with_fallback({"Alpha", powers});
-  thermal::PackageModelOptions with_tecs;
-  with_tecs.tec_tiles = res.deployment;
-  with_tecs.tec_link =
-      tec::TecDeviceParams::chowdhury_superlattice().thermal_link();
-  const double tec_diff = run("Alpha+TECs", with_tecs, powers);
+  const double tec_diff = run("Alpha+TECs", res.deployment, powers);
 
   std::printf("\nworst case, bare packages (paper protocol): %.3f degC "
               "(paper: < 1.5 degC)\n",

@@ -62,7 +62,7 @@ int main() {
   request.theta_limit_celsius = 85.0;
   request.run_convexity_certificate = true;
 
-  auto passive = tec::ElectroThermalSystem::assemble(request.geometry, TileMask(),
+  auto passive = tec::ElectroThermalSystem::assemble(request.spec, TileMask(),
                                                      request.tile_powers, request.device);
   auto op0 = passive.solve(0.0);
   std::printf("\nsteady state without TECs (degC):\n");
@@ -78,7 +78,7 @@ int main() {
   // Re-run the raw algorithm to show the iteration history.
   core::GreedyDeployOptions greedy;
   greedy.theta_max = thermal::to_kelvin(request.theta_limit_celsius);
-  auto raw = core::greedy_deploy(request.geometry, request.tile_powers, request.device,
+  auto raw = core::greedy_deploy(request.spec, request.tile_powers, request.device,
                                  greedy);
   for (std::size_t k = 0; k < raw.iterations.size(); ++k) {
     const auto& it = raw.iterations[k];
@@ -91,7 +91,7 @@ int main() {
               core::deployment_map(result.deployment).c_str());
 
   // --- final thermal field -----------------------------------------------------
-  auto cooled = tec::ElectroThermalSystem::assemble(request.geometry, result.deployment,
+  auto cooled = tec::ElectroThermalSystem::assemble(request.spec, result.deployment,
                                                     request.tile_powers, request.device);
   auto op1 = cooled.solve(result.current);
   std::printf("\nsteady state with TECs at I = %.2f A (degC):\n", result.current);

@@ -6,6 +6,7 @@
 ///   $ ./custom_floorplan
 
 #include <cstdio>
+#include <memory>
 
 #include "core/cooling_system.h"
 #include "power/power_profile.h"
@@ -42,7 +43,8 @@ int main() {
 
   core::DesignRequest request;
   request.chip_name = "accel";
-  request.geometry = geometry;
+  request.spec = std::make_shared<const thermal::StackSpec>(
+      thermal::StackSpec::single_die(geometry));
   request.tile_powers = profile.tile_powers();
   request.device = device;
   request.theta_limit_celsius = 70.0;

@@ -43,9 +43,9 @@ int main(int argc, char** argv) {
   write("design.json",
         [&](std::ostream& o) { o << io::design_result_to_json(res) << '\n'; });
 
-  auto passive = tec::ElectroThermalSystem::assemble(req.geometry, TileMask(),
+  auto passive = tec::ElectroThermalSystem::assemble(req.spec, TileMask(),
                                                      req.tile_powers, req.device);
-  auto cooled = tec::ElectroThermalSystem::assemble(req.geometry, res.deployment,
+  auto cooled = tec::ElectroThermalSystem::assemble(req.spec, res.deployment,
                                                     req.tile_powers, req.device);
   auto op0 = passive.solve(0.0);
   auto op1 = cooled.solve(res.current);

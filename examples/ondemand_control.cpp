@@ -26,7 +26,7 @@ int main() {
   std::printf("deployment: %zu TECs, I_on = %.2f A\n\n", design.tec_count,
               design.current);
 
-  auto system = tec::ElectroThermalSystem::assemble(req.geometry, design.deployment,
+  auto system = tec::ElectroThermalSystem::assemble(req.spec, design.deployment,
                                                     hot, req.device);
 
   // Bursty workload: 1 s bursts of the worst case over a 40% background.

@@ -12,19 +12,17 @@
 #include <optional>
 #include <sstream>
 
+#include "core/chip.h"
 #include "core/cooling_system.h"
 #include "core/sensitivity.h"
 #include "engine/solve_context.h"
-#include "floorplan/alpha21364.h"
 #include "floorplan/hotspot_import.h"
-#include "floorplan/random_chip.h"
 #include "io/design_json.h"
 #include "io/spec_json.h"
 #include "obs/build_info.h"
 #include "obs/obs.h"
 #include "par/thread_pool.h"
 #include "power/power_profile.h"
-#include "power/workload.h"
 #include "sim/scenario.h"
 #include "svc/client.h"
 #include "svc/server.h"
@@ -135,22 +133,8 @@ std::optional<engine::EngineOptions> parse_engine_options(const ParsedArgs& p,
   return opts;
 }
 
-/// Resolve --chip / --flp+--ptrace / --spec into a name + tile power map.
-struct ChipInput {
-  std::string name;
-  linalg::Vector tile_powers;
-  thermal::PackageGeometry geometry;
-  /// Declarative package (--spec); null on the --chip / --flp paths. When
-  /// set, `geometry` is only meaningful for paper-equivalent specs and the
-  /// solver entry points must take the spec overloads instead.
-  std::shared_ptr<const thermal::StackSpec> spec;
-  /// The chip's unit structure (built-in floorplan, rasterized .flp, or a
-  /// spec's combined virtual-grid floorplan) for commands that need it.
-  std::shared_ptr<const floorplan::Floorplan> plan;
-};
-
-std::optional<ChipInput> load_chip(const ParsedArgs& p, std::ostream& err) {
-  ChipInput input;
+/// Resolve --chip / --flp+--ptrace / --spec into a chip to design.
+std::optional<core::Chip> load_chip(const ParsedArgs& p, std::ostream& err) {
   const auto chip_it = p.options.find("--chip");
   const auto flp_it = p.options.find("--flp");
   const auto spec_it = p.options.find("--spec");
@@ -176,12 +160,7 @@ std::optional<ChipInput> load_chip(const ParsedArgs& p, std::ostream& err) {
       err << "error: bad spec '" << spec_it->second << "': " << e.what() << "\n";
       return std::nullopt;
     }
-    input.name = spec->name;
-    input.tile_powers = spec->tile_powers();
-    input.plan = std::make_shared<const floorplan::Floorplan>(spec->combined_floorplan());
-    if (spec->paper_equivalent()) input.geometry = spec->to_geometry();
-    input.spec = std::move(spec);
-    return input;
+    return core::spec_chip(std::move(spec));
   }
 
   if (flp_it != p.options.end()) {
@@ -200,75 +179,37 @@ std::optional<ChipInput> load_chip(const ParsedArgs& p, std::ostream& err) {
       err << "error: cannot open power trace '" << ptrace_it->second << "'\n";
       return std::nullopt;
     }
-    input.geometry.tile_rows = parse_size(p, "--rows", 12);
-    input.geometry.tile_cols = parse_size(p, "--cols", 12);
-    input.geometry.die_width = parse_double(p, "--die-mm", 6.0) * 1e-3;
-    input.geometry.die_height = input.geometry.die_width;
+    thermal::PackageGeometry geometry;
+    geometry.tile_rows = parse_size(p, "--rows", 12);
+    geometry.tile_cols = parse_size(p, "--cols", 12);
+    geometry.die_width = parse_double(p, "--die-mm", 6.0) * 1e-3;
+    geometry.die_height = geometry.die_width;
+    core::Chip chip;
     try {
-      auto plan = floorplan::rasterize_flp(floorplan::read_flp(flp),
-                                           input.geometry.die_width,
-                                           input.geometry.die_height,
-                                           input.geometry.tile_rows,
-                                           input.geometry.tile_cols);
+      auto plan = floorplan::rasterize_flp(floorplan::read_flp(flp), geometry.die_width,
+                                           geometry.die_height, geometry.tile_rows,
+                                           geometry.tile_cols);
       floorplan::apply_unit_powers(plan, floorplan::read_ptrace_worst_case(ptrace));
-      input.tile_powers = power::PowerProfile::from_floorplan(plan).tile_powers();
-      input.plan = std::make_shared<const floorplan::Floorplan>(std::move(plan));
+      chip.tile_powers = power::PowerProfile::from_floorplan(plan).tile_powers();
+      chip.plan = std::make_shared<const floorplan::Floorplan>(std::move(plan));
+      chip.spec = std::make_shared<const thermal::StackSpec>(
+          thermal::StackSpec::single_die(geometry));
     } catch (const std::exception& e) {
       err << "error: import failed: " << e.what() << "\n";
       return std::nullopt;
     }
-    input.name = flp_it->second;
-    return input;
+    chip.name = flp_it->second;
+    return chip;
   }
 
-  const std::string chip = chip_it == p.options.end() ? "alpha" : chip_it->second;
-  floorplan::Floorplan plan = [&] {
-    if (chip == "alpha") return floorplan::alpha21364();
-    if (chip.rfind("hc", 0) == 0) {
-      return floorplan::hypothetical_chip(std::stoul(chip.substr(2)));
-    }
-    throw std::invalid_argument("unknown chip '" + chip + "' (use alpha or hc<N>)");
-  }();
-  input.name = chip;
-  power::WorkloadSynthesizer synth(plan);
-  input.tile_powers =
-      power::worst_case_profile(plan, synth.synthesize_suite(8)).tile_powers();
-  input.plan = std::make_shared<const floorplan::Floorplan>(std::move(plan));
-  return input;
+  return core::builtin_chip(chip_it == p.options.end() ? "alpha" : chip_it->second);
 }
 
-/// Solve engine over the chip's designed deployment, taking the StackSpec
-/// assembly path when the chip came from --spec.
-engine::SolveContext make_context(const ChipInput& chip, const TileMask& deployment,
+/// Solve engine over the chip's designed deployment.
+engine::SolveContext make_context(const core::Chip& chip, const TileMask& deployment,
                                   const engine::EngineOptions& opts) {
-  if (chip.spec != nullptr) {
-    return engine::SolveContext(chip.spec, deployment, chip.tile_powers,
-                                tec::TecDeviceParams::chowdhury_superlattice(), opts);
-  }
-  return engine::SolveContext(chip.geometry, deployment, chip.tile_powers,
+  return engine::SolveContext(chip.spec, deployment, chip.tile_powers,
                               tec::TecDeviceParams::chowdhury_superlattice(), opts);
-}
-
-core::DesignResult design_with_fallback(const ChipInput& chip, double limit,
-                                        bool full_cover, bool certify,
-                                        const engine::EngineOptions& engine_opts = {}) {
-  core::DesignRequest req;
-  req.chip_name = chip.name;
-  req.geometry = chip.geometry;
-  req.spec = chip.spec;
-  req.tile_powers = chip.tile_powers;
-  req.theta_limit_celsius = limit;
-  req.run_full_cover = full_cover;
-  req.run_convexity_certificate = certify;
-  req.greedy.engine = engine_opts;
-  auto res = core::design_cooling_system(req);
-  while (!res.success && req.theta_limit_celsius < limit + 25.0) {
-    req.theta_limit_celsius += 1.0;
-    TFC_LOG_INFO("design_fallback_relax", {"chip", chip.name},
-                 {"theta_limit_c", req.theta_limit_celsius});
-    res = core::design_cooling_system(req);
-  }
-  return res;
 }
 
 int cmd_design(const ParsedArgs& p, std::ostream& out, std::ostream& err) {
@@ -280,7 +221,7 @@ int cmd_design(const ParsedArgs& p, std::ostream& out, std::ostream& err) {
   const auto engine_opts = parse_engine_options(p, err);
   if (!engine_opts) return 2;
 
-  auto res = design_with_fallback(*chip, limit, full_cover, certify, *engine_opts);
+  auto res = core::design_with_fallback(*chip, limit, full_cover, certify, *engine_opts);
   out << core::table_header() << "\n" << core::format_table_row(res) << "\n";
   if (p.options.count("--map") != 0) {
     out << "\n" << core::deployment_map(res.deployment);
@@ -311,7 +252,7 @@ int cmd_table1(const ParsedArgs& p, std::ostream& out, std::ostream& err) {
     one.options["--chip"] = idx == 0 ? "alpha" : ("hc" + std::to_string(idx));
     auto chip = load_chip(one, err);
     if (!chip) return 2;
-    auto res = design_with_fallback(*chip, limit, true, false);
+    auto res = core::design_with_fallback(*chip, limit, true, false);
     out << core::format_table_row(res) << "\n";
     all_ok = all_ok && res.success;
   }
@@ -323,8 +264,8 @@ int cmd_runaway(const ParsedArgs& p, std::ostream& out, std::ostream& err) {
   if (!chip) return 2;
   const auto engine_opts = parse_engine_options(p, err);
   if (!engine_opts) return 2;
-  auto res = design_with_fallback(*chip, parse_double(p, "--limit", 85.0), false, false,
-                                  *engine_opts);
+  auto res = core::design_with_fallback(*chip, parse_double(p, "--limit", 85.0), false,
+                                        false, *engine_opts);
   if (res.deployment.empty()) {
     err << "error: no TECs deployed; nothing to analyze\n";
     return 1;
@@ -349,8 +290,8 @@ int cmd_sweep(const ParsedArgs& p, std::ostream& out, std::ostream& err) {
   if (!chip) return 2;
   const auto engine_opts = parse_engine_options(p, err);
   if (!engine_opts) return 2;
-  auto res = design_with_fallback(*chip, parse_double(p, "--limit", 85.0), false, false,
-                                  *engine_opts);
+  auto res = core::design_with_fallback(*chip, parse_double(p, "--limit", 85.0), false,
+                                        false, *engine_opts);
   if (res.deployment.empty()) {
     err << "error: no TECs deployed; nothing to sweep\n";
     return 1;
@@ -375,15 +316,15 @@ int cmd_sensitivity(const ParsedArgs& p, std::ostream& out, std::ostream& err) {
   if (!chip) return 2;
   const auto engine_opts = parse_engine_options(p, err);
   if (!engine_opts) return 2;
-  auto res = design_with_fallback(*chip, parse_double(p, "--limit", 85.0), false, false,
-                                  *engine_opts);
+  auto res = core::design_with_fallback(*chip, parse_double(p, "--limit", 85.0), false,
+                                        false, *engine_opts);
   if (res.deployment.empty()) {
     err << "error: no TECs deployed; nothing to analyze\n";
     return 1;
   }
   core::SensitivityOptions sens;
   sens.engine = *engine_opts;
-  auto rows = core::device_sensitivities(chip->geometry, chip->tile_powers,
+  auto rows = core::device_sensitivities(chip->spec, chip->tile_powers,
                                          tec::TecDeviceParams::chowdhury_superlattice(),
                                          res.deployment, sens);
   out << "parameter,d_peak_per_rel,d_lambda_per_rel,d_iopt_per_rel\n";
@@ -405,9 +346,8 @@ int cmd_version(const ParsedArgs&, std::ostream& out, std::ostream&) {
 int cmd_validate(const ParsedArgs& p, std::ostream& out, std::ostream& err) {
   auto chip = load_chip(p, err);
   if (!chip) return 2;
-  thermal::PackageModelOptions opts;
-  opts.geometry = chip->geometry;
-  auto rep = thermal::validate_against_reference(opts, chip->tile_powers);
+  auto rep = thermal::validate_against_reference(*chip->spec, TileMask(), {},
+                                                 chip->tile_powers);
   out << "coarse nodes: " << rep.coarse_nodes << ", reference nodes: " << rep.reference_nodes
       << "\n";
   out << "max |diff| = " << rep.max_abs_diff << " degC, mean |diff| = " << rep.mean_abs_diff
@@ -441,8 +381,7 @@ int cmd_spec(const ParsedArgs& p, std::ostream& out, std::ostream& err) {
       << "chips: " << spec.chips.size() << ", dies: " << spec.dies().size()
       << ", virtual grid: " << spec.total_tile_rows() << "x" << spec.tile_cols()
       << "\n"
-      << "tec-capable sites: " << spec.tec_allowed_tiles().count()
-      << ", paper-equivalent: " << (spec.paper_equivalent() ? "yes" : "no") << "\n";
+      << "tec-capable sites: " << spec.tec_allowed_tiles().count() << "\n";
   return 0;
 }
 
@@ -456,7 +395,7 @@ int cmd_simulate(const ParsedArgs& p, std::ostream& out, std::ostream& err) {
   const floorplan::Floorplan& plan = *chip->plan;
 
   const double limit = parse_double(p, "--limit", 85.0);
-  auto res = design_with_fallback(*chip, limit, false, false);
+  auto res = core::design_with_fallback(*chip, limit, false, false);
 
   sim::ScenarioOptions opts;
   opts.benchmark = option_or(p, "--benchmark", "bench00");
@@ -488,14 +427,9 @@ int cmd_simulate(const ParsedArgs& p, std::ostream& out, std::ostream& err) {
     opts.schedule.push_back({0, current});
   }
 
-  sim::ScenarioEngine engine =
-      chip->spec != nullptr
-          ? sim::ScenarioEngine(chip->spec,
-                                tec::TecDeviceParams::chowdhury_superlattice(),
-                                res.deployment, opts)
-          : sim::ScenarioEngine(plan, chip->geometry,
-                                tec::TecDeviceParams::chowdhury_superlattice(),
-                                res.deployment, opts);
+  sim::ScenarioEngine engine(plan, chip->spec,
+                             tec::TecDeviceParams::chowdhury_superlattice(),
+                             res.deployment, opts);
   auto summary = engine.run([&](const sim::Frame& frame) {
     out << sim::frame_to_json(frame, plan).dump() << "\n";
     return true;
@@ -527,8 +461,8 @@ int cmd_profile(const ParsedArgs& p, std::ostream& out, std::ostream& err) {
   prof.enable();
   prof.snapshot(true);  // drop anything recorded before the workload
 
-  auto res = design_with_fallback(*chip, limit, /*full_cover=*/false,
-                                  /*certify=*/false);
+  auto res = core::design_with_fallback(*chip, limit, /*full_cover=*/false,
+                                        /*certify=*/false);
   const engine::SolveContext context =
       make_context(*chip, res.deployment, engine::EngineOptions{});
   std::optional<double> lambda_m;

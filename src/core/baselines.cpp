@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <numeric>
 #include <stdexcept>
+#include <utility>
 
 #include "engine/solve_context.h"
 
@@ -10,16 +11,11 @@ namespace tfc::core {
 
 namespace {
 
-BaselineResult run_with_deployment(const thermal::PackageGeometry& geometry,
-                                   const linalg::Vector& tile_powers,
-                                   const tec::TecDeviceParams& device,
-                                   TileMask deployment,
-                                   const CurrentOptimizerOptions& options,
-                                   const engine::EngineOptions& engine_options) {
-  const engine::SolveContext context(geometry, deployment, tile_powers, device,
-                                     engine_options);
+/// Optimize the current of the context's fixed deployment.
+BaselineResult optimize_deployment(const engine::SolveContext& context,
+                                   const CurrentOptimizerOptions& options) {
   BaselineResult res;
-  res.deployment = std::move(deployment);
+  res.deployment = context.deployment();
   res.optimum = optimize_current(context, options);
   res.min_peak_temperature = res.optimum.peak_tile_temperature;
   return res;
@@ -27,33 +23,19 @@ BaselineResult run_with_deployment(const thermal::PackageGeometry& geometry,
 
 }  // namespace
 
-BaselineResult full_cover(const thermal::PackageGeometry& geometry,
-                          const linalg::Vector& tile_powers,
-                          const tec::TecDeviceParams& device,
-                          const CurrentOptimizerOptions& options,
-                          const engine::EngineOptions& engine_options) {
-  return run_with_deployment(geometry, tile_powers, device,
-                             TileMask::full(geometry.tile_rows, geometry.tile_cols),
-                             options, engine_options);
-}
-
 BaselineResult full_cover(std::shared_ptr<const thermal::StackSpec> spec,
                           const linalg::Vector& tile_powers,
                           const tec::TecDeviceParams& device,
                           const CurrentOptimizerOptions& options,
                           const engine::EngineOptions& engine_options) {
   if (spec == nullptr) throw std::invalid_argument("full_cover: null spec");
-  TileMask deployment = spec->tec_allowed_tiles();
+  const TileMask deployment = spec->tec_allowed_tiles();
   if (deployment.empty()) {
     throw std::invalid_argument("full_cover: spec has no TEC-capable sites");
   }
-  const engine::SolveContext context(spec, deployment, tile_powers, device,
+  const engine::SolveContext context(std::move(spec), deployment, tile_powers, device,
                                      engine_options);
-  BaselineResult res;
-  res.deployment = std::move(deployment);
-  res.optimum = optimize_current(context, options);
-  res.min_peak_temperature = res.optimum.peak_tile_temperature;
-  return res;
+  return optimize_deployment(context, options);
 }
 
 BaselineResult threshold_cover(const thermal::PackageGeometry& geometry,
@@ -80,8 +62,8 @@ BaselineResult threshold_cover(const thermal::PackageGeometry& geometry,
   for (std::size_t j = 0; j < k; ++j) {
     mask.set(order[j] / geometry.tile_cols, order[j] % geometry.tile_cols);
   }
-  return run_with_deployment(geometry, tile_powers, device, std::move(mask), options,
-                             engine_options);
+  const engine::SolveContext context(geometry, mask, tile_powers, device, engine_options);
+  return optimize_deployment(context, options);
 }
 
 }  // namespace tfc::core

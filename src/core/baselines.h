@@ -25,17 +25,9 @@ struct BaselineResult {
   double min_peak_temperature = 0.0;
 };
 
-/// TEC on every tile; current optimized (Table I "Full Cover").
-BaselineResult full_cover(const thermal::PackageGeometry& geometry,
-                          const linalg::Vector& tile_powers,
-                          const tec::TecDeviceParams& device,
-                          const CurrentOptimizerOptions& options = {},
-                          const engine::EngineOptions& engine_options = {});
-
-/// Spec-first full cover: a TEC on every TEC-capable interface site of the
-/// declarative package ("full" means every site that can physically carry a
-/// device, not every virtual tile). Paper-equivalent specs reproduce the
-/// geometry overload bit for bit.
+/// TEC on every TEC-capable interface site of the package; current optimized
+/// (Table I "Full Cover" — on the paper's package, every tile). Throws
+/// std::invalid_argument on a null spec or one without TEC-capable sites.
 BaselineResult full_cover(std::shared_ptr<const thermal::StackSpec> spec,
                           const linalg::Vector& tile_powers,
                           const tec::TecDeviceParams& device,

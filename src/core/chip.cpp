@@ -1,0 +1,78 @@
+#include "core/chip.h"
+
+#include <stdexcept>
+#include <utility>
+
+#include "floorplan/alpha21364.h"
+#include "floorplan/random_chip.h"
+#include "obs/obs.h"
+#include "power/workload.h"
+
+namespace tfc::core {
+
+namespace {
+
+constexpr std::size_t kMaxHypotheticalChip = 99;
+
+}  // namespace
+
+std::string builtin_chip_name(const std::string& name) {
+  if (name == "alpha") return name;
+  if (name.size() > 2 && name.rfind("hc", 0) == 0 &&
+      name.find_first_not_of("0123456789", 2) == std::string::npos) {
+    std::size_t index = 0;  // saturates past the range: no overflow on long digit runs
+    for (std::size_t k = 2; k < name.size() && index <= kMaxHypotheticalChip; ++k) {
+      index = index * 10 + std::size_t(name[k] - '0');
+    }
+    if (index >= 1 && index <= kMaxHypotheticalChip) return "hc" + std::to_string(index);
+  }
+  throw std::invalid_argument("unknown chip '" + name + "' (use alpha or hc1..hc" +
+                              std::to_string(kMaxHypotheticalChip) + ")");
+}
+
+Chip builtin_chip(const std::string& name) {
+  Chip chip;
+  chip.name = builtin_chip_name(name);
+  floorplan::Floorplan plan =
+      chip.name == "alpha"
+          ? floorplan::alpha21364()
+          : floorplan::hypothetical_chip(std::stoul(chip.name.substr(2)));
+  power::WorkloadSynthesizer synth(plan);
+  chip.tile_powers =
+      power::worst_case_profile(plan, synth.synthesize_suite(8)).tile_powers();
+  chip.plan = std::make_shared<const floorplan::Floorplan>(std::move(plan));
+  return chip;
+}
+
+Chip spec_chip(std::shared_ptr<const thermal::StackSpec> spec) {
+  if (spec == nullptr) throw std::invalid_argument("spec_chip: null spec");
+  Chip chip;
+  chip.name = spec->name;
+  chip.plan = std::make_shared<const floorplan::Floorplan>(spec->combined_floorplan());
+  chip.tile_powers = spec->tile_powers();
+  chip.spec = std::move(spec);
+  return chip;
+}
+
+DesignResult design_with_fallback(const Chip& chip, double theta_limit_celsius,
+                                  bool run_full_cover, bool certify,
+                                  const engine::EngineOptions& engine) {
+  DesignRequest req;
+  req.chip_name = chip.name;
+  req.spec = chip.spec;
+  req.tile_powers = chip.tile_powers;
+  req.theta_limit_celsius = theta_limit_celsius;
+  req.run_full_cover = run_full_cover;
+  req.run_convexity_certificate = certify;
+  req.greedy.engine = engine;
+  DesignResult res = design_cooling_system(req);
+  while (!res.success && req.theta_limit_celsius < theta_limit_celsius + 25.0) {
+    req.theta_limit_celsius += 1.0;
+    TFC_LOG_INFO("design_fallback_relax", {"chip", chip.name},
+                 {"theta_limit_c", req.theta_limit_celsius});
+    res = design_cooling_system(req);
+  }
+  return res;
+}
+
+}  // namespace tfc::core

@@ -33,19 +33,16 @@ ConvexityCertificate certify_convexity(const tec::ElectroThermalSystem& system,
   const double hi = options.lambda_fraction * *lm;
   const double dt = hi / double(options.subintervals);
 
-  // Silicon injection-slab node sets per tile (tile functional = mean of its
-  // subtile nodes).
-  const std::size_t rows = model.geometry().tile_rows;
-  const std::size_t cols = model.geometry().tile_cols;
-  std::vector<std::vector<std::size_t>> tile_nodes(rows * cols);
+  // Silicon injection node per tile (the tile functional).
+  const std::size_t rows = model.tile_rows();
+  const std::size_t cols = model.tile_cols();
+  std::vector<std::size_t> tile_nodes(rows * cols);
   for (std::size_t t = 0; t < rows * cols; ++t) {
-    tile_nodes[t] = model.silicon_tile_nodes({t / cols, t % cols});
+    tile_nodes[t] = model.silicon_node({t / cols, t % cols});
   }
 
   const auto tile_reduce = [&](const linalg::Vector& node_values, std::size_t t) {
-    double acc = 0.0;
-    for (std::size_t node : tile_nodes[t]) acc += node_values[node];
-    return acc / double(tile_nodes[t].size());
+    return node_values[tile_nodes[t]];
   };
 
   for (std::size_t seg = 0; seg < options.subintervals; ++seg) {

@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <stdexcept>
 
 #include "obs/obs.h"
 
@@ -21,14 +22,13 @@ DesignResult design_cooling_system(const DesignRequest& request) {
   GreedyDeployOptions greedy = request.greedy;
   greedy.theta_max = thermal::to_kelvin(request.theta_limit_celsius);
 
-  const bool use_spec = request.spec != nullptr;
+  if (request.spec == nullptr) {
+    throw std::invalid_argument("design_cooling_system: null spec");
+  }
   linalg::Vector powers = request.tile_powers;
-  if (use_spec && powers.size() == 0) powers = request.spec->tile_powers();
+  if (powers.size() == 0) powers = request.spec->tile_powers();
 
-  GreedyDeployResult g = use_spec
-                             ? greedy_deploy(request.spec, powers, request.device, greedy)
-                             : greedy_deploy(request.geometry, powers, request.device,
-                                             greedy);
+  GreedyDeployResult g = greedy_deploy(request.spec, powers, request.device, greedy);
   res.success = g.success;
   res.deployment = g.deployment;
   res.tec_count = g.deployment.count();
@@ -41,11 +41,8 @@ DesignResult design_cooling_system(const DesignRequest& request) {
 
   if (request.run_full_cover) {
     TFC_SPAN("full_cover");
-    BaselineResult fc = use_spec
-                            ? full_cover(request.spec, powers, request.device,
-                                         request.greedy.current, request.greedy.engine)
-                            : full_cover(request.geometry, powers, request.device,
-                                         request.greedy.current, request.greedy.engine);
+    BaselineResult fc = full_cover(request.spec, powers, request.device,
+                                   request.greedy.current, request.greedy.engine);
     res.full_cover_min_peak_celsius = thermal::to_celsius(fc.min_peak_temperature);
     res.full_cover_current = fc.optimum.current;
     res.full_cover_power = fc.optimum.tec_input_power;
@@ -54,11 +51,8 @@ DesignResult design_cooling_system(const DesignRequest& request) {
 
   if (request.run_convexity_certificate && res.tec_count > 0) {
     TFC_SPAN("convexity_certificate");
-    auto system =
-        use_spec ? tec::ElectroThermalSystem::assemble_from_spec(
-                       *request.spec, res.deployment, powers, request.device)
-                 : tec::ElectroThermalSystem::assemble(request.geometry, res.deployment,
-                                                       powers, request.device);
+    auto system = tec::ElectroThermalSystem::assemble(request.spec, res.deployment,
+                                                      powers, request.device);
     res.convexity = certify_convexity(system);
   }
 

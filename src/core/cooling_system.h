@@ -2,7 +2,7 @@
 /// \brief Top-level API: the Cooling System Configuration problem
 /// (Problem 1) end to end, plus the Table-I comparison bundle.
 ///
-/// This is the library's front door: give it a chip (geometry + worst-case
+/// This is the library's front door: give it a chip (package + worst-case
 /// power map + device parameters + temperature limit) and it returns the TEC
 /// deployment, the supply current, and the comparison against the no-TEC and
 /// full-cover configurations.
@@ -19,15 +19,14 @@ namespace tfc::core {
 /// A complete problem instance.
 struct DesignRequest {
   std::string chip_name = "chip";
-  thermal::PackageGeometry geometry;
-  /// Declarative package description. When set it takes precedence over
-  /// `geometry`: the design runs on the spec's virtual tile grid (all die
-  /// grids stacked vertically) and greedy/full-cover deployment is clipped
-  /// to the spec's TEC-capable interface sites. Paper-equivalent specs
-  /// reproduce the geometry path bit for bit.
-  std::shared_ptr<const thermal::StackSpec> spec;
-  /// Worst-case power per tile [W], row-major. With a spec, an empty vector
-  /// means "use the spec's own power maps" (layer power_w / floorplans).
+  /// The package (default: the paper's single-die package). The design runs
+  /// on the spec's virtual tile grid (all die grids stacked vertically) and
+  /// greedy/full-cover deployment is clipped to the spec's TEC-capable
+  /// interface sites.
+  std::shared_ptr<const thermal::StackSpec> spec = thermal::paper_package();
+  /// Worst-case power per tile [W], row-major over the virtual grid. An
+  /// empty vector means "use the spec's own power maps" (layer power_w /
+  /// floorplans).
   linalg::Vector tile_powers;
   tec::TecDeviceParams device = tec::TecDeviceParams::chowdhury_superlattice();
   /// Maximum allowable tile temperature [°C] (the paper uses 85 °C).
@@ -73,7 +72,8 @@ struct DesignResult {
   double runtime_ms = 0.0;
 };
 
-/// Solve Problem 1 on one chip and assemble the Table-I row.
+/// Solve Problem 1 on one chip and assemble the Table-I row. Throws
+/// std::invalid_argument on a null request.spec.
 DesignResult design_cooling_system(const DesignRequest& request);
 
 /// Render a deployment mask as an ASCII tile map ('#' = TEC, '.' = bare),

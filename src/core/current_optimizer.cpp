@@ -109,15 +109,8 @@ CurrentOptimum gradient_descent(const engine::SolveContext& context, double hi,
     linalg::Vector tile = system.model().tile_temperatures(th);
     const std::size_t k_star = linalg::argmax(tile);
     linalg::Vector dth = eval->theta_derivative();
-    // Tile temperature is the mean of its subtile nodes.
-    double grad = 0.0;
-    {
-      const auto nodes = system.model().silicon_tile_nodes(
-          {k_star / system.model().geometry().tile_cols,
-           k_star % system.model().geometry().tile_cols});
-      for (std::size_t node : nodes) grad += dth[node];
-      grad /= double(nodes.size());
-    }
+    const std::size_t cols = system.model().tile_cols();
+    const double grad = dth[system.model().silicon_node({k_star / cols, k_star % cols})];
     if (std::abs(grad) * std::max(1.0, step) < 1e-9) {
       res.converged = true;
       break;
@@ -177,7 +170,7 @@ CurrentOptimum optimize_current(const engine::SolveContext& context,
   const double hi = res.lambda_m
                         ? options.runaway_fraction * *res.lambda_m
                         : 4.0 * system.device().max_pumping_current(
-                                    system.model().geometry().ambient + 60.0);
+                                    system.model().ambient() + 60.0);
 
   CurrentOptimum inner;
   switch (options.method) {

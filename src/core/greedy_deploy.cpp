@@ -1,6 +1,7 @@
 #include "core/greedy_deploy.h"
 
 #include <stdexcept>
+#include <utility>
 
 #include "engine/solve_context.h"
 #include "obs/obs.h"
@@ -22,8 +23,8 @@ TileMask over_limit_tiles(const linalg::Vector& tile_temps, std::size_t rows,
 }
 
 /// The greedy loop on an assembled context. \p allowed is the set of sites
-/// that may carry a device (the full grid on the geometry path; the spec's
-/// TEC-capable interface sites on the spec path) and fixes the grid shape.
+/// that may carry a device (the spec's TEC-capable interface sites) and
+/// fixes the grid shape.
 GreedyDeployResult greedy_deploy_impl(engine::SolveContext& context,
                                       const TileMask& allowed,
                                       const GreedyDeployOptions& options) {
@@ -119,40 +120,25 @@ GreedyDeployResult greedy_deploy_impl(engine::SolveContext& context,
   return result;
 }
 
-void validate_greedy_inputs(const tec::TecDeviceParams& device,
-                            const GreedyDeployOptions& options) {
-  device.validate();
-  if (options.coverage_margin < 0.0) {
-    throw std::invalid_argument("greedy_deploy: negative coverage_margin");
-  }
-}
-
 }  // namespace
-
-GreedyDeployResult greedy_deploy(const thermal::PackageGeometry& geometry,
-                                 const linalg::Vector& tile_powers,
-                                 const tec::TecDeviceParams& device,
-                                 const GreedyDeployOptions& options) {
-  validate_greedy_inputs(device, options);
-  TFC_SPAN("greedy_deploy");
-  // One solve context spans the whole greedy loop: the deployment only ever
-  // grows, so each pass extends the stamped network in place (engine
-  // incremental re-stamp) instead of reassembling from geometry.
-  engine::SolveContext context(geometry, TileMask(), tile_powers, device,
-                               options.engine);
-  return greedy_deploy_impl(
-      context, TileMask::full(geometry.tile_rows, geometry.tile_cols), options);
-}
 
 GreedyDeployResult greedy_deploy(std::shared_ptr<const thermal::StackSpec> spec,
                                  const linalg::Vector& tile_powers,
                                  const tec::TecDeviceParams& device,
                                  const GreedyDeployOptions& options) {
   if (spec == nullptr) throw std::invalid_argument("greedy_deploy: null spec");
-  validate_greedy_inputs(device, options);
+  device.validate();
+  if (options.coverage_margin < 0.0) {
+    throw std::invalid_argument("greedy_deploy: negative coverage_margin");
+  }
   TFC_SPAN("greedy_deploy");
-  engine::SolveContext context(spec, TileMask(), tile_powers, device, options.engine);
-  return greedy_deploy_impl(context, spec->tec_allowed_tiles(), options);
+  // One solve context spans the whole greedy loop: the deployment only ever
+  // grows, so each pass extends the stamped network in place (engine
+  // incremental re-stamp) instead of reassembling from the spec.
+  const TileMask allowed = spec->tec_allowed_tiles();
+  engine::SolveContext context(std::move(spec), TileMask(), tile_powers, device,
+                               options.engine);
+  return greedy_deploy_impl(context, allowed, options);
 }
 
 }  // namespace tfc::core

@@ -64,18 +64,12 @@ struct GreedyDeployResult {
   std::vector<GreedyIteration> iterations;
 };
 
-/// Run Figure 5 on the given chip. \p tile_powers is the worst-case per-tile
-/// power map [W], row-major over geometry's tile grid.
-GreedyDeployResult greedy_deploy(const thermal::PackageGeometry& geometry,
-                                 const linalg::Vector& tile_powers,
-                                 const tec::TecDeviceParams& device,
-                                 const GreedyDeployOptions& options = {});
-
-/// Run Figure 5 on a declarative package. \p tile_powers addresses the spec's
-/// virtual tile grid (all die grids stacked vertically, row-major). Candidate
-/// coverage is clipped to the spec's TEC-capable interface sites on every
-/// pass; deployment fails when the remaining over-limit tiles sit outside
-/// them. Paper-equivalent specs reproduce the geometry overload bit for bit.
+/// Run Figure 5 on a package. \p tile_powers is the worst-case per-tile power
+/// map [W], row-major over the spec's virtual tile grid (all die grids
+/// stacked vertically). Candidate coverage is clipped to the spec's
+/// TEC-capable interface sites on every pass; deployment fails when the
+/// remaining over-limit tiles sit outside them. Throws std::invalid_argument
+/// on a null spec.
 GreedyDeployResult greedy_deploy(std::shared_ptr<const thermal::StackSpec> spec,
                                  const linalg::Vector& tile_powers,
                                  const tec::TecDeviceParams& device,

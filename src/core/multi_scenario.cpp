@@ -22,15 +22,13 @@ class ScenarioEvaluator {
                     const std::vector<linalg::Vector>& scenarios)
       : scenarios_(&scenarios), context_(&context) {
     const auto& model = context.system().model();
-    const auto& geometry = model.geometry();
-    const std::size_t rows = geometry.tile_rows;
-    const std::size_t cols = geometry.tile_cols;
-    tile_nodes_.resize(rows * cols);
-    for (std::size_t t = 0; t < rows * cols; ++t) {
-      tile_nodes_[t] = model.silicon_tile_nodes({t / cols, t % cols});
+    const std::size_t cols = model.tile_cols();
+    tile_nodes_.resize(model.tile_count());
+    for (std::size_t t = 0; t < model.tile_count(); ++t) {
+      tile_nodes_[t] = model.silicon_node({t / cols, t % cols});
     }
     ambient_rhs_ = linalg::Vector(model.node_count());
-    const double ambient = geometry.ambient;
+    const double ambient = model.ambient();
     for (std::size_t k = 0; k < model.node_count(); ++k) {
       const double g = model.network().ambient_conductance(k);
       if (g > 0.0) ambient_rhs_[k] = g * ambient;
@@ -46,15 +44,13 @@ class ScenarioEvaluator {
     const linalg::SparseCholeskyFactor& factor = ws->factor;
 
     const double joule = 0.5 * system.device().resistance * i * i;
-    const std::size_t f2 = system.model().refine() * system.model().refine();
     // One factorization, independent per-scenario solves: result slot s is
     // always scenario s, so the output is identical for any pool size.
     return par::parallel_map(scenarios_->size(), [&](std::size_t s) {
       const auto& powers = (*scenarios_)[s];
       linalg::Vector rhs = ambient_rhs_;
       for (std::size_t t = 0; t < tile_nodes_.size(); ++t) {
-        const double share = powers[t] / double(f2);
-        for (std::size_t node : tile_nodes_[t]) rhs[node] += share;
+        rhs[tile_nodes_[t]] += powers[t];
       }
       for (std::size_t hot : system.model().hot_nodes()) rhs[hot] += joule;
       for (std::size_t cold : system.model().cold_nodes()) rhs[cold] += joule;
@@ -74,7 +70,7 @@ class ScenarioEvaluator {
  private:
   const std::vector<linalg::Vector>* scenarios_;
   const engine::SolveContext* context_;
-  std::vector<std::vector<std::size_t>> tile_nodes_;
+  std::vector<std::size_t> tile_nodes_;
   linalg::Vector ambient_rhs_;
 };
 

@@ -239,7 +239,7 @@ std::vector<std::size_t> hotness_groups(const tec::ElectroThermalSystem& system,
   auto op = system.solve(0.0);
   if (!op) throw std::runtime_error("hotness_groups: passive solve failed");
 
-  const std::size_t cols = system.model().geometry().tile_cols;
+  const std::size_t cols = system.model().tile_cols();
   std::vector<std::size_t> order(tiles.size());
   for (std::size_t j = 0; j < tiles.size(); ++j) order[j] = j;
   std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {

@@ -35,7 +35,7 @@ OnDemandResult simulate_on_demand(
   const auto& model = system.model();
   const auto& net = model.network();
   const std::size_t n = model.node_count();
-  const double ambient = model.geometry().ambient;
+  const double ambient = model.ambient();
   const double i_on = options.on_current;
 
   // Two fixed-topology integrators: TECs off (G) and on (G − i_on·D). The
@@ -45,13 +45,12 @@ OnDemandResult simulate_on_demand(
   thermal::TransientSolver on_stepper(system.system_matrix(i_on), cap, options.dt,
                                       off_stepper.symbolic());
 
-  // Precompute the per-tile silicon node lists and static RHS pieces.
-  const std::size_t rows = model.geometry().tile_rows;
-  const std::size_t cols = model.geometry().tile_cols;
-  const std::size_t f2 = model.refine() * model.refine();
-  std::vector<std::vector<std::size_t>> tile_nodes(rows * cols);
+  // Precompute the per-tile silicon nodes and static RHS pieces.
+  const std::size_t rows = model.tile_rows();
+  const std::size_t cols = model.tile_cols();
+  std::vector<std::size_t> tile_nodes(rows * cols);
   for (std::size_t t = 0; t < rows * cols; ++t) {
-    tile_nodes[t] = model.silicon_tile_nodes({t / cols, t % cols});
+    tile_nodes[t] = model.silicon_node({t / cols, t % cols});
   }
   linalg::Vector ambient_rhs(n);
   for (std::size_t k = 0; k < n; ++k) {
@@ -65,10 +64,7 @@ OnDemandResult simulate_on_demand(
       throw std::invalid_argument("simulate_on_demand: tile power size mismatch");
     }
     linalg::Vector rhs = ambient_rhs;
-    for (std::size_t t = 0; t < rows * cols; ++t) {
-      const double share = tile_powers[t] / double(f2);
-      for (std::size_t node : tile_nodes[t]) rhs[node] += share;
-    }
+    for (std::size_t t = 0; t < rows * cols; ++t) rhs[tile_nodes[t]] += tile_powers[t];
     if (on) {
       for (std::size_t hot : model.hot_nodes()) rhs[hot] += joule;
       for (std::size_t cold : model.cold_nodes()) rhs[cold] += joule;

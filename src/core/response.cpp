@@ -37,7 +37,7 @@ ResponseSample ResponseEvaluator::sample() const {
   // excluded by construction: they form the ½·r·i²·η part).
   linalg::Vector b = system_->power(0.0);
   const auto& net = system_->model().network();
-  const double ambient = system_->model().geometry().ambient;
+  const double ambient = system_->model().ambient();
   for (std::size_t k = 0; k < n; ++k) {
     const double g = net.ambient_conductance(k);
     if (g > 0.0) b[k] += g * ambient;

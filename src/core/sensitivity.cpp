@@ -15,13 +15,13 @@ struct ProbeResult {
   double current = 0.0;
 };
 
-ProbeResult probe(const thermal::PackageGeometry& geometry,
+ProbeResult probe(const std::shared_ptr<const thermal::StackSpec>& spec,
                   const linalg::Vector& tile_powers, const tec::TecDeviceParams& device,
                   const TileMask& deployment, const CurrentOptimizerOptions& options,
                   const engine::EngineOptions& engine_options) {
   // Each perturbed device gets its own context (its conductances change the
   // stamped network), but every current probe inside it is workspace-pooled.
-  const engine::SolveContext context(geometry, deployment, tile_powers, device,
+  const engine::SolveContext context(spec, deployment, tile_powers, device,
                                      engine_options);
   auto opt = optimize_current(context, options);
   ProbeResult r;
@@ -34,9 +34,10 @@ ProbeResult probe(const thermal::PackageGeometry& geometry,
 }  // namespace
 
 std::vector<ParameterSensitivity> device_sensitivities(
-    const thermal::PackageGeometry& geometry, const linalg::Vector& tile_powers,
+    std::shared_ptr<const thermal::StackSpec> spec, const linalg::Vector& tile_powers,
     const tec::TecDeviceParams& device, const TileMask& deployment,
     const SensitivityOptions& options) {
+  if (spec == nullptr) throw std::invalid_argument("device_sensitivities: null spec");
   if (deployment.grid_size() == 0 || deployment.empty()) {
     throw std::invalid_argument("device_sensitivities: empty deployment");
   }
@@ -66,9 +67,9 @@ std::vector<ParameterSensitivity> device_sensitivities(
     access(down) *= (1.0 - h);
 
     const ProbeResult pu =
-        probe(geometry, tile_powers, up, deployment, options.current, options.engine);
+        probe(spec, tile_powers, up, deployment, options.current, options.engine);
     const ProbeResult pd =
-        probe(geometry, tile_powers, down, deployment, options.current, options.engine);
+        probe(spec, tile_powers, down, deployment, options.current, options.engine);
 
     ParameterSensitivity s;
     s.parameter = name;

@@ -11,10 +11,12 @@
 /// in achievable peak temperature and in the runaway limit λ_m.
 #pragma once
 
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "core/current_optimizer.h"
+#include "thermal/stack_spec.h"
 
 namespace tfc::core {
 
@@ -38,11 +40,11 @@ struct ParameterSensitivity {
 };
 
 /// Evaluate sensitivities of the optimized design around \p device for a
-/// fixed deployment. Parameters probed: seebeck, resistance,
+/// fixed deployment on \p spec. Parameters probed: seebeck, resistance,
 /// internal_conductance, g_hot_contact, g_cold_contact.
-/// Throws std::invalid_argument for an empty deployment.
+/// Throws std::invalid_argument for a null spec or an empty deployment.
 std::vector<ParameterSensitivity> device_sensitivities(
-    const thermal::PackageGeometry& geometry, const linalg::Vector& tile_powers,
+    std::shared_ptr<const thermal::StackSpec> spec, const linalg::Vector& tile_powers,
     const tec::TecDeviceParams& device, const TileMask& deployment,
     const SensitivityOptions& options = {});
 

@@ -36,11 +36,11 @@ void record_solve(Backend backend, std::chrono::steady_clock::time_point t0) {
       .record(ms_since(t0));
 }
 
-/// Deployment mask normalized to the geometry's grid shape (an unshaped
+/// Deployment mask normalized to the model's virtual grid (an unshaped
 /// default mask means "no TECs").
-TileMask shaped(const TileMask& mask, const thermal::PackageGeometry& geometry) {
-  if (mask.grid_size() == 0) return TileMask(geometry.tile_rows, geometry.tile_cols);
-  if (mask.rows() != geometry.tile_rows || mask.cols() != geometry.tile_cols) {
+TileMask shaped(const TileMask& mask, const thermal::PackageModel& model) {
+  if (mask.grid_size() == 0) return TileMask(model.tile_rows(), model.tile_cols());
+  if (mask.rows() != model.tile_rows() || mask.cols() != model.tile_cols()) {
     throw std::invalid_argument("SolveContext: deployment shape mismatch");
   }
   return mask;
@@ -48,64 +48,31 @@ TileMask shaped(const TileMask& mask, const thermal::PackageGeometry& geometry) 
 
 }  // namespace
 
-SolveContext::SolveContext(const thermal::PackageGeometry& geometry,
-                           const TileMask& deployment, const linalg::Vector& tile_powers,
-                           const tec::TecDeviceParams& device, EngineOptions options,
-                           std::size_t stages)
-    : options_(options),
-      geometry_(geometry),
-      tile_powers_(tile_powers),
-      stages_(stages),
-      deployment_(shaped(deployment, geometry)),
-      system_(tec::ElectroThermalSystem::assemble(geometry, deployment, tile_powers,
-                                                  device, stages)) {}
-
 SolveContext::SolveContext(std::shared_ptr<const thermal::StackSpec> spec,
                            const TileMask& deployment, const linalg::Vector& tile_powers,
                            const tec::TecDeviceParams& device, EngineOptions options,
                            std::size_t stages)
     : options_(options),
-      tile_powers_(tile_powers),
-      stages_(stages),
-      system_(tec::ElectroThermalSystem::assemble_from_spec(*spec, deployment,
-                                                            tile_powers, device, stages)) {
-  // The model's geometry carries the spec's virtual tile grid (all die grids
-  // stacked vertically), so the grid-shaped members below stay meaningful.
-  geometry_ = system_.model().geometry();
-  deployment_ = shaped(deployment, geometry_);
-  // Paper-equivalent specs canonicalized to the legacy build; the model's
-  // spec() is null there, which routes rebuild() to the geometry path.
-  spec_ = system_.model().spec();
-}
+      system_(tec::ElectroThermalSystem::assemble(std::move(spec), deployment,
+                                                  tile_powers, device, stages)) {}
+
+SolveContext::SolveContext(const thermal::PackageGeometry& geometry,
+                           const TileMask& deployment, const linalg::Vector& tile_powers,
+                           const tec::TecDeviceParams& device, EngineOptions options,
+                           std::size_t stages)
+    : SolveContext(std::make_shared<const thermal::StackSpec>(
+                       thermal::StackSpec::single_die(geometry)),
+                   deployment, tile_powers, device, options, stages) {}
 
 SolveContext::SolveContext(tec::ElectroThermalSystem system, EngineOptions options)
-    : options_(options),
-      geometry_(system.model().geometry()),
-      spec_(system.model().spec()),
-      stages_(system.model().options().tec_stages),
-      deployment_(shaped(system.model().options().tec_tiles, system.model().geometry())),
-      system_(std::move(system)) {
-  // Recover the tile power map from the network for the full-rebuild
-  // fallback (the incremental path replays node powers exactly, so this is
-  // only consulted when a non-additive set_deployment forces a rebuild).
-  const auto& model = system_.model();
-  tile_powers_.resize(geometry_.tile_count());
-  for (std::size_t r = 0; r < geometry_.tile_rows; ++r) {
-    for (std::size_t c = 0; c < geometry_.tile_cols; ++c) {
-      double acc = 0.0;
-      for (std::size_t node : model.silicon_tile_nodes({r, c})) {
-        acc += model.network().power(node);
-      }
-      tile_powers_[r * geometry_.tile_cols + c] = acc;
-    }
-  }
-}
+    : options_(options), system_(std::move(system)) {}
 
 void SolveContext::extend(const TileMask& tiles) {
-  TileMask delta(geometry_.tile_rows, geometry_.tile_cols);
+  const thermal::PackageModel& model = system_.model();
+  TileMask delta(model.tile_rows(), model.tile_cols());
   bool any = false;
-  for (Tile t : shaped(tiles, geometry_).tiles()) {
-    if (!deployment_.test(t)) {
+  for (Tile t : shaped(tiles, model).tiles()) {
+    if (!model.deployment().test(t)) {
       delta.set(t);
       any = true;
     }
@@ -114,7 +81,7 @@ void SolveContext::extend(const TileMask& tiles) {
   invalidate_runaway_cache();
 
   if (!options_.incremental_restamp) {
-    TileMask next = deployment_;
+    TileMask next = model.deployment();
     next |= delta;
     rebuild(next);
     return;
@@ -127,16 +94,15 @@ void SolveContext::extend(const TileMask& tiles) {
   // devices are restamped, everything else is carried over bitwise from the
   // previous G through the node remap.
   thermal::TecExtendDelta remap;
-  thermal::PackageModel next = system_.model().extend_tec(delta, &remap);
+  thermal::PackageModel next = model.extend_tec(delta, &remap);
   linalg::SparseMatrix g = next.network().conductance_matrix_extended(
       system_.matrix_g(), remap.old_to_new, remap.dirty_rows);
   system_ = tec::ElectroThermalSystem(std::move(next), system_.device(), std::move(g));
-  deployment_ |= delta;
 }
 
 void SolveContext::set_deployment(const TileMask& deployment) {
-  const TileMask target = shaped(deployment, geometry_);
-  if (deployment_.subset_of(target)) {
+  const TileMask target = shaped(deployment, system_.model());
+  if (this->deployment().subset_of(target)) {
     extend(target);
     return;
   }
@@ -147,12 +113,10 @@ void SolveContext::set_deployment(const TileMask& deployment) {
 void SolveContext::rebuild(const TileMask& deployment) {
   TFC_SPAN("engine_restamp_full");
   obs::MetricsRegistry::global().counter("engine.restamp.full").increment();
-  system_ = spec_ != nullptr
-                ? tec::ElectroThermalSystem::assemble_from_spec(
-                      *spec_, deployment, tile_powers_, system_.device(), stages_)
-                : tec::ElectroThermalSystem::assemble(geometry_, deployment, tile_powers_,
-                                                      system_.device(), stages_);
-  deployment_ = deployment;
+  const thermal::PackageModel& model = system_.model();
+  system_ = tec::ElectroThermalSystem::assemble(model.spec(), deployment,
+                                                model.tile_powers(), system_.device(),
+                                                model.tec_stages());
 }
 
 void SolveContext::invalidate_runaway_cache() {

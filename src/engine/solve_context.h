@@ -9,7 +9,7 @@
 /// allocations. Deployments only ever grow during greedy deployment
 /// (Figure 5), so extend() re-stamps the package network incrementally
 /// (PackageModel::extend_tec) instead of re-deriving every conductance from
-/// geometry — bit-identical to a from-scratch assembly, asserted in Debug.
+/// the spec — bit-identical to a from-scratch assembly, asserted in Debug.
 ///
 /// Point solves dispatch over the runtime-selected Backend; the design/probe
 /// path is pinned to the direct sparse factorization (see EngineOptions).
@@ -41,17 +41,15 @@ namespace tfc::engine {
 /// and set_deployment() mutate the context and must not race any solve.
 class SolveContext {
  public:
-  /// Assemble the system for \p deployment (may be empty) on \p geometry
-  /// with \p tile_powers installed.
-  SolveContext(const thermal::PackageGeometry& geometry, const TileMask& deployment,
+  /// Assemble the system of \p spec for \p deployment (may be empty) with
+  /// \p tile_powers installed. The mask and the powers address the spec's
+  /// virtual tile grid.
+  SolveContext(std::shared_ptr<const thermal::StackSpec> spec, const TileMask& deployment,
                const linalg::Vector& tile_powers, const tec::TecDeviceParams& device,
                EngineOptions options = {}, std::size_t stages = 1);
 
-  /// Spec-first variant: assemble from a declarative StackSpec. The mask and
-  /// \p tile_powers address the spec's virtual tile grid. Paper-equivalent
-  /// specs canonicalize to the byte-identical geometry path (spec() stays
-  /// null); stacked/multi-chip specs keep the spec for full rebuilds.
-  SolveContext(std::shared_ptr<const thermal::StackSpec> spec, const TileMask& deployment,
+  /// The same on the single-die package StackSpec::single_die(\p geometry).
+  SolveContext(const thermal::PackageGeometry& geometry, const TileMask& deployment,
                const linalg::Vector& tile_powers, const tec::TecDeviceParams& device,
                EngineOptions options = {}, std::size_t stages = 1);
 
@@ -61,23 +59,24 @@ class SolveContext {
 
   const tec::ElectroThermalSystem& system() const { return system_; }
   const EngineOptions& options() const { return options_; }
-  const TileMask& deployment() const { return deployment_; }
+  const TileMask& deployment() const { return system_.model().deployment(); }
   std::size_t device_count() const { return system_.device_count(); }
 
-  /// The StackSpec this context rebuilds from; null on the geometry path
-  /// (including paper-equivalent specs, which canonicalize to geometry).
-  const std::shared_ptr<const thermal::StackSpec>& spec() const { return spec_; }
+  /// The package this context assembles (never null).
+  const std::shared_ptr<const thermal::StackSpec>& spec() const {
+    return system_.model().spec();
+  }
 
   /// Grow the deployment by \p tiles (tiles already deployed are ignored; a
   /// fully covered \p tiles is a no-op). The purely additive delta is
   /// re-stamped incrementally when options().incremental_restamp is on
   /// (metric engine.restamp.incremental), otherwise the model is rebuilt
-  /// from geometry (engine.restamp.full). Invalidates the λ_m cache.
+  /// from the spec (engine.restamp.full). Invalidates the λ_m cache.
   void extend(const TileMask& tiles);
 
   /// Move to an arbitrary \p deployment: additive supersets of the current
   /// deployment go through extend(); anything else (a removed tile — not an
-  /// additive delta) falls back to a full rebuild from geometry.
+  /// additive delta) falls back to a full rebuild from the spec.
   void set_deployment(const TileMask& deployment);
 
   /// Zero-allocation positive-definiteness + peak-temperature probe at
@@ -154,7 +153,7 @@ class SolveContext {
   tec::SolveWorkspace* acquire_workspace() const;
   void release_workspace(tec::SolveWorkspace* ws) const;
 
-  /// Full rebuild from geometry (the non-incremental path).
+  /// Full rebuild from the spec (the non-incremental path).
   void rebuild(const TileMask& deployment);
   void invalidate_runaway_cache();
 
@@ -170,11 +169,6 @@ class SolveContext {
   void maybe_audit(const tec::OperatingPoint& op) const;
 
   EngineOptions options_;
-  thermal::PackageGeometry geometry_;
-  std::shared_ptr<const thermal::StackSpec> spec_;
-  linalg::Vector tile_powers_;
-  std::size_t stages_ = 1;
-  TileMask deployment_;
   tec::ElectroThermalSystem system_;
 
   // Workspace pool: all_ owns, free_ lists the idle ones. The lock guards

@@ -15,10 +15,9 @@ namespace tfc::sim {
 namespace {
 
 void validate_options(const floorplan::Floorplan& plan,
-                      const thermal::PackageGeometry& geometry,
-                      const ScenarioOptions& o) {
-  if (plan.tile_rows() != geometry.tile_rows || plan.tile_cols() != geometry.tile_cols) {
-    throw std::invalid_argument("ScenarioEngine: floorplan/geometry grid mismatch");
+                      const thermal::PackageModel& model, const ScenarioOptions& o) {
+  if (plan.tile_rows() != model.tile_rows() || plan.tile_cols() != model.tile_cols()) {
+    throw std::invalid_argument("ScenarioEngine: floorplan/package grid mismatch");
   }
   if (!(o.dt > 0.0)) throw std::invalid_argument("ScenarioEngine: dt must be > 0");
   if (o.steps == 0) throw std::invalid_argument("ScenarioEngine: steps must be nonzero");
@@ -36,11 +35,11 @@ void validate_options(const floorplan::Floorplan& plan,
 }  // namespace
 
 ScenarioEngine::ScenarioEngine(const floorplan::Floorplan& plan,
-                               const thermal::PackageGeometry& geometry,
+                               std::shared_ptr<const thermal::StackSpec> spec,
                                const tec::TecDeviceParams& device,
                                const TileMask& deployment, ScenarioOptions options)
     : ScenarioEngine(plan,
-                     tec::ElectroThermalSystem::assemble(geometry, deployment,
+                     tec::ElectroThermalSystem::assemble(std::move(spec), deployment,
                                                          plan.tile_powers(), device),
                      std::move(options)) {}
 
@@ -49,40 +48,10 @@ ScenarioEngine::ScenarioEngine(const floorplan::Floorplan& plan,
                                ScenarioOptions options)
     : ScenarioEngine(plan, context.system(), std::move(options)) {}
 
-namespace {
-
-/// Null-checked spec access for the delegating spec constructor (both
-/// argument expressions go through it, so a null spec throws before any
-/// dereference regardless of evaluation order).
-const thermal::StackSpec& require_spec(
-    const std::shared_ptr<const thermal::StackSpec>& spec) {
-  if (spec == nullptr) throw std::invalid_argument("ScenarioEngine: null spec");
-  return *spec;
-}
-
-}  // namespace
-
-ScenarioEngine::ScenarioEngine(std::shared_ptr<const thermal::StackSpec> spec,
-                               const tec::TecDeviceParams& device,
-                               const TileMask& deployment, ScenarioOptions options)
-    : ScenarioEngine(std::make_shared<const floorplan::Floorplan>(
-                         require_spec(spec).combined_floorplan()),
-                     tec::ElectroThermalSystem::assemble_from_spec(
-                         require_spec(spec), deployment, require_spec(spec).tile_powers(),
-                         device),
-                     std::move(options)) {}
-
-ScenarioEngine::ScenarioEngine(std::shared_ptr<const floorplan::Floorplan> plan,
-                               tec::ElectroThermalSystem system, ScenarioOptions options)
-    : ScenarioEngine(*plan, std::move(system), std::move(options)) {
-  owned_plan_ = std::move(plan);
-  plan_ = owned_plan_.get();
-}
-
 ScenarioEngine::ScenarioEngine(const floorplan::Floorplan& plan,
                                tec::ElectroThermalSystem system, ScenarioOptions options)
     : plan_(&plan), options_(std::move(options)), system_(std::move(system)) {
-  validate_options(plan, system_.model().geometry(), options_);
+  validate_options(plan, system_.model(), options_);
   // Later schedule entries override earlier ones at the same step.
   std::stable_sort(options_.schedule.begin(), options_.schedule.end(),
                    [](const CurrentEvent& a, const CurrentEvent& b) {
@@ -109,13 +78,13 @@ ScenarioEngine::ScenarioEngine(const floorplan::Floorplan& plan,
   }
   tile_nodes_.resize(plan.tile_count());
   for (std::size_t t = 0; t < plan.tile_count(); ++t) {
-    tile_nodes_[t] = model.silicon_tile_nodes({t / cols, t % cols});
+    tile_nodes_[t] = model.silicon_node({t / cols, t % cols});
   }
   const auto& net = model.network();
   ambient_rhs_ = linalg::Vector(model.node_count());
   for (std::size_t k = 0; k < model.node_count(); ++k) {
     const double g = net.ambient_conductance(k);
-    if (g > 0.0) ambient_rhs_[k] = g * model.geometry().ambient;
+    if (g > 0.0) ambient_rhs_[k] = g * model.ambient();
   }
   tile_power_scratch_ = linalg::Vector(plan.tile_count());
   rhs_scratch_ = linalg::Vector(model.node_count());
@@ -149,7 +118,6 @@ void ScenarioEngine::build_rhs(std::size_t step, const std::vector<double>& scal
                                double current) {
   TFC_SPAN("sim.rasterize");
   const auto& model = system_.model();
-  const std::size_t f2 = model.refine() * model.refine();
   const std::size_t tick = step % trace_.length();
 
   tile_power_scratch_.fill(0.0);
@@ -163,8 +131,7 @@ void ScenarioEngine::build_rhs(std::size_t step, const std::vector<double>& scal
 
   rhs_scratch_ = ambient_rhs_;
   for (std::size_t t = 0; t < tile_nodes_.size(); ++t) {
-    const double share = tile_power_scratch_[t] / double(f2);
-    for (std::size_t node : tile_nodes_[t]) rhs_scratch_[node] += share;
+    rhs_scratch_[tile_nodes_[t]] += tile_power_scratch_[t];
   }
   if (current > 0.0) {
     const double joule = 0.5 * system_.device().resistance * current * current;
@@ -191,7 +158,7 @@ ScenarioSummary ScenarioEngine::run(const FrameSink& sink) {
   const std::vector<double> unthrottled(plan_->units().size(), 1.0);
 
   // Initial condition: passive steady state under the step-0 map, or ambient.
-  theta_ = linalg::Vector(n, model.geometry().ambient);
+  theta_ = linalg::Vector(n, model.ambient());
   if (options_.start_from_steady_state) {
     build_rhs(0, unthrottled, 0.0);
     theta_ = thermal::solve_steady_state(system_.system_matrix(0.0), rhs_scratch_);

@@ -130,20 +130,16 @@ using FrameSink = std::function<bool(const Frame&)>;
 /// condition and a fresh controller).
 class ScenarioEngine {
  public:
-  /// Assemble the coupled system for \p deployment (may be empty — the
-  /// passive baseline) and synthesize the workload trace. Throws
-  /// std::invalid_argument on grid mismatch or bad options.
+  /// Assemble the coupled system of \p spec for \p deployment (may be empty
+  /// — the passive baseline) and synthesize the workload trace over \p plan,
+  /// which must tile the spec's virtual grid (for a StackSpec without its own
+  /// chip floorplan, spec->combined_floorplan(): every die's floorplan or
+  /// uniform power block, stacked row-wise and prefixed "chip.layer.", so
+  /// each die gets its own per-unit activity trace). \p plan must outlive
+  /// the engine. Throws std::invalid_argument on grid mismatch or bad
+  /// options.
   ScenarioEngine(const floorplan::Floorplan& plan,
-                 const thermal::PackageGeometry& geometry,
-                 const tec::TecDeviceParams& device, const TileMask& deployment,
-                 ScenarioOptions options = {});
-
-  /// Declarative-package variant: simulate a StackSpec. The workload is
-  /// synthesized over the spec's combined virtual floorplan (every die's
-  /// floorplan or uniform power block, stacked row-wise and prefixed
-  /// "chip.layer."), so each die gets its own per-unit activity trace; the
-  /// deployment mask addresses the virtual tile grid.
-  ScenarioEngine(std::shared_ptr<const thermal::StackSpec> spec,
+                 std::shared_ptr<const thermal::StackSpec> spec,
                  const tec::TecDeviceParams& device, const TileMask& deployment,
                  ScenarioOptions options = {});
 
@@ -164,11 +160,6 @@ class ScenarioEngine {
   ScenarioEngine(const floorplan::Floorplan& plan, tec::ElectroThermalSystem system,
                  ScenarioOptions options);
 
-  /// As above but the engine owns the floorplan (the spec path, where the
-  /// combined virtual floorplan is derived rather than caller-provided).
-  ScenarioEngine(std::shared_ptr<const floorplan::Floorplan> plan,
-                 tec::ElectroThermalSystem system, ScenarioOptions options);
-
   /// Scheduled current at \p step (last event at or before it; 0 if none).
   double scheduled_current(std::size_t step) const;
 
@@ -182,16 +173,13 @@ class ScenarioEngine {
   void build_rhs(std::size_t step, const std::vector<double>& scales, double current);
 
   const floorplan::Floorplan* plan_;
-  /// Set on the spec path only: keeps the derived combined floorplan alive
-  /// (plan_ points into it).
-  std::shared_ptr<const floorplan::Floorplan> owned_plan_;
   ScenarioOptions options_;
   tec::ElectroThermalSystem system_;
   power::ActivityTrace trace_;
 
-  // Static precomputations (geometry-only; shared by every run()).
+  // Static precomputations (package-only; shared by every run()).
   std::vector<std::vector<std::size_t>> unit_tiles_;  ///< [unit] -> tile ids
-  std::vector<std::vector<std::size_t>> tile_nodes_;  ///< [tile] -> silicon nodes
+  std::vector<std::size_t> tile_nodes_;               ///< [tile] -> silicon node
   linalg::Vector ambient_rhs_;
 
   std::map<double, thermal::TransientSolver> solvers_;

@@ -15,15 +15,12 @@
 #include <string_view>
 #include <thread>
 
+#include "core/chip.h"
 #include "core/cooling_system.h"
-#include "floorplan/alpha21364.h"
-#include "floorplan/random_chip.h"
 #include "io/design_json.h"
 #include "io/spec_json.h"
 #include "obs/build_info.h"
 #include "obs/obs.h"
-#include "power/power_profile.h"
-#include "power/workload.h"
 #include "sim/scenario.h"
 #include "tec/runaway.h"
 #include "thermal/package.h"
@@ -749,11 +746,10 @@ void Server::serve_request(Pending& item) {
 
 namespace {
 
-/// Package hash of the default single-die geometry — the built-in chips'
+/// Package hash of the paper's single-die package — the built-in chips'
 /// SessionKey::package component, computed once.
 const std::string& default_package_hash() {
-  static const std::string hash = io::spec_content_hash(
-      thermal::StackSpec::single_die(thermal::PackageGeometry{}));
+  static const std::string hash = io::spec_content_hash(*thermal::paper_package());
   return hash;
 }
 
@@ -787,10 +783,16 @@ std::shared_ptr<const Session> Server::session_for(const io::JsonValue& params,
     key.package = io::spec_content_hash(*spec);
     info.spec = key.chip + "@" + key.package;
   } else {
-    key.chip = params.string_or("chip", "alpha");
-    const thermal::PackageGeometry defaults;
-    key.tile_rows = defaults.tile_rows;
-    key.tile_cols = defaults.tile_cols;
+    // Built-in chips key on the canonical name, so spellings of one chip
+    // ("hc7", "hc007") share a session.
+    try {
+      key.chip = core::builtin_chip_name(params.string_or("chip", "alpha"));
+    } catch (const std::invalid_argument& e) {
+      throw ProtocolError(ErrorCode::kBadRequest, e.what());
+    }
+    const thermal::StackSpec& paper = *thermal::paper_package();
+    key.tile_rows = paper.total_tile_rows();
+    key.tile_cols = paper.tile_cols();
     key.package = default_package_hash();
   }
   info.chip = key.chip;
@@ -799,65 +801,19 @@ std::shared_ptr<const Session> Server::session_for(const io::JsonValue& params,
   auto session = cache_.get_or_build(key, [&spec, &info](const SessionKey& k) {
     auto session = std::make_shared<Session>();
     session->key = k;
-    session->spec = spec;
     session->spec_id = info.spec;
 
-    if (spec != nullptr) {
-      session->plan = std::make_shared<const floorplan::Floorplan>(
-          spec->combined_floorplan());
-      session->tile_powers = spec->tile_powers();
-    } else {
-      floorplan::Floorplan plan = [&] {
-        if (k.chip == "alpha") return floorplan::alpha21364();
-        if (k.chip.rfind("hc", 0) == 0) {
-          std::size_t n = 0;
-          try {
-            n = std::stoul(k.chip.substr(2));
-          } catch (const std::exception&) {
-            n = 0;
-          }
-          if (n >= 1 && n <= 99) return floorplan::hypothetical_chip(n);
-        }
-        throw ProtocolError(ErrorCode::kBadRequest,
-                            "unknown chip '" + k.chip + "' (use alpha or hc<N>)");
-      }();
-      session->geometry = thermal::PackageGeometry{};
-      session->plan = std::make_shared<const floorplan::Floorplan>(std::move(plan));
-      power::WorkloadSynthesizer synth(*session->plan);
-      session->tile_powers =
-          power::worst_case_profile(*session->plan, synth.synthesize_suite(8))
-              .tile_powers();
-    }
-
-    core::DesignRequest req;
-    req.chip_name = k.chip;
-    req.geometry = session->geometry;
-    req.spec = spec;
-    req.tile_powers = session->tile_powers;
-    req.theta_limit_celsius = k.theta_limit_celsius;
-    req.run_full_cover = false;
-    session->design = core::design_cooling_system(req);
-    while (!session->design.success &&
-           req.theta_limit_celsius < k.theta_limit_celsius + 25.0) {
-      req.theta_limit_celsius += 1.0;
-      TFC_LOG_INFO("svc_design_fallback_relax", {"chip", k.chip},
-                   {"theta_limit_c", req.theta_limit_celsius});
-      session->design = core::design_cooling_system(req);
-    }
-
-    session->context =
-        spec != nullptr
-            ? std::make_shared<const engine::SolveContext>(
-                  spec, session->design.deployment, session->tile_powers, req.device,
-                  engine::EngineOptions{})
-            : std::make_shared<const engine::SolveContext>(
-                  session->geometry, session->design.deployment, session->tile_powers,
-                  req.device, engine::EngineOptions{});
-    if (spec != nullptr) {
-      // The synthetic geometry of the assembled model: the spec's virtual
-      // tile grid plus the ambient/convection scalars every consumer reads.
-      session->geometry = session->context->system().model().geometry();
-    }
+    core::Chip chip =
+        spec != nullptr ? core::spec_chip(spec) : core::builtin_chip(k.chip);
+    chip.name = k.chip;
+    session->spec = spec;
+    session->plan = chip.plan;
+    session->tile_powers = chip.tile_powers;
+    session->design = core::design_with_fallback(chip, k.theta_limit_celsius,
+                                                 /*run_full_cover=*/false);
+    session->context = std::make_shared<const engine::SolveContext>(
+        chip.spec, session->design.deployment, session->tile_powers,
+        tec::TecDeviceParams::chowdhury_superlattice(), engine::EngineOptions{});
     if (!session->design.deployment.empty()) {
       session->lambda_m = session->context->runaway_limit();
     }

@@ -5,7 +5,7 @@
 /// The expensive part of every service query is identical across repeats:
 /// synthesize the worst-case power map, run GreedyDeploy, assemble the
 /// ElectroThermalSystem, and analyze its Cholesky pattern. A *session*
-/// bundles all of that for one (chip, geometry, θ-limit) triple — the
+/// bundles all of that for one (chip, package, θ-limit) triple — the
 /// deployment, and with it the package stamping and the symbolic analysis
 /// held inside ElectroThermalSystem, are pure functions of that key — so a
 /// repeat `solve`/`sweep`/`runaway` only pays a numeric refactorization.
@@ -57,7 +57,6 @@ struct SessionKey {
 /// A fully prepared solver context for one key.
 struct Session {
   SessionKey key;
-  thermal::PackageGeometry geometry;
   /// Declarative package the session was designed on; null for the built-in
   /// chips (default single-die geometry).
   std::shared_ptr<const thermal::StackSpec> spec;

@@ -53,31 +53,24 @@ ElectroThermalSystem::ElectroThermalSystem(thermal::PackageModel model,
 }
 
 ElectroThermalSystem ElectroThermalSystem::assemble(
-    const thermal::PackageGeometry& geometry, const TileMask& deployment,
+    std::shared_ptr<const thermal::StackSpec> spec, const TileMask& deployment,
     const linalg::Vector& tile_powers, const TecDeviceParams& device,
     std::size_t stages) {
   TFC_SPAN("assemble");
-  thermal::PackageModelOptions opts;
-  opts.geometry = geometry;
-  opts.tec_tiles = deployment;
-  opts.tec_link = device.thermal_link();
-  opts.tec_stages = stages;
-  thermal::PackageModel model = thermal::PackageModel::build(opts);
+  thermal::PackageModel model = thermal::PackageModel::build(
+      std::move(spec), deployment, device.thermal_link(), stages);
   model.set_tile_powers(tile_powers);
   const bool no_tec = deployment.grid_size() == 0 || deployment.empty();
   return ElectroThermalSystem(std::move(model), device, /*allow_no_tec=*/no_tec);
 }
 
-ElectroThermalSystem ElectroThermalSystem::assemble_from_spec(
-    const thermal::StackSpec& spec, const TileMask& deployment,
+ElectroThermalSystem ElectroThermalSystem::assemble(
+    const thermal::PackageGeometry& geometry, const TileMask& deployment,
     const linalg::Vector& tile_powers, const TecDeviceParams& device,
     std::size_t stages) {
-  TFC_SPAN("assemble_from_spec");
-  thermal::PackageModel model =
-      thermal::PackageModel::build_from_spec(spec, deployment, device.thermal_link(), stages);
-  model.set_tile_powers(tile_powers);
-  const bool no_tec = deployment.grid_size() == 0 || deployment.empty();
-  return ElectroThermalSystem(std::move(model), device, /*allow_no_tec=*/no_tec);
+  return assemble(std::make_shared<const thermal::StackSpec>(
+                      thermal::StackSpec::single_die(geometry)),
+                  deployment, tile_powers, device, stages);
 }
 
 linalg::SparseMatrix ElectroThermalSystem::matrix_d() const {
@@ -158,7 +151,7 @@ void ElectroThermalSystem::rhs_into(double i, linalg::Vector& out) const {
   const double joule = 0.5 * device_.resistance * i * i;
   for (std::size_t hot : model_.hot_nodes()) out[hot] += joule;
   for (std::size_t cold : model_.cold_nodes()) out[cold] += joule;
-  const double ambient = model_.geometry().ambient;
+  const double ambient = model_.ambient();
   for (std::size_t k = 0; k < n; ++k) {
     const double g = net.ambient_conductance(k);
     if (g > 0.0) out[k] += g * ambient;
@@ -232,7 +225,7 @@ EnergyBalance ElectroThermalSystem::energy_balance(double i,
   eb.peltier_w = i * peltier;
   eb.injected_w = eb.source_w + eb.joule_w + eb.peltier_w;
   eb.rejected_w =
-      model_.network().ambient_heat_flow(theta, model_.geometry().ambient);
+      model_.network().ambient_heat_flow(theta, model_.ambient());
   eb.residual_w = eb.rejected_w - eb.injected_w;
   eb.relative = eb.injected_w != 0.0 ? std::abs(eb.residual_w / eb.injected_w) : 0.0;
   return eb;

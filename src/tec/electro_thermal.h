@@ -96,24 +96,22 @@ class ElectroThermalSystem {
   ElectroThermalSystem(thermal::PackageModel model, TecDeviceParams device,
                        linalg::SparseMatrix g);
 
-  /// Convenience factory: build the package model for \p geometry with TECs
-  /// on \p deployment (may be empty), install \p tile_powers, and wrap it.
-  /// \p stages > 1 builds cascaded devices (see PackageModelOptions).
-  static ElectroThermalSystem assemble(const thermal::PackageGeometry& geometry,
+  /// Convenience factory: build the package model of \p spec with TECs on
+  /// \p deployment (may be empty; a virtual-grid mask within the spec's
+  /// TEC-capable sites), install \p tile_powers (virtual grid), and wrap
+  /// it. \p stages > 1 builds cascaded devices (see PackageModel::build).
+  static ElectroThermalSystem assemble(std::shared_ptr<const thermal::StackSpec> spec,
                                        const TileMask& deployment,
                                        const linalg::Vector& tile_powers,
                                        const TecDeviceParams& device,
                                        std::size_t stages = 1);
 
-  /// Spec-first variant of assemble: build the package model from a
-  /// declarative StackSpec (paper-equivalent specs take the byte-identical
-  /// legacy path; stacked/multi-chip specs the generic builder). The
-  /// deployment mask and \p tile_powers address the spec's virtual tile grid.
-  static ElectroThermalSystem assemble_from_spec(const thermal::StackSpec& spec,
-                                                 const TileMask& deployment,
-                                                 const linalg::Vector& tile_powers,
-                                                 const TecDeviceParams& device,
-                                                 std::size_t stages = 1);
+  /// The same on the single-die package StackSpec::single_die(\p geometry).
+  static ElectroThermalSystem assemble(const thermal::PackageGeometry& geometry,
+                                       const TileMask& deployment,
+                                       const linalg::Vector& tile_powers,
+                                       const TecDeviceParams& device,
+                                       std::size_t stages = 1);
 
   const thermal::PackageModel& model() const { return model_; }
   const TecDeviceParams& device() const { return device_; }

@@ -1,11 +1,13 @@
 #include "thermal/nonlinear.h"
 
 #include <cmath>
+#include <memory>
 #include <stdexcept>
+#include <utility>
 
 namespace tfc::thermal {
 
-NonlinearResult solve_steady_state_nonlinear(const PackageModelOptions& options,
+NonlinearResult solve_steady_state_nonlinear(const StackSpec& spec,
                                              const linalg::Vector& tile_powers,
                                              const NonlinearOptions& nonlinear) {
   if (nonlinear.max_iterations == 0 || !(nonlinear.tol > 0.0) ||
@@ -13,20 +15,28 @@ NonlinearResult solve_steady_state_nonlinear(const PackageModelOptions& options,
     throw std::invalid_argument("solve_steady_state_nonlinear: bad options");
   }
 
-  const double k_ref = options.geometry.die_material.thermal_conductivity;
+  spec.validate();
+  const double k_ref = spec.chips.front().layers.front().material.thermal_conductivity;
   NonlinearResult res;
-  double k_now = k_ref;
+  double scale = 1.0;  // k(T) / k_ref, shared by every die layer
   linalg::Vector prev;
 
   for (std::size_t it = 0; it < nonlinear.max_iterations; ++it) {
-    PackageModelOptions opts = options;
-    opts.geometry.die_material.thermal_conductivity = k_now;
-    PackageModel model = PackageModel::build(opts);
+    StackSpec scaled = spec;
+    for (ChipSpec& chip : scaled.chips) {
+      for (LayerSpec& layer : chip.layers) {
+        if (layer.kind == LayerSpec::Kind::kDie) {
+          layer.material.thermal_conductivity *= scale;
+        }
+      }
+    }
+    PackageModel model =
+        PackageModel::build(std::make_shared<const StackSpec>(std::move(scaled)));
     model.set_tile_powers(tile_powers);
     res.theta = solve_steady_state(model, nonlinear.solver);
     res.tile_temperatures = model.tile_temperatures(res.theta);
     res.iterations = it + 1;
-    res.silicon_conductivity = k_now;
+    res.silicon_conductivity = k_ref * scale;
 
     if (!prev.empty()) {
       double delta = 0.0;
@@ -50,7 +60,7 @@ NonlinearResult solve_steady_state_nonlinear(const PackageModelOptions& options,
       }
     }
     t_mean /= double(count);
-    k_now = k_ref * std::pow(t_mean / nonlinear.reference_temperature, nonlinear.exponent);
+    scale = std::pow(t_mean / nonlinear.reference_temperature, nonlinear.exponent);
   }
   return res;
 }

@@ -20,7 +20,7 @@
 namespace tfc::thermal {
 
 struct NonlinearOptions {
-  /// Temperature at which the geometry's die conductivity is specified [K].
+  /// Temperature at which the spec's die conductivities are specified [K].
   double reference_temperature = to_kelvin(27.0);
   /// k(T) = k_ref (T/T_ref)^exponent; −4/3 for silicon near room temperature.
   double exponent = -4.0 / 3.0;
@@ -37,14 +37,14 @@ struct NonlinearResult {
   linalg::Vector tile_temperatures;
   std::size_t iterations = 0;
   bool converged = false;
-  /// Final effective silicon conductivity [W/mK].
+  /// Final effective conductivity of the first die layer [W/mK].
   double silicon_conductivity = 0.0;
 };
 
 /// Solve the package steady state with temperature-dependent die
-/// conductivity. \p options describes the package (its die material's
-/// conductivity is taken as k_ref); \p tile_powers is the worst-case map.
-NonlinearResult solve_steady_state_nonlinear(const PackageModelOptions& options,
+/// conductivity. \p spec describes the package (each die layer's material
+/// conductivity is its k_ref); \p tile_powers is the worst-case map.
+NonlinearResult solve_steady_state_nonlinear(const StackSpec& spec,
                                              const linalg::Vector& tile_powers,
                                              const NonlinearOptions& nonlinear = {});
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <stdexcept>
+#include <utility>
 
 namespace tfc::thermal {
 
@@ -25,29 +26,13 @@ void TecThermalLink::validate() const {
 }
 
 std::size_t PackageModel::tile_index(Tile t) const {
-  const auto& g = options_.geometry;
-  if (t.row >= g.tile_rows || t.col >= g.tile_cols) {
+  if (t.row >= tile_rows_ || t.col >= tile_cols_) {
     throw std::out_of_range("PackageModel: tile out of range");
   }
-  return t.row * g.tile_cols + t.col;
+  return t.row * tile_cols_ + t.col;
 }
 
-std::size_t PackageModel::silicon_node(Tile t, std::size_t sub_r, std::size_t sub_c) const {
-  const std::size_t f = options_.lateral_refine;
-  if (sub_r >= f || sub_c >= f) throw std::out_of_range("PackageModel: subtile out of range");
-  tile_index(t);  // bounds check
-  if (spec_ != nullptr) {
-    // Generic models inject/read on the mid slab of the tile's own die.
-    const DieCell dc = die_cell(t);
-    const StackSpec::DieRef& die = dies_[dc.die];
-    const auto& grid = lay_[die.chip][die.layer];
-    return grid[grid.size() / 2][dc.row * spec_->chips[die.chip].tile_cols + dc.col];
-  }
-  const std::size_t cf = options_.geometry.tile_cols * f;
-  const std::size_t rr = t.row * f + sub_r;
-  const std::size_t cc = t.col * f + sub_c;
-  return sil_[injection_slab()][rr * cf + cc];
-}
+std::size_t PackageModel::silicon_node(Tile t) const { return tile_node_[tile_index(t)]; }
 
 PackageModel::DieCell PackageModel::die_cell(Tile t) const {
   for (std::size_t k = dies_.size(); k-- > 0;) {
@@ -58,46 +43,47 @@ PackageModel::DieCell PackageModel::die_cell(Tile t) const {
   throw std::out_of_range("PackageModel: tile outside every die band");
 }
 
-std::vector<std::size_t> PackageModel::silicon_tile_nodes(Tile t) const {
-  const std::size_t f = options_.lateral_refine;
-  std::vector<std::size_t> out;
-  out.reserve(f * f);
-  for (std::size_t sr = 0; sr < f; ++sr) {
-    for (std::size_t sc = 0; sc < f; ++sc) out.push_back(silicon_node(t, sr, sc));
+void PackageModel::index_tiles() {
+  // Every die injects/reads on the mid slab of its own layer grid.
+  tile_node_.assign(tile_count(), kNoNode);
+  for (const StackSpec::DieRef& die : dies_) {
+    const std::size_t rows = spec_->chips[die.chip].tile_rows;
+    const auto& grid = lay_[die.chip][die.layer];
+    const auto& mid = grid[grid.size() / 2];
+    for (std::size_t j = 0; j < rows * tile_cols_; ++j) {
+      tile_node_[die.row_offset * tile_cols_ + j] = mid[j];
+    }
   }
-  return out;
 }
 
 std::size_t PackageModel::tec_cold_node(Tile t) const {
-  const std::size_t id = tec_cold_.at(tile_index(t));
+  const std::size_t id = tec_cold_[tile_index(t)];
   if (id == kNoNode) throw std::invalid_argument("PackageModel: no TEC at tile");
   return id;
 }
 
 std::size_t PackageModel::tec_hot_node(Tile t) const {
-  const std::size_t id = tec_hot_.at(tile_index(t));
+  const std::size_t id = tec_hot_[tile_index(t)];
   if (id == kNoNode) throw std::invalid_argument("PackageModel: no TEC at tile");
   return id;
 }
 
 void PackageModel::set_tile_powers(const linalg::Vector& tile_powers) {
-  const auto& g = options_.geometry;
-  if (tile_powers.size() != g.tile_count()) {
+  if (tile_powers.size() != tile_count()) {
     throw std::invalid_argument("PackageModel::set_tile_powers: size mismatch");
   }
-  const std::size_t f = options_.lateral_refine;
-  const double share = 1.0 / double(f * f);
-  for (std::size_t r = 0; r < g.tile_rows; ++r) {
-    for (std::size_t c = 0; c < g.tile_cols; ++c) {
-      const double p = tile_powers[r * g.tile_cols + c];
-      if (p < 0.0) {
-        throw std::invalid_argument("PackageModel::set_tile_powers: negative power");
-      }
-      for (std::size_t node : silicon_tile_nodes({r, c})) {
-        network_.set_power(node, p * share);
-      }
+  for (std::size_t k = 0; k < tile_count(); ++k) {
+    if (tile_powers[k] < 0.0) {
+      throw std::invalid_argument("PackageModel::set_tile_powers: negative power");
     }
+    network_.set_power(tile_node_[k], tile_powers[k]);
   }
+}
+
+linalg::Vector PackageModel::tile_powers() const {
+  linalg::Vector out(tile_count());
+  for (std::size_t k = 0; k < tile_count(); ++k) out[k] = network_.power(tile_node_[k]);
+  return out;
 }
 
 linalg::Vector PackageModel::tile_temperatures(const linalg::Vector& theta) const {
@@ -108,458 +94,22 @@ linalg::Vector PackageModel::tile_temperatures(const linalg::Vector& theta) cons
 
 void PackageModel::tile_temperatures_into(const linalg::Vector& theta,
                                           linalg::Vector& out) const {
-  const auto& g = options_.geometry;
   if (theta.size() != network_.node_count()) {
     throw std::invalid_argument("PackageModel::tile_temperatures: size mismatch");
   }
-  const std::size_t f = options_.lateral_refine;
-  out.resize(g.tile_count());
-  for (std::size_t r = 0; r < g.tile_rows; ++r) {
-    for (std::size_t c = 0; c < g.tile_cols; ++c) {
-      double acc = 0.0;
-      for (std::size_t sr = 0; sr < f; ++sr) {
-        for (std::size_t sc = 0; sc < f; ++sc) acc += theta[silicon_node({r, c}, sr, sc)];
-      }
-      out[r * g.tile_cols + c] = acc / double(f * f);
-    }
-  }
+  out.resize(tile_count());
+  for (std::size_t k = 0; k < tile_count(); ++k) out[k] = theta[tile_node_[k]];
 }
 
 double PackageModel::peak_tile_temperature(const linalg::Vector& theta) const {
   return linalg::max_entry(tile_temperatures(theta));
 }
 
-PackageModel PackageModel::build(const PackageModelOptions& options) {
-  options.geometry.validate();
-  if (options.lateral_refine == 0 || options.silicon_slabs == 0 || options.tim_slabs == 0 ||
-      options.spreader_slabs == 0) {
-    throw std::invalid_argument("PackageModel: refine/slab counts must be >= 1");
-  }
-  const auto& g = options.geometry;
-  const bool any_tec = options.tec_tiles.grid_size() != 0 && !options.tec_tiles.empty();
-  if (any_tec) {
-    if (options.tec_tiles.rows() != g.tile_rows || options.tec_tiles.cols() != g.tile_cols) {
-      throw std::invalid_argument("PackageModel: tec_tiles mask shape mismatch");
-    }
-    options.tec_link.validate();
-  }
-
-  PackageModel model;
-  model.options_ = options;
-  ConductanceNetwork& net = model.network_;
-
-  const std::size_t f = options.lateral_refine;
-  const std::size_t rf = g.tile_rows * f;
-  const std::size_t cf = g.tile_cols * f;
-  const double px = g.tile_pitch_x() / double(f);
-  const double py = g.tile_pitch_y() / double(f);
-  const double sub_area = px * py;
-
-  const double t_sil = g.die_thickness / double(options.silicon_slabs);
-  const double t_tim = g.tim_thickness / double(options.tim_slabs);
-  const double t_spr = g.spreader_thickness / double(options.spreader_slabs);
-  const double k_sil = g.die_material.thermal_conductivity;
-  const double k_tim = g.tim_material.thermal_conductivity;
-  const double k_spr = g.spreader_material.thermal_conductivity;
-  const double k_snk = g.sink_material.thermal_conductivity;
-  const double c_sil = g.die_material.volumetric_heat_capacity;
-  const double c_tim = g.tim_material.volumetric_heat_capacity;
-  const double c_spr = g.spreader_material.volumetric_heat_capacity;
-  const double c_snk = g.sink_material.volumetric_heat_capacity;
-
-  const auto tec_at = [&](std::size_t rr, std::size_t cc) {
-    if (!any_tec) return false;
-    return options.tec_tiles.test(rr / f, cc / f);
-  };
-
-  // ---- node creation ------------------------------------------------------
-  const auto add_grid = [&](NodeKind kind, std::size_t slabs, double slab_t, double vol_c,
-                            auto&& skip) {
-    std::vector<std::vector<std::size_t>> ids(slabs,
-                                              std::vector<std::size_t>(rf * cf, kNoNode));
-    for (std::size_t s = 0; s < slabs; ++s) {
-      for (std::size_t rr = 0; rr < rf; ++rr) {
-        for (std::size_t cc = 0; cc < cf; ++cc) {
-          if (skip(rr, cc)) continue;
-          NodeInfo info;
-          info.kind = kind;
-          info.row = rr;
-          info.col = cc;
-          info.slab = s;
-          info.area = sub_area;
-          info.capacitance = vol_c * sub_area * slab_t;
-          ids[s][rr * cf + cc] = net.add_node(info);
-        }
-      }
-    }
-    return ids;
-  };
-
-  const auto no_skip = [](std::size_t, std::size_t) { return false; };
-  model.sil_ = add_grid(NodeKind::kSilicon, options.silicon_slabs, t_sil, c_sil, no_skip);
-  model.tim_ = add_grid(NodeKind::kTim, options.tim_slabs, t_tim, c_tim, tec_at);
-  model.spr_ = add_grid(NodeKind::kSpreaderCenter, options.spreader_slabs, t_spr, c_spr,
-                        no_skip);
-  model.snk_ = add_grid(NodeKind::kSinkCenter, 1, g.sink_thickness, c_snk, no_skip)[0];
-
-  // TEC nodes: one (cold, hot) pair per stage per deployed tile. Stage 0's
-  // cold plate faces the silicon; the last stage's hot plate faces the
-  // spreader. The Peltier/Joule stamping layer treats every pair uniformly.
-  if (options.tec_stages == 0) {
-    throw std::invalid_argument("PackageModel: tec_stages must be >= 1");
-  }
-  model.tec_cold_.assign(g.tile_count(), kNoNode);
-  model.tec_hot_.assign(g.tile_count(), kNoNode);
-  std::vector<std::vector<std::pair<std::size_t, std::size_t>>> stage_chains;
-  if (any_tec) {
-    for (Tile t : options.tec_tiles.tiles()) {
-      NodeInfo cold;
-      cold.kind = NodeKind::kTecCold;
-      cold.row = t.row;
-      cold.col = t.col;
-      cold.area = g.tile_area();
-      cold.capacitance = c_tim * g.tile_area() *
-                         (0.5 * g.tim_thickness / double(options.tec_stages));
-      NodeInfo hot = cold;
-      hot.kind = NodeKind::kTecHot;
-
-      std::vector<std::pair<std::size_t, std::size_t>> chain;
-      chain.reserve(options.tec_stages);
-      for (std::size_t s = 0; s < options.tec_stages; ++s) {
-        NodeInfo c = cold;
-        NodeInfo h = hot;
-        c.slab = h.slab = s;
-        const std::size_t c_id = net.add_node(c);
-        const std::size_t h_id = net.add_node(h);
-        chain.emplace_back(c_id, h_id);
-        model.cold_nodes_.push_back(c_id);
-        model.hot_nodes_.push_back(h_id);
-      }
-      const std::size_t idx = t.row * g.tile_cols + t.col;
-      model.tec_cold_[idx] = chain.front().first;
-      model.tec_hot_[idx] = chain.back().second;
-      model.tec_tile_list_.push_back(t);
-      stage_chains.push_back(std::move(chain));
-    }
-  }
-
-  // Peripheral macro nodes. Edge order: 0=N(row 0), 1=S, 2=W(col 0), 3=E.
-  // Corner order: 0=NW, 1=NE, 2=SW, 3=SE.
-  const double ov_sp_x = 0.5 * (g.spreader_side - g.die_width);
-  const double ov_sp_y = 0.5 * (g.spreader_side - g.die_height);
-  const double ov_sk = 0.5 * (g.sink_side - g.spreader_side);
-  const bool has_sp_periph = ov_sp_x > kTinyLength && ov_sp_y > kTinyLength;
-  const bool has_sk_outer = ov_sk > kTinyLength;
-
-  const double edge_len_ns = g.die_width;   // N/S edges run along x
-  const double edge_len_we = g.die_height;  // W/E edges run along y
-
-  const auto add_macro = [&](NodeKind kind, double area, double thickness, double vol_c) {
-    NodeInfo info;
-    info.kind = kind;
-    info.area = area;
-    info.capacitance = vol_c * area * thickness;
-    return net.add_node(info);
-  };
-
-  std::vector<std::size_t> sp_edge(4, kNoNode), sp_corner(4, kNoNode);
-  std::vector<std::size_t> sk_in_edge(4, kNoNode), sk_in_corner(4, kNoNode);
-  std::vector<std::size_t> sk_out_edge(4, kNoNode), sk_out_corner(4, kNoNode);
-  if (has_sp_periph) {
-    const double ea[4] = {edge_len_ns * ov_sp_y, edge_len_ns * ov_sp_y,
-                          edge_len_we * ov_sp_x, edge_len_we * ov_sp_x};
-    for (int e = 0; e < 4; ++e) {
-      sp_edge[e] = add_macro(NodeKind::kSpreaderEdge, ea[e], g.spreader_thickness, c_spr);
-      sk_in_edge[e] = add_macro(NodeKind::kSinkInnerEdge, ea[e], g.sink_thickness, c_snk);
-    }
-    const double ca = ov_sp_x * ov_sp_y;
-    for (int c = 0; c < 4; ++c) {
-      sp_corner[c] = add_macro(NodeKind::kSpreaderCorner, ca, g.spreader_thickness, c_spr);
-      sk_in_corner[c] =
-          add_macro(NodeKind::kSinkInnerCorner, ca, g.sink_thickness, c_snk);
-    }
-  }
-  if (has_sk_outer) {
-    const double ea = g.spreader_side * ov_sk;
-    const double ca = ov_sk * ov_sk;
-    for (int e = 0; e < 4; ++e) {
-      sk_out_edge[e] = add_macro(NodeKind::kSinkOuterEdge, ea, g.sink_thickness, c_snk);
-    }
-    for (int c = 0; c < 4; ++c) {
-      sk_out_corner[c] =
-          add_macro(NodeKind::kSinkOuterCorner, ca, g.sink_thickness, c_snk);
-    }
-  }
-
-  // ---- lateral conductances within each grid slab --------------------------
-  const auto lateral_grid = [&](const std::vector<std::vector<std::size_t>>& ids,
-                                double slab_t, double k) {
-    const double gx = k * slab_t * py / px;  // between x-neighbours
-    const double gy = k * slab_t * px / py;  // between y-neighbours
-    for (const auto& slab : ids) {
-      for (std::size_t rr = 0; rr < rf; ++rr) {
-        for (std::size_t cc = 0; cc < cf; ++cc) {
-          const std::size_t a = slab[rr * cf + cc];
-          if (a == kNoNode) continue;
-          if (cc + 1 < cf) {
-            const std::size_t b = slab[rr * cf + cc + 1];
-            if (b != kNoNode) net.add_conductance(a, b, gx);
-          }
-          if (rr + 1 < rf) {
-            const std::size_t b = slab[(rr + 1) * cf + cc];
-            if (b != kNoNode) net.add_conductance(a, b, gy);
-          }
-        }
-      }
-    }
-  };
-  lateral_grid(model.sil_, t_sil, k_sil);
-  lateral_grid(model.tim_, t_tim, k_tim);
-  lateral_grid(model.spr_, t_spr, k_spr);
-  lateral_grid({model.snk_}, g.sink_thickness, k_snk);
-
-  // ---- vertical conductances within each layer -----------------------------
-  const auto vertical_within = [&](const std::vector<std::vector<std::size_t>>& ids,
-                                   double slab_t, double k) {
-    const double gv = k * sub_area / slab_t;
-    for (std::size_t s = 0; s + 1 < ids.size(); ++s) {
-      for (std::size_t i = 0; i < rf * cf; ++i) {
-        if (ids[s][i] != kNoNode && ids[s + 1][i] != kNoNode) {
-          net.add_conductance(ids[s][i], ids[s + 1][i], gv);
-        }
-      }
-    }
-  };
-  vertical_within(model.sil_, t_sil, k_sil);
-  vertical_within(model.tim_, t_tim, k_tim);
-  vertical_within(model.spr_, t_spr, k_spr);
-
-  // ---- vertical conductances across layers ---------------------------------
-  // Slab convention: silicon slab S-1 faces the TIM; TIM slab 0 faces
-  // silicon; spreader slab 0 faces the TIM; spreader slab P-1 faces the sink.
-  const auto& sil_top = model.sil_.back();
-  const auto& tim_bot = model.tim_.front();
-  const auto& tim_top = model.tim_.back();
-  const auto& spr_bot = model.spr_.front();
-  const auto& spr_top = model.spr_.back();
-
-  const double r_half_sil = half_slab_resistance(t_sil, k_sil, sub_area);
-  const double r_half_tim = half_slab_resistance(t_tim, k_tim, sub_area);
-  const double r_half_spr = half_slab_resistance(t_spr, k_spr, sub_area);
-  const double r_half_snk = half_slab_resistance(g.sink_thickness, k_snk, sub_area);
-
-  for (std::size_t i = 0; i < rf * cf; ++i) {
-    if (tim_bot[i] != kNoNode) {
-      net.add_conductance(sil_top[i], tim_bot[i], series(r_half_sil, r_half_tim));
-    }
-    if (tim_top[i] != kNoNode) {
-      net.add_conductance(tim_top[i], spr_bot[i], series(r_half_tim, r_half_spr));
-    }
-    net.add_conductance(spr_top[i], model.snk_[i], series(r_half_spr, r_half_snk));
-  }
-
-  // TEC substitution: silicon —g_c— cold —κ— hot —g_h— spreader, with
-  // contact conductances split evenly over the tile's refine² subtiles and
-  // composed in series with the adjacent half-slabs.
-  model.tec_edge_begin_ = net.edges().size();
-  if (any_tec) {
-    const double fsq = double(f * f);
-    const TecThermalLink& link = options.tec_link;
-    // Inter-stage coupling: the hot plate of stage s bonds to the cold plate
-    // of stage s+1 through both contact layers in series.
-    const double g_interstage =
-        1.0 / (1.0 / link.g_hot_contact + 1.0 / link.g_cold_contact);
-    for (std::size_t k = 0; k < model.tec_tile_list_.size(); ++k) {
-      const Tile t = model.tec_tile_list_[k];
-      const auto& chain = stage_chains[k];
-      for (std::size_t s = 0; s < chain.size(); ++s) {
-        net.add_conductance(chain[s].first, chain[s].second, link.g_internal);
-        if (s + 1 < chain.size()) {
-          net.add_conductance(chain[s].second, chain[s + 1].first, g_interstage);
-        }
-      }
-      const std::size_t cold = chain.front().first;
-      const std::size_t hot = chain.back().second;
-      for (std::size_t sr = 0; sr < f; ++sr) {
-        for (std::size_t sc = 0; sc < f; ++sc) {
-          const std::size_t rr = t.row * f + sr;
-          const std::size_t cc = t.col * f + sc;
-          const std::size_t sil_node = sil_top[rr * cf + cc];
-          const std::size_t spr_node = spr_bot[rr * cf + cc];
-          net.add_conductance(sil_node, cold,
-                              series(r_half_sil, fsq / link.g_cold_contact));
-          net.add_conductance(hot, spr_node,
-                              series(fsq / link.g_hot_contact, r_half_spr));
-        }
-      }
-    }
-  }
-  model.tec_edge_end_ = net.edges().size();
-
-  // ---- spreader / sink periphery -------------------------------------------
-  // Boundary rows/cols of a grid slab connect laterally to the adjacent edge
-  // macro node; per-slab conductances add up to the full-thickness path.
-  const auto boundary_to_edges = [&](const std::vector<std::vector<std::size_t>>& ids,
-                                     double slab_t, double k,
-                                     const std::vector<std::size_t>& edges, double ov_y_,
-                                     double ov_x_) {
-    if (edges[0] == kNoNode) return;
-    for (const auto& slab : ids) {
-      for (std::size_t cc = 0; cc < cf; ++cc) {
-        const double gn = series((0.5 * py) / (k * slab_t * px),
-                                 (0.5 * ov_y_) / (k * slab_t * px));
-        net.add_conductance(slab[cc], edges[0], gn);                    // N
-        net.add_conductance(slab[(rf - 1) * cf + cc], edges[1], gn);    // S
-      }
-      for (std::size_t rr = 0; rr < rf; ++rr) {
-        const double gw = series((0.5 * px) / (k * slab_t * py),
-                                 (0.5 * ov_x_) / (k * slab_t * py));
-        net.add_conductance(slab[rr * cf + 0], edges[2], gw);           // W
-        net.add_conductance(slab[rr * cf + (cf - 1)], edges[3], gw);    // E
-      }
-    }
-  };
-
-  // Edge↔corner links over full layer thickness.
-  const auto edge_corner_links = [&](const std::vector<std::size_t>& edges,
-                                     const std::vector<std::size_t>& corners, double k,
-                                     double t, double ov_x_, double ov_y_) {
-    if (edges[0] == kNoNode || corners[0] == kNoNode) return;
-    // N edge ↔ NW/NE corners; S ↔ SW/SE; W ↔ NW/SW; E ↔ NE/SE.
-    const double g_ns = series((0.5 * edge_len_ns) / (k * t * ov_sp_y),
-                               (0.5 * ov_x_) / (k * t * ov_y_));
-    const double g_we = series((0.5 * edge_len_we) / (k * t * ov_sp_x),
-                               (0.5 * ov_y_) / (k * t * ov_x_));
-    net.add_conductance(edges[0], corners[0], g_ns);
-    net.add_conductance(edges[0], corners[1], g_ns);
-    net.add_conductance(edges[1], corners[2], g_ns);
-    net.add_conductance(edges[1], corners[3], g_ns);
-    net.add_conductance(edges[2], corners[0], g_we);
-    net.add_conductance(edges[2], corners[2], g_we);
-    net.add_conductance(edges[3], corners[1], g_we);
-    net.add_conductance(edges[3], corners[3], g_we);
-  };
-
-  if (has_sp_periph) {
-    boundary_to_edges(model.spr_, t_spr, k_spr, sp_edge, ov_sp_y, ov_sp_x);
-    edge_corner_links(sp_edge, sp_corner, k_spr, g.spreader_thickness, ov_sp_x, ov_sp_y);
-    boundary_to_edges({model.snk_}, g.sink_thickness, k_snk, sk_in_edge, ov_sp_y, ov_sp_x);
-    edge_corner_links(sk_in_edge, sk_in_corner, k_snk, g.sink_thickness, ov_sp_x, ov_sp_y);
-
-    // Vertical: spreader periphery sits over the sink inner periphery.
-    const double ea[4] = {edge_len_ns * ov_sp_y, edge_len_ns * ov_sp_y,
-                          edge_len_we * ov_sp_x, edge_len_we * ov_sp_x};
-    for (int e = 0; e < 4; ++e) {
-      net.add_conductance(
-          sp_edge[e], sk_in_edge[e],
-          series(half_slab_resistance(g.spreader_thickness, k_spr, ea[e]),
-                 half_slab_resistance(g.sink_thickness, k_snk, ea[e])));
-    }
-    const double ca = ov_sp_x * ov_sp_y;
-    for (int c = 0; c < 4; ++c) {
-      net.add_conductance(sp_corner[c], sk_in_corner[c],
-                          series(half_slab_resistance(g.spreader_thickness, k_spr, ca),
-                                 half_slab_resistance(g.sink_thickness, k_snk, ca)));
-    }
-  }
-
-  if (has_sk_outer) {
-    const double k = k_snk;
-    const double t = g.sink_thickness;
-    if (has_sp_periph) {
-      // inner edge ↔ outer edge / inner corner ↔ outer corner.
-      for (int e = 0; e < 4; ++e) {
-        const double ov_in = (e < 2) ? ov_sp_y : ov_sp_x;
-        const double g_io =
-            series((0.5 * ov_in) / (k * t * g.spreader_side),
-                   (0.5 * ov_sk) / (k * t * g.spreader_side));
-        net.add_conductance(sk_in_edge[e], sk_out_edge[e], g_io);
-      }
-      const double w_cc = 0.5 * (0.5 * (ov_sp_x + ov_sp_y) + ov_sk);
-      for (int c = 0; c < 4; ++c) {
-        const double g_cc = series(
-            (0.25 * (ov_sp_x + ov_sp_y)) / (k * t * w_cc), (0.5 * ov_sk) / (k * t * w_cc));
-        net.add_conductance(sk_in_corner[c], sk_out_corner[c], g_cc);
-      }
-    } else {
-      // No inner periphery: sink center boundary couples directly outward.
-      boundary_to_edges({model.snk_}, t, k, sk_out_edge, ov_sk, ov_sk);
-    }
-    // outer edge ↔ outer corner.
-    const double g_ec = series((0.5 * g.spreader_side) / (k * t * ov_sk),
-                               (0.5 * ov_sk) / (k * t * ov_sk));
-    for (const auto& [e, c] : {std::pair<int, int>{0, 0}, {0, 1}, {1, 2}, {1, 3},
-                               {2, 0}, {2, 2}, {3, 1}, {3, 3}}) {
-      if (sk_out_corner[c] != kNoNode) {
-        net.add_conductance(sk_out_edge[e], sk_out_corner[c], g_ec);
-      }
-    }
-  }
-
-  // ---- convection to ambient ------------------------------------------------
-  // Total conductance 1/r_convec distributed over sink nodes by area share.
-  const double sink_area = g.sink_side * g.sink_side;
-  const double g_total = 1.0 / g.convection_resistance;
-  const auto convect = [&](std::size_t node) {
-    if (node == kNoNode) return;
-    const double a = net.node(node).area;
-    net.add_ambient_leg(node, g_total * a / sink_area);
-  };
-  for (std::size_t i = 0; i < rf * cf; ++i) convect(model.snk_[i]);
-  for (int e = 0; e < 4; ++e) {
-    convect(sk_in_edge[e]);
-    convect(sk_out_edge[e]);
-  }
-  for (int c = 0; c < 4; ++c) {
-    convect(sk_in_corner[c]);
-    convect(sk_out_corner[c]);
-  }
-
-  // ---- secondary heat path (optional) ---------------------------------------
-  // Die active face → C4/underfill → package substrate → board → ambient.
-  // Lumped (one substrate node, one board node): the path carries a minor
-  // share of the heat, so its lateral structure is immaterial.
-  if (g.model_secondary_path) {
-    NodeInfo sub;
-    sub.kind = NodeKind::kOther;
-    sub.area = g.die_width * g.die_height;
-    sub.capacitance = 1.6e6 * sub.area * 1e-3;  // ~1 mm organic substrate
-    const std::size_t substrate = net.add_node(sub);
-    NodeInfo board = sub;
-    board.capacitance *= 4.0;  // board slab under the package
-    const std::size_t board_node = net.add_node(board);
-
-    const auto& sil_bot = model.sil_.front();  // slab 0: active face
-    const double g_c4_sub = (1.0 / g.c4_resistance) / double(rf * cf);
-    for (std::size_t i = 0; i < rf * cf; ++i) {
-      net.add_conductance(sil_bot[i], substrate, g_c4_sub);
-    }
-    net.add_conductance(substrate, board_node, 1.0 / g.substrate_to_board_resistance);
-    net.add_ambient_leg(board_node, 1.0 / g.board_convection_resistance);
-  }
-
-  return model;
-}
-
-PackageModel PackageModel::build_from_spec(const StackSpec& spec, const TileMask& deployment,
-                                           const TecThermalLink& link,
-                                           std::size_t tec_stages, bool force_generic) {
-  spec.validate();
-  if (spec.paper_equivalent() && !force_generic) {
-    PackageModelOptions opts;
-    opts.geometry = spec.to_geometry();
-    opts.tec_tiles = deployment;
-    opts.tec_link = link;
-    opts.tec_stages = tec_stages;
-    return build(opts);
-  }
-  return build_generic(std::make_shared<const StackSpec>(spec), deployment, link, tec_stages);
-}
-
-PackageModel PackageModel::build_generic(std::shared_ptr<const StackSpec> spec,
-                                         const TileMask& deployment,
-                                         const TecThermalLink& link,
-                                         std::size_t tec_stages) {
+PackageModel PackageModel::build(std::shared_ptr<const StackSpec> spec,
+                                 const TileMask& deployment, const TecThermalLink& link,
+                                 std::size_t tec_stages) {
+  if (spec == nullptr) throw std::invalid_argument("PackageModel: null spec");
+  spec->validate();
   if (tec_stages == 0) {
     throw std::invalid_argument("PackageModel: tec_stages must be >= 1");
   }
@@ -580,21 +130,11 @@ PackageModel PackageModel::build_generic(std::shared_ptr<const StackSpec> spec,
     }
     link.validate();
   }
-
-  // Synthetic geometry: downstream consumers of geometry() only read the
-  // virtual tile grid, ambient, convection resistance and the secondary-path
-  // flag; everything else keeps its default value and is never consulted.
-  model.options_.geometry.tile_rows = vrows;
-  model.options_.geometry.tile_cols = vcols;
-  model.options_.geometry.ambient = sp.ambient;
-  model.options_.geometry.convection_resistance = sp.convection_resistance;
-  model.options_.geometry.model_secondary_path = sp.model_secondary_path;
-  model.options_.geometry.c4_resistance = sp.c4_resistance;
-  model.options_.geometry.substrate_to_board_resistance = sp.substrate_to_board_resistance;
-  model.options_.geometry.board_convection_resistance = sp.board_convection_resistance;
-  model.options_.tec_tiles = any_tec ? deployment : TileMask(vrows, vcols);
-  model.options_.tec_link = link;
-  model.options_.tec_stages = tec_stages;
+  model.tile_rows_ = vrows;
+  model.tile_cols_ = vcols;
+  model.deployment_ = any_tec ? deployment : TileMask(vrows, vcols);
+  model.link_ = link;
+  model.stages_ = tec_stages;
 
   ConductanceNetwork& net = model.network_;
   const std::size_t n_chips = sp.chips.size();
@@ -664,7 +204,7 @@ PackageModel PackageModel::build_generic(std::shared_ptr<const StackSpec> spec,
                                     ch.cell_area(), ch.tile_rows, ch.tile_cols, no_skip)[0];
   }
 
-  // TEC chains, virtual row-major (matches the legacy builder's tile order).
+  // TEC chains, one per deployed tile in virtual row-major order.
   model.tec_cold_.assign(vrows * vcols, kNoNode);
   model.tec_hot_.assign(vrows * vcols, kNoNode);
   std::vector<std::vector<std::pair<std::size_t, std::size_t>>> stage_chains;
@@ -1075,263 +615,15 @@ PackageModel PackageModel::build_generic(std::shared_ptr<const StackSpec> spec,
     }
   }
 
+  model.index_tiles();
   return model;
 }
 
 PackageModel PackageModel::extend_tec(const TileMask& added_tiles,
                                       TecExtendDelta* delta_out) const {
-  if (spec_ != nullptr) return extend_tec_generic(added_tiles, delta_out);
-  const auto& g = options_.geometry;
-  if (added_tiles.rows() != g.tile_rows || added_tiles.cols() != g.tile_cols) {
-    throw std::invalid_argument("PackageModel::extend_tec: mask shape mismatch");
-  }
-  const std::vector<Tile> fresh_tiles = added_tiles.tiles();
-  if (fresh_tiles.empty()) {
-    if (delta_out != nullptr) {
-      delta_out->old_to_new.resize(network_.node_count());
-      for (std::size_t i = 0; i < delta_out->old_to_new.size(); ++i) {
-        delta_out->old_to_new[i] = i;
-      }
-      delta_out->dirty_rows.assign(network_.node_count(), 0);
-    }
-    return *this;
-  }
-  options_.tec_link.validate();
-  for (Tile t : fresh_tiles) {
-    if (has_tec(t)) {
-      throw std::invalid_argument("PackageModel::extend_tec: tile already carries a TEC");
-    }
-  }
-
-  const std::size_t f = options_.lateral_refine;
-  const std::size_t rf = g.tile_rows * f;
-  const std::size_t cf = g.tile_cols * f;
-  const std::size_t stages = options_.tec_stages;
-  const std::size_t old_n = network_.node_count();
-
-  PackageModel model;
-  model.options_ = options_;
-  model.options_.tec_tiles =
-      options_.tec_tiles.grid_size() != 0 ? options_.tec_tiles
-                                          : TileMask(g.tile_rows, g.tile_cols);
-  model.options_.tec_tiles |= added_tiles;
-
-  // ---- old-node → new-node map, replaying build()'s numbering --------------
-  // Block order is silicon | TIM | spreader | sink | TEC pairs | the rest
-  // (periphery macros + secondary path, created last and kept in order).
-  std::vector<std::size_t> map(old_n, kNoNode);
-  std::vector<char> dropped(old_n, 0);
-  std::size_t next = 0;
-
-  model.sil_ = sil_;  // numbered first in both builds: identity
-  for (const auto& slab : sil_) {
-    for (std::size_t id : slab) map[id] = next++;
-  }
-
-  model.tim_.assign(tim_.size(), std::vector<std::size_t>(rf * cf, kNoNode));
-  for (std::size_t s = 0; s < tim_.size(); ++s) {
-    for (std::size_t rr = 0; rr < rf; ++rr) {
-      for (std::size_t cc = 0; cc < cf; ++cc) {
-        const std::size_t id = tim_[s][rr * cf + cc];
-        if (id == kNoNode) continue;
-        if (added_tiles.test(rr / f, cc / f)) {
-          dropped[id] = 1;  // this TIM node gives way to the new TEC
-          continue;
-        }
-        map[id] = next;
-        model.tim_[s][rr * cf + cc] = next;
-        ++next;
-      }
-    }
-  }
-
-  model.spr_.assign(spr_.size(), std::vector<std::size_t>(rf * cf, kNoNode));
-  for (std::size_t s = 0; s < spr_.size(); ++s) {
-    for (std::size_t i = 0; i < rf * cf; ++i) {
-      map[spr_[s][i]] = next;
-      model.spr_[s][i] = next++;
-    }
-  }
-  model.snk_.assign(rf * cf, kNoNode);
-  for (std::size_t i = 0; i < rf * cf; ++i) {
-    map[snk_[i]] = next;
-    model.snk_[i] = next++;
-  }
-
-  // TEC pairs: union tiles in row-major order (old pairs keep their relative
-  // order; fresh pairs interleave exactly where build() would create them).
-  const double c_tim_vol = g.tim_material.volumetric_heat_capacity;
-  std::vector<NodeInfo> fresh_infos;        // NodeInfo per fresh node id - grid end
-  std::vector<char> is_fresh_tile;          // parallel to the union tile list
-  model.tec_cold_.assign(g.tile_count(), kNoNode);
-  model.tec_hot_.assign(g.tile_count(), kNoNode);
-  for (Tile t : model.options_.tec_tiles.tiles()) {
-    const std::size_t idx = t.row * g.tile_cols + t.col;
-    const bool fresh = added_tiles.test(t);
-    is_fresh_tile.push_back(fresh ? 1 : 0);
-    const std::size_t old_k =
-        fresh ? kNoNode
-              : std::size_t(std::find(tec_tile_list_.begin(), tec_tile_list_.end(), t) -
-                            tec_tile_list_.begin());
-    std::size_t first_cold = kNoNode;
-    std::size_t last_hot = kNoNode;
-    for (std::size_t s = 0; s < stages; ++s) {
-      const std::size_t c_id = next++;
-      const std::size_t h_id = next++;
-      if (fresh) {
-        NodeInfo cold;
-        cold.kind = NodeKind::kTecCold;
-        cold.row = t.row;
-        cold.col = t.col;
-        cold.slab = s;
-        cold.area = g.tile_area();
-        cold.capacitance =
-            c_tim_vol * g.tile_area() * (0.5 * g.tim_thickness / double(stages));
-        NodeInfo hot = cold;
-        hot.kind = NodeKind::kTecHot;
-        fresh_infos.push_back(cold);
-        fresh_infos.push_back(hot);
-      } else {
-        map[cold_nodes_[old_k * stages + s]] = c_id;
-        map[hot_nodes_[old_k * stages + s]] = h_id;
-      }
-      model.cold_nodes_.push_back(c_id);
-      model.hot_nodes_.push_back(h_id);
-      if (s == 0) first_cold = c_id;
-      last_hot = h_id;
-    }
-    model.tec_cold_[idx] = first_cold;
-    model.tec_hot_[idx] = last_hot;
-    model.tec_tile_list_.push_back(t);
-  }
-
-  // The rest (periphery macros, secondary path): created after every grid and
-  // TEC node in build(), so plain old order is the from-scratch order.
-  for (std::size_t id = 0; id < old_n; ++id) {
-    if (map[id] == kNoNode && !dropped[id]) map[id] = next++;
-  }
-  const std::size_t new_n = next;
-
-  // ---- nodes, ambient legs, powers ----------------------------------------
-  ConductanceNetwork& net = model.network_;
-  {
-    std::vector<NodeInfo> infos(new_n);
-    std::vector<double> ambient(new_n, 0.0);
-    std::vector<double> power(new_n, 0.0);
-    for (std::size_t id = 0; id < old_n; ++id) {
-      if (dropped[id]) continue;
-      const std::size_t nid = map[id];
-      infos[nid] = network_.node(id);
-      ambient[nid] = network_.ambient_conductance(id);
-      power[nid] = network_.power(id);
-    }
-    std::size_t fresh_cursor = 0;
-    for (std::size_t j = 0; j < model.tec_tile_list_.size(); ++j) {
-      if (!is_fresh_tile[j]) continue;
-      for (std::size_t s = 0; s < stages; ++s) {
-        infos[model.cold_nodes_[j * stages + s]] = fresh_infos[fresh_cursor++];
-        infos[model.hot_nodes_[j * stages + s]] = fresh_infos[fresh_cursor++];
-      }
-    }
-    for (std::size_t i = 0; i < new_n; ++i) {
-      net.add_node(infos[i]);
-      if (ambient[i] > 0.0) net.add_ambient_leg(i, ambient[i]);
-      if (power[i] != 0.0) net.set_power(i, power[i]);
-    }
-  }
-
-  // ---- edges ---------------------------------------------------------------
-  // Rows whose matrix row cannot be carried over bitwise from the old
-  // assembly: fresh TEC nodes, neighbours of the dropped TIM nodes, and
-  // neighbours of any freshly stamped edge.
-  std::vector<char> dirty(new_n, 0);
-  const auto& old_edges = network_.edges();
-  const auto replay = [&](const ConductanceNetwork::Edge& e) {
-    if (dropped[e.a] || dropped[e.b]) {
-      if (!dropped[e.a]) dirty[map[e.a]] = 1;
-      if (!dropped[e.b]) dirty[map[e.b]] = 1;
-      return;
-    }
-    net.add_conductance(map[e.a], map[e.b], e.g);
-  };
-  const auto stamp_fresh = [&](std::size_t a, std::size_t b, double cond) {
-    dirty[a] = 1;
-    dirty[b] = 1;
-    net.add_conductance(a, b, cond);
-  };
-  for (std::size_t q = 0; q < tec_edge_begin_; ++q) replay(old_edges[q]);
-
-  model.tec_edge_begin_ = net.edges().size();
-  {
-    // Fresh-tile stamping constants, with build()'s exact formulas.
-    const double px = g.tile_pitch_x() / double(f);
-    const double py = g.tile_pitch_y() / double(f);
-    const double sub_area = px * py;
-    const double t_sil = g.die_thickness / double(options_.silicon_slabs);
-    const double t_spr = g.spreader_thickness / double(options_.spreader_slabs);
-    const double r_half_sil =
-        half_slab_resistance(t_sil, g.die_material.thermal_conductivity, sub_area);
-    const double r_half_spr =
-        half_slab_resistance(t_spr, g.spreader_material.thermal_conductivity, sub_area);
-    const double fsq = double(f * f);
-    const TecThermalLink& link = options_.tec_link;
-    const double g_interstage =
-        1.0 / (1.0 / link.g_hot_contact + 1.0 / link.g_cold_contact);
-    // Per-tile group length in the old TEC block: one internal edge per
-    // stage, one inter-stage bond between consecutive stages, and the two
-    // contact edges per subtile.
-    const std::size_t group_len = stages + (stages - 1) + 2 * f * f;
-
-    const auto& sil_top = model.sil_.back();
-    const auto& spr_bot = model.spr_.front();
-    std::size_t old_group = 0;
-    for (std::size_t j = 0; j < model.tec_tile_list_.size(); ++j) {
-      const Tile t = model.tec_tile_list_[j];
-      if (!is_fresh_tile[j]) {
-        const std::size_t base = tec_edge_begin_ + old_group * group_len;
-        for (std::size_t q = base; q < base + group_len; ++q) replay(old_edges[q]);
-        ++old_group;
-        continue;
-      }
-      for (std::size_t s = 0; s < stages; ++s) {
-        stamp_fresh(model.cold_nodes_[j * stages + s],
-                    model.hot_nodes_[j * stages + s], link.g_internal);
-        if (s + 1 < stages) {
-          stamp_fresh(model.hot_nodes_[j * stages + s],
-                      model.cold_nodes_[j * stages + s + 1], g_interstage);
-        }
-      }
-      const std::size_t cold = model.tec_cold_[t.row * g.tile_cols + t.col];
-      const std::size_t hot = model.tec_hot_[t.row * g.tile_cols + t.col];
-      for (std::size_t sr = 0; sr < f; ++sr) {
-        for (std::size_t sc = 0; sc < f; ++sc) {
-          const std::size_t rr = t.row * f + sr;
-          const std::size_t cc = t.col * f + sc;
-          stamp_fresh(sil_top[rr * cf + cc], cold,
-                      series(r_half_sil, fsq / link.g_cold_contact));
-          stamp_fresh(hot, spr_bot[rr * cf + cc],
-                      series(fsq / link.g_hot_contact, r_half_spr));
-        }
-      }
-    }
-  }
-  model.tec_edge_end_ = net.edges().size();
-
-  for (std::size_t q = tec_edge_end_; q < old_edges.size(); ++q) replay(old_edges[q]);
-
-  if (delta_out != nullptr) {
-    delta_out->old_to_new = std::move(map);
-    delta_out->dirty_rows = std::move(dirty);
-  }
-  assert(model.matches_fresh_build());
-  return model;
-}
-
-PackageModel PackageModel::extend_tec_generic(const TileMask& added_tiles,
-                                              TecExtendDelta* delta_out) const {
   const StackSpec& sp = *spec_;
-  const std::size_t vrows = options_.geometry.tile_rows;
-  const std::size_t vcols = options_.geometry.tile_cols;
+  const std::size_t vrows = tile_rows_;
+  const std::size_t vcols = tile_cols_;
   if (added_tiles.rows() != vrows || added_tiles.cols() != vcols) {
     throw std::invalid_argument("PackageModel::extend_tec: mask shape mismatch");
   }
@@ -1346,7 +638,7 @@ PackageModel PackageModel::extend_tec_generic(const TileMask& added_tiles,
     }
     return *this;
   }
-  options_.tec_link.validate();
+  link_.validate();
   if (!added_tiles.subset_of(sp.tec_allowed_tiles())) {
     throw std::invalid_argument(
         "PackageModel::extend_tec: added tiles outside TEC-capable sites");
@@ -1357,14 +649,18 @@ PackageModel PackageModel::extend_tec_generic(const TileMask& added_tiles,
     }
   }
 
-  const std::size_t stages = options_.tec_stages;
+  const std::size_t stages = stages_;
   const std::size_t old_n = network_.node_count();
   const std::size_t n_chips = sp.chips.size();
 
   PackageModel model;
-  model.options_ = options_;
-  model.options_.tec_tiles |= added_tiles;
   model.spec_ = spec_;
+  model.deployment_ = deployment_;
+  model.deployment_ |= added_tiles;
+  model.link_ = link_;
+  model.stages_ = stages_;
+  model.tile_rows_ = tile_rows_;
+  model.tile_cols_ = tile_cols_;
   model.dies_ = dies_;
 
   std::vector<std::vector<std::size_t>> die_row(n_chips);
@@ -1373,7 +669,7 @@ PackageModel PackageModel::extend_tec_generic(const TileMask& added_tiles,
   }
   for (const auto& d : dies_) die_row[d.chip][d.layer] = d.row_offset;
 
-  // ---- old-node → new-node map, replaying build_generic's numbering --------
+  // ---- old-node → new-node map, replaying build()'s numbering --------
   // Block order is per-chip layer grids | per-chip spreader | per-chip sink |
   // TEC chains (virtual row-major) | the rest (periphery macros + secondary).
   std::vector<std::size_t> map(old_n, kNoNode);
@@ -1429,12 +725,12 @@ PackageModel PackageModel::extend_tec_generic(const TileMask& added_tiles,
   }
 
   // TEC chains: union tiles in virtual row-major order; fresh pairs
-  // interleave exactly where build_generic would create them.
+  // interleave exactly where build() would create them.
   std::vector<NodeInfo> fresh_infos;
   std::vector<char> is_fresh_tile;
   model.tec_cold_.assign(vrows * vcols, kNoNode);
   model.tec_hot_.assign(vrows * vcols, kNoNode);
-  for (Tile t : model.options_.tec_tiles.tiles()) {
+  for (Tile t : model.deployment_.tiles()) {
     const std::size_t idx = t.row * vcols + t.col;
     const bool fresh = added_tiles.test(t);
     is_fresh_tile.push_back(fresh ? 1 : 0);
@@ -1479,7 +775,7 @@ PackageModel PackageModel::extend_tec_generic(const TileMask& added_tiles,
   }
 
   // The rest (periphery macros, secondary path): created after every grid and
-  // TEC node in build_generic, so plain old order is the from-scratch order.
+  // TEC node in build(), so plain old order is the from-scratch order.
   for (std::size_t id = 0; id < old_n; ++id) {
     if (map[id] == kNoNode && !dropped[id]) map[id] = next++;
   }
@@ -1533,12 +829,12 @@ PackageModel PackageModel::extend_tec_generic(const TileMask& added_tiles,
 
   model.tec_edge_begin_ = net.edges().size();
   {
-    const TecThermalLink& link = options_.tec_link;
+    const TecThermalLink& link = link_;
     const double g_interstage =
         1.0 / (1.0 / link.g_hot_contact + 1.0 / link.g_cold_contact);
     // Per-tile group length in the old TEC block: one internal edge per
     // stage, one inter-stage bond between consecutive stages, and the two
-    // contact edges (generic models stamp one cell per tile).
+    // contact edges.
     const std::size_t group_len = stages + (stages - 1) + 2;
     const double t_spr_slab = sp.spreader_thickness / double(sp.spreader_slabs);
     const double k_spr = sp.spreader_material.thermal_conductivity;
@@ -1591,17 +887,13 @@ PackageModel PackageModel::extend_tec_generic(const TileMask& added_tiles,
 
   for (std::size_t q = tec_edge_end_; q < old_edges.size(); ++q) replay(old_edges[q]);
 
+  model.index_tiles();
   if (delta_out != nullptr) {
     delta_out->old_to_new = std::move(map);
     delta_out->dirty_rows = std::move(dirty);
   }
   assert(model.matches_fresh_build());
   return model;
-}
-
-TileMask PackageModel::tec_allowed_tiles() const {
-  if (spec_ != nullptr) return spec_->tec_allowed_tiles();
-  return TileMask::full(options_.geometry.tile_rows, options_.geometry.tile_cols);
 }
 
 namespace {
@@ -1629,58 +921,42 @@ std::string PackageModel::node_name(std::size_t node) const {
     throw std::out_of_range("PackageModel::node_name: node out of range");
   }
   const NodeInfo& info = network_.node(node);
-  const std::size_t stages = options_.tec_stages;
 
-  if (spec_ != nullptr) {
-    for (std::size_t ci = 0; ci < lay_.size(); ++ci) {
-      const ChipSpec& ch = spec_->chips[ci];
-      for (std::size_t li = 0; li < lay_[ci].size(); ++li) {
-        for (std::size_t sl = 0; sl < lay_[ci][li].size(); ++sl) {
-          const auto& cells = lay_[ci][li][sl];
-          for (std::size_t j = 0; j < cells.size(); ++j) {
-            if (cells[j] == node) {
-              return chip_label(ch, ci) + "." + layer_label(ch.layers[li], li) +
-                     grid_suffix(sl, j / ch.tile_cols, j % ch.tile_cols,
-                                 lay_[ci][li].size() > 1);
-            }
-          }
-        }
-      }
-      for (std::size_t sl = 0; sl < sprg_[ci].size(); ++sl) {
-        const auto& cells = sprg_[ci][sl];
+  for (std::size_t ci = 0; ci < lay_.size(); ++ci) {
+    const ChipSpec& ch = spec_->chips[ci];
+    for (std::size_t li = 0; li < lay_[ci].size(); ++li) {
+      for (std::size_t sl = 0; sl < lay_[ci][li].size(); ++sl) {
+        const auto& cells = lay_[ci][li][sl];
         for (std::size_t j = 0; j < cells.size(); ++j) {
           if (cells[j] == node) {
-            return "spreader." + chip_label(ch, ci) +
+            return chip_label(ch, ci) + "." + layer_label(ch.layers[li], li) +
                    grid_suffix(sl, j / ch.tile_cols, j % ch.tile_cols,
-                               sprg_[ci].size() > 1);
+                               lay_[ci][li].size() > 1);
           }
-        }
-      }
-      for (std::size_t j = 0; j < snkg_[ci].size(); ++j) {
-        if (snkg_[ci][j] == node) {
-          return "sink." + chip_label(ch, ci) +
-                 grid_suffix(0, j / ch.tile_cols, j % ch.tile_cols, false);
         }
       }
     }
-  } else {
-    switch (info.kind) {
-      case NodeKind::kSilicon:
-        return "die" + grid_suffix(info.slab, info.row, info.col, sil_.size() > 1);
-      case NodeKind::kTim:
-        return "tim" + grid_suffix(info.slab, info.row, info.col, tim_.size() > 1);
-      case NodeKind::kSpreaderCenter:
-        return "spreader" + grid_suffix(info.slab, info.row, info.col, spr_.size() > 1);
-      case NodeKind::kSinkCenter:
-        return "sink" + grid_suffix(0, info.row, info.col, false);
-      default:
-        break;
+    for (std::size_t sl = 0; sl < sprg_[ci].size(); ++sl) {
+      const auto& cells = sprg_[ci][sl];
+      for (std::size_t j = 0; j < cells.size(); ++j) {
+        if (cells[j] == node) {
+          return "spreader." + chip_label(ch, ci) +
+                 grid_suffix(sl, j / ch.tile_cols, j % ch.tile_cols,
+                             sprg_[ci].size() > 1);
+        }
+      }
+    }
+    for (std::size_t j = 0; j < snkg_[ci].size(); ++j) {
+      if (snkg_[ci][j] == node) {
+        return "sink." + chip_label(ch, ci) +
+               grid_suffix(0, j / ch.tile_cols, j % ch.tile_cols, false);
+      }
     }
   }
 
   if (info.kind == NodeKind::kTecCold || info.kind == NodeKind::kTecHot) {
     std::string out = "tec.r" + std::to_string(info.row) + "c" + std::to_string(info.col);
-    if (stages > 1) out += "/s" + std::to_string(info.slab);
+    if (stages_ > 1) out += "/s" + std::to_string(info.slab);
     out += info.kind == NodeKind::kTecCold ? "/cold" : "/hot";
     return out;
   }
@@ -1714,10 +990,7 @@ std::string PackageModel::node_name(std::size_t node) const {
 }
 
 bool PackageModel::matches_fresh_build() const {
-  PackageModel fresh =
-      spec_ != nullptr
-          ? build_generic(spec_, options_.tec_tiles, options_.tec_link, options_.tec_stages)
-          : build(options_);
+  const PackageModel fresh = build(spec_, deployment_, link_, stages_);
   if (fresh.node_count() != node_count()) return false;
   const linalg::SparseMatrix a = network_.conductance_matrix();
   const linalg::SparseMatrix b = fresh.network_.conductance_matrix();

@@ -1,23 +1,20 @@
 /// \file package_model.h
-/// \brief Builder for the compact thermal model of the full chip package
-/// (Figure 3 in the paper), with optional TEC tile substitution and optional
-/// grid refinement for validation.
+/// \brief Builder for the compact thermal model of a chip package
+/// (Figure 3 in the paper), with optional TEC tile substitution.
 ///
-/// Stack (bottom to top in heat-flow order): silicon die → TIM (or TEC
-/// devices immersed in the TIM, Figure 2) → copper heat spreader → heat sink
-/// → convection to ambient. The die shadow is discretized into the paper's
-/// p×q tile grid; spreader and sink overhangs are lumped into HotSpot-style
-/// peripheral macro nodes (4 edges + 4 corners each).
+/// The package is a declarative StackSpec: per chip, an ordered bottom-up
+/// stack of die and interface layers (TIM, or TEC devices immersed in it,
+/// Figure 2) on a shared copper heat spreader → heat sink → convection to
+/// ambient. Each chip's footprint is discretized into its tile grid (the
+/// paper's p×q grid); spreader and sink overhangs are lumped into
+/// HotSpot-style peripheral macro nodes (4 edges + 4 corners each). The
+/// paper's package is `StackSpec::single_die(PackageGeometry{})`.
 ///
-/// Where a tile carries a TEC, the TIM node is replaced by a hot-side and a
-/// cold-side node (Section IV.B): silicon —g_c— cold —κ— hot —g_h— spreader.
-/// Peltier terms (±α·i) and Joule heat (r·i²/2) are *not* stamped here; they
-/// belong to the electro-thermal layer (tec::TecStamper), keeping this model
-/// purely a conductance network.
-///
-/// Setting lateral_refine > 1 and/or *_slabs > 1 produces the fine-grid
-/// reference discretization used to validate the compact model (Section VI's
-/// HotSpot-agreement experiment).
+/// Where a tile carries a TEC, the interface node is replaced by a hot-side
+/// and a cold-side node (Section IV.B): die —g_c— cold —κ— hot —g_h— layer
+/// above. Peltier terms (±α·i) and Joule heat (r·i²/2) are *not* stamped
+/// here; they belong to the electro-thermal layer (tec::TecStamper), keeping
+/// this model purely a conductance network.
 #pragma once
 
 #include <cstddef>
@@ -46,26 +43,6 @@ struct TecThermalLink {
   void validate() const;
 };
 
-/// Build options.
-struct PackageModelOptions {
-  PackageGeometry geometry;
-  /// Tiles carrying TEC devices (empty mask or default ⇒ none).
-  TileMask tec_tiles;
-  /// Required when tec_tiles is non-empty.
-  TecThermalLink tec_link;
-  /// Stages per device (cascade extension): 1 reproduces the paper's device;
-  /// s > 1 stacks s identical stages electrically in series, coupled by
-  /// inter-stage contacts (series of g_hot and g_cold). Every stage gets its
-  /// own hot/cold node pair, so Peltier/Joule stamping applies per stage.
-  std::size_t tec_stages = 1;
-  /// Lateral refinement factor: each tile becomes refine×refine subtiles.
-  std::size_t lateral_refine = 1;
-  /// Z-discretization per layer (silicon / TIM / spreader).
-  std::size_t silicon_slabs = 1;
-  std::size_t tim_slabs = 1;
-  std::size_t spreader_slabs = 1;
-};
-
 /// Node renumbering produced by PackageModel::extend_tec, consumed by
 /// ConductanceNetwork::conductance_matrix_extended to re-assemble G
 /// incrementally instead of from scratch.
@@ -84,71 +61,64 @@ struct TecExtendDelta {
 /// and Joule terms change between solves; the conductance topology does not).
 class PackageModel {
  public:
-  /// Assemble the network. Throws std::invalid_argument on bad options.
-  static PackageModel build(const PackageModelOptions& options);
-
-  /// Assemble the network from a declarative StackSpec. \p deployment is a
-  /// virtual-grid TEC mask (empty or default ⇒ none) and must stay within
-  /// spec.tec_allowed_tiles(). paper_equivalent() specs route through the
-  /// legacy build() path (byte-identical to the geometry-based model);
-  /// everything else — stacked dies, multiple chips, multi-slab layers —
-  /// takes the generic layer-stack builder. \p force_generic makes even a
-  /// paper-equivalent spec take the generic builder (test hook: the golden
-  /// suite pins generic ≡ legacy bitwise on the default package).
-  /// Throws std::invalid_argument on an invalid spec or deployment.
-  static PackageModel build_from_spec(const StackSpec& spec, const TileMask& deployment,
-                                      const TecThermalLink& link,
-                                      std::size_t tec_stages = 1,
-                                      bool force_generic = false);
+  /// Assemble the network of \p spec with TECs on \p deployment, a
+  /// virtual-grid mask (empty or default ⇒ none) that must stay within
+  /// spec->tec_allowed_tiles(). \p tec_stages > 1 stacks that many identical
+  /// stages per device electrically in series (cascade extension), coupled
+  /// by inter-stage contacts (series of g_hot and g_cold); every stage gets
+  /// its own hot/cold node pair. Throws std::invalid_argument on a null or
+  /// invalid spec, a bad deployment, or an invalid \p link when TECs are
+  /// deployed.
+  static PackageModel build(std::shared_ptr<const StackSpec> spec,
+                            const TileMask& deployment = TileMask(),
+                            const TecThermalLink& link = TecThermalLink(),
+                            std::size_t tec_stages = 1);
 
   /// Incremental re-stamp (the tfc::engine fast path): a copy of this model
   /// with TECs added on \p added_tiles, built by replaying this network's
-  /// node and edge lists instead of re-deriving every conductance from
-  /// geometry. Greedy deployment only ever *adds* sites, so this covers its
+  /// node and edge lists instead of re-deriving every conductance from the
+  /// spec. Greedy deployment only ever *adds* sites, so this covers its
   /// per-pass rebuild. Node numbering, edge order, stamped values, ambient
   /// legs and node powers all match PackageModel::build for the union
   /// deployment exactly, so the assembled conductance matrix is
   /// bit-identical to a from-scratch build (asserted in Debug).
-  /// \p added_tiles must be disjoint from the current deployment, and
-  /// options().tec_link must be valid (throws std::invalid_argument).
-  /// When \p delta_out is non-null it receives the old→new node map and the
-  /// dirty-row mask that let the caller re-assemble the conductance matrix
-  /// incrementally (see ConductanceNetwork::conductance_matrix_extended).
+  /// \p added_tiles must be disjoint from the current deployment and within
+  /// the TEC-capable sites, and the model's TEC link must be valid (throws
+  /// std::invalid_argument). When \p delta_out is non-null it receives the
+  /// old→new node map and the dirty-row mask that let the caller
+  /// re-assemble the conductance matrix incrementally (see
+  /// ConductanceNetwork::conductance_matrix_extended).
   PackageModel extend_tec(const TileMask& added_tiles,
                           TecExtendDelta* delta_out = nullptr) const;
 
   /// Verification hook behind the Debug assertion in extend_tec: true iff a
-  /// from-scratch build of options() assembles the exact same conductance
-  /// matrix, ambient legs and node capacitances as this model (bitwise).
+  /// from-scratch build of this model's inputs assembles the exact same
+  /// conductance matrix, ambient legs and node capacitances (bitwise).
   bool matches_fresh_build() const;
 
-  /// Geometry view of the model. For spec-built generic models this is a
-  /// synthetic geometry carrying the virtual tile grid, ambient and
-  /// convection resistance (the only fields downstream consumers read).
-  const PackageGeometry& geometry() const { return options_.geometry; }
-  const PackageModelOptions& options() const { return options_; }
-  /// Non-null iff this model was built by the generic spec builder.
+  /// The package this model was built from (never null).
   const std::shared_ptr<const StackSpec>& spec() const { return spec_; }
-  /// Mask of tiles eligible for TEC deployment: the full grid for legacy
-  /// models, spec.tec_allowed_tiles() for spec-built ones.
-  TileMask tec_allowed_tiles() const;
-  /// Stable human-readable node name ("chip0.die/s0/r3c4", "tec17.cold0",
+  /// Virtual tile grid (all die grids stacked vertically).
+  std::size_t tile_rows() const { return tile_rows_; }
+  std::size_t tile_cols() const { return tile_cols_; }
+  std::size_t tile_count() const { return tile_rows_ * tile_cols_; }
+  /// Ambient temperature [K].
+  double ambient() const { return spec_->ambient; }
+  /// Virtual-grid mask of the tiles carrying TECs.
+  const TileMask& deployment() const { return deployment_; }
+  std::size_t tec_stages() const { return stages_; }
+  /// Stable human-readable node name ("chip0.die/r3c4", "tec.r3c4/cold",
   /// "spreader.edgeN", ...) for audits, traces and docs.
   std::string node_name(std::size_t node) const;
   ConductanceNetwork& network() { return network_; }
   const ConductanceNetwork& network() const { return network_; }
 
   std::size_t node_count() const { return network_.node_count(); }
-  std::size_t refine() const { return options_.lateral_refine; }
 
-  /// Silicon node at tile t, subtile (sub_r, sub_c), slab (defaults to the
-  /// power-injection slab).
-  std::size_t silicon_node(Tile t, std::size_t sub_r = 0, std::size_t sub_c = 0) const;
+  /// Power-injection node of tile t: the mid slab of the tile's own die.
+  std::size_t silicon_node(Tile t) const;
 
-  /// All silicon nodes of tile t on the injection slab.
-  std::vector<std::size_t> silicon_tile_nodes(Tile t) const;
-
-  bool has_tec(Tile t) const { return !tec_cold_.empty() && tec_cold_at(t) != kNoNode; }
+  bool has_tec(Tile t) const { return tec_cold_[tile_index(t)] != kNoNode; }
   /// Cold plate facing the silicon (stage 0's cold node).
   std::size_t tec_cold_node(Tile t) const;
   /// Hot plate facing the spreader (last stage's hot node).
@@ -160,12 +130,15 @@ class PackageModel {
   const std::vector<std::size_t>& cold_nodes() const { return cold_nodes_; }
   const std::vector<std::size_t>& hot_nodes() const { return hot_nodes_; }
 
-  /// Install a tile power map [W per tile], spread uniformly over the tile's
-  /// injection-slab subtiles. Powers on non-silicon nodes are untouched.
-  /// \p tile_powers is row-major of size tile_rows × tile_cols, entries ≥ 0.
+  /// Install a tile power map [W per tile] on the tiles' injection nodes.
+  /// Powers on other nodes are untouched. \p tile_powers is row-major of
+  /// size tile_rows × tile_cols, entries ≥ 0.
   void set_tile_powers(const linalg::Vector& tile_powers);
 
-  /// Average silicon temperature per tile (injection slab) from a full node
+  /// The installed tile power map (the powers on the injection nodes).
+  linalg::Vector tile_powers() const;
+
+  /// Silicon temperature per tile (injection node) from a full node
   /// temperature vector [K]; row-major tile order.
   linalg::Vector tile_temperatures(const linalg::Vector& theta) const;
 
@@ -181,32 +154,34 @@ class PackageModel {
 
   static constexpr std::size_t kNoNode = static_cast<std::size_t>(-1);
 
-  static PackageModel build_generic(std::shared_ptr<const StackSpec> spec,
-                                    const TileMask& deployment,
-                                    const TecThermalLink& link, std::size_t tec_stages);
-  PackageModel extend_tec_generic(const TileMask& added_tiles,
-                                  TecExtendDelta* delta_out) const;
-
   std::size_t tile_index(Tile t) const;
-  std::size_t tec_cold_at(Tile t) const { return tec_cold_[tile_index(t)]; }
-  std::size_t injection_slab() const { return options_.silicon_slabs / 2; }
-  /// Generic models: die band + local row/col of a virtual tile.
+  /// Die band + chip-local row/col of a virtual tile.
   struct DieCell {
     std::size_t die = 0;   ///< index into dies_
     std::size_t row = 0;   ///< chip-local row
     std::size_t col = 0;
   };
   DieCell die_cell(Tile t) const;
+  /// Fill tile_node_ from the die layer grids.
+  void index_tiles();
 
-  PackageModelOptions options_;
+  std::shared_ptr<const StackSpec> spec_;
+  TileMask deployment_;
+  TecThermalLink link_;
+  std::size_t stages_ = 1;
+  std::size_t tile_rows_ = 0;
+  std::size_t tile_cols_ = 0;
   ConductanceNetwork network_;
 
-  // Node index maps; grids are [slab][refined-row-major].
-  std::vector<std::vector<std::size_t>> sil_;
-  std::vector<std::vector<std::size_t>> tim_;  // kNoNode under TEC tiles
-  std::vector<std::vector<std::size_t>> spr_;
-  std::vector<std::size_t> snk_;
-  std::vector<std::size_t> tec_cold_;  // per tile, kNoNode if absent
+  std::vector<StackSpec::DieRef> dies_;
+  // Node-id grids in chip-local row-major cell order, indexed
+  // lay_[chip][layer][slab][cell], sprg_[chip][slab][cell], snkg_[chip][cell];
+  // interface cells under deployed TECs are kNoNode.
+  std::vector<std::vector<std::vector<std::vector<std::size_t>>>> lay_;
+  std::vector<std::vector<std::vector<std::size_t>>> sprg_;
+  std::vector<std::vector<std::size_t>> snkg_;
+  std::vector<std::size_t> tile_node_;  // per virtual tile: injection node
+  std::vector<std::size_t> tec_cold_;   // per virtual tile, kNoNode if absent
   std::vector<std::size_t> tec_hot_;
   std::vector<Tile> tec_tile_list_;
   std::vector<std::size_t> cold_nodes_;
@@ -216,15 +191,6 @@ class PackageModel {
   // the exact position a from-scratch build would stamp them.
   std::size_t tec_edge_begin_ = 0;
   std::size_t tec_edge_end_ = 0;
-
-  // Generic (spec-built) models only. Node-id grids per chip/layer/slab in
-  // chip-local row-major cell order; interface cells under deployed TECs are
-  // kNoNode. The legacy sil_/tim_/spr_/snk_ maps stay empty on these models.
-  std::shared_ptr<const StackSpec> spec_;
-  std::vector<StackSpec::DieRef> dies_;
-  std::vector<std::vector<std::vector<std::vector<std::size_t>>>> lay_;  // [chip][layer][slab][cell]
-  std::vector<std::vector<std::vector<std::size_t>>> sprg_;              // [chip][slab][cell]
-  std::vector<std::vector<std::size_t>> snkg_;                           // [chip][cell]
 };
 
 }  // namespace tfc::thermal

@@ -149,6 +149,7 @@ void StackSpec::validate() const {
 }
 
 StackSpec StackSpec::single_die(const PackageGeometry& geometry) {
+  geometry.validate();
   StackSpec spec;
   spec.name = "single-die";
 
@@ -189,51 +190,10 @@ StackSpec StackSpec::single_die(const PackageGeometry& geometry) {
   return spec;
 }
 
-bool StackSpec::paper_equivalent() const {
-  if (chips.size() != 1 || spreader_slabs != 1) return false;
-  const ChipSpec& chip = chips.front();
-  if (chip.x != 0.0 || chip.y != 0.0) return false;
-  if (chip.layers.size() != 2) return false;
-  const LayerSpec& die = chip.layers[0];
-  const LayerSpec& tim = chip.layers[1];
-  if (die.kind != LayerSpec::Kind::kDie || tim.kind != LayerSpec::Kind::kInterface) {
-    return false;
-  }
-  if (die.slabs != 1 || tim.slabs != 1) return false;
-  if (!tim.tec_capable || !tim.tec_sites.empty()) return false;
-  return true;
-}
-
-PackageGeometry StackSpec::to_geometry() const {
-  if (!paper_equivalent()) {
-    throw std::logic_error("StackSpec::to_geometry: spec is not paper-equivalent");
-  }
-  const ChipSpec& chip = chips.front();
-  const LayerSpec& die = chip.layers[0];
-  const LayerSpec& tim = chip.layers[1];
-
-  PackageGeometry g;
-  g.die_width = chip.width;
-  g.die_height = chip.height;
-  g.die_thickness = die.thickness;
-  g.die_material = die.material;
-  g.tile_rows = chip.tile_rows;
-  g.tile_cols = chip.tile_cols;
-  g.tim_thickness = tim.thickness;
-  g.tim_material = tim.material;
-  g.spreader_side = spreader_side;
-  g.spreader_thickness = spreader_thickness;
-  g.spreader_material = spreader_material;
-  g.sink_side = sink_side;
-  g.sink_thickness = sink_thickness;
-  g.sink_material = sink_material;
-  g.convection_resistance = convection_resistance;
-  g.ambient = ambient;
-  g.model_secondary_path = model_secondary_path;
-  g.c4_resistance = c4_resistance;
-  g.substrate_to_board_resistance = substrate_to_board_resistance;
-  g.board_convection_resistance = board_convection_resistance;
-  return g;
+std::shared_ptr<const StackSpec> paper_package() {
+  static const auto spec =
+      std::make_shared<const StackSpec>(StackSpec::single_die(PackageGeometry{}));
+  return spec;
 }
 
 std::vector<StackSpec::DieRef> StackSpec::dies() const {

@@ -9,9 +9,8 @@
 /// layers ending with the interface that bonds to the shared copper
 /// spreader; interface layers may carry plain TIM or be TEC-capable with an
 /// optional explicit site mask. The paper's package is exactly
-/// `StackSpec::single_die(PackageGeometry{})`, and `paper_equivalent()`
-/// specs round-trip to a `PackageGeometry` bitwise, so the 12×12 path stays
-/// byte-identical.
+/// `StackSpec::single_die(PackageGeometry{})`, built by the same
+/// PackageModel builder as every other stack.
 ///
 /// Virtual tile grid: the die grids of every chip concatenate vertically
 /// (chip 0's dies bottom-up, then chip 1's, ...) into one
@@ -115,19 +114,10 @@ struct StackSpec {
   /// chips off the spreader, ...).
   void validate() const;
 
-  /// The paper's single-die package as a spec; bitwise round-trips through
-  /// to_geometry().
+  /// The single-die package described by \p geometry: one centered chip of
+  /// [die, TEC-capable TIM] with single-slab layers. Throws
+  /// std::invalid_argument on invalid geometry (PackageGeometry::validate).
   static StackSpec single_die(const PackageGeometry& geometry);
-
-  /// True iff this spec describes exactly what PackageGeometry can: one
-  /// centered chip of [die, interface] with an unrestricted TEC-capable
-  /// interface and single-slab layers. Such specs take the legacy
-  /// byte-identical PackageModel::build path.
-  bool paper_equivalent() const;
-
-  /// Convert a paper_equivalent() spec back to the legacy geometry.
-  /// Throws std::logic_error otherwise.
-  PackageGeometry to_geometry() const;
 
   // --- virtual tile grid ---------------------------------------------------
   /// Reference to one die layer within the virtual grid.
@@ -158,5 +148,9 @@ struct StackSpec {
   /// whole-die unit carrying power_w. Feeds sim::ScenarioEngine unchanged.
   floorplan::Floorplan combined_floorplan() const;
 };
+
+/// The paper's package, StackSpec::single_die(PackageGeometry{}): one shared
+/// immutable instance.
+std::shared_ptr<const StackSpec> paper_package();
 
 }  // namespace tfc::thermal

@@ -40,7 +40,7 @@ linalg::Vector solve_steady_state(const linalg::SparseMatrix& g, const linalg::V
 linalg::Vector solve_steady_state(const PackageModel& model,
                                   const SteadyStateOptions& options) {
   const auto& net = model.network();
-  return solve_steady_state(net.conductance_matrix(), net.rhs(model.geometry().ambient),
+  return solve_steady_state(net.conductance_matrix(), net.rhs(model.ambient()),
                             options);
 }
 

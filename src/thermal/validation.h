@@ -2,8 +2,8 @@
 /// \brief Compact-vs-reference model comparison (the paper's HotSpot 4.1
 /// validation: "the worst-case difference is less than 1.5 °C").
 ///
-/// The reference model is the same package discretized finer (lateral
-/// refinement + z-slabs per layer) — the role HotSpot/FEM plays in the paper.
+/// The reference model is the same package discretized finer (a refined
+/// tile grid + z-slabs per layer) — the role HotSpot/FEM plays in the paper.
 #pragma once
 
 #include "linalg/vector.h"
@@ -28,16 +28,34 @@ struct ValidationReport {
 
 /// Reference discretization parameters.
 struct ReferenceResolution {
-  std::size_t lateral_refine = 4;
-  std::size_t silicon_slabs = 3;
-  std::size_t tim_slabs = 1;
+  /// Each tile becomes refine × refine fine cells.
+  std::size_t refine = 4;
+  /// Z-slabs of every die layer, every interface layer, and the spreader.
+  std::size_t die_slabs = 3;
+  std::size_t interface_slabs = 1;
   std::size_t spreader_slabs = 3;
 };
 
-/// Run the same power map through a coarse model (options as given, with
-/// refine/slabs forced to 1) and a refined reference, and compare tile
-/// temperatures. \p tile_powers is the worst-case power map [W per tile].
-ValidationReport validate_against_reference(const PackageModelOptions& options,
+/// The fine-grid reference model of a package: \p spec with every chip's
+/// tile grid refined f = resolution.refine times per direction and
+/// its layers split into the requested z-slabs, \p tile_powers spread evenly
+/// over each tile's f×f fine cells, and one TEC device per fine cell under
+/// each tile of \p deployment, each carrying 1/f² of \p link. Per-die
+/// floorplans are dropped (the powers come from \p tile_powers). Throws
+/// std::invalid_argument on a zero refinement or slab count.
+PackageModel build_reference_model(const StackSpec& spec, const TileMask& deployment,
+                                   const TecThermalLink& link,
+                                   const linalg::Vector& tile_powers,
+                                   const ReferenceResolution& resolution);
+
+/// Run the same power map through the compact model of \p spec (passive TEC
+/// devices on \p deployment, which may be empty) and its reference model,
+/// and compare tile temperatures, the reference averaged back over each
+/// tile's fine cells. \p tile_powers is the worst-case power map [W per
+/// tile] on the spec's virtual grid.
+ValidationReport validate_against_reference(const StackSpec& spec,
+                                            const TileMask& deployment,
+                                            const TecThermalLink& link,
                                             const linalg::Vector& tile_powers,
                                             const ReferenceResolution& resolution = {},
                                             const SteadyStateOptions& solver = {});

@@ -5,6 +5,8 @@
 
 #include "io/json.h"
 #include "obs/obs.h"
+#include "svc/client.h"
+#include "svc/server.h"
 
 #include <algorithm>
 #include <cctype>
@@ -32,6 +34,48 @@ CliRun run(std::vector<std::string> args) {
   r.out = out.str();
   r.err = err.str();
   return r;
+}
+
+/// Built-in chip names resolve through one core function: the CLI and the
+/// service reject the same names with the same message, and two spellings
+/// of one chip share a single service session.
+TEST(Cli, ChipNamesResolveAlikeInCliAndService) {
+  svc::ServerOptions o;
+  o.socket_path = (std::filesystem::temp_directory_path() /
+                   ("tfc_cli_chips_" + std::to_string(::getpid()) + ".sock"))
+                      .string();
+  o.workers = 1;
+  o.cache_capacity = 4;
+  svc::Server server(o);
+  std::thread thread([&] { server.run(); });
+  auto client = svc::Client::connect_unix(o.socket_path);
+  const auto solve = [&](const std::string& chip) {
+    io::JsonValue params = io::JsonValue::make_object();
+    params.set("chip", io::JsonValue::make_string(chip));
+    return client.call("solve", params);
+  };
+
+  for (const char* name : {"hc0", "hc100", "hcx"}) {
+    const auto cli = run({"design", "--chip", name, "--no-full-cover"});
+    EXPECT_EQ(cli.code, 2) << name;
+    const io::JsonValue reply = solve(name);
+    ASSERT_FALSE(reply.at("ok").as_bool()) << name;
+    EXPECT_EQ(reply.at("error").at("code").as_string(), "bad_request");
+    const std::string message = reply.at("error").at("message").as_string();
+    EXPECT_NE(message.find(std::string("unknown chip '") + name + "'"),
+              std::string::npos);
+    EXPECT_EQ(cli.err, "error: " + message + "\n") << name;
+  }
+
+  EXPECT_TRUE(solve("hc7").at("ok").as_bool());
+  EXPECT_TRUE(solve("hc007").at("ok").as_bool());
+  const io::JsonValue cache = client.call("stats").at("result").at("cache");
+  EXPECT_EQ(cache.at("size").as_number(), 1.0);
+  EXPECT_EQ(cache.at("misses").as_number(), 1.0);
+  EXPECT_EQ(cache.at("hits").as_number(), 1.0);
+
+  server.request_stop();
+  thread.join();
 }
 
 TEST(Cli, HelpPrintsUsage) {

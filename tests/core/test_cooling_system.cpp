@@ -2,14 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 namespace tfc::core {
 namespace {
 
 DesignRequest small_request() {
   DesignRequest req;
   req.chip_name = "mini";
-  req.geometry.tile_rows = req.geometry.tile_cols = 6;
-  req.geometry.die_width = req.geometry.die_height = 3e-3;
+  thermal::PackageGeometry g;
+  g.tile_rows = g.tile_cols = 6;
+  g.die_width = g.die_height = 3e-3;
+  req.spec =
+      std::make_shared<const thermal::StackSpec>(thermal::StackSpec::single_die(g));
   req.tile_powers = linalg::Vector(36, 0.10);
   req.tile_powers[2 * 6 + 2] = 0.65;
   req.tile_powers[2 * 6 + 3] = 0.65;

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "core/baselines.h"
 #include "core/greedy_deploy.h"
 
@@ -11,6 +13,11 @@ thermal::PackageGeometry small_geom() {
   g.tile_rows = g.tile_cols = 6;
   g.die_width = g.die_height = 3e-3;
   return g;
+}
+
+std::shared_ptr<const thermal::StackSpec> small_spec() {
+  return std::make_shared<const thermal::StackSpec>(
+      thermal::StackSpec::single_die(small_geom()));
 }
 
 linalg::Vector hot_map() {
@@ -26,7 +33,7 @@ tec::TecDeviceParams dev() { return tec::TecDeviceParams::chowdhury_superlattice
 TEST(GreedyDeploy, CoolChipNeedsNoTecs) {
   GreedyDeployOptions o;
   o.theta_max = thermal::to_kelvin(120.0);  // generous limit
-  auto r = greedy_deploy(small_geom(), hot_map(), dev(), o);
+  auto r = greedy_deploy(small_spec(), hot_map(), dev(), o);
   EXPECT_TRUE(r.success);
   EXPECT_TRUE(r.deployment.empty());
   EXPECT_EQ(r.current, 0.0);
@@ -37,7 +44,7 @@ TEST(GreedyDeploy, CoolChipNeedsNoTecs) {
 TEST(GreedyDeploy, HotChipGetsCoveredAndMeetsLimit) {
   GreedyDeployOptions o;
   o.theta_max = thermal::to_kelvin(66.0);
-  auto r = greedy_deploy(small_geom(), hot_map(), dev(), o);
+  auto r = greedy_deploy(small_spec(), hot_map(), dev(), o);
   ASSERT_TRUE(r.success);
   EXPECT_GE(r.deployment.count(), 3u);
   EXPECT_LE(r.peak_tile_temperature, o.theta_max);
@@ -56,8 +63,8 @@ TEST(GreedyDeploy, TighterLimitNeedsMoreTecs) {
   GreedyDeployOptions loose, tight;
   loose.theta_max = thermal::to_kelvin(66.0);
   tight.theta_max = thermal::to_kelvin(62.0);
-  auto a = greedy_deploy(small_geom(), hot_map(), dev(), loose);
-  auto b = greedy_deploy(small_geom(), hot_map(), dev(), tight);
+  auto a = greedy_deploy(small_spec(), hot_map(), dev(), loose);
+  auto b = greedy_deploy(small_spec(), hot_map(), dev(), tight);
   ASSERT_TRUE(a.success && b.success);
   EXPECT_GT(b.deployment.count(), a.deployment.count());
 }
@@ -65,7 +72,7 @@ TEST(GreedyDeploy, TighterLimitNeedsMoreTecs) {
 TEST(GreedyDeploy, ImpossibleLimitFails) {
   GreedyDeployOptions o;
   o.theta_max = thermal::to_kelvin(46.0);  // 1 K above ambient: hopeless
-  auto r = greedy_deploy(small_geom(), hot_map(), dev(), o);
+  auto r = greedy_deploy(small_spec(), hot_map(), dev(), o);
   EXPECT_FALSE(r.success);
   EXPECT_FALSE(r.deployment.empty());
   EXPECT_GT(r.peak_tile_temperature, o.theta_max);
@@ -74,7 +81,7 @@ TEST(GreedyDeploy, ImpossibleLimitFails) {
 TEST(GreedyDeploy, IterationHistoryConsistent) {
   GreedyDeployOptions o;
   o.theta_max = thermal::to_kelvin(62.0);
-  auto r = greedy_deploy(small_geom(), hot_map(), dev(), o);
+  auto r = greedy_deploy(small_spec(), hot_map(), dev(), o);
   ASSERT_TRUE(r.success);
   ASSERT_FALSE(r.iterations.empty());
   // Deployment only grows; the last iteration has no tiles over the limit.
@@ -91,8 +98,8 @@ TEST(GreedyDeploy, CoverageMarginAddsDevices) {
   GreedyDeployOptions plain, margin;
   plain.theta_max = margin.theta_max = thermal::to_kelvin(66.0);
   margin.coverage_margin = 2.0;
-  auto a = greedy_deploy(small_geom(), hot_map(), dev(), plain);
-  auto b = greedy_deploy(small_geom(), hot_map(), dev(), margin);
+  auto a = greedy_deploy(small_spec(), hot_map(), dev(), plain);
+  auto b = greedy_deploy(small_spec(), hot_map(), dev(), margin);
   ASSERT_TRUE(a.success && b.success);
   EXPECT_GE(b.deployment.count(), a.deployment.count());
   // Margin deployment still contains the paper's over-limit set.
@@ -104,15 +111,15 @@ TEST(GreedyDeploy, CoverageMarginAddsDevices) {
 TEST(GreedyDeploy, NegativeMarginRejected) {
   GreedyDeployOptions o;
   o.coverage_margin = -1.0;
-  EXPECT_THROW(greedy_deploy(small_geom(), hot_map(), dev(), o), std::invalid_argument);
+  EXPECT_THROW(greedy_deploy(small_spec(), hot_map(), dev(), o), std::invalid_argument);
 }
 
 TEST(GreedyDeploy, ZeroMarginIsPaperExact) {
   GreedyDeployOptions plain, zero_margin;
   plain.theta_max = zero_margin.theta_max = thermal::to_kelvin(64.0);
   zero_margin.coverage_margin = 0.0;
-  auto a = greedy_deploy(small_geom(), hot_map(), dev(), plain);
-  auto b = greedy_deploy(small_geom(), hot_map(), dev(), zero_margin);
+  auto a = greedy_deploy(small_spec(), hot_map(), dev(), plain);
+  auto b = greedy_deploy(small_spec(), hot_map(), dev(), zero_margin);
   EXPECT_EQ(a.deployment, b.deployment);
   EXPECT_EQ(a.current, b.current);
 }
@@ -120,11 +127,11 @@ TEST(GreedyDeploy, ZeroMarginIsPaperExact) {
 TEST(GreedyDeploy, InvalidDeviceThrows) {
   auto d = dev();
   d.seebeck = -1.0;
-  EXPECT_THROW(greedy_deploy(small_geom(), hot_map(), d), std::invalid_argument);
+  EXPECT_THROW(greedy_deploy(small_spec(), hot_map(), d), std::invalid_argument);
 }
 
 TEST(Baselines, FullCoverCoversEverything) {
-  auto r = full_cover(small_geom(), hot_map(), dev());
+  auto r = full_cover(small_spec(), hot_map(), dev());
   EXPECT_EQ(r.deployment.count(), 36u);
   EXPECT_GT(r.optimum.current, 0.0);
   EXPECT_DOUBLE_EQ(r.min_peak_temperature, r.optimum.peak_tile_temperature);
@@ -133,7 +140,7 @@ TEST(Baselines, FullCoverCoversEverything) {
 TEST(Baselines, FullCoverStillCools) {
   auto sys = tec::ElectroThermalSystem::assemble(small_geom(), TileMask(), hot_map(), dev());
   const double peak0 = sys.solve(0.0)->peak_tile_temperature;
-  auto r = full_cover(small_geom(), hot_map(), dev());
+  auto r = full_cover(small_spec(), hot_map(), dev());
   EXPECT_LT(r.min_peak_temperature, peak0);
 }
 
@@ -157,7 +164,7 @@ TEST(Baselines, GreedyBeatsOrMatchesThresholdWithSameBudget) {
   // threshold pick of the same size.
   GreedyDeployOptions o;
   o.theta_max = thermal::to_kelvin(66.0);
-  auto g = greedy_deploy(small_geom(), hot_map(), dev(), o);
+  auto g = greedy_deploy(small_spec(), hot_map(), dev(), o);
   ASSERT_TRUE(g.success);
   auto t = threshold_cover(small_geom(), hot_map(), dev(), g.deployment.count());
   EXPECT_LE(g.peak_tile_temperature, t.min_peak_temperature + 0.05);

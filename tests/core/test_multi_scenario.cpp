@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 namespace tfc::core {
 namespace {
 
@@ -10,6 +12,11 @@ thermal::PackageGeometry small_geom() {
   g.tile_rows = g.tile_cols = 6;
   g.die_width = g.die_height = 3e-3;
   return g;
+}
+
+std::shared_ptr<const thermal::StackSpec> small_spec() {
+  return std::make_shared<const thermal::StackSpec>(
+      thermal::StackSpec::single_die(small_geom()));
 }
 
 tec::TecDeviceParams dev() { return tec::TecDeviceParams::chowdhury_superlattice(); }
@@ -45,7 +52,7 @@ TEST(MultiScenario, SingleScenarioMatchesPlainGreedy) {
   auto scenarios = two_scenarios();
   std::vector<linalg::Vector> one = {scenarios[0]};
   auto multi = greedy_deploy_multi(small_geom(), one, dev(), opts(63.0));
-  auto plain = greedy_deploy(small_geom(), scenarios[0], dev(), opts(63.0));
+  auto plain = greedy_deploy(small_spec(), scenarios[0], dev(), opts(63.0));
   ASSERT_TRUE(multi.success && plain.success);
   EXPECT_EQ(multi.deployment, plain.deployment);
   EXPECT_NEAR(multi.current, plain.current, 0.05);
@@ -61,7 +68,7 @@ TEST(MultiScenario, NeverLargerThanFoldedWorstCase) {
     folded[t] = std::max(scenarios[0][t], scenarios[1][t]);
   }
   auto multi = greedy_deploy_multi(small_geom(), scenarios, dev(), opts(63.0));
-  auto fold = greedy_deploy(small_geom(), folded, dev(), opts(63.0));
+  auto fold = greedy_deploy(small_spec(), folded, dev(), opts(63.0));
   ASSERT_TRUE(multi.success && fold.success);
   EXPECT_LE(multi.deployment.count(), fold.deployment.count());
 }

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 namespace tfc::core {
 namespace {
 
@@ -10,6 +12,11 @@ thermal::PackageGeometry small_geom() {
   g.tile_rows = g.tile_cols = 6;
   g.die_width = g.die_height = 3e-3;
   return g;
+}
+
+std::shared_ptr<const thermal::StackSpec> small_spec() {
+  return std::make_shared<const thermal::StackSpec>(
+      thermal::StackSpec::single_die(small_geom()));
 }
 
 linalg::Vector hot_map() {
@@ -27,7 +34,7 @@ TileMask deployment() {
 }
 
 TEST(Sensitivity, ReportsAllFiveParameters) {
-  auto rows = device_sensitivities(small_geom(), hot_map(),
+  auto rows = device_sensitivities(small_spec(), hot_map(),
                                    tec::TecDeviceParams::chowdhury_superlattice(),
                                    deployment());
   ASSERT_EQ(rows.size(), 5u);
@@ -36,7 +43,7 @@ TEST(Sensitivity, ReportsAllFiveParameters) {
 }
 
 TEST(Sensitivity, SignsMatchPhysics) {
-  auto rows = device_sensitivities(small_geom(), hot_map(),
+  auto rows = device_sensitivities(small_spec(), hot_map(),
                                    tec::TecDeviceParams::chowdhury_superlattice(),
                                    deployment());
   const auto find = [&](const std::string& name) {
@@ -64,14 +71,14 @@ TEST(Sensitivity, SignsMatchPhysics) {
 
 TEST(Sensitivity, InputValidation) {
   auto dev = tec::TecDeviceParams::chowdhury_superlattice();
-  EXPECT_THROW(device_sensitivities(small_geom(), hot_map(), dev, TileMask()),
+  EXPECT_THROW(device_sensitivities(small_spec(), hot_map(), dev, TileMask()),
                std::invalid_argument);
   SensitivityOptions o;
   o.relative_step = 0.0;
-  EXPECT_THROW(device_sensitivities(small_geom(), hot_map(), dev, deployment(), o),
+  EXPECT_THROW(device_sensitivities(small_spec(), hot_map(), dev, deployment(), o),
                std::invalid_argument);
   o.relative_step = 1.0;
-  EXPECT_THROW(device_sensitivities(small_geom(), hot_map(), dev, deployment(), o),
+  EXPECT_THROW(device_sensitivities(small_spec(), hot_map(), dev, deployment(), o),
                std::invalid_argument);
 }
 
@@ -80,8 +87,8 @@ TEST(Sensitivity, SmallerStepRefinesDerivative) {
   SensitivityOptions coarse, fine;
   coarse.relative_step = 0.3;
   fine.relative_step = 0.05;
-  auto a = device_sensitivities(small_geom(), hot_map(), dev, deployment(), coarse);
-  auto b = device_sensitivities(small_geom(), hot_map(), dev, deployment(), fine);
+  auto a = device_sensitivities(small_spec(), hot_map(), dev, deployment(), coarse);
+  auto b = device_sensitivities(small_spec(), hot_map(), dev, deployment(), fine);
   // Same signs; magnitudes in the same ballpark (smooth objective).
   for (std::size_t k = 0; k < a.size(); ++k) {
     EXPECT_GT(a[k].peak_per_unit_relative * b[k].peak_per_unit_relative, 0.0)

@@ -1,7 +1,7 @@
-/// Spec-first design paths: the greedy/full-cover/design overloads taking a
-/// thermal::StackSpec. A paper-equivalent spec must reproduce the geometry
-/// overloads bit for bit; stacked/multi-chip specs must respect the spec's
-/// TEC-capable site masks.
+/// Design paths on a thermal::StackSpec: greedy, full cover and the design
+/// request. A hand-written spec of the paper's package must reproduce
+/// StackSpec::single_die bit for bit; stacked/multi-chip specs must respect
+/// the spec's TEC-capable site masks.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -77,15 +77,36 @@ std::shared_ptr<const thermal::StackSpec> stacked_spec() {
 }
 
 TEST(SpecGreedy, PaperEquivalentSpecMatchesGeometryBitwise) {
+  // The same package written out layer by layer (as a spec file would)
+  // instead of derived from the geometry.
   const thermal::PackageGeometry g = small_geometry();
-  auto spec = std::make_shared<const thermal::StackSpec>(thermal::StackSpec::single_die(g));
-  ASSERT_TRUE(spec->paper_equivalent());
+  thermal::LayerSpec die;
+  die.kind = thermal::LayerSpec::Kind::kDie;
+  die.material = g.die_material;
+  die.thickness = g.die_thickness;
+  thermal::LayerSpec tim;
+  tim.kind = thermal::LayerSpec::Kind::kInterface;
+  tim.material = g.tim_material;
+  tim.thickness = g.tim_thickness;
+  tim.tec_capable = true;
+  thermal::ChipSpec chip;
+  chip.width = g.die_width;
+  chip.height = g.die_height;
+  chip.tile_rows = g.tile_rows;
+  chip.tile_cols = g.tile_cols;
+  chip.layers = {die, tim};
+  thermal::StackSpec written;
+  written.chips = {chip};
+  auto spec = std::make_shared<const thermal::StackSpec>(std::move(written));
 
   const linalg::Vector powers = hotspot_powers(g.tile_rows, g.tile_cols, 8.0);
   const auto device = tec::TecDeviceParams::chowdhury_superlattice();
   GreedyDeployOptions opts;
 
-  GreedyDeployResult from_geometry = greedy_deploy(g, powers, device, opts);
+  GreedyDeployResult from_geometry =
+      greedy_deploy(std::make_shared<const thermal::StackSpec>(
+                        thermal::StackSpec::single_die(g)),
+                    powers, device, opts);
   GreedyDeployResult from_spec = greedy_deploy(spec, powers, device, opts);
 
   EXPECT_EQ(from_spec.success, from_geometry.success);
@@ -150,31 +171,6 @@ TEST(SpecDesign, RequestWithSpecUsesItsOwnPowers) {
   DesignResult res = design_cooling_system(req);
   EXPECT_TRUE(res.success);
   EXPECT_EQ(res.chip_name, "stacked-test");
-}
-
-TEST(SpecSolve, PaperEquivalentContextMatchesGeometryBitwise) {
-  const thermal::PackageGeometry g = small_geometry();
-  auto spec = std::make_shared<const thermal::StackSpec>(thermal::StackSpec::single_die(g));
-  const linalg::Vector powers = hotspot_powers(g.tile_rows, g.tile_cols, 8.0);
-  const auto device = tec::TecDeviceParams::chowdhury_superlattice();
-
-  TileMask deployment(g.tile_rows, g.tile_cols);
-  deployment.set(2, 2);
-  deployment.set(2, 3);
-  deployment.set(3, 2);
-  deployment.set(3, 3);
-
-  engine::SolveContext from_geometry(g, deployment, powers, device);
-  engine::SolveContext from_spec(spec, deployment, powers, device);
-  // Canonicalized: the spec context took the legacy path (spec() is null).
-  EXPECT_EQ(from_spec.spec(), nullptr);
-
-  auto op_g = from_geometry.solve(1.5);
-  auto op_s = from_spec.solve(1.5);
-  ASSERT_TRUE(op_g.has_value());
-  ASSERT_TRUE(op_s.has_value());
-  EXPECT_EQ(op_s->peak_tile_temperature, op_g->peak_tile_temperature);  // bitwise
-  EXPECT_EQ(op_s->tec_input_power, op_g->tec_input_power);
 }
 
 TEST(SpecSolve, GenericContextSolvesStackedSpec) {

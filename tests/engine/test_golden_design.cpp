@@ -1,19 +1,26 @@
-/// Engine-vs-pre-engine golden test (extends the PR 2 determinism suite):
-/// `tfcool design --json` must be byte-identical to the fixtures captured at
-/// the pre-engine HEAD for alpha21364 and hc3, and stay byte-identical
-/// across every --backend and across thread counts. The design probe path is
-/// pinned to the direct sparse Cholesky refactorization precisely so the
-/// backend choice cannot perturb this output.
+/// Design goldens: `tfcool design --json` must be byte-identical to the
+/// committed fixtures — alpha21364 and hc3 without full cover, and all 11
+/// Table-1 chips with full cover — and stay byte-identical across every
+/// --backend and across thread counts. The design probe path is pinned to
+/// the direct sparse Cholesky refactorization precisely so the backend
+/// choice cannot perturb this output. The paper's package itself is pinned
+/// by a content hash of its assembled network at two deployments.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "cli/cli.h"
+#include "io/design_json.h"
+#include "io/json.h"
 #include "par/thread_pool.h"
+#include "tec/device.h"
+#include "thermal/package_model.h"
 
 namespace tfc {
 namespace {
@@ -25,9 +32,11 @@ std::string slurp(const std::string& path) {
   return ss.str();
 }
 
-std::string design_json(const std::vector<std::string>& extra_args) {
+std::string design_json(const std::vector<std::string>& extra_args,
+                        bool full_cover = false) {
   const std::string path = "engine_golden_tmp.json";
-  std::vector<std::string> args = {"design", "--no-full-cover", "--json", path};
+  std::vector<std::string> args = {"design", "--json", path};
+  if (!full_cover) args.push_back("--no-full-cover");
   args.insert(args.end(), extra_args.begin(), extra_args.end());
   std::ostringstream out, err;
   const int code = cli::run_cli(args, out, err);
@@ -81,6 +90,73 @@ TEST(EngineGolden, ByteIdenticalAcrossBackendThreadMatrix) {
           << backend << " threads=" << threads;
     }
   }
+}
+
+class FullCoverGolden : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(FullCoverGolden, DesignJsonMatchesFixture) {
+  const std::string chip = GetParam();
+  const std::string golden = fixture("golden_design_full_cover_" + chip + ".json");
+  ASSERT_FALSE(golden.empty());
+  EXPECT_EQ(design_json({"--chip", chip}, /*full_cover=*/true), golden);
+}
+
+INSTANTIATE_TEST_SUITE_P(Table1, FullCoverGolden,
+                         ::testing::Values("alpha", "hc1", "hc2", "hc3", "hc4", "hc5",
+                                           "hc6", "hc7", "hc8", "hc9", "hc10"),
+                         [](const ::testing::TestParamInfo<const char*>& info) {
+                           return std::string(info.param);
+                         });
+
+/// FNV-1a over the assembled network: G's CSR arrays, the ambient legs, the
+/// node capacitances and the TEC cold/hot node lists (native byte order).
+std::string package_hash(const thermal::PackageModel& m) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  const auto bytes = [&](const void* data, std::size_t n) {
+    const auto* b = static_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < n; ++i) {
+      h ^= b[i];
+      h *= 0x100000001b3ull;
+    }
+  };
+  const auto vec = [&](const auto& v) { bytes(v.data(), v.size() * sizeof(v[0])); };
+  const linalg::SparseMatrix g = m.network().conductance_matrix();
+  vec(g.row_ptr());
+  vec(g.col_idx());
+  vec(g.values());
+  std::vector<double> ambient(m.node_count()), capacitance(m.node_count());
+  for (std::size_t i = 0; i < m.node_count(); ++i) {
+    ambient[i] = m.network().ambient_conductance(i);
+    capacitance[i] = m.network().node(i).capacitance;
+  }
+  vec(ambient);
+  vec(capacitance);
+  vec(m.cold_nodes());
+  vec(m.hot_nodes());
+  char hex[17];
+  std::snprintf(hex, sizeof(hex), "%016llx", static_cast<unsigned long long>(h));
+  return hex;
+}
+
+/// The paper's package at \p deployment, as every design builds it.
+thermal::PackageModel paper_model(const TileMask& deployment) {
+  return thermal::PackageModel::build(
+      thermal::paper_package(), deployment,
+      tec::TecDeviceParams::chowdhury_superlattice().thermal_link());
+}
+
+TEST(PaperPackageHash, AlphaGoldenDeployment) {
+  const io::JsonValue pinned = io::parse_json(fixture("paper_package_hash.json"));
+  const auto design = io::design_result_from_json(fixture("golden_design_alpha.json"));
+  ASSERT_EQ(design.deployment.count(), 11u);
+  EXPECT_EQ(package_hash(paper_model(design.deployment)),
+            pinned.at("alpha_golden_deployment").as_string());
+}
+
+TEST(PaperPackageHash, FullCover) {
+  const io::JsonValue pinned = io::parse_json(fixture("paper_package_hash.json"));
+  EXPECT_EQ(package_hash(paper_model(TileMask::full(12, 12))),
+            pinned.at("full_cover").as_string());
 }
 
 }  // namespace

@@ -98,9 +98,8 @@ TEST(PaperPipeline, AlphaConvexityCertified) {
 
 TEST(PaperPipeline, AlphaModelValidatesAgainstFineGrid) {
   // Section VI: compact model vs HotSpot agreed within 1.5 °C worst case.
-  thermal::PackageModelOptions opts;  // paper-default geometry
   auto report = thermal::validate_against_reference(
-      opts, worst_case_map(floorplan::alpha21364()));
+      *thermal::paper_package(), TileMask(), {}, worst_case_map(floorplan::alpha21364()));
   EXPECT_LT(report.max_abs_diff, 1.5);
 }
 
@@ -131,7 +130,7 @@ TEST(PaperPipeline, MultiPinExtensionBeatsSinglePinOnAlpha) {
   auto res = core::design_cooling_system(alpha_request());
   ASSERT_TRUE(res.success);
   auto req = alpha_request();
-  auto sys = tec::ElectroThermalSystem::assemble(req.geometry, res.deployment,
+  auto sys = tec::ElectroThermalSystem::assemble(req.spec, res.deployment,
                                                  req.tile_powers, req.device);
   core::MultiPinOptions mp_opts;
   mp_opts.max_sweeps = 2;  // keep the test fast

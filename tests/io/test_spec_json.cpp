@@ -47,7 +47,9 @@ TEST(SpecJson, CanonicalRoundTripIsExact) {
   // Bitwise round-trip: the re-serialized document is byte-identical.
   EXPECT_EQ(spec_to_json(back).dump(), doc.dump());
   EXPECT_EQ(spec_content_hash(back), spec_content_hash(spec));
-  EXPECT_TRUE(back.paper_equivalent());
+  ASSERT_EQ(back.chips.size(), 1u);
+  EXPECT_EQ(back.chips[0].layers.size(), 2u);
+  EXPECT_TRUE(back.chips[0].layers[1].tec_capable);
 }
 
 TEST(SpecJson, UnknownTopLevelKeyRejected) {

@@ -4,7 +4,6 @@
 #include <random>
 
 #include "linalg/cholesky.h"
-#include "linalg/ldlt.h"
 #include "linalg/lu.h"
 #include "linalg/random_stieltjes.h"
 
@@ -88,37 +87,6 @@ TEST(Cholesky, LogDetMatchesLu) {
   EXPECT_NEAR(f->log_det(), std::log(determinant(a)), 1e-8);
 }
 
-TEST(Ldlt, MatchesCholeskyOnSpd) {
-  std::mt19937_64 rng(5);
-  DenseMatrix a = random_spd(9, rng);
-  auto f = LdltFactor::factor(a);
-  ASSERT_TRUE(f.has_value());
-  EXPECT_TRUE(f->positive_definite());
-  Vector b(9, 1.0);
-  Vector x_ldlt = f->solve(b);
-  Vector x_chol = CholeskyFactor::factor(a)->solve(b);
-  EXPECT_TRUE(approx_equal(x_ldlt, x_chol, 1e-9));
-}
-
-TEST(Ldlt, InertiaCountsNegativeEigenvalues) {
-  // diag(2, -3, 5) has exactly one negative eigenvalue.
-  DenseMatrix a = DenseMatrix::diagonal(Vector{2.0, -3.0, 5.0});
-  auto f = LdltFactor::factor(a);
-  ASSERT_TRUE(f.has_value());
-  EXPECT_EQ(f->negative_pivots(), 1u);
-  EXPECT_FALSE(f->positive_definite());
-}
-
-TEST(Ldlt, IndefiniteSolveStillCorrect) {
-  DenseMatrix a{{2.0, 1.0}, {1.0, -1.0}};
-  auto f = LdltFactor::factor(a);
-  ASSERT_TRUE(f.has_value());
-  Vector b{1.0, 0.0};
-  Vector x = f->solve(b);
-  Vector r = a * x - b;
-  EXPECT_LT(norm2(r), 1e-12);
-}
-
 TEST(Lu, SolveGeneralMatrix) {
   DenseMatrix a{{0.0, 2.0, 1.0}, {1.0, 0.0, 0.0}, {4.0, 1.0, 2.0}};  // needs pivoting
   auto f = LuFactor::factor(a);
@@ -146,7 +114,7 @@ TEST(Lu, PermutationParityInDeterminant) {
   EXPECT_NEAR(determinant(a), -1.0, 1e-14);
 }
 
-// Property sweep: all three factorizations agree on PD Stieltjes matrices of
+// Property sweep: both factorizations agree on PD Stieltjes matrices of
 // varying size.
 class FactorizationSweep : public ::testing::TestWithParam<std::size_t> {};
 
@@ -158,13 +126,10 @@ TEST_P(FactorizationSweep, AllSolversAgreeOnStieltjes) {
   for (std::size_t i = 0; i < n; ++i) b[i] = 0.1 * double(i) + 1.0;
 
   auto chol = CholeskyFactor::factor(a);
-  auto ldlt = LdltFactor::factor(a);
   auto lu = LuFactor::factor(a);
-  ASSERT_TRUE(chol && ldlt && lu);
+  ASSERT_TRUE(chol && lu);
   Vector x1 = chol->solve(b);
-  Vector x2 = ldlt->solve(b);
   Vector x3 = lu->solve(b);
-  EXPECT_TRUE(approx_equal(x1, x2, 1e-8));
   EXPECT_TRUE(approx_equal(x1, x3, 1e-8));
   EXPECT_LT(norm2(a * x1 - b), 1e-8 * norm2(b) + 1e-10);
 }

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -18,6 +19,10 @@ namespace tfc::sim {
 namespace {
 
 tec::TecDeviceParams dev() { return tec::TecDeviceParams::chowdhury_superlattice(); }
+
+std::shared_ptr<const thermal::StackSpec> spec_of(const thermal::PackageGeometry& g) {
+  return std::make_shared<const thermal::StackSpec>(thermal::StackSpec::single_die(g));
+}
 
 /// Central 2x2 deployment on the alpha chip's 12x12 grid.
 TileMask center_deployment() {
@@ -60,7 +65,7 @@ TEST(Scenario, TransientConvergesToSteadyStateWithoutTec) {
   // Backward Euler's fixed point is the exact steady state for any dt, so a
   // large step reaches it quickly even past the heat sink's long time
   // constant (each mode decays by 1/(1 + dt/tau) per step).
-  ScenarioEngine engine(plan, geometry, dev(), center_deployment(),
+  ScenarioEngine engine(plan, spec_of(geometry), dev(), center_deployment(),
                         constant_power_options(300, 50.0));
 
   Frame last;
@@ -90,7 +95,7 @@ TEST(Scenario, TransientConvergesToSteadyStateWithEnergizedTec) {
   const double current = 1.5;
   auto opts = constant_power_options(300, 50.0);
   opts.schedule.push_back({0, current});
-  ScenarioEngine engine(plan, geometry, dev(), center_deployment(), opts);
+  ScenarioEngine engine(plan, spec_of(geometry), dev(), center_deployment(), opts);
 
   Frame last;
   auto summary = engine.run([&](const Frame& f) {
@@ -117,7 +122,7 @@ TEST(Scenario, FrameCadenceAndSeqNumbering) {
   o.steps = 47;
   o.frame_every = 10;
   o.dt = 1e-3;
-  ScenarioEngine engine(plan, thermal::PackageGeometry{}, dev(), TileMask(12, 12), o);
+  ScenarioEngine engine(plan, thermal::paper_package(), dev(), TileMask(12, 12), o);
 
   std::vector<Frame> frames;
   auto summary = engine.run([&](const Frame& f) {
@@ -143,7 +148,7 @@ TEST(Scenario, SinkAbortStopsTheRun) {
   ScenarioOptions o;
   o.steps = 100;
   o.frame_every = 5;
-  ScenarioEngine engine(plan, thermal::PackageGeometry{}, dev(), TileMask(12, 12), o);
+  ScenarioEngine engine(plan, thermal::paper_package(), dev(), TileMask(12, 12), o);
 
   std::size_t delivered = 0;
   auto summary = engine.run([&](const Frame&) { return ++delivered < 3; });
@@ -158,7 +163,7 @@ TEST(Scenario, ScheduleSwitchesTecOnAndOff) {
   auto o = constant_power_options(40, 1e-3);
   o.frame_every = 1;
   o.schedule = {{10, 2.0}, {30, 0.0}};
-  ScenarioEngine engine(plan, thermal::PackageGeometry{}, dev(),
+  ScenarioEngine engine(plan, thermal::paper_package(), dev(),
                         center_deployment(), o);
 
   std::vector<Frame> frames;
@@ -184,7 +189,7 @@ TEST(Scenario, ClosedLoopHoldsLimitThatOpenLoopViolates) {
   open.steps = 300;
   open.dtm = false;
   open.policy.theta_limit = limit_k;
-  ScenarioEngine open_engine(plan, thermal::PackageGeometry{}, dev(),
+  ScenarioEngine open_engine(plan, thermal::paper_package(), dev(),
                              center_deployment(), open);
   auto open_summary = open_engine.run();
   ASSERT_GT(open_summary.violation_steps, 0u)
@@ -193,7 +198,7 @@ TEST(Scenario, ClosedLoopHoldsLimitThatOpenLoopViolates) {
   ScenarioOptions closed = open;
   closed.dtm = true;
   closed.policy.current_levels = {0.0, 2.4, 4.8};
-  ScenarioEngine closed_engine(plan, thermal::PackageGeometry{}, dev(),
+  ScenarioEngine closed_engine(plan, thermal::paper_package(), dev(),
                                center_deployment(), closed);
   auto closed_summary = closed_engine.run();
   EXPECT_TRUE(closed_summary.limit_held_at_end);
@@ -211,7 +216,7 @@ TEST(Scenario, RunIsRepeatableAndByteIdenticalAcrossThreadCounts) {
   o.policy.current_levels = {0.0, 2.0, 4.0};
 
   auto render = [&]() {
-    ScenarioEngine engine(plan, thermal::PackageGeometry{}, dev(),
+    ScenarioEngine engine(plan, thermal::paper_package(), dev(),
                           center_deployment(), o);
     std::string text;
     auto summary = engine.run([&](const Frame& f) {
@@ -234,7 +239,7 @@ TEST(Scenario, InvalidOptionsThrow) {
   const auto plan = floorplan::alpha21364();
   const thermal::PackageGeometry geometry;
   auto make = [&](ScenarioOptions o) {
-    ScenarioEngine engine(plan, geometry, dev(), TileMask(12, 12), o);
+    ScenarioEngine engine(plan, spec_of(geometry), dev(), TileMask(12, 12), o);
   };
   ScenarioOptions bad_dt;
   bad_dt.dt = 0.0;
@@ -252,7 +257,7 @@ TEST(Scenario, InvalidOptionsThrow) {
   thermal::PackageGeometry wrong;
   wrong.tile_rows = wrong.tile_cols = 6;
   EXPECT_THROW(
-      ScenarioEngine(plan, wrong, dev(), TileMask(6, 6), ScenarioOptions{}),
+      ScenarioEngine(plan, spec_of(wrong), dev(), TileMask(6, 6), ScenarioOptions{}),
       std::invalid_argument);
 }
 

@@ -1,7 +1,6 @@
-/// ScenarioEngine on a declarative StackSpec: the spec ctor must integrate a
-/// stacked package on the virtual tile grid, rasterize per-die workloads
-/// through the combined floorplan, and stay byte-deterministic across thread
-/// counts.
+/// ScenarioEngine on a declarative StackSpec: it must integrate a stacked
+/// package on the virtual tile grid, rasterize per-die workloads through the
+/// combined floorplan, and stay byte-deterministic across thread counts.
 #include "sim/scenario.h"
 
 #include <gtest/gtest.h>
@@ -67,14 +66,16 @@ ScenarioOptions short_run(std::size_t steps) {
 }
 
 TEST(SpecScenario, NullSpecThrows) {
-  EXPECT_THROW(ScenarioEngine(std::shared_ptr<const thermal::StackSpec>(), dev(),
+  const floorplan::Floorplan plan = stacked_spec()->combined_floorplan();
+  EXPECT_THROW(ScenarioEngine(plan, std::shared_ptr<const thermal::StackSpec>(), dev(),
                               TileMask(), ScenarioOptions{}),
                std::invalid_argument);
 }
 
 TEST(SpecScenario, RunsOnVirtualGridAndHeatsUp) {
   auto spec = stacked_spec();
-  ScenarioEngine engine(spec, dev(), TileMask(), short_run(50));
+  const floorplan::Floorplan plan = spec->combined_floorplan();
+  ScenarioEngine engine(plan, spec, dev(), TileMask(), short_run(50));
   std::vector<Frame> frames;
   ScenarioSummary summary = engine.run([&](const Frame& f) {
     frames.push_back(f);
@@ -89,6 +90,7 @@ TEST(SpecScenario, RunsOnVirtualGridAndHeatsUp) {
 
 TEST(SpecScenario, SupplyCurrentLowersTransientPeak) {
   auto spec = stacked_spec();
+  const floorplan::Floorplan plan = spec->combined_floorplan();
   TileMask deployment(spec->total_tile_rows(), spec->tile_cols());
   for (std::size_t r = 0; r < 4; ++r) {
     for (std::size_t c = 0; c < 4; ++c) deployment.set(r, c);
@@ -96,12 +98,12 @@ TEST(SpecScenario, SupplyCurrentLowersTransientPeak) {
   auto peak_at = [&](double amps) {
     ScenarioOptions o = short_run(120);
     if (amps > 0.0) o.schedule.push_back({0, amps});
-    ScenarioEngine engine(spec, dev(), deployment, o);
+    ScenarioEngine engine(plan, spec, dev(), deployment, o);
     return engine.run(nullptr).final_peak_k;
   };
 
   // Unpowered TECs only add interfacial resistance: hotter than passive.
-  ScenarioEngine base(spec, dev(), TileMask(), short_run(120));
+  ScenarioEngine base(plan, spec, dev(), TileMask(), short_run(120));
   const double passive = base.run(nullptr).final_peak_k;
   const double idle = peak_at(0.0);
   EXPECT_GT(idle, passive);
@@ -117,7 +119,7 @@ TEST(SpecScenario, ByteIdenticalAcrossThreadCounts) {
   auto spec = stacked_spec();
   const floorplan::Floorplan plan = spec->combined_floorplan();
   auto render = [&]() {
-    ScenarioEngine engine(spec, dev(), TileMask(), short_run(30));
+    ScenarioEngine engine(plan, spec, dev(), TileMask(), short_run(30));
     std::ostringstream out;
     ScenarioSummary summary = engine.run([&](const Frame& f) {
       out << frame_to_json(f, plan).dump() << "\n";

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "core/current_optimizer.h"
 #include "linalg/cholesky.h"
 #include "linalg/properties.h"
@@ -43,12 +45,11 @@ TEST(Cascade, StageCountReflectedInNodeLists) {
 }
 
 TEST(Cascade, ZeroStagesRejected) {
-  thermal::PackageModelOptions o;
-  o.geometry = small_geom();
-  o.tec_tiles = one_tec();
-  o.tec_link = TecDeviceParams::chowdhury_superlattice().thermal_link();
-  o.tec_stages = 0;
-  EXPECT_THROW(thermal::PackageModel::build(o), std::invalid_argument);
+  const auto spec = std::make_shared<const thermal::StackSpec>(
+      thermal::StackSpec::single_die(small_geom()));
+  const auto link = TecDeviceParams::chowdhury_superlattice().thermal_link();
+  EXPECT_THROW(thermal::PackageModel::build(spec, one_tec(), link, /*tec_stages=*/0),
+               std::invalid_argument);
 }
 
 TEST(Cascade, NetworkStaysLemma1Conformant) {
@@ -67,7 +68,7 @@ TEST(Cascade, EnergyBalanceHolds) {
   double q_out = 0.0;
   for (std::size_t k = 0; k < sys.node_count(); ++k) {
     const double g = sys.model().network().ambient_conductance(k);
-    if (g > 0.0) q_out += g * (op->theta[k] - sys.model().geometry().ambient);
+    if (g > 0.0) q_out += g * (op->theta[k] - sys.model().ambient());
   }
   EXPECT_NEAR(q_out, linalg::sum(sys.power(0.0)) + op->tec_input_power,
               1e-6 * q_out);

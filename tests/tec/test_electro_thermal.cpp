@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "linalg/properties.h"
 
 namespace tfc::tec {
@@ -34,9 +36,8 @@ ElectroThermalSystem make_system() {
 }
 
 TEST(ElectroThermal, RejectsModelWithoutTecsUnlessAllowed) {
-  thermal::PackageModelOptions opts;
-  opts.geometry = small_geom();
-  auto model = thermal::PackageModel::build(opts);
+  auto model = thermal::PackageModel::build(std::make_shared<const thermal::StackSpec>(
+      thermal::StackSpec::single_die(small_geom())));
   EXPECT_THROW(
       ElectroThermalSystem(model, TecDeviceParams::chowdhury_superlattice()),
       std::invalid_argument);
@@ -124,7 +125,7 @@ TEST(ElectroThermal, EnergyBalanceIncludesTecPower) {
   double q_out = 0.0;
   for (std::size_t k = 0; k < net.node_count(); ++k) {
     const double g = net.ambient_conductance(k);
-    if (g > 0.0) q_out += g * (op->theta[k] - sys.model().geometry().ambient);
+    if (g > 0.0) q_out += g * (op->theta[k] - sys.model().ambient());
   }
   const double p_silicon = linalg::sum(sys.power(0.0));
   EXPECT_NEAR(q_out, p_silicon + op->tec_input_power, 1e-6 * q_out);
@@ -156,7 +157,7 @@ TEST(ElectroThermal, AssembleWithEmptyDeploymentGivesPassiveSystem) {
   EXPECT_EQ(sys.device_count(), 0u);
   auto op = sys.solve(0.0);
   ASSERT_TRUE(op.has_value());
-  EXPECT_GT(op->peak_tile_temperature, sys.model().geometry().ambient);
+  EXPECT_GT(op->peak_tile_temperature, sys.model().ambient());
   EXPECT_DOUBLE_EQ(op->tec_input_power, 0.0);
   // Current has no effect without devices (D = 0, no Joule sources).
   auto op2 = sys.solve(10.0);

@@ -2,18 +2,20 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "thermal/steady_state.h"
 
 namespace tfc::thermal {
 namespace {
 
-PackageModelOptions small_options() {
-  PackageModelOptions o;
-  o.geometry.tile_rows = 4;
-  o.geometry.tile_cols = 4;
-  o.geometry.die_width = 2e-3;
-  o.geometry.die_height = 2e-3;
-  return o;
+StackSpec small_options() {
+  PackageGeometry g;
+  g.tile_rows = 4;
+  g.tile_cols = 4;
+  g.die_width = 2e-3;
+  g.die_height = 2e-3;
+  return StackSpec::single_die(g);
 }
 
 linalg::Vector powers() {
@@ -34,7 +36,7 @@ TEST(Nonlinear, HotterThanLinearModel) {
   // hotter than the constant-k prediction.
   auto opts = small_options();
   auto p = powers();
-  PackageModel linear = PackageModel::build(opts);
+  PackageModel linear = PackageModel::build(std::make_shared<const StackSpec>(opts));
   linear.set_tile_powers(p);
   const double peak_linear = linear.peak_tile_temperature(solve_steady_state(linear));
 
@@ -42,7 +44,7 @@ TEST(Nonlinear, HotterThanLinearModel) {
   ASSERT_TRUE(res.converged);
   EXPECT_GT(linalg::max_entry(res.tile_temperatures), peak_linear);
   EXPECT_LT(res.silicon_conductivity,
-            opts.geometry.die_material.thermal_conductivity);
+            opts.chips[0].layers[0].material.thermal_conductivity);
 }
 
 TEST(Nonlinear, ZeroExponentReducesToLinear) {
@@ -53,11 +55,11 @@ TEST(Nonlinear, ZeroExponentReducesToLinear) {
   auto res = solve_steady_state_nonlinear(opts, p, nl);
   ASSERT_TRUE(res.converged);
   EXPECT_EQ(res.iterations, 2u);  // first solve + convergence confirmation
-  PackageModel linear = PackageModel::build(opts);
+  PackageModel linear = PackageModel::build(std::make_shared<const StackSpec>(opts));
   linear.set_tile_powers(p);
   EXPECT_TRUE(approx_equal(res.theta, solve_steady_state(linear), 1e-9));
   EXPECT_DOUBLE_EQ(res.silicon_conductivity,
-                   opts.geometry.die_material.thermal_conductivity);
+                   opts.chips[0].layers[0].material.thermal_conductivity);
 }
 
 TEST(Nonlinear, EffectGrowsWithPower) {
@@ -66,7 +68,7 @@ TEST(Nonlinear, EffectGrowsWithPower) {
   const auto gap = [&](double scale) {
     linalg::Vector p = powers();
     p *= scale;
-    PackageModel linear = PackageModel::build(opts);
+    PackageModel linear = PackageModel::build(std::make_shared<const StackSpec>(opts));
     linear.set_tile_powers(p);
     const double lin = linear.peak_tile_temperature(solve_steady_state(linear));
     auto res = solve_steady_state_nonlinear(opts, p);

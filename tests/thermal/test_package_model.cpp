@@ -2,15 +2,25 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "linalg/cholesky.h"
 #include "linalg/properties.h"
 #include "thermal/steady_state.h"
+#include "thermal/validation.h"
 
 namespace tfc::thermal {
 namespace {
 
-PackageModelOptions small_options() {
-  PackageModelOptions o;
+/// Inputs of one test model: a single-die package and its TEC deployment.
+struct TestOptions {
+  PackageGeometry geometry;
+  TileMask tec_tiles;
+  TecThermalLink tec_link;
+};
+
+TestOptions small_options() {
+  TestOptions o;
   o.geometry.tile_rows = 4;
   o.geometry.tile_cols = 4;
   o.geometry.die_width = 2e-3;
@@ -18,17 +28,23 @@ PackageModelOptions small_options() {
   return o;
 }
 
+PackageModel build(const TestOptions& o) {
+  return PackageModel::build(
+      std::make_shared<const StackSpec>(StackSpec::single_die(o.geometry)), o.tec_tiles,
+      o.tec_link);
+}
+
 TecThermalLink test_link() { return {0.02, 0.01, 0.05}; }
 
 TEST(PackageModel, NodeCountDefault) {
-  PackageModel m = PackageModel::build(PackageModelOptions{});
+  PackageModel m = build(TestOptions{});
   // 144 silicon + 144 TIM + 144+8 spreader + 144+8+8 sink = 600.
   EXPECT_EQ(m.node_count(), 600u);
 }
 
 TEST(PackageModel, MatrixIsIrreduciblePdStieltjes) {
   // Lemma 1 on a real package network.
-  PackageModel m = PackageModel::build(small_options());
+  PackageModel m = build(small_options());
   auto g = m.network().conductance_matrix();
   EXPECT_TRUE(g.is_symmetric(1e-15));
   EXPECT_TRUE(linalg::is_stieltjes(g));
@@ -38,7 +54,7 @@ TEST(PackageModel, MatrixIsIrreduciblePdStieltjes) {
 }
 
 TEST(PackageModel, EnergyConservation) {
-  PackageModel m = PackageModel::build(small_options());
+  PackageModel m = build(small_options());
   linalg::Vector p(16);
   for (std::size_t i = 0; i < 16; ++i) p[i] = 0.1 + 0.01 * double(i);
   m.set_tile_powers(p);
@@ -46,31 +62,31 @@ TEST(PackageModel, EnergyConservation) {
   double q_out = 0.0;
   for (std::size_t i = 0; i < m.node_count(); ++i) {
     const double g = m.network().ambient_conductance(i);
-    if (g > 0.0) q_out += g * (theta[i] - m.geometry().ambient);
+    if (g > 0.0) q_out += g * (theta[i] - m.ambient());
   }
   EXPECT_NEAR(q_out, m.network().total_power(), 1e-9 * m.network().total_power());
 }
 
 TEST(PackageModel, ZeroPowerGivesAmbientEverywhere) {
-  PackageModel m = PackageModel::build(small_options());
+  PackageModel m = build(small_options());
   auto theta = solve_steady_state(m);
   for (std::size_t i = 0; i < theta.size(); ++i) {
-    EXPECT_NEAR(theta[i], m.geometry().ambient, 1e-9);
+    EXPECT_NEAR(theta[i], m.ambient(), 1e-9);
   }
 }
 
 TEST(PackageModel, AllTemperaturesAboveAmbientUnderLoad) {
-  PackageModel m = PackageModel::build(small_options());
+  PackageModel m = build(small_options());
   linalg::Vector p(16, 0.2);
   m.set_tile_powers(p);
   auto theta = solve_steady_state(m);
   for (std::size_t i = 0; i < theta.size(); ++i) {
-    EXPECT_GT(theta[i], m.geometry().ambient);
+    EXPECT_GT(theta[i], m.ambient());
   }
 }
 
 TEST(PackageModel, SiliconHotterThanSink) {
-  PackageModel m = PackageModel::build(small_options());
+  PackageModel m = build(small_options());
   linalg::Vector p(16, 0.3);
   m.set_tile_powers(p);
   auto theta = solve_steady_state(m);
@@ -85,7 +101,7 @@ TEST(PackageModel, SiliconHotterThanSink) {
 }
 
 TEST(PackageModel, HotTileIsLocalPeak) {
-  PackageModel m = PackageModel::build(small_options());
+  PackageModel m = build(small_options());
   linalg::Vector p(16, 0.05);
   p[1 * 4 + 2] = 0.8;
   m.set_tile_powers(p);
@@ -96,7 +112,7 @@ TEST(PackageModel, HotTileIsLocalPeak) {
 TEST(PackageModel, MorePowerMeansHotterEverywhere) {
   // Monotonicity of the M-matrix inverse: raising one tile's power cannot
   // cool any node.
-  PackageModel m = PackageModel::build(small_options());
+  PackageModel m = build(small_options());
   linalg::Vector p(16, 0.1);
   m.set_tile_powers(p);
   auto t1 = solve_steady_state(m);
@@ -107,7 +123,7 @@ TEST(PackageModel, MorePowerMeansHotterEverywhere) {
 }
 
 TEST(PackageModel, TilePowerValidation) {
-  PackageModel m = PackageModel::build(small_options());
+  PackageModel m = build(small_options());
   EXPECT_THROW(m.set_tile_powers(linalg::Vector(5)), std::invalid_argument);
   linalg::Vector neg(16);
   neg[0] = -1.0;
@@ -115,21 +131,19 @@ TEST(PackageModel, TilePowerValidation) {
 }
 
 TEST(PackageModel, BadOptionsThrow) {
+  EXPECT_THROW(PackageModel::build(nullptr), std::invalid_argument);
   auto o = small_options();
-  o.lateral_refine = 0;
-  EXPECT_THROW(PackageModel::build(o), std::invalid_argument);
-  o = small_options();
   o.geometry.spreader_side = 1e-3;  // smaller than die
-  EXPECT_THROW(PackageModel::build(o), std::invalid_argument);
+  EXPECT_THROW(build(o), std::invalid_argument);
   o = small_options();
   o.tec_tiles = TileMask(3, 3);  // shape mismatch
   o.tec_tiles.set(0, 0);
-  EXPECT_THROW(PackageModel::build(o), std::invalid_argument);
+  EXPECT_THROW(build(o), std::invalid_argument);
   o = small_options();
   o.tec_tiles = TileMask(4, 4);
   o.tec_tiles.set(0, 0);
   o.tec_link = {};  // invalid link
-  EXPECT_THROW(PackageModel::build(o), std::invalid_argument);
+  EXPECT_THROW(build(o), std::invalid_argument);
 }
 
 TEST(PackageModel, TecNodesCreatedAndTimRemoved) {
@@ -138,7 +152,7 @@ TEST(PackageModel, TecNodesCreatedAndTimRemoved) {
   o.tec_tiles.set(1, 1);
   o.tec_tiles.set(2, 3);
   o.tec_link = test_link();
-  PackageModel m = PackageModel::build(o);
+  PackageModel m = build(o);
 
   EXPECT_TRUE(m.has_tec({1, 1}));
   EXPECT_TRUE(m.has_tec({2, 3}));
@@ -150,7 +164,7 @@ TEST(PackageModel, TecNodesCreatedAndTimRemoved) {
 
   // Node budget: base 4x4 model has 16*2 + (16+8) + (16+8+8) = 88 nodes; two
   // TIM nodes are replaced by two (hot, cold) pairs: 88 - 2 + 4 = 90.
-  PackageModel base = PackageModel::build(small_options());
+  PackageModel base = build(small_options());
   EXPECT_EQ(m.node_count(), base.node_count() + 2u);
 
   // Network still Lemma-1 conformant.
@@ -167,67 +181,70 @@ TEST(PackageModel, TecAtZeroCurrentActsAsPassivePath) {
   o.tec_tiles = TileMask(4, 4);
   o.tec_tiles.set(2, 2);
   o.tec_link = test_link();
-  PackageModel m = PackageModel::build(o);
+  PackageModel m = build(o);
   linalg::Vector p(16, 0.2);
   m.set_tile_powers(p);
   auto theta = solve_steady_state(m);
   const double cold = theta[m.tec_cold_node({2, 2})];
   const double hot = theta[m.tec_hot_node({2, 2})];
-  EXPECT_GT(cold, m.geometry().ambient);
+  EXPECT_GT(cold, m.ambient());
   // Passive heat flows silicon → cold → hot → spreader, so cold ≥ hot.
   EXPECT_GE(cold, hot);
 }
 
 TEST(PackageModel, RefinedModelsHaveMoreNodes) {
-  auto o = small_options();
-  PackageModel coarse = PackageModel::build(o);
-  o.lateral_refine = 2;
-  o.silicon_slabs = 2;
-  PackageModel fine = PackageModel::build(o);
+  const auto o = small_options();
+  PackageModel coarse = build(o);
+  StackSpec spec = StackSpec::single_die(o.geometry);
+  spec.chips[0].tile_rows *= 2;
+  spec.chips[0].tile_cols *= 2;
+  spec.chips[0].layers[0].slabs = 2;
+  PackageModel fine = PackageModel::build(std::make_shared<const StackSpec>(spec));
   EXPECT_GT(fine.node_count(), 4 * coarse.node_count() / 2);
 }
 
 TEST(PackageModel, RefinedTilePowerSplitsEvenly) {
-  auto o = small_options();
-  o.lateral_refine = 2;
-  PackageModel m = PackageModel::build(o);
   linalg::Vector p(16);
   p[0] = 1.0;
-  m.set_tile_powers(p);
+  PackageModel m = build_reference_model(StackSpec::single_die(small_options().geometry),
+                                         TileMask(), {}, p, {2, 1, 1, 1});
   EXPECT_NEAR(m.network().total_power(), 1.0, 1e-12);
-  auto nodes = m.silicon_tile_nodes({0, 0});
-  EXPECT_EQ(nodes.size(), 4u);
-  for (auto n : nodes) EXPECT_DOUBLE_EQ(m.network().power_vector()[n], 0.25);
+  EXPECT_EQ(m.tile_rows(), 8u);
+  for (std::size_t r = 0; r < 2; ++r) {
+    for (std::size_t c = 0; c < 2; ++c) {
+      EXPECT_DOUBLE_EQ(m.network().power_vector()[m.silicon_node({r, c})], 0.25);
+    }
+  }
 }
 
 TEST(PackageModel, NoSpreaderOverhangDegenerateGeometry) {
   auto o = small_options();
   o.geometry.spreader_side = o.geometry.die_width;  // no overhang
   o.geometry.sink_side = 10e-3;
-  PackageModel m = PackageModel::build(o);
+  PackageModel m = build(o);
   linalg::Vector p(16, 0.1);
   m.set_tile_powers(p);
   auto g = m.network().conductance_matrix();
   EXPECT_TRUE(linalg::is_irreducible(g));
   auto theta = solve_steady_state(m);
-  EXPECT_GT(m.peak_tile_temperature(theta), m.geometry().ambient);
+  EXPECT_GT(m.peak_tile_temperature(theta), m.ambient());
 }
 
 TEST(PackageModel, NoSinkOverhangDegenerateGeometry) {
   auto o = small_options();
   o.geometry.sink_side = o.geometry.spreader_side;
-  PackageModel m = PackageModel::build(o);
+  PackageModel m = build(o);
   linalg::Vector p(16, 0.1);
   m.set_tile_powers(p);
   auto theta = solve_steady_state(m);
-  EXPECT_GT(m.peak_tile_temperature(theta), m.geometry().ambient);
+  EXPECT_GT(m.peak_tile_temperature(theta), m.ambient());
 }
 
 TEST(PackageModel, FullyDegenerateStack) {
   auto o = small_options();
   o.geometry.spreader_side = o.geometry.die_width;
   o.geometry.sink_side = o.geometry.die_width;
-  PackageModel m = PackageModel::build(o);
+  PackageModel m = build(o);
   // 16 sil + 16 tim + 16 spreader + 16 sink, no periphery.
   EXPECT_EQ(m.node_count(), 64u);
   linalg::Vector p(16, 0.1);
@@ -236,26 +253,28 @@ TEST(PackageModel, FullyDegenerateStack) {
   double q_out = 0.0;
   for (std::size_t i = 0; i < m.node_count(); ++i) {
     const double g = m.network().ambient_conductance(i);
-    if (g > 0.0) q_out += g * (theta[i] - m.geometry().ambient);
+    if (g > 0.0) q_out += g * (theta[i] - m.ambient());
   }
   EXPECT_NEAR(q_out, 1.6, 1e-9);
 }
 
 TEST(PackageModel, ConvectionLegsSumToTotalConductance) {
-  PackageModel m = PackageModel::build(small_options());
+  PackageModel m = build(small_options());
   double g_sum = 0.0;
   for (std::size_t i = 0; i < m.node_count(); ++i) {
     g_sum += m.network().ambient_conductance(i);
   }
-  EXPECT_NEAR(g_sum, 1.0 / m.geometry().convection_resistance, 1e-9 * g_sum);
+  EXPECT_NEAR(g_sum, 1.0 / m.spec()->convection_resistance, 1e-9 * g_sum);
 }
 
 TEST(PackageModel, SubtileQueriesValidated) {
-  auto o = small_options();
-  o.lateral_refine = 2;
-  PackageModel m = PackageModel::build(o);
-  EXPECT_THROW(m.silicon_node({0, 0}, 2, 0), std::out_of_range);
-  EXPECT_THROW(m.silicon_node({9, 0}, 0, 0), std::out_of_range);
+  // The reference model's fine cells are its tiles: 8x8 at refinement 2.
+  PackageModel m =
+      build_reference_model(StackSpec::single_die(small_options().geometry), TileMask(),
+                            {}, linalg::Vector(16), {2, 1, 1, 1});
+  EXPECT_NO_THROW(m.silicon_node({7, 7}));
+  EXPECT_THROW(m.silicon_node({8, 0}), std::out_of_range);
+  EXPECT_THROW(m.silicon_node({0, 8}), std::out_of_range);
 }
 
 }  // namespace

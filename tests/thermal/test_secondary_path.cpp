@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "linalg/cholesky.h"
 #include "linalg/properties.h"
 #include "thermal/package_model.h"
@@ -8,14 +10,18 @@
 namespace tfc::thermal {
 namespace {
 
-PackageModelOptions base_options(bool secondary) {
-  PackageModelOptions o;
-  o.geometry.tile_rows = 4;
-  o.geometry.tile_cols = 4;
-  o.geometry.die_width = 2e-3;
-  o.geometry.die_height = 2e-3;
-  o.geometry.model_secondary_path = secondary;
-  return o;
+PackageGeometry base_geometry(bool secondary) {
+  PackageGeometry g;
+  g.tile_rows = 4;
+  g.tile_cols = 4;
+  g.die_width = 2e-3;
+  g.die_height = 2e-3;
+  g.model_secondary_path = secondary;
+  return g;
+}
+
+PackageModel build(const PackageGeometry& g) {
+  return PackageModel::build(std::make_shared<const StackSpec>(StackSpec::single_die(g)));
 }
 
 linalg::Vector powers() {
@@ -25,13 +31,13 @@ linalg::Vector powers() {
 }
 
 TEST(SecondaryPath, AddsTwoNodes) {
-  auto off = PackageModel::build(base_options(false));
-  auto on = PackageModel::build(base_options(true));
+  auto off = build(base_geometry(false));
+  auto on = build(base_geometry(true));
   EXPECT_EQ(on.node_count(), off.node_count() + 2u);
 }
 
 TEST(SecondaryPath, MatrixStaysIrreduciblePdStieltjes) {
-  auto m = PackageModel::build(base_options(true));
+  auto m = build(base_geometry(true));
   auto g = m.network().conductance_matrix();
   EXPECT_TRUE(linalg::is_stieltjes(g));
   EXPECT_TRUE(linalg::is_irreducible(g));
@@ -39,8 +45,8 @@ TEST(SecondaryPath, MatrixStaysIrreduciblePdStieltjes) {
 }
 
 TEST(SecondaryPath, CoolsTheDie) {
-  auto off = PackageModel::build(base_options(false));
-  auto on = PackageModel::build(base_options(true));
+  auto off = build(base_geometry(false));
+  auto on = build(base_geometry(true));
   off.set_tile_powers(powers());
   on.set_tile_powers(powers());
   const double peak_off = off.peak_tile_temperature(solve_steady_state(off));
@@ -53,7 +59,7 @@ TEST(SecondaryPath, CoolsTheDie) {
 }
 
 TEST(SecondaryPath, EnergySplitsAcrossBothPaths) {
-  auto m = PackageModel::build(base_options(true));
+  auto m = build(base_geometry(true));
   m.set_tile_powers(powers());
   auto theta = solve_steady_state(m);
   const auto& net = m.network();
@@ -62,7 +68,7 @@ TEST(SecondaryPath, EnergySplitsAcrossBothPaths) {
   for (std::size_t k = 0; k < net.node_count(); ++k) {
     const double g = net.ambient_conductance(k);
     if (g <= 0.0) continue;
-    const double q = g * (theta[k] - m.geometry().ambient);
+    const double q = g * (theta[k] - m.ambient());
     q_total += q;
     if (net.node(k).kind == NodeKind::kOther) q_board += q;
   }
@@ -72,16 +78,16 @@ TEST(SecondaryPath, EnergySplitsAcrossBothPaths) {
 }
 
 TEST(SecondaryPath, ValidationOfResistances) {
-  auto o = base_options(true);
-  o.geometry.c4_resistance = 0.0;
-  EXPECT_THROW(PackageModel::build(o), std::invalid_argument);
-  o = base_options(true);
-  o.geometry.board_convection_resistance = -1.0;
-  EXPECT_THROW(PackageModel::build(o), std::invalid_argument);
+  auto g = base_geometry(true);
+  g.c4_resistance = 0.0;
+  EXPECT_THROW(build(g), std::invalid_argument);
+  g = base_geometry(true);
+  g.board_convection_resistance = -1.0;
+  EXPECT_THROW(build(g), std::invalid_argument);
   // Disabled: the same non-physical values are ignored.
-  o = base_options(false);
-  o.geometry.c4_resistance = 0.0;
-  EXPECT_NO_THROW(PackageModel::build(o));
+  g = base_geometry(false);
+  g.c4_resistance = 0.0;
+  EXPECT_NO_THROW(build(g));
 }
 
 }  // namespace

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "thermal/package_model.h"
 #include "thermal/steady_state.h"
 #include "thermal/transient.h"
@@ -8,13 +10,17 @@
 namespace tfc::thermal {
 namespace {
 
-PackageModelOptions small_options() {
-  PackageModelOptions o;
-  o.geometry.tile_rows = 4;
-  o.geometry.tile_cols = 4;
-  o.geometry.die_width = 2e-3;
-  o.geometry.die_height = 2e-3;
-  return o;
+StackSpec small_spec() {
+  PackageGeometry g;
+  g.tile_rows = 4;
+  g.tile_cols = 4;
+  g.die_width = 2e-3;
+  g.die_height = 2e-3;
+  return StackSpec::single_die(g);
+}
+
+PackageModel small_model() {
+  return PackageModel::build(std::make_shared<const StackSpec>(small_spec()));
 }
 
 linalg::Vector test_powers() {
@@ -25,7 +31,7 @@ linalg::Vector test_powers() {
 }
 
 TEST(SteadyState, BackendsAgree) {
-  PackageModel m = PackageModel::build(small_options());
+  PackageModel m = small_model();
   m.set_tile_powers(test_powers());
   SteadyStateOptions direct, cg, dense;
   cg.backend = SolverBackend::kConjugateGradient;
@@ -48,27 +54,27 @@ TEST(SteadyState, SingularMatrixThrows) {
 }
 
 TEST(Transient, ConvergesToSteadyState) {
-  PackageModel m = PackageModel::build(small_options());
+  PackageModel m = small_model();
   m.set_tile_powers(test_powers());
   const auto& net = m.network();
   auto g = net.conductance_matrix();
-  auto rhs = net.rhs(m.geometry().ambient);
+  auto rhs = net.rhs(m.ambient());
   auto steady = solve_steady_state(m);
 
   // The sink time constant is ~80 s; integrate many multiples of it.
   TransientSolver ts(g, net.capacitance_vector(), 0.2);
-  linalg::Vector theta(net.node_count(), m.geometry().ambient);
+  linalg::Vector theta(net.node_count(), m.ambient());
   for (int step = 0; step < 8000; ++step) theta = ts.step(theta, rhs);
   EXPECT_TRUE(approx_equal(theta, steady, 1e-3));
 }
 
 TEST(Transient, MonotoneHeatingFromAmbient) {
-  PackageModel m = PackageModel::build(small_options());
+  PackageModel m = small_model();
   m.set_tile_powers(test_powers());
   const auto& net = m.network();
   TransientSolver ts(net.conductance_matrix(), net.capacitance_vector(), 1e-4);
-  auto rhs = net.rhs(m.geometry().ambient);
-  linalg::Vector theta(net.node_count(), m.geometry().ambient);
+  auto rhs = net.rhs(m.ambient());
+  linalg::Vector theta(net.node_count(), m.ambient());
   double prev_peak = m.peak_tile_temperature(theta);
   for (int step = 0; step < 50; ++step) {
     theta = ts.step(theta, rhs);
@@ -79,27 +85,27 @@ TEST(Transient, MonotoneHeatingFromAmbient) {
 }
 
 TEST(Transient, RunWithTimeVaryingPower) {
-  PackageModel m = PackageModel::build(small_options());
+  PackageModel m = small_model();
   const auto& net = m.network();
   TransientSolver ts(net.conductance_matrix(), net.capacitance_vector(), 1e-3);
   // Power pulse on for the first 10 steps, off afterwards.
-  PackageModel pulsed = PackageModel::build(small_options());
+  PackageModel pulsed = small_model();
   pulsed.set_tile_powers(test_powers());
-  auto rhs_on = pulsed.network().rhs(m.geometry().ambient);
-  auto rhs_off = net.rhs(m.geometry().ambient);
-  linalg::Vector theta(net.node_count(), m.geometry().ambient);
+  auto rhs_on = pulsed.network().rhs(m.ambient());
+  auto rhs_off = net.rhs(m.ambient());
+  linalg::Vector theta(net.node_count(), m.ambient());
   theta = ts.run(theta, 200, [&](std::size_t s) { return s < 10 ? rhs_on : rhs_off; });
   // After a long off period the package relaxes back toward ambient.
-  EXPECT_NEAR(m.peak_tile_temperature(theta), m.geometry().ambient, 0.5);
+  EXPECT_NEAR(m.peak_tile_temperature(theta), m.ambient(), 0.5);
 }
 
 TEST(Transient, StepIntoMatchesStepBitwise) {
-  PackageModel m = PackageModel::build(small_options());
+  PackageModel m = small_model();
   m.set_tile_powers(test_powers());
   const auto& net = m.network();
   TransientSolver ts(net.conductance_matrix(), net.capacitance_vector(), 1e-3);
-  auto rhs = net.rhs(m.geometry().ambient);
-  linalg::Vector theta(net.node_count(), m.geometry().ambient);
+  auto rhs = net.rhs(m.ambient());
+  linalg::Vector theta(net.node_count(), m.ambient());
   linalg::Vector out(net.node_count());
   for (int step = 0; step < 20; ++step) {
     auto expected = ts.step(theta, rhs);
@@ -113,13 +119,13 @@ TEST(Transient, StepIntoMatchesStepBitwise) {
 }
 
 TEST(Transient, SetDtMatchesFreshSolver) {
-  PackageModel m = PackageModel::build(small_options());
+  PackageModel m = small_model();
   m.set_tile_powers(test_powers());
   const auto& net = m.network();
   auto g = net.conductance_matrix();
   auto c = net.capacitance_vector();
-  auto rhs = net.rhs(m.geometry().ambient);
-  linalg::Vector theta(net.node_count(), m.geometry().ambient + 5.0);
+  auto rhs = net.rhs(m.ambient());
+  linalg::Vector theta(net.node_count(), m.ambient() + 5.0);
 
   TransientSolver mutated(g, c, 1e-3);
   mutated.set_dt(2.5e-2);
@@ -135,13 +141,13 @@ TEST(Transient, RestampMatchesFreshSolver) {
   // Re-stamping with a scaled conductance (same pattern) must reproduce a
   // freshly-constructed solver exactly — the refactorize path reuses the
   // original symbolic analysis.
-  PackageModel m = PackageModel::build(small_options());
+  PackageModel m = small_model();
   m.set_tile_powers(test_powers());
   const auto& net = m.network();
   auto g = net.conductance_matrix();
   auto c = net.capacitance_vector();
-  auto rhs = net.rhs(m.geometry().ambient);
-  linalg::Vector theta(net.node_count(), m.geometry().ambient + 3.0);
+  auto rhs = net.rhs(m.ambient());
+  linalg::Vector theta(net.node_count(), m.ambient() + 3.0);
 
   auto g_scaled = g.add_scaled(g, 0.3);  // 1.3·G, same pattern
   TransientSolver mutated(g, c, 1e-3);
@@ -156,13 +162,13 @@ TEST(Transient, RestampMatchesFreshSolver) {
 }
 
 TEST(Transient, SharedSymbolicGivesIdenticalResults) {
-  PackageModel m = PackageModel::build(small_options());
+  PackageModel m = small_model();
   m.set_tile_powers(test_powers());
   const auto& net = m.network();
   auto g = net.conductance_matrix();
   auto c = net.capacitance_vector();
-  auto rhs = net.rhs(m.geometry().ambient);
-  linalg::Vector theta(net.node_count(), m.geometry().ambient);
+  auto rhs = net.rhs(m.ambient());
+  linalg::Vector theta(net.node_count(), m.ambient());
 
   TransientSolver first(g, c, 1e-3);
   ASSERT_NE(first.symbolic(), nullptr);
@@ -174,7 +180,7 @@ TEST(Transient, SharedSymbolicGivesIdenticalResults) {
 }
 
 TEST(Transient, InvalidInputsThrow) {
-  PackageModel m = PackageModel::build(small_options());
+  PackageModel m = small_model();
   auto g = m.network().conductance_matrix();
   auto c = m.network().capacitance_vector();
   EXPECT_THROW(TransientSolver(g, c, 0.0), std::invalid_argument);
@@ -188,12 +194,12 @@ TEST(Validation, CoarseModelTracksReference) {
   // The compact-vs-fine-grid agreement experiment (Section VI): on a small
   // package the coarse tile temperatures must stay within ~1.5 °C of a 3x
   // refined discretization.
-  auto o = small_options();
+  const StackSpec spec = small_spec();
   ReferenceResolution res;
-  res.lateral_refine = 3;
-  res.silicon_slabs = 3;
+  res.refine = 3;
+  res.die_slabs = 3;
   res.spreader_slabs = 2;
-  auto report = validate_against_reference(o, test_powers(), res);
+  auto report = validate_against_reference(spec, TileMask(), {}, test_powers(), res);
   EXPECT_EQ(report.coarse.size(), 16u);
   EXPECT_GT(report.reference_nodes, report.coarse_nodes);
   // This synthetic 0.6 W point load on a 0.25 mm² tile is harsher than the
@@ -207,12 +213,12 @@ TEST(Validation, CoarseModelTracksReference) {
 TEST(Validation, RefinementConvergence) {
   // 2x and 4x refinements should agree with each other better than 1x vs 4x:
   // plain grid-convergence sanity.
-  auto o = small_options();
+  const StackSpec spec = small_spec();
   linalg::Vector p = test_powers();
   ReferenceResolution r2{2, 2, 1, 2};
   ReferenceResolution r4{4, 3, 1, 3};
-  auto rep2 = validate_against_reference(o, p, r2);
-  auto rep4 = validate_against_reference(o, p, r4);
+  auto rep2 = validate_against_reference(spec, TileMask(), {}, p, r2);
+  auto rep4 = validate_against_reference(spec, TileMask(), {}, p, r4);
   // Coarse model identical in both runs; finer reference may move a little.
   EXPECT_TRUE(approx_equal(rep2.coarse, rep4.coarse, 1e-9));
   double ref_gap = 0.0;

@@ -1,5 +1,5 @@
-/// StackSpec structural validation, virtual-grid semantics, and the golden
-/// generic-vs-legacy builder identity on the paper's default package.
+/// StackSpec structural validation, the single-die mapping of the paper's
+/// package, and virtual-grid semantics.
 #include "thermal/stack_spec.h"
 
 #include <gtest/gtest.h>
@@ -8,7 +8,6 @@
 #include <stdexcept>
 
 #include "thermal/material.h"
-#include "thermal/package_model.h"
 
 namespace tfc::thermal {
 namespace {
@@ -147,25 +146,28 @@ TEST(StackSpecValidate, ChipOffSpreaderThrows) {
   EXPECT_THROW(s.validate(), std::invalid_argument);
 }
 
-// --- paper equivalence -------------------------------------------------------
+// --- the paper's package -----------------------------------------------------
 
 TEST(StackSpecPaper, SingleDieRoundTripsGeometry) {
   PackageGeometry g;
   StackSpec s = StackSpec::single_die(g);
-  EXPECT_TRUE(s.paper_equivalent());
-  PackageGeometry back = s.to_geometry();
-  EXPECT_EQ(back.tile_rows, g.tile_rows);
-  EXPECT_EQ(back.tile_cols, g.tile_cols);
-  EXPECT_EQ(back.die_width, g.die_width);
-  EXPECT_EQ(back.die_thickness, g.die_thickness);
-  EXPECT_EQ(back.convection_resistance, g.convection_resistance);
-  EXPECT_EQ(back.ambient, g.ambient);
-}
+  ASSERT_EQ(s.chips.size(), 1u);
+  const ChipSpec& chip = s.chips[0];
+  ASSERT_EQ(chip.layers.size(), 2u);
+  EXPECT_EQ(chip.tile_rows, g.tile_rows);
+  EXPECT_EQ(chip.tile_cols, g.tile_cols);
+  EXPECT_EQ(chip.width, g.die_width);
+  EXPECT_EQ(chip.x, 0.0);
+  EXPECT_EQ(chip.layers[0].thickness, g.die_thickness);
+  EXPECT_EQ(chip.layers[1].thickness, g.tim_thickness);
+  EXPECT_TRUE(chip.layers[1].tec_capable);
+  EXPECT_TRUE(chip.layers[1].tec_sites.empty());
+  EXPECT_EQ(s.convection_resistance, g.convection_resistance);
+  EXPECT_EQ(s.ambient, g.ambient);
+  EXPECT_EQ(s.tec_allowed_tiles().count(), g.tile_count());
 
-TEST(StackSpecPaper, StackedSpecIsNotPaperEquivalent) {
-  StackSpec s = stacked_spec();
-  EXPECT_FALSE(s.paper_equivalent());
-  EXPECT_THROW(s.to_geometry(), std::logic_error);
+  g.spreader_side = 1e-3;  // smaller than the die
+  EXPECT_THROW(StackSpec::single_die(g), std::invalid_argument);
 }
 
 // --- virtual grid ------------------------------------------------------------
@@ -209,52 +211,6 @@ TEST(StackSpecGrid, CombinedFloorplanPrefixesUnits) {
   EXPECT_EQ(plan.tile_cols(), 4u);
   ASSERT_EQ(plan.units().size(), 2u);
   EXPECT_NE(plan.units()[0].name.find("cpu."), std::string::npos);
-}
-
-// --- golden: generic builder ≡ legacy builder on the default package --------
-
-TEST(StackSpecGolden, GenericBuilderMatchesLegacyBitwise) {
-  PackageGeometry g;
-  StackSpec spec = StackSpec::single_die(g);
-
-  TileMask deployment(g.tile_rows, g.tile_cols);
-  deployment.set(3, 4);
-  deployment.set(7, 7);
-  deployment.set(0, 11);
-
-  TecThermalLink link{0.5, 0.25, 0.5};
-
-  PackageModelOptions legacy_opts;
-  legacy_opts.geometry = g;
-  legacy_opts.tec_tiles = deployment;
-  legacy_opts.tec_link = link;
-  PackageModel legacy = PackageModel::build(legacy_opts);
-
-  PackageModel generic = PackageModel::build_from_spec(spec, deployment, link, 1,
-                                                       /*force_generic=*/true);
-  ASSERT_NE(generic.spec(), nullptr);
-
-  ASSERT_EQ(generic.node_count(), legacy.node_count());
-  const linalg::SparseMatrix gl = legacy.network().conductance_matrix();
-  const linalg::SparseMatrix gg = generic.network().conductance_matrix();
-  ASSERT_EQ(gg.nnz(), gl.nnz());
-  EXPECT_EQ(gg.values(), gl.values());
-
-  for (std::size_t n = 0; n < legacy.node_count(); ++n) {
-    EXPECT_EQ(generic.network().ambient_conductance(n),
-              legacy.network().ambient_conductance(n))
-        << "node " << n;
-  }
-  const linalg::Vector cl = legacy.network().capacitance_vector();
-  const linalg::Vector cg = generic.network().capacitance_vector();
-  ASSERT_EQ(cg.size(), cl.size());
-  for (std::size_t n = 0; n < cl.size(); ++n) {
-    EXPECT_EQ(cg[n], cl[n]) << "node " << n;
-  }
-
-  // TEC node sets line up too (same numbering).
-  EXPECT_EQ(generic.cold_nodes(), legacy.cold_nodes());
-  EXPECT_EQ(generic.hot_nodes(), legacy.hot_nodes());
 }
 
 }  // namespace
