@@ -3,6 +3,7 @@
 #pragma once
 
 #include <fstream>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -10,6 +11,7 @@
 #include "core/cooling_system.h"
 #include "floorplan/alpha21364.h"
 #include "floorplan/random_chip.h"
+#include "linalg/eigen.h"
 #include "obs/obs.h"
 #include "par/parallel.h"
 #include "power/workload.h"
@@ -23,6 +25,14 @@ inline linalg::Vector worst_case_map(const floorplan::Floorplan& plan,
   power::WorkloadSynthesizer synth(plan);
   return power::worst_case_profile(plan, synth.synthesize_suite(benchmarks))
       .tile_powers();
+}
+
+/// The dense λ_m oracle: the paper's bisection with a Cholesky
+/// positive-definiteness probe on the full pencil (G, D) — O(n³) per probe.
+inline std::optional<double> dense_runaway_limit(
+    const tec::ElectroThermalSystem& system) {
+  return linalg::pencil_smallest_positive_eigenvalue(
+      system.matrix_g().to_dense(), linalg::DenseMatrix::diagonal(system.d_diagonal()));
 }
 
 /// The eleven Table-I chips: Alpha + HC01..HC10.

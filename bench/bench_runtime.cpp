@@ -98,25 +98,23 @@ int main() {
   for (int k = 0; k < 20; ++k) (void)system.solve(3.0);
   const double solve_ms = ms_since(t0) / 20.0;
 
-  // λ_m eigensolver ablation on the designed Alpha deployment: sparse
-  // shift-invert Lanczos (the engine default) vs Schur bisection vs dense
-  // pencil bisection. Best of a few reps to damp scheduler noise — the gate
-  // (check_bench_regression.py) caps sparse_ms absolutely and floors the
-  // machine-independent dense/sparse ratio.
-  auto lm_ms = [&system](tec::RunawayMethod m, int reps) {
-    tec::RunawayOptions opts;
-    opts.method = m;
+  // λ_m on the designed Alpha deployment: the sparse shift-invert Lanczos
+  // every path uses vs the dense pencil-bisection oracle. Best of a few reps
+  // to damp scheduler noise — the gate (check_bench_regression.py) caps
+  // sparse_ms absolutely and floors the machine-independent dense/sparse
+  // ratio.
+  auto lm_ms = [](const auto& lambda_m, int reps) {
     double best = 1e300;
     for (int r = 0; r < reps; ++r) {
       const auto t1 = std::chrono::steady_clock::now();
-      (void)tec::runaway_limit(system, opts);
+      (void)lambda_m();
       best = std::min(best, ms_since(t1));
     }
     return best;
   };
-  const double lm_sparse_ms = lm_ms(tec::RunawayMethod::kSparse, 5);
-  const double lm_schur_ms = lm_ms(tec::RunawayMethod::kSchur, 5);
-  const double lm_dense_ms = lm_ms(tec::RunawayMethod::kDenseBisect, 2);
+  const double lm_sparse_ms = lm_ms([&] { return tec::runaway_limit(system); }, 5);
+  const double lm_dense_ms =
+      lm_ms([&] { return bench::dense_runaway_limit(system); }, 2);
   const double lm_ratio = lm_dense_ms / std::max(lm_sparse_ms, 1e-9);
 
   t0 = std::chrono::steady_clock::now();
@@ -128,11 +126,9 @@ int main() {
   const double cert_ms = ms_since(t0);
 
   std::printf("\nAlpha breakdown: one steady solve %.2f ms | lambda_m %.2f ms "
-              "(sparse Lanczos) vs %.1f ms (Schur) vs %.1f ms (dense bisect, %.0fx "
-              "slower than sparse) | current optimization %.1f ms | Theorem-4 "
-              "certificate %.1f ms\n",
-              solve_ms, lm_sparse_ms, lm_schur_ms, lm_dense_ms, lm_ratio, opt_ms,
-              cert_ms);
+              "(sparse Lanczos) vs %.1f ms (dense bisect, %.0fx slower) | current "
+              "optimization %.1f ms | Theorem-4 certificate %.1f ms\n",
+              solve_ms, lm_sparse_ms, lm_dense_ms, lm_ratio, opt_ms, cert_ms);
 
   // Parallel-layer scaling of the greedy deployment (Alpha, 1 vs 8 threads).
   // Deterministic by construction: both pool sizes compute the same design.
@@ -340,7 +336,7 @@ int main() {
         tec::TecDeviceParams::chowdhury_superlattice());
     {
       const auto t1 = std::chrono::steady_clock::now();
-      (void)tec::runaway_limit(system, tec::RunawayOptions{});
+      (void)tec::runaway_limit(system);
       stack_lambda_ms = ms_since(t1);
     }
   }
@@ -360,11 +356,10 @@ int main() {
     out << "},\"worst_ms\":" << worst
         << ",\"alpha_breakdown_ms\":{\"steady_solve\":" << solve_ms
         << ",\"runaway_sparse\":" << lm_sparse_ms
-        << ",\"runaway_schur\":" << lm_schur_ms
         << ",\"runaway_dense\":" << lm_dense_ms
         << ",\"current_opt\":" << opt_ms << ",\"convexity_cert\":" << cert_ms
         << "},\"runaway\":{\"sparse_ms\":" << lm_sparse_ms
-        << ",\"schur_ms\":" << lm_schur_ms << ",\"dense_ms\":" << lm_dense_ms
+        << ",\"dense_ms\":" << lm_dense_ms
         << ",\"dense_over_sparse_ratio\":" << lm_ratio
         << "},\"greedy_speedup\":{\"threads_1_ms\":" << greedy_1t_ms
         << ",\"threads_8_ms\":" << greedy_8t_ms << ",\"speedup\":" << speedup

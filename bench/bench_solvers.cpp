@@ -2,8 +2,8 @@
 /// \brief Performance benchmark P1 (google-benchmark): the linear-algebra
 /// kernels underlying every experiment — steady-state solves (dense
 /// Cholesky vs sparse Cholesky vs preconditioned CG) on real package
-/// matrices, and the two λ_m computations (dense bisection vs Schur
-/// reduction).
+/// matrices, and λ_m (the sparse shift-invert Lanczos vs the dense
+/// bisection oracle).
 
 #include <benchmark/benchmark.h>
 
@@ -90,21 +90,19 @@ void BM_SteadySolve_Cg(benchmark::State& state) {
 }
 BENCHMARK(BM_SteadySolve_Cg)->Arg(1)->Arg(2)->Arg(3);
 
-void BM_RunawayLimit_Schur(benchmark::State& state) {
+void BM_RunawayLimit_Sparse(benchmark::State& state) {
   auto sys = make_system(std::size_t(state.range(0)));
   for (auto _ : state) {
     benchmark::DoNotOptimize(tec::runaway_limit(sys));
   }
   state.counters["nodes"] = double(sys.node_count());
 }
-BENCHMARK(BM_RunawayLimit_Schur)->Arg(1)->Arg(2);
+BENCHMARK(BM_RunawayLimit_Sparse)->Arg(1)->Arg(2);
 
 void BM_RunawayLimit_DenseBisect(benchmark::State& state) {
   auto sys = make_system(std::size_t(state.range(0)));
-  tec::RunawayOptions opts;
-  opts.method = tec::RunawayMethod::kDenseBisect;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(tec::runaway_limit(sys, opts));
+    benchmark::DoNotOptimize(bench::dense_runaway_limit(sys));
   }
   state.counters["nodes"] = double(sys.node_count());
 }

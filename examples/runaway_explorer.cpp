@@ -2,10 +2,11 @@
 /// \brief Explore the thermal-runaway phenomenon (Sections I and V.C.1).
 ///
 /// Deploys TECs on the Alpha chip's hot cluster, computes the runaway limit
-/// λ_m two ways (paper-faithful dense bisection and the exact Schur
-/// reduction), then sweeps the supply current: the peak temperature first
-/// *drops* (Peltier pumping wins), then rises (Joule heating wins), then
-/// blows up as i → λ_m — exactly the h_kl(i) divergence of Theorem 2.
+/// λ_m two ways (the sparse shift-invert Lanczos every design uses and the
+/// paper-faithful dense bisection), then sweeps the supply current: the
+/// peak temperature first *drops* (Peltier pumping wins), then rises (Joule
+/// heating wins), then blows up as i → λ_m — exactly the h_kl(i) divergence
+/// of Theorem 2.
 ///
 ///   $ ./runaway_explorer
 
@@ -13,6 +14,7 @@
 
 #include "core/current_optimizer.h"
 #include "floorplan/alpha21364.h"
+#include "linalg/eigen.h"
 #include "power/workload.h"
 #include "tec/runaway.h"
 
@@ -32,12 +34,12 @@ int main() {
                                                     deployment, powers,
                                                     tec::TecDeviceParams::chowdhury_superlattice());
 
-  tec::RunawayOptions dense;
-  dense.method = tec::RunawayMethod::kDenseBisect;
-  auto lm_schur = tec::runaway_limit(system);
-  auto lm_dense = tec::runaway_limit(system, dense);
-  std::printf("runaway limit lambda_m: %.4f A (Schur reduction), %.4f A (dense bisection)\n",
-              *lm_schur, *lm_dense);
+  auto lm_sparse = tec::runaway_limit(system);
+  auto lm_dense = linalg::pencil_smallest_positive_eigenvalue(
+      system.matrix_g().to_dense(), linalg::DenseMatrix::diagonal(system.d_diagonal()));
+  std::printf("runaway limit lambda_m: %.4f A (sparse Lanczos), %.4f A (dense "
+              "bisection)\n",
+              *lm_sparse, *lm_dense);
 
   auto opt = core::optimize_current(system);
   std::printf("optimal current: %.2f A -> peak %.2f degC (TEC power %.2f W)\n\n",
@@ -49,7 +51,7 @@ int main() {
   for (double frac :
        {0.0, 0.01, 0.02, 0.03, 0.05, 0.08, 0.12, 0.2, 0.3, 0.5, 0.7, 0.85, 0.95,
         0.99, 0.999}) {
-    const double i = frac * *lm_schur;
+    const double i = frac * *lm_sparse;
     auto op = system.solve(i);
     if (!op) {
       std::printf("%10.3f  (not positive definite: thermal runaway)\n", i);
@@ -69,7 +71,7 @@ int main() {
 
   std::printf("\npast the limit:\n");
   for (double frac : {1.01, 1.5}) {
-    const double i = frac * *lm_schur;
+    const double i = frac * *lm_sparse;
     auto op = system.solve(i);
     std::printf("  i = %.2f A: %s\n", i,
                 op ? "solvable (unexpected!)" : "matrix not positive definite — runaway");

@@ -26,7 +26,6 @@
 #include "sim/scenario.h"
 #include "svc/client.h"
 #include "svc/server.h"
-#include "tec/runaway.h"
 #include "thermal/validation.h"
 
 namespace tfc::cli {
@@ -107,8 +106,8 @@ std::string option_or(const ParsedArgs& p, const std::string& key,
   return it == p.options.end() ? fallback : it->second;
 }
 
-/// Resolve --backend / --runaway-method into solve-engine options; nullopt
-/// (with a message on \p err) for an unknown name.
+/// Resolve --backend into solve-engine options; nullopt (with a message on
+/// \p err) for an unknown name.
 std::optional<engine::EngineOptions> parse_engine_options(const ParsedArgs& p,
                                                           std::ostream& err) {
   engine::EngineOptions opts;
@@ -120,15 +119,6 @@ std::optional<engine::EngineOptions> parse_engine_options(const ParsedArgs& p,
       return std::nullopt;
     }
     opts.backend = *backend;
-  }
-  if (auto it = p.options.find("--runaway-method"); it != p.options.end()) {
-    auto method = tec::parse_runaway_method(it->second);
-    if (!method) {
-      err << "error: unknown runaway method '" << it->second << "' (use "
-          << tec::runaway_method_list() << ")\n";
-      return std::nullopt;
-    }
-    opts.runaway.method = *method;
   }
   return opts;
 }
@@ -272,8 +262,7 @@ int cmd_runaway(const ParsedArgs& p, std::ostream& out, std::ostream& err) {
   }
   const engine::SolveContext context = make_context(*chip, res.deployment, *engine_opts);
   const double lm = *context.runaway_limit();
-  // Full precision: the CI cross-validation smoke diffs this line across
-  // runaway methods at 1e-8 relative.
+  // Full precision, so the line can be compared against an oracle at 1e-8.
   char lm_full[32];
   std::snprintf(lm_full, sizeof(lm_full), "%.17g", lm);
   out << "deployment: " << res.tec_count << " TECs; lambda_m = " << lm_full << " A\n";
@@ -990,22 +979,22 @@ const char kSpecOptionHelp[] =
 const char* kDesignOptions[] = {"--chip", "--flp", "--ptrace", "--rows", "--cols",
                                 "--die-mm", "--spec", "--limit", "--map", "--json",
                                 "--certify", "--no-full-cover", "--backend",
-                                "--runaway-method", nullptr};
+                                nullptr};
 
 const char* kTable1Options[] = {"--limit", nullptr};
 
 const char* kLimitChipOptions[] = {"--chip", "--flp", "--ptrace", "--rows",
                                    "--cols", "--die-mm", "--limit", "--backend",
-                                   "--runaway-method", nullptr};
+                                   nullptr};
 
-const char* kRunawayOptions[] = {"--chip", "--flp", "--ptrace", "--rows",
-                                 "--cols", "--die-mm", "--spec", "--limit",
-                                 "--backend", "--runaway-method", nullptr};
+const char* kRunawayCommandOptions[] = {"--chip", "--flp", "--ptrace", "--rows",
+                                        "--cols", "--die-mm", "--spec", "--limit",
+                                        "--backend", nullptr};
 
 const char* kSweepOptions[] = {"--chip", "--flp",    "--ptrace",       "--rows",
                                "--cols", "--die-mm", "--spec", "--limit",
                                "--points", "--max-fraction", "--backend",
-                               "--runaway-method", nullptr};
+                               nullptr};
 
 const char* kNoOptions[] = {nullptr};
 
@@ -1044,21 +1033,16 @@ const CommandSpec kCommands[] = {
      "  --backend B             linear backend for point solves\n"
      "                          (cholesky|cg, default cholesky; the\n"
      "                          design probe path always uses cholesky)\n"
-     "  --runaway-method M      lambda_m eigensolver for the solve engine\n"
-     "                          (sparse|schur|dense; the design lambda_m\n"
-     "                          stays pinned to schur for byte-identical\n"
-     "                          output)\n"
      "\nchip selection:\n",
      cmd_design},
     {"table1", "reproduce the paper's Table I (all 11 benchmark chips)",
      kTable1Options, "  --limit C               temperature limit [degC] (default 85)\n",
      cmd_table1},
-    {"runaway", "report lambda_m and a supply-current sweep", kRunawayOptions,
+    {"runaway", "report lambda_m and a supply-current sweep",
+     kRunawayCommandOptions,
      "  --limit C               design temperature limit [degC] (default 85)\n"
      "  --backend B             linear backend for point solves\n"
      "                          (cholesky|cg, default cholesky)\n"
-     "  --runaway-method M      lambda_m eigensolver\n"
-     "                          (sparse|schur|dense, default sparse)\n"
      "\nchip selection:\n",
      cmd_runaway},
     {"validate", "compact-model vs fine-grid agreement", kChipOptions,
@@ -1070,8 +1054,6 @@ const CommandSpec kCommands[] = {
      "                          (default 0.95)\n"
      "  --backend B             linear backend for point solves\n"
      "                          (cholesky|cg, default cholesky)\n"
-     "  --runaway-method M      lambda_m eigensolver\n"
-     "                          (sparse|schur|dense, default sparse)\n"
      "\nchip selection:\n",
      cmd_sweep},
     {"sensitivity", "CSV of device-parameter sensitivities at the design",

@@ -12,11 +12,10 @@ namespace tfc::core {
 namespace {
 
 /// Optimize the current of the context's fixed deployment.
-BaselineResult optimize_deployment(const engine::SolveContext& context,
-                                   const CurrentOptimizerOptions& options) {
+BaselineResult optimize_deployment(const engine::SolveContext& context) {
   BaselineResult res;
   res.deployment = context.deployment();
-  res.optimum = optimize_current(context, options);
+  res.optimum = optimize_current(context);
   res.min_peak_temperature = res.optimum.peak_tile_temperature;
   return res;
 }
@@ -26,7 +25,6 @@ BaselineResult optimize_deployment(const engine::SolveContext& context,
 BaselineResult full_cover(std::shared_ptr<const thermal::StackSpec> spec,
                           const linalg::Vector& tile_powers,
                           const tec::TecDeviceParams& device,
-                          const CurrentOptimizerOptions& options,
                           const engine::EngineOptions& engine_options) {
   if (spec == nullptr) throw std::invalid_argument("full_cover: null spec");
   const TileMask deployment = spec->tec_allowed_tiles();
@@ -35,13 +33,12 @@ BaselineResult full_cover(std::shared_ptr<const thermal::StackSpec> spec,
   }
   const engine::SolveContext context(std::move(spec), deployment, tile_powers, device,
                                      engine_options);
-  return optimize_deployment(context, options);
+  return optimize_deployment(context);
 }
 
 BaselineResult threshold_cover(const thermal::PackageGeometry& geometry,
                                const linalg::Vector& tile_powers,
                                const tec::TecDeviceParams& device, std::size_t k,
-                               const CurrentOptimizerOptions& options,
                                const engine::EngineOptions& engine_options) {
   if (k == 0 || k > geometry.tile_count()) {
     throw std::invalid_argument("threshold_cover: k must be in [1, tile_count]");
@@ -63,7 +60,7 @@ BaselineResult threshold_cover(const thermal::PackageGeometry& geometry,
     mask.set(order[j] / geometry.tile_cols, order[j] % geometry.tile_cols);
   }
   const engine::SolveContext context(geometry, mask, tile_powers, device, engine_options);
-  return optimize_deployment(context, options);
+  return optimize_deployment(context);
 }
 
 }  // namespace tfc::core

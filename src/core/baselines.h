@@ -31,14 +31,12 @@ struct BaselineResult {
 BaselineResult full_cover(std::shared_ptr<const thermal::StackSpec> spec,
                           const linalg::Vector& tile_powers,
                           const tec::TecDeviceParams& device,
-                          const CurrentOptimizerOptions& options = {},
                           const engine::EngineOptions& engine_options = {});
 
 /// TEC on the k hottest tiles of the passive steady state; current optimized.
 BaselineResult threshold_cover(const thermal::PackageGeometry& geometry,
                                const linalg::Vector& tile_powers,
                                const tec::TecDeviceParams& device, std::size_t k,
-                               const CurrentOptimizerOptions& options = {},
                                const engine::EngineOptions& engine_options = {});
 
 }  // namespace tfc::core

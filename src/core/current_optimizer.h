@@ -4,62 +4,39 @@
 /// 0 ≤ i < λ_m.
 ///
 /// Under Conjecture 1 the objective is convex on [0, λ_m) (Theorem 3 + the
-/// Theorem 4 certificate), so both solvers find the global optimum:
-///  - golden-section search (robust, derivative-free, exact for unimodal
-///    objectives), and
-///  - the paper's gradient descent with backtracking, using the analytic
-///    subgradient dθ_{k*}/di at the hottest tile.
+/// Theorem 4 certificate), so an iterated section search finds the global
+/// optimum: every round solves kSectionProbes fixed probe currents
+/// concurrently (tfc::par) and shrinks the bracket around the best probe by
+/// ≈ 2/(kSectionProbes+1). The probe set depends only on the bracket —
+/// never on the thread count — so the result is bit-identical for any pool
+/// size.
 #pragma once
 
+#include <cstddef>
 #include <optional>
 
 #include "engine/solve_context.h"
 #include "tec/electro_thermal.h"
-#include "tec/runaway.h"
 
 namespace tfc::core {
 
-/// Optimization method.
-enum class CurrentMethod {
-  kGoldenSection,
-  kBrent,  ///< golden + parabolic interpolation: fewer solves, same optimum
-  kGradientDescent,
-  /// Iterated K-point section search: every round solves K fixed probe
-  /// currents concurrently (tfc::par) and shrinks the bracket around the
-  /// best probe by ≈ 2/(K+1). The probe set depends only on the bracket —
-  /// never on the thread count — so the result is bit-identical for any
-  /// pool size. More solves than golden-section, but K per round run in
-  /// parallel, so wall-clock wins whenever threads ≥ 2.
-  kParallelSection,
-};
-
-struct CurrentOptimizerOptions {
-  CurrentMethod method = CurrentMethod::kParallelSection;
-  /// Search interval is [0, runaway_fraction · λ_m].
-  double runaway_fraction = 0.999;
-  /// Absolute tolerance on the current [A].
-  double current_tol = 1e-4;
-  std::size_t max_iterations = 200;
-  /// Probes per round for kParallelSection (clamped to ≥ 2).
-  std::size_t section_probes = 8;
-  /// Gradient-descent knobs.
-  double initial_step = 1.0;     ///< [A]
-  double backtrack_ratio = 0.5;
-  /// λ_m computation for the *design* pipeline. Pinned to the Schur
-  /// bisection (mirroring the pinned probe backend): the design JSON embeds
-  /// lambda_m_a at full precision, and pinning keeps `design --json`
-  /// byte-identical no matter which runaway method the engine/service
-  /// default to. The sparse Lanczos agrees to 1e-8 relative — but not to
-  /// the last bit.
-  tec::RunawayOptions runaway{tec::RunawayMethod::kSchur};
-};
+/// The search interval is [0, kRunawayFraction · λ_m].
+inline constexpr double kRunawayFraction = 0.999;
+/// Absolute tolerance on the current [A].
+inline constexpr double kCurrentTol = 1e-4;
+/// Probes per round of the section search.
+inline constexpr std::size_t kSectionProbes = 8;
+/// Objective-evaluation budget of one search.
+inline constexpr std::size_t kMaxEvaluations = 200;
 
 /// Result of the current setting subroutine.
 struct CurrentOptimum {
   double current = 0.0;                 ///< I_opt [A]
   double peak_tile_temperature = 0.0;   ///< minimized objective [K]
   double tec_input_power = 0.0;         ///< P_TEC at I_opt [W]
-  std::optional<double> lambda_m;       ///< runaway limit (nullopt: none)
+  /// Runaway limit (nullopt: none) — the context's sparse λ_m, so a design
+  /// and any later SolveContext on the same deployment report the same bits.
+  std::optional<double> lambda_m;
   std::size_t objective_evaluations = 0;
   bool converged = false;
   tec::OperatingPoint operating_point;  ///< full solution at I_opt
@@ -70,12 +47,10 @@ struct CurrentOptimum {
 /// system (i = 0) cannot be solved. Every objective evaluation is a
 /// zero-allocation probe through the context's workspace pool, and λ_m is
 /// taken from the context's cache.
-CurrentOptimum optimize_current(const engine::SolveContext& context,
-                                const CurrentOptimizerOptions& options = {});
+CurrentOptimum optimize_current(const engine::SolveContext& context);
 
 /// Convenience overload: wraps \p system in a single-use engine::SolveContext
 /// (copying it; the symbolic-analysis cache is shared, not recomputed).
-CurrentOptimum optimize_current(const tec::ElectroThermalSystem& system,
-                                const CurrentOptimizerOptions& options = {});
+CurrentOptimum optimize_current(const tec::ElectroThermalSystem& system);
 
 }  // namespace tfc::core

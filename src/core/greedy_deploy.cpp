@@ -74,7 +74,7 @@ GreedyDeployResult greedy_deploy_impl(engine::SolveContext& context,
 
     context.extend(result.deployment);
     // Line 8: find i_opt minimizing the peak tile temperature.
-    CurrentOptimum opt = optimize_current(context, options.current);
+    CurrentOptimum opt = optimize_current(context);
     metrics.counter("greedy.candidate_evaluations").increment(opt.objective_evaluations);
 
     result.current = opt.current;

@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "engine/solve_context.h"
+#include "linalg/minimize.h"
 #include "linalg/sparse_cholesky.h"
 #include "par/parallel.h"
 
@@ -126,38 +127,21 @@ MultiScenarioResult greedy_deploy_multi(const thermal::PackageGeometry& geometry
     return result;
   }
 
-  constexpr double kInvPhi = 0.6180339887498949;
+  const linalg::MinimizeOptions search{kCurrentTol, kMaxEvaluations};
   for (std::size_t it = 0; it < options.max_iterations; ++it) {
     result.deployment |= over;
     ++result.iterations;
 
     context.extend(result.deployment);
     ScenarioEvaluator eval(context, scenarios);
-    result.lambda_m = context.runaway_limit(options.current.runaway);
-    const double hi = result.lambda_m
-                          ? options.current.runaway_fraction * *result.lambda_m
-                          : 40.0;
+    result.lambda_m = context.runaway_limit();
+    const double hi = result.lambda_m ? kRunawayFraction * *result.lambda_m : 40.0;
 
-    // Golden-section on the worst-scenario peak (max of convex).
-    double a = 0.0, b = hi;
-    double x1 = b - kInvPhi * (b - a), x2 = a + kInvPhi * (b - a);
-    double f1 = eval.worst_peak(x1), f2 = eval.worst_peak(x2);
-    while (b - a > options.current.current_tol) {
-      if (f1 <= f2) {
-        b = x2;
-        x2 = x1;
-        f2 = f1;
-        x1 = b - kInvPhi * (b - a);
-        f1 = eval.worst_peak(x1);
-      } else {
-        a = x1;
-        x1 = x2;
-        f1 = f2;
-        x2 = a + kInvPhi * (b - a);
-        f2 = eval.worst_peak(x2);
-      }
-    }
-    result.current = 0.5 * (a + b);
+    // Golden-section on the worst-scenario peak (max of convex); the current
+    // is the final bracket's midpoint.
+    const linalg::ScalarMinimum r = linalg::minimize_scalar(
+        [&](double i) { return eval.worst_peak(i); }, 0.0, hi, search);
+    result.current = 0.5 * (r.lo + r.hi);
 
     auto temps = eval.tile_temps(result.current);
     if (!temps) throw std::runtime_error("greedy_deploy_multi: optimum not solvable");

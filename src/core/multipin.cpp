@@ -4,6 +4,7 @@
 #include <limits>
 #include <stdexcept>
 
+#include "linalg/minimize.h"
 #include "linalg/sparse_cholesky.h"
 
 namespace tfc::core {
@@ -91,11 +92,12 @@ MultiPinResult optimize_multi_pin(const tec::ElectroThermalSystem& system,
   }
   double best = op->peak_tile_temperature;
 
-  constexpr double kInvPhi = 0.6180339887498949;
+  const linalg::MinimizeOptions search{options.current_tol};
   for (std::size_t sweep = 0; sweep < options.max_sweeps; ++sweep) {
     const double before = best;
     for (std::size_t j = 0; j < m; ++j) {
-      // Golden-section on coordinate j over [0, cap], infeasible points = +inf.
+      // Golden-section on coordinate j over [0, cap], infeasible points = +inf;
+      // the candidate is the final bracket's midpoint.
       const auto eval = [&](double ij) {
         const double saved = res.currents[j];
         res.currents[j] = ij;
@@ -103,25 +105,9 @@ MultiPinResult optimize_multi_pin(const tec::ElectroThermalSystem& system,
         res.currents[j] = saved;
         return o ? o->peak_tile_temperature : std::numeric_limits<double>::infinity();
       };
-      double a = 0.0, b = options.current_cap;
-      double x1 = b - kInvPhi * (b - a), x2 = a + kInvPhi * (b - a);
-      double f1 = eval(x1), f2 = eval(x2);
-      while (b - a > options.current_tol) {
-        if (f1 <= f2) {
-          b = x2;
-          x2 = x1;
-          f2 = f1;
-          x1 = b - kInvPhi * (b - a);
-          f1 = eval(x1);
-        } else {
-          a = x1;
-          x1 = x2;
-          f1 = f2;
-          x2 = a + kInvPhi * (b - a);
-          f2 = eval(x2);
-        }
-      }
-      const double candidate = 0.5 * (a + b);
+      const linalg::ScalarMinimum r =
+          linalg::minimize_scalar(eval, 0.0, options.current_cap, search);
+      const double candidate = 0.5 * (r.lo + r.hi);
       const double f_candidate = eval(candidate);
       if (f_candidate < best) {
         best = f_candidate;
@@ -179,7 +165,7 @@ GroupedPinResult optimize_grouped_pins(const tec::ElectroThermalSystem& system,
   }
   double best = op->peak_tile_temperature;
 
-  constexpr double kInvPhi = 0.6180339887498949;
+  const linalg::MinimizeOptions search{options.current_tol};
   for (std::size_t sweep = 0; sweep < options.max_sweeps; ++sweep) {
     const double before = best;
     for (std::size_t g = 0; g < n_groups; ++g) {
@@ -190,25 +176,9 @@ GroupedPinResult optimize_grouped_pins(const tec::ElectroThermalSystem& system,
         res.group_currents[g] = saved;
         return o ? o->peak_tile_temperature : std::numeric_limits<double>::infinity();
       };
-      double a = 0.0, b = options.current_cap;
-      double x1 = b - kInvPhi * (b - a), x2 = a + kInvPhi * (b - a);
-      double f1 = eval(x1), f2 = eval(x2);
-      while (b - a > options.current_tol) {
-        if (f1 <= f2) {
-          b = x2;
-          x2 = x1;
-          f2 = f1;
-          x1 = b - kInvPhi * (b - a);
-          f1 = eval(x1);
-        } else {
-          a = x1;
-          x1 = x2;
-          f1 = f2;
-          x2 = a + kInvPhi * (b - a);
-          f2 = eval(x2);
-        }
-      }
-      const double candidate = 0.5 * (a + b);
+      const linalg::ScalarMinimum r =
+          linalg::minimize_scalar(eval, 0.0, options.current_cap, search);
+      const double candidate = 0.5 * (r.lo + r.hi);
       const double f_candidate = eval(candidate);
       if (f_candidate < best) {
         best = f_candidate;

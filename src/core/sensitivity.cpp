@@ -17,13 +17,13 @@ struct ProbeResult {
 
 ProbeResult probe(const std::shared_ptr<const thermal::StackSpec>& spec,
                   const linalg::Vector& tile_powers, const tec::TecDeviceParams& device,
-                  const TileMask& deployment, const CurrentOptimizerOptions& options,
+                  const TileMask& deployment,
                   const engine::EngineOptions& engine_options) {
   // Each perturbed device gets its own context (its conductances change the
   // stamped network), but every current probe inside it is workspace-pooled.
   const engine::SolveContext context(spec, deployment, tile_powers, device,
                                      engine_options);
-  auto opt = optimize_current(context, options);
+  auto opt = optimize_current(context);
   ProbeResult r;
   r.peak_celsius = thermal::to_celsius(opt.peak_tile_temperature);
   r.lambda_m = opt.lambda_m ? *opt.lambda_m : 0.0;
@@ -67,9 +67,9 @@ std::vector<ParameterSensitivity> device_sensitivities(
     access(down) *= (1.0 - h);
 
     const ProbeResult pu =
-        probe(spec, tile_powers, up, deployment, options.current, options.engine);
+        probe(spec, tile_powers, up, deployment, options.engine);
     const ProbeResult pd =
-        probe(spec, tile_powers, down, deployment, options.current, options.engine);
+        probe(spec, tile_powers, down, deployment, options.engine);
 
     ParameterSensitivity s;
     s.parameter = name;

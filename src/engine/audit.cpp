@@ -10,8 +10,7 @@ namespace tfc::engine {
 obs::health::Certificate audit_point(const tec::ElectroThermalSystem& system,
                                      const tec::OperatingPoint& op,
                                      std::optional<double> lambda_m,
-                                     bool degraded,
-                                     const char* lambda_method) {
+                                     bool degraded) {
   obs::health::Certificate cert;
   cert.current_a = op.current;
   cert.degraded = degraded;
@@ -32,7 +31,6 @@ obs::health::Certificate audit_point(const tec::ElectroThermalSystem& system,
   if (lambda_m.has_value()) {
     cert.lambda_margin_a = *lambda_m - op.current;
     cert.has_lambda_margin = true;
-    if (lambda_method != nullptr) cert.lambda_method = lambda_method;
   }
   return cert;
 }

@@ -20,16 +20,13 @@ namespace tfc::engine {
 
 /// Compute the physics certificate of \p op against \p system. \p lambda_m
 /// is the *cached* runaway limit when one is available — auditing must never
-/// trigger the eigensolve itself — and \p lambda_method, when non-null,
-/// names the runaway method that produced it ("sparse"/"schur"/"dense", the
-/// certificate's lambda_method field). \p degraded marks a solve that
+/// trigger the eigensolve itself. \p degraded marks a solve that
 /// already reported trouble (e.g. CG hit its iteration cap); residuals are
 /// still computed so the record shows how wrong the returned θ was.
 obs::health::Certificate audit_point(const tec::ElectroThermalSystem& system,
                                      const tec::OperatingPoint& op,
                                      std::optional<double> lambda_m = std::nullopt,
-                                     bool degraded = false,
-                                     const char* lambda_method = nullptr);
+                                     bool degraded = false);
 
 /// Record \p cert into the engine.audit.* metrics: samples/violations
 /// counters (judged against \p tolerances), degraded counter, and the

@@ -20,7 +20,6 @@
 #include <string_view>
 
 #include "obs/health.h"
-#include "tec/runaway.h"
 
 namespace tfc::engine {
 
@@ -93,13 +92,6 @@ struct EngineOptions {
   /// (PackageModel::extend_tec) instead of rebuilding from geometry; off
   /// forces a full rebuild per extension (the pre-engine behaviour).
   bool incremental_restamp = true;
-  /// How SolveContext computes the cached runaway limit λ_m (sparse
-  /// shift-invert Lanczos by default, falling back to the Schur reduction
-  /// for tiny TEC sets). Note the *design* λ_m probe stays pinned to the
-  /// Schur bisection (CurrentOptimizerOptions), mirroring the pinned probe
-  /// backend — that is what keeps `design --json` byte-identical across
-  /// runaway methods.
-  tec::RunawayOptions runaway;
   /// Numerical-health audit sampling (see AuditOptions).
   AuditOptions audit;
 };

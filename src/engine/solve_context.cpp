@@ -8,6 +8,7 @@
 #include "linalg/cg.h"
 #include "obs/obs.h"
 #include "obs/prometheus.h"
+#include "tec/runaway.h"
 
 namespace tfc::engine {
 
@@ -121,7 +122,8 @@ void SolveContext::rebuild(const TileMask& deployment) {
 
 void SolveContext::invalidate_runaway_cache() {
   std::lock_guard<std::mutex> lock(runaway_mutex_);
-  runaway_cache_.clear();
+  runaway_cached_ = false;
+  runaway_cache_.reset();
 }
 
 std::optional<double> SolveContext::probe_peak(double i) const {
@@ -207,7 +209,7 @@ std::optional<tec::OperatingPoint> SolveContext::solve_cg(double i) const {
     if (options_.audit.enabled) {
       record_audit_metrics(
           audit_point(system_, finish_point(system_, i, r.x), cached_runaway_limit(),
-                      /*degraded=*/true, cached_runaway_method_name()),
+                      /*degraded=*/true),
           options_.audit.tolerances);
     }
     throw CgNonConvergedError(r.iterations, rel);
@@ -224,88 +226,37 @@ void SolveContext::maybe_audit(const tec::OperatingPoint& op) const {
   const std::size_t every = audit_opts.sample_every == 0 ? 1 : audit_opts.sample_every;
   if (seq % every != 0) return;
   TFC_SPAN("engine_audit");
-  record_audit_metrics(audit_point(system_, op, cached_runaway_limit(),
-                                   /*degraded=*/false, cached_runaway_method_name()),
+  record_audit_metrics(audit_point(system_, op, cached_runaway_limit()),
                        audit_opts.tolerances);
 }
 
 obs::health::Certificate SolveContext::audit(const tec::OperatingPoint& op) const {
-  obs::health::Certificate cert =
-      audit_point(system_, op, cached_runaway_limit(), /*degraded=*/false,
-                  cached_runaway_method_name());
+  obs::health::Certificate cert = audit_point(system_, op, cached_runaway_limit());
   record_audit_metrics(cert, options_.audit.tolerances);
   return cert;
 }
 
-const char* SolveContext::cached_runaway_method_name() const {
-  const auto method = cached_runaway_method();
-  return method.has_value() ? tec::runaway_method_name(*method) : nullptr;
-}
-
-namespace {
-
-std::tuple<int, double, double> runaway_key(const tec::RunawayOptions& opts) {
-  return {static_cast<int>(opts.method), opts.rel_tol, opts.sparse_rel_tol};
-}
-
-}  // namespace
-
 std::optional<double> SolveContext::cached_runaway_limit() const {
   std::lock_guard<std::mutex> lock(runaway_mutex_);
-  // Prefer the context's own options entry; fall back to any cached method —
-  // every method converges to the same λ_m within its tolerance.
-  const auto key = runaway_key(options_.runaway);
-  for (const auto& e : runaway_cache_) {
-    if (e.key == key) return e.lambda_m;
-  }
-  for (const auto& e : runaway_cache_) {
-    if (e.lambda_m.has_value()) return e.lambda_m;
-  }
-  return std::nullopt;
-}
-
-std::optional<tec::RunawayMethod> SolveContext::cached_runaway_method() const {
-  std::lock_guard<std::mutex> lock(runaway_mutex_);
-  const auto key = runaway_key(options_.runaway);
-  for (const auto& e : runaway_cache_) {
-    if (e.key == key) return e.method_used;
-  }
-  for (const auto& e : runaway_cache_) {
-    if (e.lambda_m.has_value()) return e.method_used;
-  }
-  return std::nullopt;
+  return runaway_cache_;
 }
 
 std::optional<double> SolveContext::runaway_limit() const {
-  return runaway_limit(options_.runaway);
-}
-
-std::optional<double> SolveContext::runaway_limit(const tec::RunawayOptions& opts) const {
-  const auto key = runaway_key(opts);
   {
     std::lock_guard<std::mutex> lock(runaway_mutex_);
-    for (const auto& e : runaway_cache_) {
-      if (e.key == key) return e.lambda_m;
-    }
+    if (runaway_cached_) return runaway_cache_;
   }
-  tec::RunawayResult r;
-  if (opts.method == tec::RunawayMethod::kSparse) {
-    // Draw the Lanczos scratch from the pooled workspaces so repeated λ_m
-    // requests of one context run allocation-free.
-    WorkspaceLease ws(*this);
-    r = tec::runaway_limit_ex(system_, opts, &ws->lanczos);
-  } else {
-    r = tec::runaway_limit_ex(system_, opts);
-  }
-  obs::MetricsRegistry::global()
-      .counter(std::string("engine.runaway.") + tec::runaway_method_name(r.method_used))
-      .increment();
+  // Draw the Lanczos scratch from the pooled workspaces so repeated λ_m
+  // requests of one context run allocation-free.
+  WorkspaceLease ws(*this);
+  const tec::RunawayResult r = tec::runaway_limit_ex(system_, &ws->lanczos);
+  obs::MetricsRegistry::global().counter("engine.runaway.sparse").increment();
   std::lock_guard<std::mutex> lock(runaway_mutex_);
-  for (const auto& e : runaway_cache_) {
-    if (e.key == key) return e.lambda_m;
+  if (!runaway_cached_) {
+    runaway_cached_ = true;
+    runaway_cache_ = r.lambda_m;
   }
-  runaway_cache_.push_back({key, r.lambda_m, r.method_used});
-  return r.lambda_m;
+  return runaway_cache_;
 }
 
 tec::SolveWorkspace* SolveContext::acquire_workspace() const {

@@ -20,7 +20,6 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -28,7 +27,6 @@
 #include "engine/backend.h"
 #include "linalg/vector.h"
 #include "tec/electro_thermal.h"
-#include "tec/runaway.h"
 #include "thermal/package.h"
 #include "thermal/stack_spec.h"
 
@@ -106,25 +104,16 @@ class SolveContext {
   /// never triggers the eigensolve. Safe to call concurrently.
   obs::health::Certificate audit(const tec::OperatingPoint& op) const;
 
-  /// The cached λ_m if any runaway_limit() call already computed one;
+  /// The cached λ_m if a runaway_limit() call already computed one;
   /// nullopt when the cache is cold (the audit's non-blocking peek).
   std::optional<double> cached_runaway_limit() const;
 
-  /// The method that actually produced the cached λ_m preferred by
-  /// cached_runaway_limit() (the sparse request may have fallen back to
-  /// Schur); nullopt when the cache is cold. Recorded into the auditor's
-  /// λ_m-margin certificates.
-  std::optional<tec::RunawayMethod> cached_runaway_method() const;
-
-  /// Runaway limit λ_m of the current deployment with the context's own
-  /// options().runaway (nullopt: none). Cached; invalidated by
-  /// extend()/set_deployment(). Sparse computations draw their Lanczos
-  /// scratch from the pooled workspaces (engine.runaway.* counters).
+  /// Runaway limit λ_m of the current deployment (nullopt: none), by the
+  /// sparse shift-invert Lanczos (tec::runaway_limit_ex) with its scratch
+  /// drawn from the pooled workspaces. Cached; invalidated by
+  /// extend()/set_deployment(). Each computation counts in
+  /// engine.runaway.sparse.
   std::optional<double> runaway_limit() const;
-
-  /// As above with explicit options, cached per
-  /// (method, rel_tol, sparse_rel_tol).
-  std::optional<double> runaway_limit(const tec::RunawayOptions& opts) const;
 
   /// RAII lease of a pooled tec::SolveWorkspace (exposed for callers that
   /// drive ElectroThermalSystem directly, e.g. sensitivity sweeps).
@@ -157,10 +146,6 @@ class SolveContext {
   void rebuild(const TileMask& deployment);
   void invalidate_runaway_cache();
 
-  /// cached_runaway_method() as a stable name, nullptr when cold — the
-  /// lambda_method the auditor stamps on its certificates.
-  const char* cached_runaway_method_name() const;
-
   std::optional<tec::OperatingPoint> solve_cg(double i) const;
 
   /// Sampled audit hook on the point-solve paths: every options().audit
@@ -177,17 +162,11 @@ class SolveContext {
   mutable std::vector<std::unique_ptr<tec::SolveWorkspace>> ws_all_;
   mutable std::vector<tec::SolveWorkspace*> ws_free_;
 
-  // λ_m cache keyed on the runaway options (the deployment is implicit:
-  // extend() invalidates). Each entry remembers the method that actually
-  // ran — the sparse request may have fallen back to Schur — for the
-  // auditor's certificates.
-  struct RunawayCacheEntry {
-    std::tuple<int, double, double> key;  // (method, rel_tol, sparse_rel_tol)
-    std::optional<double> lambda_m;
-    tec::RunawayMethod method_used = tec::RunawayMethod::kSchur;
-  };
+  // λ_m cache (the deployment is implicit: extend() invalidates).
+  // runaway_cached_ tells a computed "no finite limit" from a cold cache.
   mutable std::mutex runaway_mutex_;
-  mutable std::vector<RunawayCacheEntry> runaway_cache_;
+  mutable bool runaway_cached_ = false;
+  mutable std::optional<double> runaway_cache_;
 
   // Audit sampling tick (relaxed — sampling needs no ordering).
   mutable std::atomic<std::uint64_t> audit_seq_{0};

@@ -30,8 +30,8 @@ LanczosShiftError::LanczosShiftError(double shift)
 
 LanczosNonConvergedError::LanczosNonConvergedError(std::size_t iterations,
                                                    double rel_residual)
-    : std::runtime_error("shift-invert Lanczos did not meet the residual certificate "
-                         "after " +
+    : std::runtime_error("shift-invert Lanczos did not certify the smallest positive "
+                         "eigenvalue after " +
                          std::to_string(iterations) +
                          " iterations (relative residual " +
                          scientific(rel_residual) + ")"),
@@ -95,16 +95,24 @@ Vector tridiagonal_eigenvector(const std::vector<double>& alpha,
   return s;
 }
 
+/// A top Ritz pair (θ, s) of T_j is converged once its Ritz residual
+/// ‖C_σ·y − θ·y‖_K = |β_{j+1}·s_j| falls to this fraction of θ.
+constexpr double kRitzResidualTol = 1e-12;
+
+/// λ is certified minimal when G − (1 − kMinimalityMargin)·λ·D factors.
+constexpr double kMinimalityMargin = 1e-8;
+
 struct IterationOutcome {
   double theta_max = 0.0;     ///< largest Ritz value of T_j (any sign)
   std::size_t steps = 0;      ///< Lanczos steps taken
-  bool exhausted = false;     ///< Krylov space ran out (β breakdown)
 };
 
-/// One full Lanczos run from the deterministic start vector seeded by
-/// \p start_phase. Fills ws.basis/kbasis/alpha/beta; returns the extremal
-/// Ritz value and how the run stopped.
-IterationOutcome lanczos_sweep(const Vector& d, const SparseCholeskyFactor& factor,
+/// One Lanczos run on C_σ = K⁻¹D from the deterministic start vector seeded
+/// by \p start_phase. Fills ws.basis/kbasis/alpha/beta; returns the extremal
+/// Ritz value once its Ritz residual converges or the Krylov space is
+/// exhausted (or at the iteration cap).
+IterationOutcome lanczos_sweep(const SparseMatrix& k, const Vector& d,
+                               const SparseCholeskyFactor& factor,
                                ShiftInvertLanczosWorkspace& ws, std::size_t n,
                                std::size_t max_iterations, double start_phase) {
   IterationOutcome out;
@@ -147,28 +155,26 @@ IterationOutcome lanczos_sweep(const Vector& d, const SparseCholeskyFactor& fact
 
   for (std::size_t j = 0; j < max_iterations; ++j) {
     const Vector& vj = ws.basis[j];
-    // w = C_σ v_j = K⁻¹(d ∘ v_j); K·w = z exactly, so the K-image of the new
-    // direction is available without a matrix-vector product.
+    // w = C_σ v_j = K⁻¹(d ∘ v_j).
     for (std::size_t i = 0; i < n; ++i) ws.z[i] = d[i] * vj[i];
     factor.solve_into(ws.z, ws.w, ws.solve_scratch);
     const double aj = dot(ws.z, vj);  // ⟨C v_j, v_j⟩_K = v_jᵀ D v_j
     ws.alpha.push_back(aj);
-    ws.kw = ws.z;
     axpy(-aj, vj, ws.w);
-    axpy(-aj, ws.kbasis[j], ws.kw);
-    if (j > 0) {
-      axpy(-ws.beta[j], ws.basis[j - 1], ws.w);
-      axpy(-ws.beta[j], ws.kbasis[j - 1], ws.kw);
-    }
+    if (j > 0) axpy(-ws.beta[j], ws.basis[j - 1], ws.w);
     // Full K-reorthogonalization, two passes ("twice is enough").
     for (int pass = 0; pass < 2; ++pass) {
       for (std::size_t i = 0; i <= j; ++i) {
         const double c = dot(ws.w, ws.kbasis[i]);
         if (c == 0.0) continue;
         axpy(-c, ws.basis[i], ws.w);
-        axpy(-c, ws.kbasis[i], ws.kw);
       }
     }
+    // The K-image of the new direction is computed, never carried by
+    // recurrence: a recurred image drifts from K·w, and β = ‖w‖_K then
+    // collapses early with a spurious top Ritz value.
+    ws.kw.fill(0.0);
+    k.multiply_add(1.0, ws.w, ws.kw);
     out.steps = j + 1;
 
     double tscale = 0.0;
@@ -180,12 +186,13 @@ IterationOutcome lanczos_sweep(const Vector& d, const SparseCholeskyFactor& fact
 
     // The start vector lives in range(K⁻¹D), so the Krylov space exhausts in
     // at most rank(D) steps — β collapses to roundoff and the Ritz values
-    // are exact. No earlier stagnation heuristic: stopping on a flat θ_max
-    // can truncate the basis with the Ritz *vector* still a factor from the
-    // residual certificate (the explicit certificate below is the authority).
-    if (bj <= 1e-13 * std::max(tscale, 1e-300)) {
-      out.exhausted = true;  // invariant subspace: Ritz values are exact
-      break;
+    // are exact.
+    if (bj <= 1e-13 * std::max(tscale, 1e-300)) break;
+    // Usually far earlier, the top Ritz pair converges: its residual is the
+    // last component of its T_j eigenvector times β_{j+1}.
+    if (out.theta_max > 0.0) {
+      const Vector s = tridiagonal_eigenvector(ws.alpha, ws.beta, j + 1, out.theta_max);
+      if (std::abs(bj * s[j]) <= kRitzResidualTol * out.theta_max) break;
     }
 
     ws.beta.push_back(bj);
@@ -238,9 +245,10 @@ std::optional<ShiftInvertLanczosResult> ShiftInvertLanczos::smallest_positive(
   // A start vector K-orthogonal to the extremal eigenvector is a
   // measure-zero accident, but a cheap second sweep with a different
   // deterministic phase removes even that failure mode.
+  const SparseMatrix& k = factored ? ws.pencil : g;
   IterationOutcome out;
   for (double phase : {0.0, 0.7}) {
-    out = lanczos_sweep(d, ws.factor, ws, n, cap, phase);
+    out = lanczos_sweep(k, d, ws.factor, ws, n, cap, phase);
     if (out.steps == 0) return std::nullopt;  // D ≡ 0
     if (out.theta_max > 0.0 || !d_positive_direction) break;
   }
@@ -286,9 +294,9 @@ std::optional<ShiftInvertLanczosResult> ShiftInvertLanczos::smallest_positive(
   };
 
   auto [lambda, rel] = certify(v, shift + 1.0 / out.theta_max);
-  // Bounded iterative refinement: the stagnation stop can truncate the basis
-  // with the certificate within a small factor of rel_tol. Each round is one
-  // inverse-iteration step v ← K⁻¹(d∘v) (the factor is already in hand),
+  // Bounded iterative refinement: the Ritz-residual stop can truncate the
+  // basis with the certificate within a small factor of rel_tol. Each round
+  // is one inverse-iteration step v ← K⁻¹(d∘v) (the factor is already in hand),
   // contracting the eigenvector error by the spectral-gap ratio; a step is
   // kept only when it strictly improves the certified residual.
   for (int round = 0; rel > opts.rel_tol && round < 3; ++round) {
@@ -307,6 +315,13 @@ std::optional<ShiftInvertLanczosResult> ShiftInvertLanczos::smallest_positive(
   res.eigenvalue = lambda;
   res.rel_residual = rel;
   if (!(res.rel_residual <= opts.rel_tol)) {
+    throw LanczosNonConvergedError(out.steps, res.rel_residual);
+  }
+  // The residual proves an eigenpair; minimality needs one more factor:
+  // G − (1 − kMinimalityMargin)·λ·D must stay positive definite, or a smaller
+  // positive eigenvalue exists that the Krylov space never resolved.
+  ws.pencil.assign_add_scaled_diagonal(g, d, -(1.0 - kMinimalityMargin) * lambda);
+  if (!symbolic.refactorize_into(ws.pencil, ws.factor, ws.factor_scratch)) {
     throw LanczosNonConvergedError(out.steps, res.rel_residual);
   }
   res.eigenvector = std::move(v);

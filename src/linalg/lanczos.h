@@ -15,17 +15,21 @@
 /// which is self-adjoint in the K-inner product ⟨x, y⟩_K = xᵀK y (K is SPD
 /// for every σ strictly inside the pencil's positive-definiteness interval).
 /// The largest positive Ritz value ν_max of the tridiagonal recovers
-/// λ_m = σ + 1/ν_max. Because D is supported on the TEC plate rows only,
-/// rank(C_σ) ≤ nnz(D) and the iteration exhausts its Krylov space after at
-/// most that many steps — a handful of triangular solves replaces every
-/// dense O(n³) probe.
+/// λ_m = σ + 1/ν_max. The iteration stops once the top Ritz pair's residual
+/// |β_{j+1}·s_j| drops to 1e-12·ν_max — typically within twenty steps.
+/// Because D is supported on the TEC plate rows only, rank(C_σ) ≤ nnz(D),
+/// so the Krylov space exhausts after at most that many steps anyway — a
+/// handful of triangular solves replaces every dense O(n³) probe.
 ///
-/// The iteration keeps the Lanczos basis fully K-reorthogonalized (the basis
-/// is tiny — at most rank(D)+1 vectors), runs its n-dimensional inner loops
-/// allocation-free once the caller-owned workspace is warm, and certifies
-/// the returned pair explicitly: ‖G·v − λ·D·v‖₂ ≤ rel_tol·‖G·v‖₂ with
-/// ‖v‖₂ = 1, throwing a typed LanczosNonConvergedError (mirroring the CG
-/// backend's CgNonConvergedError) instead of ever returning an uncertified
+/// The iteration keeps the Lanczos basis fully K-reorthogonalized, computes
+/// each K-image K·w with one SpMV (never by recurrence), runs its
+/// n-dimensional inner loops allocation-free once the caller-owned
+/// workspace is warm, and certifies the returned pair explicitly: the
+/// residual ‖G·v − λ·D·v‖₂ ≤ rel_tol·‖G·v‖₂ with ‖v‖₂ = 1 proves an
+/// eigenpair, and one refactorization of G − (1 − 1e-8)·λ·D proves no
+/// smaller positive eigenvalue exists. Failing either throws a typed
+/// LanczosNonConvergedError (mirroring the CG backend's
+/// CgNonConvergedError) instead of ever returning an uncertified
 /// eigenvalue. A shift that lands outside the PD interval (K not positive
 /// definite) re-shifts to σ = 0 when allowed, else throws LanczosShiftError.
 #pragma once
@@ -54,9 +58,10 @@ class LanczosShiftError : public std::runtime_error {
   double shift_;
 };
 
-/// Thrown when the iteration stops (Krylov exhaustion or iteration cap)
-/// without meeting the residual certificate — never a silently-inaccurate
-/// eigenvalue. Mirrors engine::CgNonConvergedError.
+/// Thrown when the iteration stops (Ritz convergence, Krylov exhaustion or
+/// iteration cap) without meeting the residual certificate, or when the
+/// certified eigenvalue is not the smallest positive one — never a
+/// silently-inaccurate eigenvalue. Mirrors engine::CgNonConvergedError.
 class LanczosNonConvergedError : public std::runtime_error {
  public:
   LanczosNonConvergedError(std::size_t iterations, double rel_residual);
@@ -105,7 +110,7 @@ struct ShiftInvertLanczosResult {
 /// vectors. Every buffer is warmed on first use and reused afterwards —
 /// the n-dimensional inner loops allocate nothing once warm.
 struct ShiftInvertLanczosWorkspace {
-  SparseMatrix pencil;                ///< K = G − σD (unused when σ = 0)
+  SparseMatrix pencil;                ///< K = G − σD, then the minimality probe
   SparseCholeskyFactor factor;
   std::vector<double> factor_scratch;
   std::vector<Vector> basis;          ///< v_1..v_j (K-orthonormal)

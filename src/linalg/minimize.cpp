@@ -1,7 +1,5 @@
 #include "linalg/minimize.h"
 
-#include <cmath>
-#include <limits>
 #include <stdexcept>
 
 namespace tfc::linalg {
@@ -10,14 +8,18 @@ namespace {
 
 constexpr double kInvPhi = 0.6180339887498949;
 
-ScalarMinimum golden(const std::function<double(double)>& f, double a, double b,
-                     const MinimizeOptions& opts) {
+}  // namespace
+
+ScalarMinimum minimize_scalar(const std::function<double(double)>& f, double lo,
+                              double hi, const MinimizeOptions& options) {
+  if (!(lo < hi)) throw std::invalid_argument("minimize_scalar: empty interval");
   ScalarMinimum res;
+  double a = lo, b = hi;
   double x1 = b - kInvPhi * (b - a);
   double x2 = a + kInvPhi * (b - a);
   double f1 = f(x1), f2 = f(x2);
   res.evaluations = 2;
-  while (b - a > opts.x_tol && res.evaluations < opts.max_evaluations) {
+  while (b - a > options.x_tol && res.evaluations < options.max_evaluations) {
     if (f1 <= f2) {
       b = x2;
       x2 = x1;
@@ -33,7 +35,9 @@ ScalarMinimum golden(const std::function<double(double)>& f, double a, double b,
     }
     ++res.evaluations;
   }
-  res.converged = (b - a) <= opts.x_tol;
+  res.converged = (b - a) <= options.x_tol;
+  res.lo = a;
+  res.hi = b;
   if (f1 <= f2) {
     res.x = x1;
     res.value = f1;
@@ -42,102 +46,6 @@ ScalarMinimum golden(const std::function<double(double)>& f, double a, double b,
     res.value = f2;
   }
   return res;
-}
-
-/// Brent's method (Numerical Recipes shape): parabolic steps when they make
-/// sense, golden-section fallback otherwise.
-ScalarMinimum brent(const std::function<double(double)>& f, double a, double b,
-                    const MinimizeOptions& opts) {
-  ScalarMinimum res;
-  const double cgold = 1.0 - kInvPhi;  // 0.381966...
-  double x = a + cgold * (b - a);
-  double w = x, v = x;
-  double fx = f(x);
-  res.evaluations = 1;
-  double fw = fx, fv = fx;
-  double d = 0.0, e = 0.0;
-
-  while (res.evaluations < opts.max_evaluations) {
-    const double xm = 0.5 * (a + b);
-    const double tol1 = opts.x_tol * 0.5 + 1e-12 * std::abs(x);
-    const double tol2 = 2.0 * tol1;
-    if (std::abs(x - xm) <= tol2 - 0.5 * (b - a)) {
-      res.converged = true;
-      break;
-    }
-    bool use_golden = true;
-    if (std::abs(e) > tol1 && std::isfinite(fx) && std::isfinite(fw) &&
-        std::isfinite(fv)) {
-      // Parabolic fit through (x, fx), (w, fw), (v, fv).
-      const double r = (x - w) * (fx - fv);
-      double q = (x - v) * (fx - fw);
-      double p = (x - v) * q - (x - w) * r;
-      q = 2.0 * (q - r);
-      if (q > 0.0) p = -p;
-      q = std::abs(q);
-      const double e_prev = e;
-      e = d;
-      if (std::abs(p) < std::abs(0.5 * q * e_prev) && p > q * (a - x) &&
-          p < q * (b - x)) {
-        d = p / q;
-        const double u = x + d;
-        if (u - a < tol2 || b - u < tol2) d = (xm > x) ? tol1 : -tol1;
-        use_golden = false;
-      }
-    }
-    if (use_golden) {
-      e = (x >= xm) ? a - x : b - x;
-      d = cgold * e;
-    }
-    const double u = (std::abs(d) >= tol1) ? x + d : x + ((d > 0.0) ? tol1 : -tol1);
-    const double fu = f(u);
-    ++res.evaluations;
-    if (fu <= fx) {
-      if (u >= x) {
-        a = x;
-      } else {
-        b = x;
-      }
-      v = w;
-      fv = fw;
-      w = x;
-      fw = fx;
-      x = u;
-      fx = fu;
-    } else {
-      if (u < x) {
-        a = u;
-      } else {
-        b = u;
-      }
-      if (fu <= fw || w == x) {
-        v = w;
-        fv = fw;
-        w = u;
-        fw = fu;
-      } else if (fu <= fv || v == x || v == w) {
-        v = u;
-        fv = fu;
-      }
-    }
-  }
-  res.x = x;
-  res.value = fx;
-  return res;
-}
-
-}  // namespace
-
-ScalarMinimum minimize_scalar(const std::function<double(double)>& f, double lo,
-                              double hi, const MinimizeOptions& options) {
-  if (!(lo < hi)) throw std::invalid_argument("minimize_scalar: empty interval");
-  switch (options.method) {
-    case ScalarMethod::kGoldenSection:
-      return golden(f, lo, hi, options);
-    case ScalarMethod::kBrent:
-      return brent(f, lo, hi, options);
-  }
-  throw std::logic_error("minimize_scalar: unknown method");
 }
 
 }  // namespace tfc::linalg

@@ -36,10 +36,7 @@ std::string Certificate::describe() const {
   out += " rel_residual=" + ratio(rel_residual);
   out += " energy_balance=" + ratio(energy_balance_rel);
   out += " theta_k=[" + ratio(theta_min_k) + "," + ratio(theta_max_k) + "]";
-  if (has_lambda_margin) {
-    out += " lambda_margin_a=" + ratio(lambda_margin_a);
-    if (!lambda_method.empty()) out += " lambda_method=" + lambda_method;
-  }
+  if (has_lambda_margin) out += " lambda_margin_a=" + ratio(lambda_margin_a);
   if (degraded) out += " degraded=1";
   return out;
 }

@@ -61,9 +61,6 @@ struct Certificate {
   /// λ_m − i [A] when λ_m was available (cached); meaningless otherwise.
   double lambda_margin_a = 0.0;
   bool has_lambda_margin = false;
-  /// Runaway method that produced the cached λ_m behind lambda_margin_a
-  /// ("sparse"/"schur"/"dense"); empty when no margin was available.
-  std::string lambda_method;
   /// Set when the solve itself reported trouble (e.g. CG ran out of
   /// iterations) — the certificate is then degraded regardless of residuals.
   bool degraded = false;

@@ -14,8 +14,10 @@ std::int64_t trace_now_us() {
 }
 
 TraceCollector& TraceCollector::global() {
-  static TraceCollector collector;
-  return collector;
+  // Leaked: a pool worker's span opened while tracing was on may close after
+  // main returns, and must not record into a destroyed collector.
+  static TraceCollector* collector = new TraceCollector();
+  return *collector;
 }
 
 int TraceCollector::tid_for_current_thread_locked() {

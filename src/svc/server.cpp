@@ -22,7 +22,6 @@
 #include "obs/build_info.h"
 #include "obs/obs.h"
 #include "sim/scenario.h"
-#include "tec/runaway.h"
 #include "thermal/package.h"
 
 namespace tfc::svc {
@@ -988,29 +987,20 @@ io::JsonValue Server::dispatch(const Request& request, DispatchInfo& info,
 
   if (request.method == "runaway") {
     auto session = session_for(params, info);
-    // Sessions cache λ_m computed with the engine default (sparse Lanczos —
-    // cheap at any grid size); an explicit "method" recomputes through the
-    // context's per-method cache, e.g. for a dense cross-validation.
-    tec::RunawayOptions ropts = session->context->options().runaway;
-    const std::string method_str =
-        params.string_or("method", tec::runaway_method_name(ropts.method));
-    const auto method = tec::parse_runaway_method(method_str);
-    if (!method) {
+    // λ_m has one method, the sparse Lanczos the session already cached; the
+    // reply names it, and a request for any other method is refused.
+    const std::string method = params.string_or("method", "sparse");
+    if (method != "sparse") {
       throw ProtocolError(ErrorCode::kBadRequest,
-                          "unknown runaway method '" + method_str + "' (use " +
-                              tec::runaway_method_list() + ")");
-    }
-    ropts.method = *method;
-    std::optional<double> lambda_m;
-    if (!session->design.deployment.empty()) {
-      lambda_m = session->context->runaway_limit(ropts);
+                          "unknown runaway method '" + method + "' (use sparse)");
     }
     JsonValue result = JsonValue::make_object();
     result.set("chip", JsonValue::make_string(session->key.chip));
-    result.set("method", JsonValue::make_string(tec::runaway_method_name(*method)));
+    result.set("method", JsonValue::make_string("sparse"));
     result.set("tec_count", JsonValue::make_number(double(session->design.tec_count)));
-    result.set("lambda_m_a", lambda_m ? JsonValue::make_number(*lambda_m)
-                                      : JsonValue::make_null());
+    result.set("lambda_m_a", session->lambda_m
+                                 ? JsonValue::make_number(*session->lambda_m)
+                                 : JsonValue::make_null());
     return result;
   }
 

@@ -71,7 +71,7 @@ struct SolveWorkspace {
   linalg::Vector solve_scratch;
   /// Per-tile temperature buffer for peak-only probes.
   linalg::Vector tiles;
-  /// Scratch of the sparse runaway eigensolve (RunawayMethod::kSparse) —
+  /// Scratch of the runaway eigensolve (tec::runaway_limit_ex) —
   /// pencil, factor and Lanczos basis, warmed on the first λ_m request of
   /// the pool and allocation-free afterwards.
   linalg::ShiftInvertLanczosWorkspace lanczos;

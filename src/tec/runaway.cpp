@@ -4,30 +4,10 @@
 #include <limits>
 #include <stdexcept>
 
-#include "linalg/cholesky.h"
-#include "linalg/eigen.h"
 #include "linalg/sparse_cholesky.h"
 #include "obs/obs.h"
 
 namespace tfc::tec {
-
-const char* runaway_method_name(RunawayMethod method) {
-  switch (method) {
-    case RunawayMethod::kSchur: return "schur";
-    case RunawayMethod::kDenseBisect: return "dense";
-    case RunawayMethod::kSparse: break;
-  }
-  return "sparse";
-}
-
-std::optional<RunawayMethod> parse_runaway_method(std::string_view name) {
-  if (name == "sparse") return RunawayMethod::kSparse;
-  if (name == "schur") return RunawayMethod::kSchur;
-  if (name == "dense") return RunawayMethod::kDenseBisect;
-  return std::nullopt;
-}
-
-const char* runaway_method_list() { return "sparse|schur|dense"; }
 
 SchurReduction schur_reduction(const ElectroThermalSystem& system) {
   TFC_SPAN("schur_reduction");
@@ -99,72 +79,33 @@ SchurReduction schur_reduction(const ElectroThermalSystem& system) {
   return red;
 }
 
-std::optional<double> runaway_limit(const ElectroThermalSystem& system,
-                                    const RunawayOptions& options) {
-  return runaway_limit_ex(system, options).lambda_m;
+std::optional<double> runaway_limit(const ElectroThermalSystem& system) {
+  return runaway_limit_ex(system).lambda_m;
 }
 
 RunawayResult runaway_limit_ex(const ElectroThermalSystem& system,
-                               const RunawayOptions& options,
                                linalg::ShiftInvertLanczosWorkspace* ws) {
   RunawayResult res;
-  res.method_used = options.method;
   if (system.model().hot_nodes().empty()) return res;
 
   TFC_SPAN("runaway_limit");
   obs::MetricsRegistry::global().counter("runaway.calls").increment();
 
-  linalg::PencilBisectionOptions bis;
-  bis.rel_tol = options.rel_tol;
-
-  const auto report = [&system, &res](std::optional<double> lm) {
-    if (lm) {
-      obs::MetricsRegistry::global().gauge("runaway.lambda_m").set(*lm);
-      TFC_SPAN_ATTR("lambda_m_a", *lm);
-    }
-    TFC_LOG_DEBUG("runaway_limit", {"method", runaway_method_name(res.method_used)},
-                  {"devices", system.model().hot_nodes().size()},
-                  {"lambda_m", lm ? *lm : std::numeric_limits<double>::infinity()});
-    res.lambda_m = lm;
-    return res;
-  };
-
-  RunawayMethod method = options.method;
-  if (method == RunawayMethod::kSparse &&
-      system.device_count() < options.sparse_min_devices) {
-    // Tiny TEC set: the reduced dense pencil is a handful of rows — the
-    // Schur reduction beats any sparse machinery there.
-    method = RunawayMethod::kSchur;
-    res.method_used = method;
+  linalg::ShiftInvertLanczosWorkspace local;
+  auto lanczos = linalg::ShiftInvertLanczos::smallest_positive(
+      system.matrix_g(), system.d_diagonal(), system.cholesky_symbolic(),
+      ws != nullptr ? *ws : local);
+  if (lanczos) {
+    res.lambda_m = lanczos->eigenvalue;
+    res.iterations = lanczos->iterations;
+    obs::MetricsRegistry::global().gauge("runaway.lambda_m").set(lanczos->eigenvalue);
+    TFC_SPAN_ATTR("lambda_m_a", lanczos->eigenvalue);
   }
-
-  switch (method) {
-    case RunawayMethod::kSparse: {
-      linalg::ShiftInvertLanczosOptions lo;
-      lo.rel_tol = options.sparse_rel_tol;
-      linalg::ShiftInvertLanczosWorkspace local;
-      auto lanczos = linalg::ShiftInvertLanczos::smallest_positive(
-          system.matrix_g(), system.d_diagonal(), system.cholesky_symbolic(),
-          ws != nullptr ? *ws : local, lo);
-      if (!lanczos) return report(std::nullopt);
-      res.iterations = lanczos->iterations;
-      return report(lanczos->eigenvalue);
-    }
-    case RunawayMethod::kSchur: {
-      SchurReduction red = schur_reduction(system);
-      if (!linalg::is_positive_definite(red.s0)) {
-        throw std::runtime_error("runaway_limit: Schur complement not positive definite");
-      }
-      return report(linalg::pencil_smallest_positive_eigenvalue(
-          red.s0, linalg::DenseMatrix::diagonal(red.d_diag), bis));
-    }
-    case RunawayMethod::kDenseBisect: {
-      const auto g = system.matrix_g().to_dense();
-      const auto d = linalg::DenseMatrix::diagonal(system.d_diagonal());
-      return report(linalg::pencil_smallest_positive_eigenvalue(g, d, bis));
-    }
-  }
-  throw std::logic_error("runaway_limit: unknown method");
+  TFC_LOG_DEBUG("runaway_limit", {"devices", system.model().hot_nodes().size()},
+                {"iterations", res.iterations},
+                {"lambda_m", res.lambda_m ? *res.lambda_m
+                                          : std::numeric_limits<double>::infinity()});
+  return res;
 }
 
 }  // namespace tfc::tec

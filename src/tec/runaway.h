@@ -7,81 +7,45 @@
 /// entry of (G − i·D)⁻¹ diverges — the chip overheats without bound in the
 /// steady-state model.
 ///
-/// Three computations are provided:
-///  - paper-faithful binary search with a Cholesky positive-definiteness
-///    probe on the full matrix (Section V.C.1, O(n³) per probe);
-///  - an exact reduction onto the TEC nodes: G − i·D differs from G only on
-///    hot/cold rows, so PD(G − i·D) ⇔ PD(S₀ − i·D_T) where
-///    S₀ = G_TT − G_TN·G_NN⁻¹·G_NT is the (current-independent!) Schur
-///    complement of G on the TEC block. One sparse factorization plus a tiny
-///    dense pencil replaces every large probe;
-///  - a sparse shift-invert Lanczos on the pencil (G, D) itself
-///    (linalg::ShiftInvertLanczos, the default): one sparse factorization
-///    through the system's shared symbolic analysis plus ≤ rank(D)+1
-///    triangular-solve iterations, residual-certified. No dense matrix is
-///    ever formed, so it is the only method that scales past the paper's
-///    12×12 grid.
+/// λ_m is computed one way on every path: a sparse shift-invert Lanczos on
+/// the pencil (G, D) itself (linalg::ShiftInvertLanczos) — one sparse
+/// factorization through the system's shared symbolic analysis, a few
+/// triangular-solve iterations, and a residual plus minimality certificate.
+/// No dense matrix is ever formed, so it scales past the paper's 12×12 grid.
+///
+/// The exact reduction onto the TEC nodes stays as a diagnostic and test
+/// oracle: G − i·D differs from G only on hot/cold rows, so
+/// PD(G − i·D) ⇔ PD(S₀ − i·D_T) where S₀ = G_TT − G_TN·G_NN⁻¹·G_NT is the
+/// (current-independent!) Schur complement of G on the TEC block.
 #pragma once
 
 #include <cstddef>
 #include <optional>
-#include <string_view>
+#include <vector>
 
 #include "linalg/lanczos.h"
 #include "tec/electro_thermal.h"
 
 namespace tfc::tec {
 
-/// How to compute λ_m.
-enum class RunawayMethod {
-  kSchur,        ///< exact dense reduction onto the TEC block
-  kDenseBisect,  ///< paper-faithful full-matrix binary search (test oracle)
-  kSparse,       ///< sparse shift-invert Lanczos, default
-};
-
-/// Stable lower-case name ("sparse", "schur", "dense") for CLI/JSON/metrics.
-const char* runaway_method_name(RunawayMethod method);
-
-/// Parse a runaway_method_name() string; nullopt for anything else.
-std::optional<RunawayMethod> parse_runaway_method(std::string_view name);
-
-/// "sparse|schur|dense" — for CLI help and error messages.
-const char* runaway_method_list();
-
-struct RunawayOptions {
-  RunawayMethod method = RunawayMethod::kSparse;
-  /// Bisection relative tolerance (schur / dense methods).
-  double rel_tol = 1e-10;
-  /// Residual certificate of the sparse Lanczos method:
-  /// ‖G·v − λ·D·v‖₂ ≤ sparse_rel_tol·‖G·v‖₂.
-  double sparse_rel_tol = 1e-9;
-  /// The sparse method falls back to the Schur reduction below this many
-  /// devices — the reduced dense pencil is then 2–4 rows and beats any
-  /// sparse machinery.
-  std::size_t sparse_min_devices = 2;
-};
-
-/// λ_m plus how it was obtained (the sparse method may fall back to Schur
-/// for tiny TEC sets — method_used records what actually ran).
+/// λ_m plus the Lanczos iteration count.
 struct RunawayResult {
   std::optional<double> lambda_m;
-  RunawayMethod method_used = RunawayMethod::kSchur;
-  /// Lanczos steps taken (0 for the bisection methods).
+  /// Lanczos steps taken.
   std::size_t iterations = 0;
 };
 
 /// Compute λ_m for the system. Returns nullopt when no finite limit exists
 /// (no TEC deployed, or D has no positive direction). Throws
-/// std::runtime_error if G itself is not positive definite.
-std::optional<double> runaway_limit(const ElectroThermalSystem& system,
-                                    const RunawayOptions& options = {});
+/// linalg::LanczosShiftError if G itself is not positive definite and
+/// linalg::LanczosNonConvergedError if the eigenvalue cannot be certified.
+std::optional<double> runaway_limit(const ElectroThermalSystem& system);
 
-/// As runaway_limit(), additionally reporting the method that actually ran
-/// and the Lanczos iteration count. \p ws, when given, supplies the Lanczos
-/// scratch (a pooled tec::SolveWorkspace::lanczos — zero allocations once
-/// warm); the sparse method allocates its own otherwise.
+/// As runaway_limit(), additionally reporting the Lanczos iteration count.
+/// \p ws, when given, supplies the Lanczos scratch (a pooled
+/// tec::SolveWorkspace::lanczos — zero allocations once warm); a local one
+/// is used otherwise.
 RunawayResult runaway_limit_ex(const ElectroThermalSystem& system,
-                               const RunawayOptions& options = {},
                                linalg::ShiftInvertLanczosWorkspace* ws = nullptr);
 
 /// The current-independent Schur complement S₀ of G on the TEC (hot ∪ cold)

@@ -3,10 +3,13 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include "core/chip.h"
 #include "io/json.h"
+#include "linalg/eigen.h"
 #include "obs/obs.h"
 #include "svc/client.h"
 #include "svc/server.h"
+#include "tec/runaway.h"
 
 #include <algorithm>
 #include <cctype>
@@ -147,27 +150,23 @@ double lambda_m_of(const std::string& out) {
   return std::stod(out.substr(pos + 11));
 }
 
-TEST(Cli, RunawayMethodFlagCrossValidates) {
-  // The same comparison the CI smoke job runs: every eigensolver must report
-  // the same λ_m to 1e-8 relative.
-  auto sparse = run({"runaway", "--chip", "alpha", "--runaway-method", "sparse"});
-  auto schur = run({"runaway", "--chip", "alpha", "--runaway-method", "schur"});
-  auto dense = run({"runaway", "--chip", "alpha", "--runaway-method", "dense"});
-  ASSERT_EQ(sparse.code, 0) << sparse.err;
-  ASSERT_EQ(schur.code, 0) << schur.err;
-  ASSERT_EQ(dense.code, 0) << dense.err;
-  const double a = lambda_m_of(sparse.out);
-  const double b = lambda_m_of(schur.out);
-  const double c = lambda_m_of(dense.out);
-  EXPECT_NEAR(a, b, 1e-8 * b);
-  EXPECT_NEAR(a, c, 1e-8 * c);
-}
-
-TEST(Cli, UnknownRunawayMethodIsUsageError) {
-  auto r = run({"runaway", "--chip", "alpha", "--runaway-method", "lobpcg"});
-  EXPECT_EQ(r.code, 2);
-  EXPECT_NE(r.err.find("unknown runaway method 'lobpcg'"), std::string::npos);
-  EXPECT_NE(r.err.find("sparse|schur|dense"), std::string::npos);
+TEST(Cli, RunawayHc1At87MatchesDenseOracle) {
+  // The Lanczos certificate holds on hc1's 87 °C deployment, and λ_m agrees
+  // with dense bisection on the exact Schur-reduced pencil to 1e-8.
+  auto r = run({"runaway", "--chip", "hc1", "--limit", "87"});
+  ASSERT_EQ(r.code, 0) << r.err;
+  const core::Chip chip = core::builtin_chip("hc1");
+  const core::DesignResult design = core::design_with_fallback(chip, 87.0, false);
+  const auto system = tec::ElectroThermalSystem::assemble(
+      chip.spec, design.deployment, chip.tile_powers,
+      tec::TecDeviceParams::chowdhury_superlattice());
+  const tec::SchurReduction red = tec::schur_reduction(system);
+  linalg::PencilBisectionOptions opts;
+  opts.rel_tol = 1e-12;
+  const auto oracle = linalg::pencil_smallest_positive_eigenvalue(
+      red.s0, linalg::DenseMatrix::diagonal(red.d_diag), opts);
+  ASSERT_TRUE(oracle.has_value());
+  EXPECT_NEAR(lambda_m_of(r.out), *oracle, 1e-8 * *oracle);
 }
 
 TEST(Cli, ValidateWithinPaperBound) {

@@ -2,8 +2,25 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <fstream>
+#include <limits>
+#include <sstream>
+#include <string>
+
+#include "core/chip.h"
+#include "io/design_json.h"
+#include "tec/runaway.h"
+
 namespace tfc::core {
 namespace {
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream ss;
+  ss << in.rdbuf();
+  return ss.str();
+}
 
 thermal::PackageGeometry small_geom() {
   thermal::PackageGeometry g;
@@ -40,28 +57,33 @@ TEST(CurrentOptimizer, ImprovesOverZeroCurrent) {
   EXPECT_LT(opt.current, *opt.lambda_m);
 }
 
-TEST(CurrentOptimizer, BrentMatchesGoldenWithFewerSolves) {
-  auto sys = deployed_system();
-  CurrentOptimizerOptions golden, brent;
-  golden.method = CurrentMethod::kGoldenSection;
-  brent.method = CurrentMethod::kBrent;
-  golden.current_tol = brent.current_tol = 1e-5;
-  auto a = optimize_current(sys, golden);
-  auto b = optimize_current(sys, brent);
-  EXPECT_TRUE(b.converged);
-  EXPECT_NEAR(a.current, b.current, 1e-3);
-  EXPECT_NEAR(a.peak_tile_temperature, b.peak_tile_temperature, 1e-4);
-  EXPECT_LT(b.objective_evaluations, a.objective_evaluations);
+/// The optimum's peak is no worse than the best of a 400-point grid on
+/// [0, kRunawayFraction·λ_m] (plus 1e-9 K) — an oracle independent of the
+/// section search.
+void expect_beats_grid(const engine::SolveContext& context) {
+  const CurrentOptimum opt = optimize_current(context);
+  ASSERT_TRUE(opt.lambda_m.has_value());
+  const std::size_t points = 400;
+  double best = std::numeric_limits<double>::infinity();
+  for (std::size_t s = 0; s < points; ++s) {
+    const double i = kRunawayFraction * *opt.lambda_m * double(s) / double(points - 1);
+    const auto peak = context.probe_peak(i);
+    ASSERT_TRUE(peak.has_value()) << "i = " << i;
+    best = std::min(best, *peak);
+  }
+  EXPECT_LE(opt.peak_tile_temperature, best + 1e-9);
 }
 
-TEST(CurrentOptimizer, GoldenSectionAndGradientDescentAgree) {
-  auto sys = deployed_system();
-  CurrentOptimizerOptions golden, grad;
-  grad.method = CurrentMethod::kGradientDescent;
-  auto a = optimize_current(sys, golden);
-  auto b = optimize_current(sys, grad);
-  EXPECT_NEAR(a.current, b.current, 0.05 * a.current + 0.02);
-  EXPECT_NEAR(a.peak_tile_temperature, b.peak_tile_temperature, 0.02);
+TEST(CurrentOptimizer, OptimumBeatsGridOracle) {
+  expect_beats_grid(engine::SolveContext(deployed_system()));
+}
+
+TEST(CurrentOptimizer, OptimumBeatsGridOracleOnAlphaGolden) {
+  const DesignResult golden = io::design_result_from_json(
+      read_file(std::string(TFC_TEST_DATA_DIR) + "/golden_design_alpha.json"));
+  const Chip alpha = builtin_chip("alpha");
+  expect_beats_grid(engine::SolveContext(alpha.spec, golden.deployment, alpha.tile_powers,
+                                         tec::TecDeviceParams::chowdhury_superlattice()));
 }
 
 TEST(CurrentOptimizer, OptimumIsLocalMinimum) {
@@ -110,17 +132,6 @@ TEST(CurrentOptimizer, ReportsOperatingPoint) {
   EXPECT_DOUBLE_EQ(opt.operating_point.peak_tile_temperature, opt.peak_tile_temperature);
   EXPECT_GT(opt.tec_input_power, 0.0);
   EXPECT_GT(opt.objective_evaluations, 10u);
-}
-
-TEST(CurrentOptimizer, TighterToleranceRefinesCurrent) {
-  auto sys = deployed_system();
-  CurrentOptimizerOptions coarse, fine;
-  coarse.current_tol = 0.5;
-  fine.current_tol = 1e-5;
-  auto a = optimize_current(sys, coarse);
-  auto b = optimize_current(sys, fine);
-  EXPECT_LE(b.peak_tile_temperature, a.peak_tile_temperature + 1e-9);
-  EXPECT_LT(b.objective_evaluations * 0 + std::abs(a.current - b.current), 0.5);
 }
 
 }  // namespace

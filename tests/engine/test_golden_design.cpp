@@ -3,8 +3,10 @@
 /// Table-1 chips with full cover — and stay byte-identical across every
 /// --backend and across thread counts. The design probe path is pinned to
 /// the direct sparse Cholesky refactorization precisely so the backend
-/// choice cannot perturb this output. The paper's package itself is pinned
-/// by a content hash of its assembled network at two deployments.
+/// choice cannot perturb this output. The sparse λ_m of the golden
+/// deployments is checked against dense bisection on the exact Schur-reduced
+/// pencil. The paper's package itself is pinned by a content hash of its
+/// assembled network at two deployments.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -13,13 +15,18 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cli/cli.h"
+#include "core/chip.h"
+#include "engine/solve_context.h"
 #include "io/design_json.h"
 #include "io/json.h"
+#include "linalg/eigen.h"
 #include "par/thread_pool.h"
 #include "tec/device.h"
+#include "tec/runaway.h"
 #include "thermal/package_model.h"
 
 namespace tfc {
@@ -107,6 +114,73 @@ INSTANTIATE_TEST_SUITE_P(Table1, FullCoverGolden,
                          [](const ::testing::TestParamInfo<const char*>& info) {
                            return std::string(info.param);
                          });
+
+/// Dense bisection on the exact Schur-reduced pencil (S₀, D_T): the λ_m
+/// oracle for deployment \p mask of built-in chip \p chip.
+double schur_oracle(const core::Chip& chip, const TileMask& mask) {
+  const auto system = tec::ElectroThermalSystem::assemble(
+      chip.spec, mask, chip.tile_powers, tec::TecDeviceParams::chowdhury_superlattice());
+  const tec::SchurReduction red = tec::schur_reduction(system);
+  linalg::PencilBisectionOptions opts;
+  opts.rel_tol = 1e-12;
+  const auto lm = linalg::pencil_smallest_positive_eigenvalue(
+      red.s0, linalg::DenseMatrix::diagonal(red.d_diag), opts);
+  EXPECT_TRUE(lm.has_value());
+  return lm.value_or(0.0);
+}
+
+double sparse_lambda(const core::Chip& chip, const TileMask& mask) {
+  const auto lm = engine::SolveContext(chip.spec, mask, chip.tile_powers,
+                                       tec::TecDeviceParams::chowdhury_superlattice())
+                      .runaway_limit();
+  EXPECT_TRUE(lm.has_value());
+  return lm.value_or(0.0);
+}
+
+/// The sparse λ_m of every Table-1 golden deployment matches the oracle.
+class RunawayOracle : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(RunawayOracle, SparseMatchesSchurPencilBisection) {
+  const std::string name = GetParam();
+  const auto golden =
+      io::design_result_from_json(fixture("golden_design_full_cover_" + name + ".json"));
+  ASSERT_FALSE(golden.deployment.empty());
+  const core::Chip chip = core::builtin_chip(name);
+  const double oracle = schur_oracle(chip, golden.deployment);
+  EXPECT_NEAR(sparse_lambda(chip, golden.deployment), oracle, 1e-8 * oracle);
+}
+
+INSTANTIATE_TEST_SUITE_P(Table1, RunawayOracle,
+                         ::testing::Values("alpha", "hc1", "hc2", "hc3", "hc4", "hc5",
+                                           "hc6", "hc7", "hc8", "hc9", "hc10"),
+                         [](const ::testing::TestParamInfo<const char*>& info) {
+                           return std::string(info.param);
+                         });
+
+TEST(SparseRunaway, MatchesOracleOnRelaxedLimitDesigns) {
+  // Deployments on which a K-image carried by recurrence drifts far enough to
+  // stop the Lanczos early on a spurious Ritz value.
+  const std::vector<std::pair<const char*, double>> cases = {
+      {"hc1", 87.0}, {"hc5", 80.0}, {"hc5", 81.0}};
+  for (const auto& [name, limit] : cases) {
+    const core::Chip chip = core::builtin_chip(name);
+    const core::DesignResult design = core::design_with_fallback(chip, limit, false);
+    ASSERT_FALSE(design.deployment.empty()) << name << " @ " << limit;
+    const double oracle = schur_oracle(chip, design.deployment);
+    EXPECT_NEAR(sparse_lambda(chip, design.deployment), oracle, 1e-8 * oracle)
+        << name << " @ " << limit;
+  }
+}
+
+TEST(SparseRunaway, DesignAndSolveContextAgreeBitwise) {
+  // One deployment, one λ_m: the design's and a fresh context's.
+  for (const char* name : {"alpha", "hc3", "hc7"}) {
+    const core::Chip chip = core::builtin_chip(name);
+    const core::DesignResult design = core::design_with_fallback(chip, 85.0, false);
+    ASSERT_TRUE(design.lambda_m.has_value()) << name;
+    EXPECT_EQ(*design.lambda_m, sparse_lambda(chip, design.deployment)) << name;
+  }
+}
 
 /// FNV-1a over the assembled network: G's CSR arrays, the ambient legs, the
 /// node capacitances and the TEC cold/hot node lists (native byte order).

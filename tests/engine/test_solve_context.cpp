@@ -204,7 +204,7 @@ TEST(SolveContext, RunawayLimitIsCachedUntilExtend) {
 
 TEST(SolveContext, RunawayDefaultsToSparseAndCountsEachComputation) {
   SolveContext ctx = make_context();
-  EXPECT_FALSE(ctx.cached_runaway_method().has_value());  // cold cache
+  EXPECT_FALSE(ctx.cached_runaway_limit().has_value());  // cold cache
 
   auto& sparse_counter = obs::MetricsRegistry::global().counter("engine.runaway.sparse");
   const std::uint64_t before = sparse_counter.value();
@@ -212,55 +212,15 @@ TEST(SolveContext, RunawayDefaultsToSparseAndCountsEachComputation) {
   ASSERT_TRUE(lm.has_value());
   EXPECT_EQ(sparse_counter.value(), before + 1);
 
-  const auto method = ctx.cached_runaway_method();
-  ASSERT_TRUE(method.has_value());
-  EXPECT_EQ(*method, tec::RunawayMethod::kSparse);
+  const auto cached = ctx.cached_runaway_limit();
+  ASSERT_TRUE(cached.has_value());
+  EXPECT_EQ(*cached, *lm);
 
   // Cache hits never re-run the eigensolve.
   const auto again = ctx.runaway_limit();
   ASSERT_TRUE(again.has_value());
   EXPECT_EQ(*again, *lm);
   EXPECT_EQ(sparse_counter.value(), before + 1);
-}
-
-TEST(SolveContext, RunawayMethodsAgreeThroughTheContext) {
-  SolveContext ctx = make_context();
-  const auto sparse = ctx.runaway_limit();  // engine default: sparse Lanczos
-  tec::RunawayOptions schur, dense;
-  schur.method = tec::RunawayMethod::kSchur;
-  dense.method = tec::RunawayMethod::kDenseBisect;
-  const auto via_schur = ctx.runaway_limit(schur);
-  const auto via_dense = ctx.runaway_limit(dense);
-  ASSERT_TRUE(sparse && via_schur && via_dense);
-  EXPECT_NEAR(*sparse, *via_schur, 1e-8 * *via_schur);
-  EXPECT_NEAR(*sparse, *via_dense, 1e-8 * *via_dense);
-}
-
-TEST(SolveContext, RunawayRecordsSchurFallbackForTinyDeployments) {
-  TileMask one(4, 4);
-  one.set(1, 1);
-  SolveContext ctx(small_geom(), one, small_powers(),
-                   tec::TecDeviceParams::chowdhury_superlattice());
-  ASSERT_EQ(ctx.device_count(), 1u);  // below sparse_min_devices
-
-  auto& schur_counter = obs::MetricsRegistry::global().counter("engine.runaway.schur");
-  const std::uint64_t before = schur_counter.value();
-  ASSERT_TRUE(ctx.runaway_limit().has_value());
-  EXPECT_EQ(schur_counter.value(), before + 1);
-  const auto method = ctx.cached_runaway_method();
-  ASSERT_TRUE(method.has_value());
-  EXPECT_EQ(*method, tec::RunawayMethod::kSchur);  // the fallback is recorded
-}
-
-TEST(SolveContext, AuditCertificateNamesTheRunawayMethod) {
-  SolveContext ctx = make_context();
-  const auto lm = ctx.runaway_limit();
-  ASSERT_TRUE(lm.has_value());
-  const auto op = ctx.solve_probe(0.5 * *lm);
-  ASSERT_TRUE(op.has_value());
-  const auto cert = ctx.audit(*op);
-  ASSERT_TRUE(cert.has_lambda_margin);
-  EXPECT_EQ(cert.lambda_method, "sparse");
 }
 
 TEST(SolveContext, AdoptingConstructorRecoversInstalledPowers) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "linalg/cholesky.h"
+#include "linalg/eigen.h"
 #include "linalg/properties.h"
 
 namespace tfc::tec {
@@ -28,80 +29,57 @@ ElectroThermalSystem make_system(std::size_t num_tecs = 3) {
                                         TecDeviceParams::chowdhury_superlattice());
 }
 
+/// The paper-faithful oracle: dense bisection on the full pencil (G, D).
+std::optional<double> dense_oracle(const ElectroThermalSystem& sys) {
+  linalg::PencilBisectionOptions opts;
+  opts.rel_tol = 1e-12;
+  return linalg::pencil_smallest_positive_eigenvalue(
+      sys.matrix_g().to_dense(), linalg::DenseMatrix::diagonal(sys.d_diagonal()), opts);
+}
+
 TEST(Runaway, SchurAndDenseAgree) {
-  auto sys = make_system();
-  RunawayOptions schur, dense;
-  schur.method = RunawayMethod::kSchur;
-  dense.method = RunawayMethod::kDenseBisect;
-  auto a = runaway_limit(sys, schur);
-  auto b = runaway_limit(sys, dense);
-  ASSERT_TRUE(a && b);
-  EXPECT_NEAR(*a, *b, 1e-5 * *a);
+  // schur_reduction is exact: dense bisection on the reduced pencil (S₀, D_T)
+  // finds the full pencil's λ_m.
+  for (std::size_t devices : {1u, 2u, 3u}) {
+    auto sys = make_system(devices);
+    auto red = schur_reduction(sys);
+    linalg::PencilBisectionOptions opts;
+    opts.rel_tol = 1e-12;
+    auto reduced = linalg::pencil_smallest_positive_eigenvalue(
+        red.s0, linalg::DenseMatrix::diagonal(red.d_diag), opts);
+    auto full = dense_oracle(sys);
+    ASSERT_TRUE(reduced && full) << devices << " devices";
+    EXPECT_NEAR(*reduced, *full, 1e-8 * *full) << devices << " devices";
+  }
 }
 
 TEST(Runaway, SparseAgreesWithDenseOracleTo1e8) {
-  auto sys = make_system();
-  RunawayOptions sparse, dense;
-  sparse.method = RunawayMethod::kSparse;
-  dense.method = RunawayMethod::kDenseBisect;
-  auto a = runaway_limit(sys, sparse);
-  auto b = runaway_limit(sys, dense);
-  ASSERT_TRUE(a && b);
-  EXPECT_NEAR(*a, *b, 1e-8 * *b);
+  // One to three devices: the smallest TEC sets, down to a rank-2 D.
+  for (std::size_t devices : {1u, 2u, 3u}) {
+    auto sys = make_system(devices);
+    auto a = runaway_limit(sys);
+    auto b = dense_oracle(sys);
+    ASSERT_TRUE(a && b) << devices << " devices";
+    EXPECT_NEAR(*a, *b, 1e-8 * *b) << devices << " devices";
+  }
 }
 
 TEST(Runaway, SparseIsTheDefaultMethod) {
-  RunawayOptions defaults;
-  EXPECT_EQ(defaults.method, RunawayMethod::kSparse);
   auto r = runaway_limit_ex(make_system());
-  EXPECT_EQ(r.method_used, RunawayMethod::kSparse);
   ASSERT_TRUE(r.lambda_m.has_value());
   EXPECT_GT(r.iterations, 0u);
   // Krylov exhaustion bound: ≤ rank(D)+1 = 2·devices+1 steps.
   EXPECT_LE(r.iterations, 2u * 3u + 1u);
 }
 
-TEST(Runaway, SparseFallsBackToSchurForTinyTecSets) {
-  RunawayOptions opts;
-  opts.method = RunawayMethod::kSparse;
-  opts.sparse_min_devices = 2;
-  auto r = runaway_limit_ex(make_system(1), opts);
-  EXPECT_EQ(r.method_used, RunawayMethod::kSchur);
-  ASSERT_TRUE(r.lambda_m.has_value());
-  EXPECT_EQ(r.iterations, 0u);
-
-  // At the threshold the sparse path runs for real.
-  auto r2 = runaway_limit_ex(make_system(2), opts);
-  EXPECT_EQ(r2.method_used, RunawayMethod::kSparse);
-  ASSERT_TRUE(r2.lambda_m.has_value());
-  RunawayOptions schur;
-  schur.method = RunawayMethod::kSchur;
-  auto oracle = runaway_limit(make_system(2), schur);
-  ASSERT_TRUE(oracle.has_value());
-  EXPECT_NEAR(*r2.lambda_m, *oracle, 1e-8 * *oracle);
-}
-
 TEST(Runaway, SparseReusesPooledWorkspace) {
   auto sys = make_system();
-  RunawayOptions opts;
-  opts.method = RunawayMethod::kSparse;
   linalg::ShiftInvertLanczosWorkspace ws;
-  auto cold = runaway_limit_ex(sys, opts, &ws);
-  auto warm = runaway_limit_ex(sys, opts, &ws);
+  auto cold = runaway_limit_ex(sys, &ws);
+  auto warm = runaway_limit_ex(sys, &ws);
   ASSERT_TRUE(cold.lambda_m && warm.lambda_m);
   EXPECT_EQ(*cold.lambda_m, *warm.lambda_m);  // bit-identical on a warm ws
   EXPECT_EQ(cold.iterations, warm.iterations);
-}
-
-TEST(Runaway, MethodNamesRoundTrip) {
-  for (RunawayMethod m :
-       {RunawayMethod::kSparse, RunawayMethod::kSchur, RunawayMethod::kDenseBisect}) {
-    auto parsed = parse_runaway_method(runaway_method_name(m));
-    ASSERT_TRUE(parsed.has_value());
-    EXPECT_EQ(*parsed, m);
-  }
-  EXPECT_FALSE(parse_runaway_method("lobpcg").has_value());
-  EXPECT_STREQ(runaway_method_list(), "sparse|schur|dense");
 }
 
 TEST(Runaway, NoTecsGivesNoLimit) {
