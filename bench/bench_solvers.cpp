@@ -55,18 +55,6 @@ void BM_SteadySolve_SparseCholesky(benchmark::State& state) {
 }
 BENCHMARK(BM_SteadySolve_SparseCholesky)->Arg(1)->Arg(2)->Arg(3);
 
-void BM_SteadySolve_SparseCholeskyMinDegree(benchmark::State& state) {
-  auto sys = make_system(std::size_t(state.range(0)));
-  const auto a = sys.system_matrix(4.0);
-  const auto b = sys.rhs(4.0);
-  for (auto _ : state) {
-    auto f = linalg::SparseCholeskyFactor::factor(a, linalg::FillOrdering::kMinDegree);
-    benchmark::DoNotOptimize(f->solve(b));
-  }
-  state.counters["nodes"] = double(sys.node_count());
-}
-BENCHMARK(BM_SteadySolve_SparseCholeskyMinDegree)->Arg(1)->Arg(2)->Arg(3);
-
 void BM_SteadySolve_DenseCholesky(benchmark::State& state) {
   auto sys = make_system(std::size_t(state.range(0)));
   const auto a = sys.system_matrix(4.0).to_dense();

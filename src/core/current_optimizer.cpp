@@ -1,48 +1,10 @@
 #include "core/current_optimizer.h"
 
-#include <limits>
 #include <stdexcept>
-#include <vector>
 
 #include "obs/obs.h"
-#include "par/parallel.h"
 
 namespace tfc::core {
-
-namespace {
-
-/// Iterated section search on [0, hi]: each round probes kSectionProbes
-/// evenly spaced currents and keeps the two gaps around the best one.
-CurrentOptimum section_search(const engine::SolveContext& context, double hi) {
-  CurrentOptimum res;
-  constexpr std::size_t k = kSectionProbes;
-  double a = 0.0, b = hi;
-  std::vector<double> xs(k);
-  while (b - a > kCurrentTol && res.objective_evaluations + k <= kMaxEvaluations) {
-    for (std::size_t j = 0; j < k; ++j) {
-      xs[j] = a + (b - a) * double(j + 1) / double(k + 1);
-    }
-    // Objective: peak silicon tile temperature; +∞ past λ_m.
-    const std::vector<double> fs = par::parallel_map(k, [&](std::size_t j) {
-      auto peak = context.probe_peak(xs[j]);
-      return peak ? *peak : std::numeric_limits<double>::infinity();
-    });
-    res.objective_evaluations += k;
-    // First minimum wins: a deterministic tie-break, and for a convex
-    // objective the left-most minimizer of the sampled values.
-    std::size_t m = 0;
-    for (std::size_t j = 1; j < k; ++j) {
-      if (fs[j] < fs[m]) m = j;
-    }
-    a = (m == 0) ? a : xs[m - 1];
-    b = (m == k - 1) ? b : xs[m + 1];
-  }
-  res.current = 0.5 * (a + b);
-  res.converged = (b - a) <= kCurrentTol;
-  return res;
-}
-
-}  // namespace
 
 CurrentOptimum optimize_current(const engine::SolveContext& context) {
   TFC_SPAN("optimize_current");
@@ -70,10 +32,22 @@ CurrentOptimum optimize_current(const engine::SolveContext& context) {
                                  : 4.0 * system.device().max_pumping_current(
                                              system.model().ambient() + 60.0);
 
-  const CurrentOptimum inner = section_search(context, hi);
-  res.current = inner.current;
-  res.converged = inner.converged;
-  res.objective_evaluations = inner.objective_evaluations;
+  double a = 0.0, b = hi;
+  while (b - a > kCurrentTol && res.objective_evaluations < kMaxEvaluations) {
+    const double mid = 0.5 * (a + b);
+    double slope = 0.0;
+    const bool solvable = context.probe_peak(mid, &slope).has_value();
+    ++res.objective_evaluations;
+    if (!solvable || slope > 0.0) {
+      b = mid;
+    } else if (slope < 0.0) {
+      a = mid;
+    } else {
+      a = b = mid;  // a stationary point of the convex objective
+    }
+  }
+  res.current = 0.5 * (a + b);
+  res.converged = (b - a) <= kCurrentTol;
 
   auto op = context.solve_probe(res.current);
   if (!op) throw std::runtime_error("optimize_current: optimum not solvable");

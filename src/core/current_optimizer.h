@@ -4,12 +4,14 @@
 /// 0 ≤ i < λ_m.
 ///
 /// Under Conjecture 1 the objective is convex on [0, λ_m) (Theorem 3 + the
-/// Theorem 4 certificate), so an iterated section search finds the global
-/// optimum: every round solves kSectionProbes fixed probe currents
-/// concurrently (tfc::par) and shrinks the bracket around the best probe by
-/// ≈ 2/(kSectionProbes+1). The probe set depends only on the bracket —
-/// never on the thread count — so the result is bit-identical for any pool
-/// size.
+/// Theorem 4 certificate), so the derivative dθ_k*/di of an arg-max tile k*
+/// is a subgradient and its sign says which half of the bracket holds the
+/// minimizer. The search is Section V's descent with a bracket in place of
+/// a step size: bisect [0, kRunawayFraction·λ_m] on that sign down to
+/// kCurrentTol — a positive slope or a failed factorization (i ≥ λ_m) moves
+/// the right end, a negative slope the left end, a zero slope stops. Every
+/// probe is serial and deterministic, so the result is bit-identical for
+/// any pool size.
 #pragma once
 
 #include <cstddef>
@@ -24,8 +26,6 @@ namespace tfc::core {
 inline constexpr double kRunawayFraction = 0.999;
 /// Absolute tolerance on the current [A].
 inline constexpr double kCurrentTol = 1e-4;
-/// Probes per round of the section search.
-inline constexpr std::size_t kSectionProbes = 8;
 /// Objective-evaluation budget of one search.
 inline constexpr std::size_t kMaxEvaluations = 200;
 

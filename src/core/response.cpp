@@ -51,14 +51,8 @@ linalg::Vector ResponseEvaluator::theta() const {
 }
 
 linalg::Vector ResponseEvaluator::theta_derivative() const {
-  linalg::Vector th = theta();
-  const auto& d = system_->d_diagonal();
-  linalg::Vector b(th.size());
-  for (std::size_t k = 0; k < th.size(); ++k) b[k] = d[k] * th[k];
-  // p′(i): d/di of the Joule halves r·i²/2 → r·i at each plate.
-  const double ri = system_->device().resistance * i_;
-  for (std::size_t hot : system_->model().hot_nodes()) b[hot] += ri;
-  for (std::size_t cold : system_->model().cold_nodes()) b[cold] += ri;
+  linalg::Vector b;
+  system_->theta_derivative_rhs_into(i_, theta(), b);
   return factor_.solve(b);
 }
 

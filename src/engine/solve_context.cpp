@@ -126,16 +126,25 @@ void SolveContext::invalidate_runaway_cache() {
   runaway_cache_.reset();
 }
 
-std::optional<double> SolveContext::probe_peak(double i) const {
+std::optional<double> SolveContext::probe_peak(double i, double* slope) const {
   TFC_SPAN("engine_probe");
   const auto t0 = std::chrono::steady_clock::now();
   WorkspaceLease ws(*this);
   std::optional<double> peak;
   if (system_.factorize_into(i, *ws)) {
+    const thermal::PackageModel& model = system_.model();
     system_.rhs_into(i, ws->rhs);
     ws->factor.solve_into(ws->rhs, ws->theta, ws->solve_scratch);
-    system_.model().tile_temperatures_into(ws->theta, ws->tiles);
-    peak = linalg::max_entry(ws->tiles);
+    model.tile_temperatures_into(ws->theta, ws->tiles);
+    const std::size_t hottest = linalg::argmax(ws->tiles);
+    peak = ws->tiles[hottest];
+    if (slope != nullptr) {
+      // dθ/di = H·(D·θ + p′), solved in place in the rhs buffer.
+      system_.theta_derivative_rhs_into(i, ws->theta, ws->rhs);
+      ws->factor.solve_into(ws->rhs, ws->rhs, ws->solve_scratch);
+      model.tile_temperatures_into(ws->rhs, ws->tiles);
+      *slope = ws->tiles[hottest];
+    }
   }
   record_solve(Backend::kCholesky, t0);
   return peak;

@@ -35,7 +35,7 @@ namespace tfc::engine {
 /// Reusable solve engine for one (growing) deployment.
 ///
 /// Thread model: probe_peak / solve_probe / solve / runaway_limit are const
-/// and safe to call concurrently (the tfc::par candidate probes). extend()
+/// and safe to call concurrently (service sessions, tfc::par sweeps). extend()
 /// and set_deployment() mutate the context and must not race any solve.
 class SolveContext {
  public:
@@ -80,8 +80,11 @@ class SolveContext {
   /// Zero-allocation positive-definiteness + peak-temperature probe at
   /// current \p i via the direct sparse refactorization: nullopt when
   /// G − i·D is not positive definite (i ≥ λ_m) or i < 0, else the peak
-  /// silicon tile temperature [K]. The Problem 2 objective.
-  std::optional<double> probe_peak(double i) const;
+  /// silicon tile temperature [K] — the Problem 2 objective. When \p slope
+  /// is non-null it also receives dθ_k*/di [K/A] of the lowest-index arg-max
+  /// tile k*, a subgradient of the objective, from the same factor plus one
+  /// triangular solve of H·(D·θ + p′).
+  std::optional<double> probe_peak(double i, double* slope = nullptr) const;
 
   /// Full operating point via the direct sparse refactorization (the same
   /// pinned probe backend as probe_peak; workspace-pooled).

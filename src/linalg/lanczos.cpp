@@ -335,7 +335,7 @@ std::optional<ShiftInvertLanczosResult> ShiftInvertLanczos::smallest_positive(
 
 std::optional<ShiftInvertLanczosResult> ShiftInvertLanczos::smallest_positive(
     const SparseMatrix& g, const Vector& d, const ShiftInvertLanczosOptions& opts) {
-  const SparseCholeskySymbolic symbolic = SparseCholeskySymbolic::analyze(g, opts.ordering);
+  const SparseCholeskySymbolic symbolic = SparseCholeskySymbolic::analyze(g);
   ShiftInvertLanczosWorkspace ws;
   return smallest_positive(g, d, symbolic, ws, opts);
 }

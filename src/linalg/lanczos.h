@@ -87,9 +87,6 @@ struct ShiftInvertLanczosOptions {
   /// When K = G − σD is not positive definite, retry once at σ = 0 instead
   /// of throwing LanczosShiftError (metric linalg.lanczos.reshifts).
   bool allow_reshift = true;
-  /// Fill-reducing ordering for the convenience overload that runs its own
-  /// symbolic analysis.
-  FillOrdering ordering = FillOrdering::kRcm;
 };
 
 struct ShiftInvertLanczosResult {

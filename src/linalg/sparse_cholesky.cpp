@@ -20,8 +20,7 @@ double ms_since(std::chrono::steady_clock::time_point t0) {
 
 }  // namespace
 
-SparseCholeskySymbolic SparseCholeskySymbolic::analyze(const SparseMatrix& a,
-                                                       FillOrdering ordering) {
+SparseCholeskySymbolic SparseCholeskySymbolic::analyze(const SparseMatrix& a) {
   if (!a.square()) throw std::invalid_argument("SparseCholeskySymbolic: matrix not square");
   TFC_SPAN("sparse_analyze");
   const auto t0 = std::chrono::steady_clock::now();
@@ -29,17 +28,7 @@ SparseCholeskySymbolic SparseCholeskySymbolic::analyze(const SparseMatrix& a,
 
   SparseCholeskySymbolic s;
   s.n_ = n;
-  switch (ordering) {
-    case FillOrdering::kNatural:
-      s.perm_ = identity_permutation(n);
-      break;
-    case FillOrdering::kRcm:
-      s.perm_ = reverse_cuthill_mckee(a);
-      break;
-    case FillOrdering::kMinDegree:
-      s.perm_ = minimum_degree(a);
-      break;
-  }
+  s.perm_ = approximate_minimum_degree(a);
   s.inv_perm_ = invert_permutation(s.perm_);
   s.a_row_ptr_ = a.row_ptr();
   s.a_col_idx_ = a.col_idx();
@@ -113,9 +102,16 @@ SparseCholeskySymbolic SparseCholeskySymbolic::analyze(const SparseMatrix& a,
     s.lpat_ptr_.push_back(s.lpat_idx_.size());
   }
 
-  obs::MetricsRegistry::global()
-      .histogram("cholesky.sparse.analyze_ms")
-      .record(ms_since(t0));
+  const std::size_t nnz = s.factor_nnz();
+  TFC_SPAN_ATTR("nnz_l", nnz);
+  auto& metrics = obs::MetricsRegistry::global();
+  metrics.histogram("cholesky.sparse.analyze_ms").record(ms_since(t0));
+  metrics.histogram("cholesky.sparse.factor_nnz").record(double(nnz));
+  // Fill-in relative to the lower triangle of A (diagonal included).
+  const std::size_t a_lower = (a.values().size() + n) / 2;
+  if (a_lower > 0) {
+    metrics.histogram("cholesky.sparse.fill_ratio").record(double(nnz) / double(a_lower));
+  }
   return s;
 }
 
@@ -210,28 +206,17 @@ std::optional<SparseCholeskyFactor> SparseCholeskySymbolic::refactorize(
   return f;
 }
 
-std::optional<SparseCholeskyFactor> SparseCholeskyFactor::factor(const SparseMatrix& a,
-                                                                 FillOrdering ordering) {
+std::optional<SparseCholeskyFactor> SparseCholeskyFactor::factor(const SparseMatrix& a) {
   TFC_SPAN("sparse_factor");
   TFC_SPAN_ATTR("n", a.rows());
   const auto t0 = std::chrono::steady_clock::now();
-  const SparseCholeskySymbolic symbolic = SparseCholeskySymbolic::analyze(a, ordering);
+  const SparseCholeskySymbolic symbolic = SparseCholeskySymbolic::analyze(a);
   auto f = symbolic.numeric(a);
 
   auto& metrics = obs::MetricsRegistry::global();
   metrics.counter("cholesky.sparse.factors").increment();
   metrics.histogram("cholesky.sparse.factor_ms").record(ms_since(t0));
-  if (!f) {
-    metrics.counter("cholesky.sparse.not_pd").increment();
-    return f;
-  }
-  const std::size_t nnz = f->factor_nnz();
-  metrics.histogram("cholesky.sparse.factor_nnz").record(double(nnz));
-  // Fill-in relative to the lower triangle of A (diagonal included).
-  const std::size_t a_lower = (a.values().size() + a.rows()) / 2;
-  if (a_lower > 0) {
-    metrics.histogram("cholesky.sparse.fill_ratio").record(double(nnz) / double(a_lower));
-  }
+  if (!f) metrics.counter("cholesky.sparse.not_pd").increment();
   return f;
 }
 

@@ -9,10 +9,10 @@
 /// (`SparseCholeskySymbolic::analyze`) and every candidate/current probe only
 /// reruns the numeric sweep (`refactorize`). The numeric phase is `const`
 /// and allocates its own workspaces, so concurrent probes from the tfc::par
-/// pool are safe. An optional reverse Cuthill–McKee or minimum-degree
-/// pre-ordering keeps fill low on grid networks. Like the dense variant, a
-/// failed numeric phase doubles as a negative positive-definiteness probe
-/// (Theorem 1 binary search).
+/// pool are safe. The one fill-reducing ordering is the approximate minimum
+/// degree (linalg/ordering.h). Like the dense variant, a failed numeric
+/// phase doubles as a negative positive-definiteness probe (Theorem 1
+/// binary search).
 #pragma once
 
 #include <cstddef>
@@ -26,13 +26,6 @@ namespace tfc::linalg {
 
 class SparseCholeskySymbolic;
 
-/// Fill-reducing pre-ordering choice for the sparse factorization.
-enum class FillOrdering {
-  kNatural,    ///< no reordering
-  kRcm,        ///< reverse Cuthill–McKee (bandwidth): good for planar grids
-  kMinDegree,  ///< greedy minimum degree: far better on refined/3-D stacks
-};
-
 /// Sparse Cholesky factor with an embedded symmetric pre-ordering.
 class SparseCholeskyFactor {
  public:
@@ -45,13 +38,7 @@ class SparseCholeskyFactor {
   /// convenience: runs the symbolic analysis and the numeric phase back to
   /// back; for repeated factorizations of one pattern use
   /// SparseCholeskySymbolic.
-  static std::optional<SparseCholeskyFactor> factor(
-      const SparseMatrix& a, FillOrdering ordering = FillOrdering::kRcm);
-
-  /// Back-compat convenience: RCM on/off.
-  static std::optional<SparseCholeskyFactor> factor(const SparseMatrix& a, bool use_rcm) {
-    return factor(a, use_rcm ? FillOrdering::kRcm : FillOrdering::kNatural);
-  }
+  static std::optional<SparseCholeskyFactor> factor(const SparseMatrix& a);
 
   std::size_t dim() const { return n_; }
 
@@ -95,10 +82,11 @@ class SparseCholeskyFactor {
 /// analysis can serve concurrent numeric factorizations.
 class SparseCholeskySymbolic {
  public:
-  /// Analyze the pattern of square \p a (full symmetric storage). Values are
-  /// ignored — only row_ptr/col_idx matter.
-  static SparseCholeskySymbolic analyze(const SparseMatrix& a,
-                                        FillOrdering ordering = FillOrdering::kRcm);
+  /// Analyze the pattern of square \p a (full symmetric storage) under the
+  /// approximate minimum degree ordering. Values are ignored — only
+  /// row_ptr/col_idx matter. Records nnz(L) and the fill ratio
+  /// (cholesky.sparse.factor_nnz / fill_ratio), one sample per analysis.
+  static SparseCholeskySymbolic analyze(const SparseMatrix& a);
 
   std::size_t dim() const { return n_; }
 

@@ -5,6 +5,8 @@
 #include <random>
 #include <stdexcept>
 
+#include "par/parallel.h"
+
 namespace tfc::power {
 
 namespace {
@@ -81,13 +83,11 @@ ActivityTrace WorkloadSynthesizer::synthesize(const std::string& benchmark_name)
 }
 
 std::vector<ActivityTrace> WorkloadSynthesizer::synthesize_suite(std::size_t count) const {
-  std::vector<ActivityTrace> suite;
-  suite.reserve(count);
-  for (std::size_t k = 0; k < count; ++k) {
-    std::string name = "bench" + std::string(k < 10 ? "0" : "") + std::to_string(k);
-    suite.push_back(synthesize(name));
-  }
-  return suite;
+  // Each benchmark seeds its own generator from its name, so the traces are
+  // independent and synthesizing them concurrently is deterministic.
+  return par::parallel_map(count, [this](std::size_t k) {
+    return synthesize("bench" + std::string(k < 10 ? "0" : "") + std::to_string(k));
+  });
 }
 
 PowerProfile worst_case_profile(const floorplan::Floorplan& plan,

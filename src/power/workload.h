@@ -60,7 +60,8 @@ class WorkloadSynthesizer {
   /// Synthesize one named benchmark's trace (deterministic in the name).
   ActivityTrace synthesize(const std::string& benchmark_name) const;
 
-  /// Synthesize a suite of \p count benchmarks ("bench00", "bench01", …).
+  /// Synthesize a suite of \p count benchmarks ("bench00", "bench01", …),
+  /// concurrently on the tfc::par pool (identical traces for any pool size).
   std::vector<ActivityTrace> synthesize_suite(std::size_t count) const;
 
  private:

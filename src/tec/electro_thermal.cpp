@@ -158,6 +158,18 @@ void ElectroThermalSystem::rhs_into(double i, linalg::Vector& out) const {
   }
 }
 
+void ElectroThermalSystem::theta_derivative_rhs_into(double i,
+                                                     const linalg::Vector& theta,
+                                                     linalg::Vector& out) const {
+  const std::size_t n = theta.size();
+  out.resize(n);
+  for (std::size_t k = 0; k < n; ++k) out[k] = d_diag_[k] * theta[k];
+  // p′(i): d/di of the Joule halves r·i²/2 → r·i at each plate.
+  const double ri = device_.resistance * i;
+  for (std::size_t hot : model_.hot_nodes()) out[hot] += ri;
+  for (std::size_t cold : model_.cold_nodes()) out[cold] += ri;
+}
+
 std::optional<OperatingPoint> ElectroThermalSystem::solve(
     double i, const thermal::SteadyStateOptions& options, SolveWorkspace* ws) const {
   if (i < 0.0) return std::nullopt;

@@ -158,6 +158,12 @@ class ElectroThermalSystem {
   /// arithmetic to rhs().
   void rhs_into(double i, linalg::Vector& out) const;
 
+  /// Right-hand side of dθ/di = H(i)·(D·θ + p′(i)) into caller-owned storage
+  /// (resized to node_count()): D·θ plus p′ = r·i on every hot/cold node.
+  /// \p theta must be the solution at \p i and must not alias \p out.
+  void theta_derivative_rhs_into(double i, const linalg::Vector& theta,
+                                 linalg::Vector& out) const;
+
   /// Solve (G − i·D)θ = p(i). Returns nullopt when the matrix is no longer
   /// positive definite (i ≥ λ_m: thermal runaway) or i < 0. Passing a
   /// caller-owned \p ws reuses its pencil/factor/rhs buffers instead of

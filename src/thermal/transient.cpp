@@ -34,11 +34,8 @@ TransientSolver::TransientSolver(
   if (symbolic != nullptr) {
     symbolic_ = std::move(symbolic);
   } else {
-    // Minimum-degree ordering: its larger one-off ordering cost is repaid
-    // many times over by the denser-factor-free solves this integrator
-    // performs at every step.
     symbolic_ = std::make_shared<const linalg::SparseCholeskySymbolic>(
-        linalg::SparseCholeskySymbolic::analyze(a_, linalg::FillOrdering::kMinDegree));
+        linalg::SparseCholeskySymbolic::analyze(a_));
   }
   refactorize();
 }

@@ -9,6 +9,7 @@
 #include <string>
 
 #include "core/chip.h"
+#include "core/response.h"
 #include "io/design_json.h"
 #include "tec/runaway.h"
 
@@ -84,6 +85,48 @@ TEST(CurrentOptimizer, OptimumBeatsGridOracleOnAlphaGolden) {
   const Chip alpha = builtin_chip("alpha");
   expect_beats_grid(engine::SolveContext(alpha.spec, golden.deployment, alpha.tile_powers,
                                          tec::TecDeviceParams::chowdhury_superlattice()));
+}
+
+/// probe_peak's slope is dθ_k*/di of the lowest-index hottest tile, as the
+/// ResponseEvaluator oracle computes it from its own factorization.
+void expect_slope_matches_oracle(const engine::SolveContext& context) {
+  const tec::ElectroThermalSystem& system = context.system();
+  const auto lambda_m = context.runaway_limit();
+  ASSERT_TRUE(lambda_m.has_value());
+  for (double frac : {0.0, 0.02, 0.3, 0.7, 0.95}) {
+    const double i = frac * *lambda_m;
+    double slope = 0.0;
+    const auto peak = context.probe_peak(i, &slope);
+    ASSERT_TRUE(peak.has_value()) << "i = " << i;
+    const auto oracle = ResponseEvaluator::at(system, i);
+    ASSERT_TRUE(oracle.has_value());
+    const linalg::Vector tiles = system.model().tile_temperatures(oracle->theta());
+    const std::size_t hottest = linalg::argmax(tiles);
+    const double expected =
+        system.model().tile_temperatures(oracle->theta_derivative())[hottest];
+    EXPECT_NEAR(*peak, tiles[hottest], 1e-12 * tiles[hottest]) << "i = " << i;
+    EXPECT_NEAR(slope, expected, 1e-12 * std::abs(expected)) << "i = " << i;
+  }
+}
+
+TEST(CurrentOptimizer, ProbeSlopeMatchesThetaDerivative) {
+  expect_slope_matches_oracle(engine::SolveContext(deployed_system()));
+  const DesignResult golden = io::design_result_from_json(
+      read_file(std::string(TFC_TEST_DATA_DIR) + "/golden_design_alpha.json"));
+  const Chip alpha = builtin_chip("alpha");
+  expect_slope_matches_oracle(
+      engine::SolveContext(alpha.spec, golden.deployment, alpha.tile_powers,
+                           tec::TecDeviceParams::chowdhury_superlattice()));
+}
+
+TEST(CurrentOptimizer, ProbePastRunawayLimitIsNullopt) {
+  const engine::SolveContext context(deployed_system());
+  const auto lambda_m = context.runaway_limit();
+  ASSERT_TRUE(lambda_m.has_value());
+  double slope = 0.0;
+  EXPECT_FALSE(context.probe_peak(1.001 * *lambda_m, &slope).has_value());
+  EXPECT_FALSE(context.probe_peak(1.001 * *lambda_m).has_value());
+  EXPECT_TRUE(context.probe_peak(0.999 * *lambda_m, &slope).has_value());
 }
 
 TEST(CurrentOptimizer, OptimumIsLocalMinimum) {

@@ -6,7 +6,9 @@
 /// choice cannot perturb this output. The sparse λ_m of the golden
 /// deployments is checked against dense bisection on the exact Schur-reduced
 /// pencil. The paper's package itself is pinned by a content hash of its
-/// assembled network at two deployments.
+/// assembled network at two deployments. The approximate minimum degree
+/// fill of those pencils and the probe count of the current bisection on
+/// the golden deployments are pinned exactly.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -18,16 +20,21 @@
 #include <utility>
 #include <vector>
 
+#include <unistd.h>
+
 #include "cli/cli.h"
 #include "core/chip.h"
+#include "core/current_optimizer.h"
 #include "engine/solve_context.h"
 #include "io/design_json.h"
 #include "io/json.h"
 #include "linalg/eigen.h"
+#include "obs/metrics.h"
 #include "par/thread_pool.h"
 #include "tec/device.h"
 #include "tec/runaway.h"
 #include "thermal/package_model.h"
+#include "thermal/stack_spec.h"
 
 namespace tfc {
 namespace {
@@ -41,7 +48,9 @@ std::string slurp(const std::string& path) {
 
 std::string design_json(const std::vector<std::string>& extra_args,
                         bool full_cover = false) {
-  const std::string path = "engine_golden_tmp.json";
+  // Per process: ctest runs the discovered tests concurrently in one
+  // directory.
+  const std::string path = "engine_golden_tmp_" + std::to_string(::getpid()) + ".json";
   std::vector<std::string> args = {"design", "--json", path};
   if (!full_cover) args.push_back("--no-full-cover");
   args.insert(args.end(), extra_args.begin(), extra_args.end());
@@ -232,6 +241,88 @@ TEST(PaperPackageHash, FullCover) {
   EXPECT_EQ(package_hash(paper_model(TileMask::full(12, 12))),
             pinned.at("full_cover").as_string());
 }
+
+/// nnz(L) of the shared symbolic analysis of \p chip's pencil at \p mask.
+std::size_t pencil_nnz(const core::Chip& chip, const TileMask& mask) {
+  return engine::SolveContext(chip.spec, mask, chip.tile_powers,
+                              tec::TecDeviceParams::chowdhury_superlattice())
+      .system()
+      .cholesky_symbolic()
+      .factor_nnz();
+}
+
+TEST(AmdFill, AlphaGoldenDeployment) {
+  // The clique-forming minimum degree this ordering replaced gave 12,895
+  // here, reverse Cuthill–McKee 33,966.
+  const auto design = io::design_result_from_json(fixture("golden_design_alpha.json"));
+  const std::size_t nnz = pencil_nnz(core::builtin_chip("alpha"), design.deployment);
+  EXPECT_LE(double(nnz), 1.10 * 12895.0);
+  EXPECT_EQ(nnz, 12510u);
+}
+
+TEST(AmdFill, FullCover) {
+  // Clique-forming minimum degree: 8,994; reverse Cuthill–McKee: 60,147.
+  const std::size_t nnz = pencil_nnz(core::builtin_chip("alpha"), TileMask::full(12, 12));
+  EXPECT_LE(double(nnz), 1.10 * 8994.0);
+  EXPECT_EQ(nnz, 8589u);
+}
+
+TEST(AmdFill, SingleDie100x100WithCentredBlock) {
+  // Reverse Cuthill–McKee filled this pencil to 18,301,992 entries.
+  thermal::PackageGeometry g;
+  g.tile_rows = g.tile_cols = 100;
+  const auto spec =
+      std::make_shared<const thermal::StackSpec>(thermal::StackSpec::single_die(g));
+  TileMask block(spec->total_tile_rows(), spec->tile_cols());
+  for (std::size_t r = 48; r < 52; ++r) {
+    for (std::size_t c = 48; c < 52; ++c) block.set(r, c);
+  }
+  const auto system = tec::ElectroThermalSystem::assemble(
+      spec, block, spec->tile_powers(), tec::TecDeviceParams::chowdhury_superlattice());
+  const std::size_t nnz = system.cholesky_symbolic().factor_nnz();
+  EXPECT_LE(nnz, 4500000u);
+  EXPECT_EQ(nnz, 2954519u);
+}
+
+TEST(AmdFill, DesignRecordsOneFillSamplePerAnalysis) {
+  auto& metrics = obs::MetricsRegistry::global();
+  const auto count = [&](const char* name) {
+    return metrics.histogram(name).summary().count;
+  };
+  const std::uint64_t analyses0 = count("cholesky.sparse.analyze_ms");
+  const std::uint64_t nnz0 = count("cholesky.sparse.factor_nnz");
+  const std::uint64_t fill0 = count("cholesky.sparse.fill_ratio");
+  (void)core::design_with_fallback(core::builtin_chip("alpha"), 85.0, true);
+  const std::uint64_t analyses = count("cholesky.sparse.analyze_ms") - analyses0;
+  EXPECT_GE(analyses, 2u);  // greedy pass(es) + full cover
+  EXPECT_EQ(count("cholesky.sparse.factor_nnz") - nnz0, analyses);
+  EXPECT_EQ(count("cholesky.sparse.fill_ratio") - fill0, analyses);
+}
+
+/// Bisection on the sign of dθ/di on each full-cover golden deployment:
+/// ⌈log2(0.999·λ_m / kCurrentTol)⌉ = 21 probes (every golden λ_m lies in
+/// (105.0, 209.9] A) plus the final operating-point solve.
+class CurrentBisection : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(CurrentBisection, GoldenDeploymentTakesAtMost22Evaluations) {
+  const std::string name = GetParam();
+  const auto golden =
+      io::design_result_from_json(fixture("golden_design_full_cover_" + name + ".json"));
+  const core::Chip chip = core::builtin_chip(name);
+  const engine::SolveContext context(chip.spec, golden.deployment, chip.tile_powers,
+                                     tec::TecDeviceParams::chowdhury_superlattice());
+  const core::CurrentOptimum opt = core::optimize_current(context);
+  EXPECT_TRUE(opt.converged);
+  EXPECT_LE(opt.objective_evaluations, 22u);
+  EXPECT_EQ(opt.objective_evaluations, 22u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Table1, CurrentBisection,
+                         ::testing::Values("alpha", "hc1", "hc2", "hc3", "hc4", "hc5",
+                                           "hc6", "hc7", "hc8", "hc9", "hc10"),
+                         [](const ::testing::TestParamInfo<const char*>& info) {
+                           return std::string(info.param);
+                         });
 
 }  // namespace
 }  // namespace tfc

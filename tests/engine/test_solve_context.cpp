@@ -13,6 +13,8 @@
 
 #include "engine/solve_context.h"
 #include "obs/obs.h"
+#include "par/parallel.h"
+#include "par/thread_pool.h"
 #include "tec/electro_thermal.h"
 
 namespace tfc::engine {
@@ -142,6 +144,37 @@ TEST(SolveContext, ProbePeakMatchesSolveProbe) {
     EXPECT_EQ(*peak, op->peak_tile_temperature) << "i=" << i;
   }
   EXPECT_FALSE(ctx.probe_peak(-1.0).has_value());
+}
+
+TEST(SolveContext, ConcurrentProbesMatchSerialBitwise) {
+  // The pooled workspaces under concurrent probes (the TSan target): 64
+  // currents up to past λ_m, serially and from 8 pool threads.
+  const SolveContext ctx = make_context();
+  const auto lambda_m = ctx.runaway_limit();
+  ASSERT_TRUE(lambda_m.has_value());
+  struct Probe {
+    std::optional<double> peak;
+    double slope = 0.0;
+  };
+  const std::size_t count = 64;
+  const auto probe = [&](std::size_t k) {
+    Probe p;
+    p.peak = ctx.probe_peak(1.05 * *lambda_m * double(k) / double(count - 1), &p.slope);
+    return p;
+  };
+  std::vector<Probe> serial;
+  for (std::size_t k = 0; k < count; ++k) serial.push_back(probe(k));
+  par::ThreadPool::set_global_threads(8);
+  const std::vector<Probe> concurrent = par::parallel_map(count, probe);
+  par::ThreadPool::set_global_threads(0);
+  ASSERT_EQ(concurrent.size(), count);
+  std::size_t past_limit = 0;
+  for (std::size_t k = 0; k < count; ++k) {
+    EXPECT_EQ(concurrent[k].peak, serial[k].peak) << k;
+    EXPECT_EQ(concurrent[k].slope, serial[k].slope) << k;
+    if (!serial[k].peak) ++past_limit;
+  }
+  EXPECT_GT(past_limit, 0u);
 }
 
 TEST(SolveContext, AllBackendsAgreeOnTheOperatingPoint) {

@@ -5,11 +5,15 @@ Compares the per-chip design runtimes in a fresh BENCH_runtime.json against
 the checked-in baseline (ci/bench_baseline.json) and fails when any chip —
 or the worst-case total — regressed by more than the threshold fraction.
 
-Baselines are wall-clock, so they are deliberately generous: the gate exists
-to catch order-of-magnitude algorithmic regressions (a lost symbolic cache,
-an accidental O(n^2) loop), not scheduler noise. Chips present in only one
-file are reported but never fail the gate, so adding a chip does not require
-a lockstep baseline update.
+Wall-clock baselines are deliberately generous: they exist to catch
+order-of-magnitude algorithmic regressions (a lost symbolic cache, an
+accidental O(n^2) loop), not scheduler noise. Each chip also carries two
+exact work counters that do not depend on the host — current-search probes
+over the design and nnz(L) of the final deployment's pencil — gated with <=
+against the baseline's counts, so a slide back to more probes or more fill
+fails even when the wall clock hides it. Chips present in only one file are
+reported but never fail the gate, so adding a chip does not require a
+lockstep baseline update.
 
 Every violated gate is accumulated — the run never stops at the first
 failure — and the final FAIL summary lists each failing key with its actual
@@ -239,10 +243,11 @@ def check_sim(baseline, current):
 def check_stack_scale(baseline, current):
     """Gate declarative-package mesh scaling (100x100 single-die StackSpec).
 
-    Three absolute ceilings against ci/bench_baseline.json's stack_scale
+    Four absolute ceilings against ci/bench_baseline.json's stack_scale
     block: assembly+factorization of the 10 000-tile SolveContext, one steady
-    solve on it, and the sparse shift-invert Lanczos lambda_m bound. A blown
-    ceiling means spec-driven assembly or the eigensolver stopped scaling
+    solve on it, the sparse shift-invert Lanczos lambda_m bound, and a
+    full-cover design of the spec. A blown ceiling means spec-driven
+    assembly, the fill-reducing ordering or the eigensolver stopped scaling
     with mesh resolution.
     """
     base = baseline.get("stack_scale")
@@ -255,18 +260,20 @@ def check_stack_scale(baseline, current):
 
     failures = []
     status = "ok"
-    for key in ("build_ms", "solve_ms", "lambda_ms"):
+    for key in ("build_ms", "solve_ms", "lambda_ms", "design_ms"):
         ceiling = float(base["max_%s" % key])
-        ms = float(cur[key])
-        if ms > ceiling:
+        ms = cur.get(key)
+        if ms is None or float(ms) > ceiling:
             status = "REGRESSED"
             failures.append(fail("stack_scale:%s" % key, ms, ceiling))
     print("stack scaling (%d tiles): build %.1f ms (ceiling %.0f), solve %.2f ms "
-          "(ceiling %.0f), lambda_m %.1f ms (ceiling %.0f)  %s"
+          "(ceiling %.0f), lambda_m %.1f ms (ceiling %.0f), design %s ms "
+          "(ceiling %.0f)  %s"
           % (int(cur.get("tiles", 0)), float(cur["build_ms"]),
              float(base["max_build_ms"]), float(cur["solve_ms"]),
              float(base["max_solve_ms"]), float(cur["lambda_ms"]),
-             float(base["max_lambda_ms"]), status))
+             float(base["max_lambda_ms"]), fmt_value(cur.get("design_ms")),
+             float(base["max_design_ms"]), status))
     return failures
 
 
@@ -328,10 +335,13 @@ def main():
     rows = []
     for name in sorted(set(base_chips) | set(cur_chips)):
         if name not in base_chips:
-            rows.append((name, None, cur_chips[name]["runtime_ms"], "new (no baseline)"))
+            rows.append((name, None, cur_chips[name]["runtime_ms"],
+                         cur_chips[name].get("probes"), cur_chips[name].get("nnz_l"),
+                         "new (no baseline)"))
             continue
         if name not in cur_chips:
-            rows.append((name, base_chips[name]["runtime_ms"], None, "missing in current"))
+            rows.append((name, base_chips[name]["runtime_ms"], None, None, None,
+                         "missing in current"))
             continue
         base_ms = float(base_chips[name]["runtime_ms"])
         cur_ms = float(cur_chips[name]["runtime_ms"])
@@ -340,17 +350,29 @@ def main():
         if cur_ms > limit:
             status = "REGRESSED (limit %.0f ms)" % limit
             failures.append(fail("chip:%s:runtime_ms" % name, cur_ms, limit))
+        for counter in ("probes", "nnz_l"):
+            cap = base_chips[name].get(counter)
+            if cap is None:
+                continue
+            count = cur_chips[name].get(counter)
+            if count is None or int(count) > int(cap):
+                status = "REGRESSED (%s %s > %d)" % (counter, fmt_value(count), cap)
+                failures.append(fail("chip:%s:%s" % (name, counter), count, int(cap)))
         if not cur_chips[name].get("success", True):
             status = "DESIGN FAILED"
             failures.append(fail("chip:%s:success" % name, False, True, "=="))
-        rows.append((name, base_ms, cur_ms, status))
+        rows.append((name, base_ms, cur_ms, cur_chips[name].get("probes"),
+                     cur_chips[name].get("nnz_l"), status))
 
-    print("%-8s %14s %14s  %s" % ("chip", "baseline[ms]", "current[ms]", "status"))
-    for name, base_ms, cur_ms, status in rows:
-        print("%-8s %14s %14s  %s"
+    print("%-8s %14s %14s %8s %8s  %s"
+          % ("chip", "baseline[ms]", "current[ms]", "probes", "nnz(L)", "status"))
+    for name, base_ms, cur_ms, probes, nnz_l, status in rows:
+        print("%-8s %14s %14s %8s %8s  %s"
               % (name,
                  "-" if base_ms is None else "%.0f" % base_ms,
                  "-" if cur_ms is None else "%.0f" % cur_ms,
+                 "-" if probes is None else probes,
+                 "-" if nnz_l is None else nnz_l,
                  status))
 
     base_worst = baseline.get("worst_ms")
