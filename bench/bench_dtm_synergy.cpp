@@ -20,7 +20,7 @@ int main() {
 
   auto chip = floorplan::alpha21364();
   const auto powers = bench::worst_case_map(chip);
-  const thermal::PackageGeometry geom;
+  const auto spec = thermal::paper_package();
   const auto device = tec::TecDeviceParams::chowdhury_superlattice();
   auto design = bench::design_with_fallback({"Alpha", powers});
 
@@ -34,11 +34,13 @@ int main() {
   bool monotone_ok = true;
   double prev_passive = 0.0;
   for (double limit : {92.0, 90.0, 88.0, 86.0, 85.0, 84.0, 82.0, 80.0}) {
-    core::DtmOptions opts;
-    opts.theta_limit = thermal::to_kelvin(limit);
-    auto passive = core::simulate_dtm(chip, geom, device, TileMask(), 0.0, opts);
+    core::DtmPolicyOptions passive_policy;
+    passive_policy.theta_limit = thermal::to_kelvin(limit);
+    core::DtmPolicyOptions active_policy = passive_policy;
+    active_policy.current_levels = {design.current};
+    auto passive = core::simulate_dtm(chip, spec, device, TileMask(), passive_policy);
     auto active =
-        core::simulate_dtm(chip, geom, device, design.deployment, design.current, opts);
+        core::simulate_dtm(chip, spec, device, design.deployment, active_policy);
     const double gain = active.performance - passive.performance;
     std::printf("%10.0f %18.3f %18.3f %12.3f\n", limit, passive.performance,
                 active.performance, gain);

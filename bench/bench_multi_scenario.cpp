@@ -34,13 +34,13 @@ int main() {
   scenarios.reserve(profiles.size());
   for (const auto& p : profiles) scenarios.push_back(p.tile_powers());
 
-  const thermal::PackageGeometry geom;
+  const auto spec = thermal::paper_package();
   const auto device = tec::TecDeviceParams::chowdhury_superlattice();
   core::GreedyDeployOptions opts;
   opts.theta_max = thermal::to_kelvin(85.0);
 
-  auto fold_res = core::greedy_deploy(thermal::paper_package(), folded, device, opts);
-  auto multi_res = core::greedy_deploy_multi(geom, scenarios, device, opts);
+  auto fold_res = core::greedy_deploy(spec, folded, device, opts);
+  auto multi_res = core::greedy_deploy_multi(spec, scenarios, device, opts);
 
   std::printf("=== Scenario-aware design vs folded worst case (Alpha, 85 degC) ===\n\n");
   std::printf("%-22s %8s %10s %14s %12s\n", "design", "#TECs", "Iopt[A]",

@@ -15,7 +15,7 @@ int main() {
   using namespace tfc;
 
   const auto powers = bench::worst_case_map(floorplan::alpha21364());
-  const thermal::PackageGeometry geom;
+  const auto spec = thermal::paper_package();
   const auto device = tec::TecDeviceParams::chowdhury_superlattice();
   auto design = bench::design_with_fallback({"Alpha", powers});
 
@@ -25,8 +25,8 @@ int main() {
   double best_peak = 1e300;
   std::size_t best_k = 0;
   for (std::size_t k : {1u, 2u, 4u, 6u, 8u, 11u, 15u, 20u, 28u, 40u, 60u, 90u, 144u}) {
-    auto r = (k == 144u) ? core::full_cover(thermal::paper_package(), powers, device)
-                         : core::threshold_cover(geom, powers, device, k);
+    auto r = (k == 144u) ? core::full_cover(spec, powers, device)
+                         : core::threshold_cover(spec, powers, device, k);
     const double peak = thermal::to_celsius(r.min_peak_temperature);
     std::printf("%8zu %10.2f %10.2f %12.2f\n", r.deployment.count(), r.optimum.current,
                 r.optimum.tec_input_power, peak);

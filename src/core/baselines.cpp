@@ -1,7 +1,6 @@
 #include "core/baselines.h"
 
 #include <algorithm>
-#include <numeric>
 #include <stdexcept>
 #include <utility>
 
@@ -36,30 +35,32 @@ BaselineResult full_cover(std::shared_ptr<const thermal::StackSpec> spec,
   return optimize_deployment(context);
 }
 
-BaselineResult threshold_cover(const thermal::PackageGeometry& geometry,
+BaselineResult threshold_cover(std::shared_ptr<const thermal::StackSpec> spec,
                                const linalg::Vector& tile_powers,
                                const tec::TecDeviceParams& device, std::size_t k,
                                const engine::EngineOptions& engine_options) {
-  if (k == 0 || k > geometry.tile_count()) {
-    throw std::invalid_argument("threshold_cover: k must be in [1, tile_count]");
+  if (spec == nullptr) throw std::invalid_argument("threshold_cover: null spec");
+  const TileMask allowed = spec->tec_allowed_tiles();
+  std::vector<Tile> sites = allowed.tiles();
+  if (k == 0 || k > sites.size()) {
+    throw std::invalid_argument(
+        "threshold_cover: k must be in [1, TEC-capable site count]");
   }
-  // Rank tiles by passive steady-state temperature.
-  const engine::SolveContext passive(geometry, TileMask(), tile_powers, device,
+  // Rank the sites by passive steady-state temperature.
+  const engine::SolveContext passive(spec, TileMask(), tile_powers, device,
                                      engine_options);
   auto op = passive.solve_probe(0.0);
   if (!op) throw std::runtime_error("threshold_cover: passive model not solvable");
 
-  std::vector<std::size_t> order(geometry.tile_count());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return op->tile_temperatures[a] > op->tile_temperatures[b];
+  const std::size_t cols = allowed.cols();
+  std::stable_sort(sites.begin(), sites.end(), [&](Tile a, Tile b) {
+    return op->tile_temperatures[a.row * cols + a.col] >
+           op->tile_temperatures[b.row * cols + b.col];
   });
-
-  TileMask mask(geometry.tile_rows, geometry.tile_cols);
-  for (std::size_t j = 0; j < k; ++j) {
-    mask.set(order[j] / geometry.tile_cols, order[j] % geometry.tile_cols);
-  }
-  const engine::SolveContext context(geometry, mask, tile_powers, device, engine_options);
+  TileMask mask(allowed.rows(), cols);
+  for (std::size_t j = 0; j < k; ++j) mask.set(sites[j]);
+  const engine::SolveContext context(std::move(spec), mask, tile_powers, device,
+                                     engine_options);
   return optimize_deployment(context);
 }
 

@@ -12,7 +12,6 @@
 
 #include "core/current_optimizer.h"
 #include "tec/device.h"
-#include "thermal/package.h"
 #include "thermal/stack_spec.h"
 
 namespace tfc::core {
@@ -33,8 +32,10 @@ BaselineResult full_cover(std::shared_ptr<const thermal::StackSpec> spec,
                           const tec::TecDeviceParams& device,
                           const engine::EngineOptions& engine_options = {});
 
-/// TEC on the k hottest tiles of the passive steady state; current optimized.
-BaselineResult threshold_cover(const thermal::PackageGeometry& geometry,
+/// TEC on the k hottest TEC-capable sites of the passive steady state (ties
+/// in row-major order); current optimized. Throws std::invalid_argument on a
+/// null spec or k outside [1, number of TEC-capable sites].
+BaselineResult threshold_cover(std::shared_ptr<const thermal::StackSpec> spec,
                                const linalg::Vector& tile_powers,
                                const tec::TecDeviceParams& device, std::size_t k,
                                const engine::EngineOptions& engine_options = {});

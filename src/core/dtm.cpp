@@ -1,79 +1,13 @@
 #include "core/dtm.h"
 
 #include <algorithm>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
 #include "tec/electro_thermal.h"
 
 namespace tfc::core {
-
-DtmResult simulate_dtm(const floorplan::Floorplan& plan,
-                       const thermal::PackageGeometry& geometry,
-                       const tec::TecDeviceParams& device, const TileMask& deployment,
-                       double current, const DtmOptions& options) {
-  if (plan.tile_rows() != geometry.tile_rows || plan.tile_cols() != geometry.tile_cols) {
-    throw std::invalid_argument("simulate_dtm: floorplan/geometry grid mismatch");
-  }
-  if (!(options.scale_step > 0.0 && options.scale_step < 1.0) ||
-      !(options.min_scale >= 0.0 && options.min_scale < 1.0)) {
-    throw std::invalid_argument("simulate_dtm: bad throttle options");
-  }
-
-  const auto base_powers = plan.tile_powers();
-  const double total_power = linalg::sum(base_powers);
-
-  DtmResult res;
-  res.unit_scales.assign(plan.units().size(), 1.0);
-
-  // Topology is fixed; only the silicon power vector changes between rounds.
-  auto system =
-      tec::ElectroThermalSystem::assemble(geometry, deployment, base_powers, device);
-
-  for (std::size_t round = 0; round <= options.max_rounds; ++round) {
-    // Apply scales to the tile power map.
-    linalg::Vector powers(base_powers.size());
-    for (std::size_t u = 0; u < plan.units().size(); ++u) {
-      const auto& unit = plan.units()[u];
-      const double per_tile =
-          res.unit_scales[u] * unit.peak_power / double(unit.tile_count());
-      for (const auto& r : unit.rects) {
-        for (std::size_t rr = r.row; rr < r.row + r.rows; ++rr) {
-          for (std::size_t cc = r.col; cc < r.col + r.cols; ++cc) {
-            powers[rr * plan.tile_cols() + cc] += per_tile;
-          }
-        }
-      }
-    }
-    system = tec::ElectroThermalSystem::assemble(geometry, deployment, powers, device);
-    auto op = system.solve(current);
-    if (!op) throw std::runtime_error("simulate_dtm: solve failed (runaway current?)");
-    res.peak = op->peak_tile_temperature;
-    res.rounds = round;
-
-    if (res.peak <= options.theta_limit) {
-      res.met_limit = true;
-      break;
-    }
-    // Throttle the unit owning the hottest tile.
-    const std::size_t k = linalg::argmax(op->tile_temperatures);
-    const auto unit = plan.unit_at({k / plan.tile_cols(), k % plan.tile_cols()});
-    if (!unit) throw std::logic_error("simulate_dtm: uncovered tile");
-    double& scale = res.unit_scales[*unit];
-    if (scale <= options.min_scale + 1e-12) {
-      // Hottest unit already at the floor: throttling is exhausted.
-      break;
-    }
-    scale = std::max(options.min_scale, scale - options.scale_step);
-  }
-
-  double retained = 0.0;
-  for (std::size_t u = 0; u < plan.units().size(); ++u) {
-    retained += res.unit_scales[u] * plan.units()[u].peak_power;
-  }
-  res.performance = retained / total_power;
-  return res;
-}
 
 const char* dtm_action_name(DtmActionKind kind) {
   switch (kind) {
@@ -90,7 +24,7 @@ DtmController::DtmController(const floorplan::Floorplan& plan, DtmPolicyOptions 
     : plan_(&plan), options_(std::move(options)) {
   if (!(options_.scale_step > 0.0 && options_.scale_step < 1.0) ||
       !(options_.boost_step > 0.0 && options_.boost_step <= 1.0) ||
-      !(options_.min_scale >= 0.0 && options_.min_scale < 1.0)) {
+      !(options_.min_scale >= 0.0 && options_.min_scale <= 1.0)) {
     throw std::invalid_argument("DtmController: bad throttle/boost options");
   }
   if (!(options_.guard_band >= 0.0)) {
@@ -195,6 +129,64 @@ DtmAction DtmController::decide(const linalg::Vector& tile_temperatures) {
     }
   }
   return action;  // kNone: inside the guard band, or nothing to recover
+}
+
+DtmResult simulate_dtm(const floorplan::Floorplan& plan,
+                       std::shared_ptr<const thermal::StackSpec> spec,
+                       const tec::TecDeviceParams& device, const TileMask& deployment,
+                       const DtmPolicyOptions& policy) {
+  if (spec == nullptr) throw std::invalid_argument("simulate_dtm: null spec");
+  if (plan.tile_rows() != spec->total_tile_rows() ||
+      plan.tile_cols() != spec->tile_cols()) {
+    throw std::invalid_argument("simulate_dtm: floorplan/package grid mismatch");
+  }
+  DtmController controller(plan, policy);
+  // G − i·D does not depend on the power map: one system, one factorization
+  // per current, and a new right-hand side per round.
+  const auto system = tec::ElectroThermalSystem::assemble(std::move(spec), deployment,
+                                                          plan.tile_powers(), device);
+  tec::SolveWorkspace ws;
+  std::optional<double> factored_at;  // current of ws.factor
+  linalg::Vector powers(plan.tile_count());
+
+  DtmResult res;
+  for (;;) {
+    const double current = controller.current();
+    if (factored_at != current) {
+      if (!system.factorize_into(current, ws)) {
+        throw std::runtime_error("simulate_dtm: solve failed (runaway current?)");
+      }
+      factored_at = current;
+    }
+    // The throttled power map: each unit's scaled power spread evenly over
+    // its tiles.
+    powers.fill(0.0);
+    for (std::size_t u = 0; u < plan.units().size(); ++u) {
+      const auto& unit = plan.units()[u];
+      const double per_tile =
+          controller.unit_scales()[u] * unit.peak_power / double(unit.tile_count());
+      for (const auto& r : unit.rects) {
+        for (std::size_t rr = r.row; rr < r.row + r.rows; ++rr) {
+          for (std::size_t cc = r.col; cc < r.col + r.cols; ++cc) {
+            powers[rr * plan.tile_cols() + cc] += per_tile;
+          }
+        }
+      }
+    }
+    system.rhs_into(current, powers, ws.rhs);
+    ws.factor.solve_into(ws.rhs, ws.theta, ws.solve_scratch);
+    system.model().tile_temperatures_into(ws.theta, ws.tiles);
+    res.peak = linalg::max_entry(ws.tiles);
+    if (res.peak <= policy.theta_limit) {
+      res.met_limit = true;
+      break;
+    }
+    if (controller.decide(ws.tiles).kind == DtmActionKind::kNone) break;
+    ++res.rounds;
+  }
+  res.unit_scales = controller.unit_scales();
+  res.performance = controller.performance();
+  return res;
 }
 
 }  // namespace tfc::core

@@ -3,60 +3,36 @@
 /// introduction motivates active cooling by its synergy with
 /// "architecture-level thermal management mechanisms").
 ///
-/// A steady-state abstraction of DVFS-style throttling: while the peak tile
-/// temperature exceeds the limit, scale down the power of the unit owning
-/// the hottest tile. The retained power-weighted activity is the performance
-/// proxy. Running the same controller with and without a TEC deployment
-/// quantifies how much throttling the active cooling system avoids.
+/// One throttle rule, DtmController, serves two drivers: the time-domain
+/// closed loop of tfc::sim and simulate_dtm's steady-state abstraction of
+/// DVFS-style throttling, which scales down the power of the unit owning the
+/// hottest tile while the steady peak exceeds the limit. The retained
+/// power-weighted activity is the performance proxy. Running the same
+/// controller with and without a TEC deployment quantifies how much
+/// throttling the active cooling system avoids.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/tile.h"
 #include "floorplan/floorplan.h"
 #include "tec/device.h"
 #include "thermal/package.h"
+#include "thermal/stack_spec.h"
 
 namespace tfc::core {
 
-struct DtmOptions {
-  /// Temperature limit the controller enforces [K].
-  double theta_limit = thermal::to_kelvin(85.0);
-  /// Multiplicative throttle per round on the offending unit.
-  double scale_step = 0.05;
-  /// Floor on any unit's scale (a unit cannot be gated off completely).
-  double min_scale = 0.2;
-  std::size_t max_rounds = 400;
-};
-
-struct DtmResult {
-  /// Final per-unit activity scales in [min_scale, 1].
-  std::vector<double> unit_scales;
-  /// Power-weighted retained activity: Σ scale_u·p_u / Σ p_u ∈ [0, 1].
-  double performance = 0.0;
-  /// Final peak tile temperature [K].
-  double peak = 0.0;
-  std::size_t rounds = 0;
-  /// True iff the limit was met before every unit hit the floor.
-  bool met_limit = false;
-};
-
-/// Run the throttling controller on a chip, optionally with TEC devices on
-/// \p deployment driven at \p current (pass an empty mask and 0 for the
-/// passive baseline).
-DtmResult simulate_dtm(const floorplan::Floorplan& plan,
-                       const thermal::PackageGeometry& geometry,
-                       const tec::TecDeviceParams& device, const TileMask& deployment,
-                       double current, const DtmOptions& options = {});
-
-/// Policy of the time-domain controller (tfc::sim's closed loop). Extends the
-/// steady-state throttling proxy with a recovery path (boost) and a TEC
-/// supply-current schedule: when the peak runs hot the controller first
-/// escalates the TEC current through \p current_levels (active cooling is
-/// cheaper than lost performance — the paper's motivating synergy), then
-/// throttles; with headroom it first gives units their activity back, then
-/// steps the current down.
+/// Policy of DtmController (tfc::sim's closed loop and simulate_dtm). Besides
+/// throttling it has a recovery path (boost) and a TEC supply-current
+/// schedule: when the peak runs hot the controller first escalates the TEC
+/// current through \p current_levels (active cooling is cheaper than lost
+/// performance — the paper's motivating synergy), then throttles; with
+/// headroom it first gives units their activity back, then steps the current
+/// down. With min_scale 1 and current_levels {0, I} it is a hysteresis
+/// (bang-bang) TEC switch: on above theta_limit, off below
+/// theta_limit − guard_band.
 struct DtmPolicyOptions {
   /// Temperature limit the controller enforces [K].
   double theta_limit = thermal::to_kelvin(85.0);
@@ -66,7 +42,9 @@ struct DtmPolicyOptions {
   double scale_step = 0.05;
   /// Multiplicative boost per recovery action.
   double boost_step = 0.05;
-  /// Floor on any unit's scale (a unit cannot be gated off completely).
+  /// Floor on any unit's scale, in [0, 1] (a unit cannot be gated off
+  /// completely). 1 disables throttling: no unit has headroom, so the
+  /// controller only schedules the TEC current.
   double min_scale = 0.2;
   /// Ascending TEC supply levels [A] the controller may schedule; index 0 is
   /// the starting level. Empty: the controller never touches the current.
@@ -98,14 +76,15 @@ struct DtmAction {
   double current_a = 0.0;
 };
 
-/// Stateful time-domain DTM controller: call decide() once per control
+/// Stateful DTM controller: call decide() once per control
 /// interval with the current tile temperatures; read the actuator state
 /// (unit_scales / current) back between calls. Deterministic: decisions
 /// depend only on the temperature sequence.
 class DtmController {
  public:
-  /// Throws std::invalid_argument on bad policy options (steps outside
-  /// (0, 1), negative guard band, non-ascending or negative current levels).
+  /// Throws std::invalid_argument on bad policy options (scale_step outside
+  /// (0, 1), boost_step outside (0, 1], min_scale outside [0, 1], negative
+  /// guard band, non-ascending or negative current levels).
   explicit DtmController(const floorplan::Floorplan& plan, DtmPolicyOptions options = {});
 
   /// One control decision for the given silicon tile temperatures [K]
@@ -125,5 +104,34 @@ class DtmController {
   std::vector<double> scales_;
   std::size_t level_ = 0;  ///< index into options_.current_levels
 };
+
+/// Outcome of steady-state throttling (simulate_dtm).
+struct DtmResult {
+  /// Final per-unit activity scales in [min_scale, 1].
+  std::vector<double> unit_scales;
+  /// Power-weighted retained activity: Σ scale_u·p_u / Σ p_u ∈ [0, 1].
+  double performance = 0.0;
+  /// Final peak tile temperature [K].
+  double peak = 0.0;
+  /// Controller actions taken before the final solve.
+  std::size_t rounds = 0;
+  /// True iff the final steady peak meets the limit.
+  bool met_limit = false;
+};
+
+/// Steady-state throttling on the package \p spec with TEC devices on
+/// \p deployment (may be empty: the passive baseline). Solves the steady
+/// state and, while its peak tile temperature exceeds policy.theta_limit,
+/// lets a DtmController decide one action and solves again; it stops at the
+/// limit or at the first kNone (every actuator exhausted). The guard band
+/// and boost never apply. The TEC current is the controller's:
+/// policy.current_levels {} is 0 A and {I} a fixed I. \p plan must tile the
+/// spec's virtual grid. Throws std::invalid_argument on a null spec, a grid
+/// mismatch or a bad policy, and std::runtime_error when G − i·D is not
+/// positive definite (a current at or past λ_m).
+DtmResult simulate_dtm(const floorplan::Floorplan& plan,
+                       std::shared_ptr<const thermal::StackSpec> spec,
+                       const tec::TecDeviceParams& device, const TileMask& deployment,
+                       const DtmPolicyOptions& policy);
 
 }  // namespace tfc::core

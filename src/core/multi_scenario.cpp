@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <stdexcept>
+#include <utility>
 
 #include "engine/solve_context.h"
 #include "linalg/minimize.h"
@@ -21,20 +22,7 @@ class ScenarioEvaluator {
  public:
   ScenarioEvaluator(const engine::SolveContext& context,
                     const std::vector<linalg::Vector>& scenarios)
-      : scenarios_(&scenarios), context_(&context) {
-    const auto& model = context.system().model();
-    const std::size_t cols = model.tile_cols();
-    tile_nodes_.resize(model.tile_count());
-    for (std::size_t t = 0; t < model.tile_count(); ++t) {
-      tile_nodes_[t] = model.silicon_node({t / cols, t % cols});
-    }
-    ambient_rhs_ = linalg::Vector(model.node_count());
-    const double ambient = model.ambient();
-    for (std::size_t k = 0; k < model.node_count(); ++k) {
-      const double g = model.network().ambient_conductance(k);
-      if (g > 0.0) ambient_rhs_[k] = g * ambient;
-    }
-  }
+      : scenarios_(&scenarios), context_(&context) {}
 
   /// Per-scenario tile temperature vectors at current i; nullopt past λ_m.
   std::optional<std::vector<linalg::Vector>> tile_temps(double i) const {
@@ -44,17 +32,11 @@ class ScenarioEvaluator {
     if (!system.factorize_into(i, *ws)) return std::nullopt;
     const linalg::SparseCholeskyFactor& factor = ws->factor;
 
-    const double joule = 0.5 * system.device().resistance * i * i;
     // One factorization, independent per-scenario solves: result slot s is
     // always scenario s, so the output is identical for any pool size.
     return par::parallel_map(scenarios_->size(), [&](std::size_t s) {
-      const auto& powers = (*scenarios_)[s];
-      linalg::Vector rhs = ambient_rhs_;
-      for (std::size_t t = 0; t < tile_nodes_.size(); ++t) {
-        rhs[tile_nodes_[t]] += powers[t];
-      }
-      for (std::size_t hot : system.model().hot_nodes()) rhs[hot] += joule;
-      for (std::size_t cold : system.model().cold_nodes()) rhs[cold] += joule;
+      linalg::Vector rhs;
+      system.rhs_into(i, (*scenarios_)[s], rhs);
       return system.model().tile_temperatures(factor.solve(rhs));
     });
   }
@@ -71,8 +53,6 @@ class ScenarioEvaluator {
  private:
   const std::vector<linalg::Vector>* scenarios_;
   const engine::SolveContext* context_;
-  std::vector<std::size_t> tile_nodes_;
-  linalg::Vector ambient_rhs_;
 };
 
 TileMask union_over_limit(const std::vector<linalg::Vector>& tile_temps,
@@ -88,27 +68,31 @@ TileMask union_over_limit(const std::vector<linalg::Vector>& tile_temps,
 
 }  // namespace
 
-MultiScenarioResult greedy_deploy_multi(const thermal::PackageGeometry& geometry,
+MultiScenarioResult greedy_deploy_multi(std::shared_ptr<const thermal::StackSpec> spec,
                                         const std::vector<linalg::Vector>& scenarios,
                                         const tec::TecDeviceParams& device,
                                         const GreedyDeployOptions& options) {
+  if (spec == nullptr) throw std::invalid_argument("greedy_deploy_multi: null spec");
   if (scenarios.empty()) {
     throw std::invalid_argument("greedy_deploy_multi: no scenarios");
   }
   for (const auto& s : scenarios) {
-    if (s.size() != geometry.tile_count()) {
+    if (s.size() != spec->tile_count()) {
       throw std::invalid_argument("greedy_deploy_multi: scenario size mismatch");
     }
   }
   device.validate();
 
+  const TileMask allowed = spec->tec_allowed_tiles();
+  const std::size_t rows = allowed.rows();
+  const std::size_t cols = allowed.cols();
   MultiScenarioResult result;
-  result.deployment = TileMask(geometry.tile_rows, geometry.tile_cols);
+  result.deployment = TileMask(rows, cols);
 
   // One context spans the whole loop: deployments only grow, so each pass
   // re-stamps incrementally. Scenario powers ride in the per-solve RHS, so
   // the context's installed power map (scenario 0) is never consulted.
-  engine::SolveContext context(geometry, TileMask(), scenarios[0], device,
+  engine::SolveContext context(std::move(spec), TileMask(), scenarios[0], device,
                                options.engine);
 
   // Passive worst case over all scenarios.
@@ -117,19 +101,23 @@ MultiScenarioResult greedy_deploy_multi(const thermal::PackageGeometry& geometry
   if (!temps0) throw std::runtime_error("greedy_deploy_multi: passive solve failed");
   result.peak_without_tec = passive.worst_peak(0.0);
   result.peak_tile_temperature = result.peak_without_tec;
+  result.scenario_peaks.reserve(scenarios.size());
+  for (const auto& t : *temps0) result.scenario_peaks.push_back(linalg::max_entry(t));
 
-  TileMask over = union_over_limit(*temps0, geometry.tile_rows, geometry.tile_cols,
-                                   options.theta_max);
+  TileMask over = union_over_limit(*temps0, rows, cols, options.theta_max);
   if (over.empty()) {
     result.success = true;
-    result.scenario_peaks.reserve(scenarios.size());
-    for (const auto& t : *temps0) result.scenario_peaks.push_back(linalg::max_entry(t));
     return result;
   }
+  // Only sites that can physically carry a device are candidates; with none
+  // over the limit, no proper deployment exists.
+  TileMask cover = over;
+  cover &= allowed;
+  if (cover.empty()) return result;
 
   const linalg::MinimizeOptions search{kCurrentTol, kMaxEvaluations};
   for (std::size_t it = 0; it < options.max_iterations; ++it) {
-    result.deployment |= over;
+    result.deployment |= cover;
     ++result.iterations;
 
     context.extend(result.deployment);
@@ -150,13 +138,14 @@ MultiScenarioResult greedy_deploy_multi(const thermal::PackageGeometry& geometry
     result.peak_tile_temperature =
         *std::max_element(result.scenario_peaks.begin(), result.scenario_peaks.end());
 
-    over = union_over_limit(*temps, geometry.tile_rows, geometry.tile_cols,
-                            options.theta_max);
+    over = union_over_limit(*temps, rows, cols, options.theta_max);
     if (over.empty()) {
       result.success = true;
       return result;
     }
-    if (over.subset_of(result.deployment)) {
+    cover = over;
+    cover &= allowed;
+    if (cover.subset_of(result.deployment)) {
       result.success = false;
       return result;
     }

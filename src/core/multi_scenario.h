@@ -11,6 +11,7 @@
 /// can be smaller than the folded-worst-case design.
 #pragma once
 
+#include <memory>
 #include <vector>
 
 #include "core/greedy_deploy.h"
@@ -32,9 +33,13 @@ struct MultiScenarioResult {
   std::size_t iterations = 0;
 };
 
-/// GreedyDeploy over a scenario set. \p scenarios is a non-empty list of
-/// tile power maps (each row-major over the geometry's grid).
-MultiScenarioResult greedy_deploy_multi(const thermal::PackageGeometry& geometry,
+/// GreedyDeploy over a scenario set on the package \p spec. \p scenarios is
+/// a non-empty list of tile power maps (each row-major over the spec's
+/// virtual grid). As in greedy_deploy, coverage is clipped to the spec's
+/// TEC-capable sites; deployment fails when the remaining over-limit tiles
+/// sit outside them. Throws std::invalid_argument on a null spec, no
+/// scenarios or a scenario of the wrong size.
+MultiScenarioResult greedy_deploy_multi(std::shared_ptr<const thermal::StackSpec> spec,
                                         const std::vector<linalg::Vector>& scenarios,
                                         const tec::TecDeviceParams& device,
                                         const GreedyDeployOptions& options = {});

@@ -33,16 +33,10 @@ ResponseSample ResponseEvaluator::sample() const {
   for (std::size_t k = 0; k < n; ++k) v[k] *= d[k];
   s.eta_prime = factor_.solve(v);
 
-  // ζ: silicon power plus ambient Dirichlet contribution (Joule terms
-  // excluded by construction: they form the ½·r·i²·η part).
-  linalg::Vector b = system_->power(0.0);
-  const auto& net = system_->model().network();
-  const double ambient = system_->model().ambient();
-  for (std::size_t k = 0; k < n; ++k) {
-    const double g = net.ambient_conductance(k);
-    if (g > 0.0) b[k] += g * ambient;
-  }
-  s.zeta = factor_.solve(b);
+  // ζ: silicon power plus ambient Dirichlet contribution, i.e. the RHS at
+  // i = 0 (Joule terms excluded by construction: they form the ½·r·i²·η
+  // part).
+  s.zeta = factor_.solve(system_->rhs(0.0));
   return s;
 }
 

@@ -153,7 +153,7 @@ std::optional<double> SolveContext::probe_peak(double i, double* slope) const {
 std::optional<tec::OperatingPoint> SolveContext::solve_probe(double i) const {
   const auto t0 = std::chrono::steady_clock::now();
   WorkspaceLease ws(*this);
-  auto op = system_.solve(i, {}, ws.get());
+  auto op = system_.solve(i, ws.get());
   record_solve(Backend::kCholesky, t0);
   if (op.has_value()) maybe_audit(*op);
   return op;

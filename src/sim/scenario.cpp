@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <stdexcept>
 #include <utility>
 
 #include "obs/context.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "thermal/steady_state.h"
 
 namespace tfc::sim {
 
@@ -32,6 +32,25 @@ void validate_options(const floorplan::Floorplan& plan,
   }
 }
 
+/// build_rhs reads utilization[u][tick] for every unit u and tick below the
+/// trace length, so every row must be that long.
+void validate_trace(const floorplan::Floorplan& plan, const power::ActivityTrace& trace) {
+  if (trace.unit_count() != plan.units().size() || trace.length() == 0) {
+    throw std::invalid_argument("ScenarioEngine: bad workload trace");
+  }
+  for (const auto& row : trace.utilization) {
+    if (row.size() != trace.length()) {
+      throw std::invalid_argument("ScenarioEngine: trace rows differ in length");
+    }
+    for (double u : row) {
+      if (!std::isfinite(u) || u < 0.0) {
+        throw std::invalid_argument(
+            "ScenarioEngine: trace utilization must be finite and >= 0");
+      }
+    }
+  }
+}
+
 }  // namespace
 
 ScenarioEngine::ScenarioEngine(const floorplan::Floorplan& plan,
@@ -41,15 +60,22 @@ ScenarioEngine::ScenarioEngine(const floorplan::Floorplan& plan,
     : ScenarioEngine(plan,
                      tec::ElectroThermalSystem::assemble(std::move(spec), deployment,
                                                          plan.tile_powers(), device),
-                     std::move(options)) {}
+                     std::nullopt, std::move(options)) {}
 
 ScenarioEngine::ScenarioEngine(const floorplan::Floorplan& plan,
                                const engine::SolveContext& context,
                                ScenarioOptions options)
-    : ScenarioEngine(plan, context.system(), std::move(options)) {}
+    : ScenarioEngine(plan, context.system(), std::nullopt, std::move(options)) {}
 
 ScenarioEngine::ScenarioEngine(const floorplan::Floorplan& plan,
-                               tec::ElectroThermalSystem system, ScenarioOptions options)
+                               const engine::SolveContext& context,
+                               power::ActivityTrace trace, ScenarioOptions options)
+    : ScenarioEngine(plan, context.system(), std::move(trace), std::move(options)) {}
+
+ScenarioEngine::ScenarioEngine(const floorplan::Floorplan& plan,
+                               tec::ElectroThermalSystem system,
+                               std::optional<power::ActivityTrace> trace,
+                               ScenarioOptions options)
     : plan_(&plan), options_(std::move(options)), system_(std::move(system)) {
   validate_options(plan, system_.model(), options_);
   // Later schedule entries override earlier ones at the same step.
@@ -58,13 +84,15 @@ ScenarioEngine::ScenarioEngine(const floorplan::Floorplan& plan,
                      return a.step < b.step;
                    });
 
-  trace_ = power::WorkloadSynthesizer(plan, options_.workload)
-               .synthesize(options_.benchmark);
-  if (trace_.unit_count() != plan.units().size() || trace_.length() == 0) {
-    throw std::invalid_argument("ScenarioEngine: bad workload trace");
+  if (trace) {
+    options_.benchmark = trace->benchmark;
+    trace_ = std::move(*trace);
+  } else {
+    trace_ = power::WorkloadSynthesizer(plan, options_.workload)
+                 .synthesize(options_.benchmark);
   }
+  validate_trace(plan, trace_);
 
-  const auto& model = system_.model();
   const std::size_t cols = plan.tile_cols();
   unit_tiles_.resize(plan.units().size());
   for (std::size_t u = 0; u < plan.units().size(); ++u) {
@@ -76,18 +104,8 @@ ScenarioEngine::ScenarioEngine(const floorplan::Floorplan& plan,
       }
     }
   }
-  tile_nodes_.resize(plan.tile_count());
-  for (std::size_t t = 0; t < plan.tile_count(); ++t) {
-    tile_nodes_[t] = model.silicon_node({t / cols, t % cols});
-  }
-  const auto& net = model.network();
-  ambient_rhs_ = linalg::Vector(model.node_count());
-  for (std::size_t k = 0; k < model.node_count(); ++k) {
-    const double g = net.ambient_conductance(k);
-    if (g > 0.0) ambient_rhs_[k] = g * model.ambient();
-  }
   tile_power_scratch_ = linalg::Vector(plan.tile_count());
-  rhs_scratch_ = linalg::Vector(model.node_count());
+  rhs_scratch_ = linalg::Vector(system_.node_count());
 }
 
 double ScenarioEngine::scheduled_current(std::size_t step) const {
@@ -117,7 +135,6 @@ thermal::TransientSolver& ScenarioEngine::solver_for(double current) {
 void ScenarioEngine::build_rhs(std::size_t step, const std::vector<double>& scales,
                                double current) {
   TFC_SPAN("sim.rasterize");
-  const auto& model = system_.model();
   const std::size_t tick = step % trace_.length();
 
   tile_power_scratch_.fill(0.0);
@@ -129,15 +146,7 @@ void ScenarioEngine::build_rhs(std::size_t step, const std::vector<double>& scal
     for (std::size_t t : unit_tiles_[u]) tile_power_scratch_[t] += per_tile;
   }
 
-  rhs_scratch_ = ambient_rhs_;
-  for (std::size_t t = 0; t < tile_nodes_.size(); ++t) {
-    rhs_scratch_[tile_nodes_[t]] += tile_power_scratch_[t];
-  }
-  if (current > 0.0) {
-    const double joule = 0.5 * system_.device().resistance * current * current;
-    for (std::size_t hot : model.hot_nodes()) rhs_scratch_[hot] += joule;
-    for (std::size_t cold : model.cold_nodes()) rhs_scratch_[cold] += joule;
-  }
+  system_.rhs_into(current, tile_power_scratch_, rhs_scratch_);
 }
 
 ScenarioSummary ScenarioEngine::run(const FrameSink& sink) {
@@ -157,11 +166,16 @@ ScenarioSummary ScenarioEngine::run(const FrameSink& sink) {
   core::DtmController controller(*plan_, options_.policy);
   const std::vector<double> unthrottled(plan_->units().size(), 1.0);
 
-  // Initial condition: passive steady state under the step-0 map, or ambient.
+  // Initial condition: passive steady state under the step-0 map (factored
+  // through the system's cached symbolic analysis), or ambient.
   theta_ = linalg::Vector(n, model.ambient());
   if (options_.start_from_steady_state) {
     build_rhs(0, unthrottled, 0.0);
-    theta_ = thermal::solve_steady_state(system_.system_matrix(0.0), rhs_scratch_);
+    const auto factor = system_.factorize(0.0);
+    if (!factor) {
+      throw std::runtime_error("ScenarioEngine: passive system not positive definite");
+    }
+    theta_ = factor->solve(rhs_scratch_);
   }
   theta_next_ = linalg::Vector(n);
 

@@ -6,11 +6,14 @@
 /// management — only plays out in time: TEC turn-on transients and
 /// time-varying workload phases decide whether a θ-limit is actually held.
 /// A ScenarioEngine integrates C·dθ/dt + G·θ = p(t) with the backward-Euler
-/// thermal::TransientSolver, rasterizing per-tile power from a
-/// power::WorkloadSynthesizer activity trace each step, switching the TEC
-/// supply current through a step-function schedule and/or a closed-loop
-/// core::DtmController, and emitting seq-numbered frames to a caller-owned
-/// sink (the streaming `simulate` service method).
+/// thermal::TransientSolver, rasterizing per-tile power each step from a
+/// per-unit activity trace (synthesized by power::WorkloadSynthesizer, or
+/// built by the caller), switching the TEC supply current through a
+/// step-function schedule and/or a closed-loop core::DtmController, and
+/// emitting seq-numbered frames to a caller-owned sink (the streaming
+/// `simulate` service method). It is the library's one transient loop: the
+/// on-demand hysteresis switch is a DtmController policy (min_scale 1,
+/// current_levels {0, I_on}) driven every step.
 ///
 /// Every TEC pencil G − i·D keeps one sparsity pattern, so all current
 /// levels share one symbolic Cholesky analysis; switching levels is a
@@ -22,6 +25,7 @@
 #include <cstddef>
 #include <functional>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -48,7 +52,7 @@ struct CurrentEvent {
 
 struct ScenarioOptions {
   /// Benchmark name fed to power::WorkloadSynthesizer (deterministic in the
-  /// name + workload.seed).
+  /// name + workload.seed). A caller-built trace's name replaces it.
   std::string benchmark = "bench00";
   power::WorkloadOptions workload;
   /// Integration step [s].
@@ -60,7 +64,9 @@ struct ScenarioOptions {
   /// A frame is emitted every this many steps (the final step always emits).
   std::size_t frame_every = 10;
   /// Start from the passive steady state under the step-0 power map
-  /// (otherwise: uniform ambient — a cold start).
+  /// (otherwise: uniform ambient — a cold start). A caller-built trace can
+  /// put the workload's time-average activity in tick 0 so the slow
+  /// spreader and sink start at their sustained temperatures.
   bool start_from_steady_state = true;
   /// Include the full per-tile temperature map in every frame.
   bool include_tiles = false;
@@ -148,6 +154,15 @@ class ScenarioEngine {
   ScenarioEngine(const floorplan::Floorplan& plan, const engine::SolveContext& context,
                  ScenarioOptions options = {});
 
+  /// As above, but drive the caller-built per-unit activity \p trace (one
+  /// row per unit of \p plan, step s reads tick s mod length) instead of a
+  /// synthesized one; options().benchmark becomes trace.benchmark and
+  /// options.workload is unused. Throws std::invalid_argument when the row
+  /// count differs from the unit count, the rows are empty or differ in
+  /// length, or a utilization is negative or non-finite.
+  ScenarioEngine(const floorplan::Floorplan& plan, const engine::SolveContext& context,
+                 power::ActivityTrace trace, ScenarioOptions options = {});
+
   const ScenarioOptions& options() const { return options_; }
   const tec::ElectroThermalSystem& system() const { return system_; }
 
@@ -157,8 +172,10 @@ class ScenarioEngine {
   ScenarioSummary run(const FrameSink& sink = nullptr);
 
  private:
+  /// Shared construction; synthesizes the trace from options when \p trace
+  /// is empty.
   ScenarioEngine(const floorplan::Floorplan& plan, tec::ElectroThermalSystem system,
-                 ScenarioOptions options);
+                 std::optional<power::ActivityTrace> trace, ScenarioOptions options);
 
   /// Scheduled current at \p step (last event at or before it; 0 if none).
   double scheduled_current(std::size_t step) const;
@@ -168,8 +185,8 @@ class ScenarioEngine {
   thermal::TransientSolver& solver_for(double current);
 
   /// Rasterize the per-tile power map of \p step under \p scales into
-  /// tile_power_scratch_, then build the RHS (ambient + silicon shares +
-  /// Joule at \p current) into rhs_scratch_.
+  /// tile_power_scratch_, then build the RHS (ElectroThermalSystem::rhs_into
+  /// at \p current) into rhs_scratch_.
   void build_rhs(std::size_t step, const std::vector<double>& scales, double current);
 
   const floorplan::Floorplan* plan_;
@@ -177,10 +194,7 @@ class ScenarioEngine {
   tec::ElectroThermalSystem system_;
   power::ActivityTrace trace_;
 
-  // Static precomputations (package-only; shared by every run()).
   std::vector<std::vector<std::size_t>> unit_tiles_;  ///< [unit] -> tile ids
-  std::vector<std::size_t> tile_nodes_;               ///< [tile] -> silicon node
-  linalg::Vector ambient_rhs_;
 
   std::map<double, thermal::TransientSolver> solvers_;
 

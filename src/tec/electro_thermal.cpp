@@ -5,7 +5,6 @@
 #include <mutex>
 #include <stdexcept>
 
-#include "linalg/cholesky.h"
 #include "obs/trace.h"
 
 namespace tfc::tec {
@@ -158,6 +157,30 @@ void ElectroThermalSystem::rhs_into(double i, linalg::Vector& out) const {
   }
 }
 
+void ElectroThermalSystem::rhs_into(double i, const linalg::Vector& tile_powers,
+                                    linalg::Vector& out) const {
+  const std::size_t tiles = model_.tile_count();
+  if (tile_powers.size() != tiles) {
+    throw std::invalid_argument(
+        "ElectroThermalSystem::rhs_into: tile power size mismatch");
+  }
+  const auto& net = model_.network();
+  const std::size_t n = net.node_count();
+  out.resize(n);
+  const double ambient = model_.ambient();
+  for (std::size_t k = 0; k < n; ++k) {
+    const double g = net.ambient_conductance(k);
+    out[k] = g > 0.0 ? g * ambient : 0.0;
+  }
+  const std::size_t cols = model_.tile_cols();
+  for (std::size_t t = 0; t < tiles; ++t) {
+    out[model_.silicon_node({t / cols, t % cols})] += tile_powers[t];
+  }
+  const double joule = 0.5 * device_.resistance * i * i;
+  for (std::size_t hot : model_.hot_nodes()) out[hot] += joule;
+  for (std::size_t cold : model_.cold_nodes()) out[cold] += joule;
+}
+
 void ElectroThermalSystem::theta_derivative_rhs_into(double i,
                                                      const linalg::Vector& theta,
                                                      linalg::Vector& out) const {
@@ -170,8 +193,8 @@ void ElectroThermalSystem::theta_derivative_rhs_into(double i,
   for (std::size_t cold : model_.cold_nodes()) out[cold] += ri;
 }
 
-std::optional<OperatingPoint> ElectroThermalSystem::solve(
-    double i, const thermal::SteadyStateOptions& options, SolveWorkspace* ws) const {
+std::optional<OperatingPoint> ElectroThermalSystem::solve(double i,
+                                                          SolveWorkspace* ws) const {
   if (i < 0.0) return std::nullopt;
 
   TFC_SPAN("et_solve");
@@ -183,22 +206,9 @@ std::optional<OperatingPoint> ElectroThermalSystem::solve(
   SolveWorkspace local;
   SolveWorkspace& w = ws != nullptr ? *ws : local;
   rhs_into(i, w.rhs);
-  switch (options.backend) {
-    case thermal::SolverBackend::kSparseCholesky:
-    case thermal::SolverBackend::kConjugateGradient: {
-      // CG is unreliable near λ_m; the direct factorization doubles as the
-      // positive-definiteness probe, so use it for both back ends.
-      if (!factorize_into(i, w)) return std::nullopt;
-      w.factor.solve_into(w.rhs, op.theta, w.solve_scratch);
-      break;
-    }
-    case thermal::SolverBackend::kDenseCholesky: {
-      auto f = linalg::CholeskyFactor::factor(system_matrix(i).to_dense());
-      if (!f) return std::nullopt;
-      op.theta = f->solve(w.rhs);
-      break;
-    }
-  }
+  // The factorization doubles as the positive-definiteness probe.
+  if (!factorize_into(i, w)) return std::nullopt;
+  w.factor.solve_into(w.rhs, op.theta, w.solve_scratch);
 
   op.tile_temperatures = model_.tile_temperatures(op.theta);
   op.peak_tile_temperature = linalg::max_entry(op.tile_temperatures);

@@ -17,7 +17,6 @@
 #include "linalg/vector.h"
 #include "tec/device.h"
 #include "thermal/package_model.h"
-#include "thermal/steady_state.h"
 
 namespace tfc::tec {
 
@@ -158,20 +157,26 @@ class ElectroThermalSystem {
   /// arithmetic to rhs().
   void rhs_into(double i, linalg::Vector& out) const;
 
+  /// Right-hand side for the power map \p tile_powers [W per tile, virtual
+  /// grid] instead of the installed one, into caller-owned storage (resized
+  /// to node_count()): the ambient legs g_amb·θ_amb, each tile's power on its
+  /// silicon node, and r·i²/2 on every hot/cold plate, in that order. Throws
+  /// std::invalid_argument on a tile-count mismatch.
+  void rhs_into(double i, const linalg::Vector& tile_powers, linalg::Vector& out) const;
+
   /// Right-hand side of dθ/di = H(i)·(D·θ + p′(i)) into caller-owned storage
   /// (resized to node_count()): D·θ plus p′ = r·i on every hot/cold node.
   /// \p theta must be the solution at \p i and must not alias \p out.
   void theta_derivative_rhs_into(double i, const linalg::Vector& theta,
                                  linalg::Vector& out) const;
 
-  /// Solve (G − i·D)θ = p(i). Returns nullopt when the matrix is no longer
-  /// positive definite (i ≥ λ_m: thermal runaway) or i < 0. Passing a
-  /// caller-owned \p ws reuses its pencil/factor/rhs buffers instead of
-  /// allocating per call (same arithmetic, bit-identical results); the
-  /// returned OperatingPoint still owns its vectors.
-  std::optional<OperatingPoint> solve(double i,
-                                      const thermal::SteadyStateOptions& options = {},
-                                      SolveWorkspace* ws = nullptr) const;
+  /// Solve (G − i·D)θ = p(i) by sparse Cholesky through the shared symbolic
+  /// analysis. Returns nullopt when the matrix is no longer positive definite
+  /// (i ≥ λ_m: thermal runaway) or i < 0. Passing a caller-owned \p ws
+  /// reuses its pencil/factor/rhs buffers instead of allocating per call
+  /// (same arithmetic, bit-identical results); the returned OperatingPoint
+  /// still owns its vectors.
+  std::optional<OperatingPoint> solve(double i, SolveWorkspace* ws = nullptr) const;
 
   /// Σ over devices of Eq. (3) evaluated at the solved temperatures.
   double tec_input_power(double i, const linalg::Vector& theta) const;

@@ -33,7 +33,7 @@ NonlinearResult solve_steady_state_nonlinear(const StackSpec& spec,
     PackageModel model =
         PackageModel::build(std::make_shared<const StackSpec>(std::move(scaled)));
     model.set_tile_powers(tile_powers);
-    res.theta = solve_steady_state(model, nonlinear.solver);
+    res.theta = solve_steady_state(model);
     res.tile_temperatures = model.tile_temperatures(res.theta);
     res.iterations = it + 1;
     res.silicon_conductivity = k_ref * scale;

@@ -27,7 +27,6 @@ struct NonlinearOptions {
   std::size_t max_iterations = 40;
   /// Convergence: max |Δθ| between successive iterates [K].
   double tol = 1e-4;
-  SteadyStateOptions solver;
 };
 
 struct NonlinearResult {

@@ -1,7 +1,7 @@
 /// \file steady_state.h
 /// \brief Steady-state solution of the thermal network: G·θ = p (Eq. 4 with
 /// i = 0, i.e. no Peltier coupling; the TEC-coupled system is solved by
-/// core::ThermalSystem).
+/// tec::ElectroThermalSystem).
 #pragma once
 
 #include "linalg/sparse_matrix.h"
@@ -10,29 +10,13 @@
 
 namespace tfc::thermal {
 
-/// Solver back end selection.
-enum class SolverBackend {
-  kSparseCholesky,  ///< direct, default
-  kConjugateGradient,
-  kDenseCholesky,  ///< O(n³); cross-checking and small models only
-};
-
-/// Options for steady-state solving.
-struct SteadyStateOptions {
-  SolverBackend backend = SolverBackend::kSparseCholesky;
-  /// CG-specific knobs (ignored by direct back ends).
-  double cg_rel_tol = 1e-12;
-  std::size_t cg_max_iterations = 50000;
-};
-
-/// Solve G·θ = rhs for an assembled network matrix. Throws std::runtime_error
-/// if the matrix is not SPD or the iteration fails.
-linalg::Vector solve_steady_state(const linalg::SparseMatrix& g, const linalg::Vector& rhs,
-                                  const SteadyStateOptions& options = {});
+/// Solve G·θ = rhs for an assembled network matrix by sparse Cholesky.
+/// Throws std::runtime_error if the matrix is not positive definite.
+linalg::Vector solve_steady_state(const linalg::SparseMatrix& g,
+                                  const linalg::Vector& rhs);
 
 /// Convenience: assemble and solve a package model at its current power
 /// settings. Returns full node temperatures [K].
-linalg::Vector solve_steady_state(const PackageModel& model,
-                                  const SteadyStateOptions& options = {});
+linalg::Vector solve_steady_state(const PackageModel& model);
 
 }  // namespace tfc::thermal

@@ -25,42 +25,23 @@ void validate_inputs(const linalg::SparseMatrix& g, const linalg::Vector& capaci
 TransientSolver::TransientSolver(
     const linalg::SparseMatrix& g, const linalg::Vector& capacitance, double dt,
     std::shared_ptr<const linalg::SparseCholeskySymbolic> symbolic)
-    : dt_(dt), capacitance_(capacitance), c_over_dt_(capacitance), g_(g) {
+    : dt_(dt), c_over_dt_(capacitance) {
   validate_inputs(g, capacitance, dt);
   for (std::size_t i = 0; i < c_over_dt_.size(); ++i) c_over_dt_[i] /= dt_;
   // C/dt touches only stored diagonal entries, so A keeps G's pattern exactly
-  // and one symbolic analysis serves every (dt, pencil-current) combination.
-  a_ = g_.add_scaled_diagonal(c_over_dt_, 1.0);
+  // and one symbolic analysis serves every pencil-current level.
+  const linalg::SparseMatrix a = g.add_scaled_diagonal(c_over_dt_, 1.0);
   if (symbolic != nullptr) {
     symbolic_ = std::move(symbolic);
   } else {
     symbolic_ = std::make_shared<const linalg::SparseCholeskySymbolic>(
-        linalg::SparseCholeskySymbolic::analyze(a_));
+        linalg::SparseCholeskySymbolic::analyze(a));
   }
-  refactorize();
-}
-
-void TransientSolver::refactorize() {
-  if (!symbolic_->refactorize_into(a_, factor_, refactor_scratch_)) {
+  auto factor = symbolic_->refactorize(a);
+  if (!factor) {
     throw std::runtime_error("TransientSolver: G + C/dt not positive definite");
   }
-}
-
-void TransientSolver::set_dt(double dt) {
-  if (!(dt > 0.0)) throw std::invalid_argument("TransientSolver: dt must be > 0");
-  dt_ = dt;
-  for (std::size_t i = 0; i < c_over_dt_.size(); ++i) c_over_dt_[i] = capacitance_[i] / dt_;
-  a_.assign_add_scaled_diagonal(g_, c_over_dt_, 1.0);
-  refactorize();
-}
-
-void TransientSolver::restamp(const linalg::SparseMatrix& g) {
-  if (!g.square() || g.rows() != capacitance_.size()) {
-    throw std::invalid_argument("TransientSolver::restamp: dimension mismatch");
-  }
-  g_ = g;
-  a_.assign_add_scaled_diagonal(g_, c_over_dt_, 1.0);
-  refactorize();
+  factor_ = std::move(*factor);
 }
 
 linalg::Vector TransientSolver::step(const linalg::Vector& theta,
@@ -81,17 +62,6 @@ void TransientSolver::step_into(const linalg::Vector& theta, const linalg::Vecto
   step_b_ = rhs;
   for (std::size_t i = 0; i < step_b_.size(); ++i) step_b_[i] += c_over_dt_[i] * theta[i];
   factor_.solve_into(step_b_, out, solve_scratch_);
-}
-
-linalg::Vector TransientSolver::run(
-    linalg::Vector theta, std::size_t num_steps,
-    const std::function<linalg::Vector(std::size_t)>& rhs_at) const {
-  linalg::Vector next(theta.size());
-  for (std::size_t s = 0; s < num_steps; ++s) {
-    step_into(theta, rhs_at(s), next);
-    std::swap(theta, next);
-  }
-  return theta;
 }
 
 }  // namespace tfc::thermal

@@ -11,13 +11,11 @@
 /// SparseCholeskySymbolic analysis of the pattern, reused by every numeric
 /// refactorization. Because C/dt only touches stored diagonal entries
 /// (SparseMatrix::add_scaled_diagonal), the analyzed pattern is exactly G's —
-/// which is also the pattern of every TEC pencil G − i·D. A dt change
-/// (set_dt) or a pencil re-stamp (restamp) therefore reruns only the cheap
-/// numeric sweep, and sibling solvers for other supply-current levels share
-/// one analysis through symbolic().
+/// which is also the pattern of every TEC pencil G − i·D. Sibling solvers
+/// for other supply-current levels of one deployment therefore share one
+/// analysis through symbolic() and run only the numeric factorization.
 #pragma once
 
-#include <functional>
 #include <memory>
 
 #include "linalg/sparse_cholesky.h"
@@ -47,17 +45,6 @@ class TransientSolver {
     return symbolic_;
   }
 
-  /// Change the time step: updates the C/dt diagonal in place and reruns the
-  /// numeric refactorization through the shared symbolic analysis. Throws
-  /// std::invalid_argument on dt <= 0.
-  void set_dt(double dt);
-
-  /// Re-stamp the conductance part (e.g. the TEC pencil at a new supply
-  /// current) keeping C and dt: rebuilds G + C/dt in place and reruns the
-  /// numeric refactorization. \p g must carry the analyzed pattern (any
-  /// pencil G − i·D of the analyzed deployment does).
-  void restamp(const linalg::SparseMatrix& g);
-
   /// One step: returns θ(t+dt) given θ(t) and the (constant-over-step)
   /// right-hand side p + g_amb·θ_amb.
   linalg::Vector step(const linalg::Vector& theta, const linalg::Vector& rhs) const;
@@ -70,23 +57,11 @@ class TransientSolver {
   void step_into(const linalg::Vector& theta, const linalg::Vector& rhs,
                  linalg::Vector& out) const;
 
-  /// Integrate \p num_steps steps with a possibly time-varying RHS callback
-  /// (called with the step index). Returns the final state. Runs on
-  /// step_into with a double buffer — no per-step allocation.
-  linalg::Vector run(linalg::Vector theta, std::size_t num_steps,
-                     const std::function<linalg::Vector(std::size_t)>& rhs_at) const;
-
  private:
-  void refactorize();
-
   double dt_;
-  linalg::Vector capacitance_;
   linalg::Vector c_over_dt_;
-  linalg::SparseMatrix g_;  ///< conductance part, kept for set_dt/restamp
-  linalg::SparseMatrix a_;  ///< G + C/dt, same pattern as G
   std::shared_ptr<const linalg::SparseCholeskySymbolic> symbolic_;
   linalg::SparseCholeskyFactor factor_;
-  std::vector<double> refactor_scratch_;
   // step_into scratch (see the thread-safety note on step_into).
   mutable linalg::Vector step_b_;
   mutable linalg::Vector solve_scratch_;

@@ -6,7 +6,31 @@
 #include <stdexcept>
 #include <utility>
 
+#include "linalg/cg.h"
+#include "thermal/steady_state.h"
+
 namespace tfc::thermal {
+
+namespace {
+
+/// Node temperatures of the reference model: sparse Cholesky up to 5000
+/// nodes, Jacobi-preconditioned CG above (faster on the fine grid).
+linalg::Vector solve_reference(const PackageModel& fine) {
+  if (fine.node_count() <= 5000) return solve_steady_state(fine);
+  const auto& net = fine.network();
+  const linalg::SparseMatrix g = net.conductance_matrix();
+  linalg::CgOptions cg;
+  cg.rel_tol = 1e-12;
+  cg.max_iterations = 50000;
+  auto res = linalg::conjugate_gradient(g, net.rhs(fine.ambient()),
+                                        linalg::jacobi_preconditioner(g), cg);
+  if (!res.converged) {
+    throw std::runtime_error("validate_against_reference: CG failed to converge");
+  }
+  return std::move(res.x);
+}
+
+}  // namespace
 
 PackageModel build_reference_model(const StackSpec& spec, const TileMask& deployment,
                                    const TecThermalLink& link,
@@ -79,21 +103,15 @@ ValidationReport validate_against_reference(const StackSpec& spec,
                                             const TileMask& deployment,
                                             const TecThermalLink& link,
                                             const linalg::Vector& tile_powers,
-                                            const ReferenceResolution& resolution,
-                                            const SteadyStateOptions& solver) {
+                                            const ReferenceResolution& resolution) {
   PackageModel coarse =
       PackageModel::build(std::make_shared<const StackSpec>(spec), deployment, link);
   coarse.set_tile_powers(tile_powers);
   const PackageModel fine =
       build_reference_model(spec, deployment, link, tile_powers, resolution);
 
-  SteadyStateOptions fine_solver = solver;
-  if (fine.node_count() > 5000) {
-    fine_solver.backend = SolverBackend::kConjugateGradient;
-  }
-
   ValidationReport report;
-  report.coarse = coarse.tile_temperatures(solve_steady_state(coarse, solver));
+  report.coarse = coarse.tile_temperatures(solve_steady_state(coarse));
   report.coarse_nodes = coarse.node_count();
   report.reference_nodes = fine.node_count();
 
@@ -102,7 +120,7 @@ ValidationReport validate_against_reference(const StackSpec& spec,
   const std::size_t rows = coarse.tile_rows();
   const std::size_t cols = coarse.tile_cols();
   const linalg::Vector fine_tiles =
-      fine.tile_temperatures(solve_steady_state(fine, fine_solver));
+      fine.tile_temperatures(solve_reference(fine));
   report.reference = linalg::Vector(rows * cols);
   for (std::size_t r = 0; r < rows; ++r) {
     for (std::size_t c = 0; c < cols; ++c) {

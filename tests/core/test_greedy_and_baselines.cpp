@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "core/baselines.h"
 #include "core/greedy_deploy.h"
@@ -18,6 +19,14 @@ thermal::PackageGeometry small_geom() {
 std::shared_ptr<const thermal::StackSpec> small_spec() {
   return std::make_shared<const thermal::StackSpec>(
       thermal::StackSpec::single_die(small_geom()));
+}
+
+/// small_spec() with TEC-capable sites only at \p sites.
+std::shared_ptr<const thermal::StackSpec> spec_with_sites(std::vector<Tile> sites) {
+  thermal::StackSpec s = thermal::StackSpec::single_die(small_geom());
+  s.chips[0].layers[1].tec_sites = std::move(sites);
+  s.validate();
+  return std::make_shared<const thermal::StackSpec>(std::move(s));
 }
 
 linalg::Vector hot_map() {
@@ -145,7 +154,7 @@ TEST(Baselines, FullCoverStillCools) {
 }
 
 TEST(Baselines, ThresholdCoverPicksHottestTiles) {
-  auto r = threshold_cover(small_geom(), hot_map(), dev(), 3);
+  auto r = threshold_cover(small_spec(), hot_map(), dev(), 3);
   EXPECT_EQ(r.deployment.count(), 3u);
   // The three injected hot tiles are the three hottest.
   EXPECT_TRUE(r.deployment.test(2, 2));
@@ -154,8 +163,22 @@ TEST(Baselines, ThresholdCoverPicksHottestTiles) {
 }
 
 TEST(Baselines, ThresholdCoverValidatesK) {
-  EXPECT_THROW(threshold_cover(small_geom(), hot_map(), dev(), 0), std::invalid_argument);
-  EXPECT_THROW(threshold_cover(small_geom(), hot_map(), dev(), 37), std::invalid_argument);
+  EXPECT_THROW(threshold_cover(small_spec(), hot_map(), dev(), 0), std::invalid_argument);
+  EXPECT_THROW(threshold_cover(small_spec(), hot_map(), dev(), 37),
+               std::invalid_argument);
+}
+
+TEST(Baselines, ThresholdCoverRanksOnlyTecCapableSites) {
+  // The two hottest tiles, (2, 2) and (2, 3), cannot carry a device.
+  const auto spec = spec_with_sites({{0, 0}, {3, 2}, {5, 5}});
+  auto r = threshold_cover(spec, hot_map(), dev(), 1);
+  EXPECT_EQ(r.deployment.count(), 1u);
+  EXPECT_TRUE(r.deployment.test(3, 2));  // the hottest capable site
+  // k ranges over the capable sites, not the tiles.
+  EXPECT_EQ(threshold_cover(spec, hot_map(), dev(), 3).deployment,
+            spec->tec_allowed_tiles());
+  EXPECT_THROW(threshold_cover(spec, hot_map(), dev(), 4), std::invalid_argument);
+  EXPECT_THROW(threshold_cover(nullptr, hot_map(), dev(), 1), std::invalid_argument);
 }
 
 TEST(Baselines, GreedyBeatsOrMatchesThresholdWithSameBudget) {
@@ -166,7 +189,7 @@ TEST(Baselines, GreedyBeatsOrMatchesThresholdWithSameBudget) {
   o.theta_max = thermal::to_kelvin(66.0);
   auto g = greedy_deploy(small_spec(), hot_map(), dev(), o);
   ASSERT_TRUE(g.success);
-  auto t = threshold_cover(small_geom(), hot_map(), dev(), g.deployment.count());
+  auto t = threshold_cover(small_spec(), hot_map(), dev(), g.deployment.count());
   EXPECT_LE(g.peak_tile_temperature, t.min_peak_temperature + 0.05);
 }
 

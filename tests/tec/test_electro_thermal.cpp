@@ -4,6 +4,7 @@
 
 #include <memory>
 
+#include "linalg/cholesky.h"
 #include "linalg/properties.h"
 
 namespace tfc::tec {
@@ -92,6 +93,24 @@ TEST(ElectroThermal, PowerVectorCarriesJouleHalves) {
   EXPECT_NEAR(linalg::sum(p), linalg::sum(p0) + sys.device().resistance * i * i, 1e-12);
 }
 
+TEST(ElectroThermal, TilePowerRhsMatchesInstalledRhs) {
+  // rhs_into with the installed map reproduces rhs(i); another map moves
+  // only the silicon nodes, by exactly the power difference.
+  auto sys = make_system();
+  const double i = 3.0;
+  const auto expected = sys.rhs(i);
+  linalg::Vector out;
+  sys.rhs_into(i, powers(), out);
+  EXPECT_TRUE(approx_equal(out, expected, 1e-12));
+
+  sys.rhs_into(i, powers(0.9), out);
+  const std::size_t hot_tile = sys.model().silicon_node({1, 1});
+  EXPECT_NEAR(out[hot_tile] - expected[hot_tile], 0.3, 1e-12);
+  EXPECT_NEAR(linalg::sum(out) - linalg::sum(expected), 0.3, 1e-12);
+
+  EXPECT_THROW(sys.rhs_into(i, linalg::Vector(3), out), std::invalid_argument);
+}
+
 TEST(ElectroThermal, NegativeCurrentRejected) {
   auto sys = make_system();
   EXPECT_FALSE(sys.solve(-1.0).has_value());
@@ -142,13 +161,12 @@ TEST(ElectroThermal, OperatingPointFieldsConsistent) {
 }
 
 TEST(ElectroThermal, DenseBackendAgrees) {
+  // The sparse solve against a dense Cholesky oracle of G − i·D.
   auto sys = make_system();
-  thermal::SteadyStateOptions dense;
-  dense.backend = thermal::SolverBackend::kDenseCholesky;
   auto a = sys.solve(4.0);
-  auto b = sys.solve(4.0, dense);
-  ASSERT_TRUE(a && b);
-  EXPECT_TRUE(approx_equal(a->theta, b->theta, 1e-7));
+  auto dense = linalg::CholeskyFactor::factor(sys.system_matrix(4.0).to_dense());
+  ASSERT_TRUE(a && dense);
+  EXPECT_TRUE(approx_equal(a->theta, dense->solve(sys.rhs(4.0)), 1e-7));
 }
 
 TEST(ElectroThermal, AssembleWithEmptyDeploymentGivesPassiveSystem) {
