@@ -5,7 +5,8 @@
 ///
 /// Wall-clock of the full design run (GreedyDeploy + convex current setting
 /// + full-cover comparison) per chip with its work counters (current-search
-/// probes, nnz(L) of the final deployment's pencil), a breakdown of where
+/// probes, Lanczos iterations of its λ_m solves, nnz(L) of the final
+/// deployment's pencil), a breakdown of where
 /// the time goes on the Alpha instance, and the greedy deployment at 1 vs 8
 /// threads. Everything is also written to `BENCH_runtime.json`, headed by
 /// the compiler, build type and `git describe`, so CI can diff runs and gate
@@ -72,34 +73,39 @@ int main() {
   using namespace tfc;
 
   std::printf("=== Design runtime per chip (paper budget: < 180 000 ms) ===\n\n");
-  std::printf("%-6s %12s %8s %8s %8s %8s\n", "chip", "runtime[ms]", "#TECs", "probes",
-              "nnz(L)", "status");
+  std::printf("%-6s %12s %8s %8s %8s %8s %8s\n", "chip", "runtime[ms]", "#TECs", "probes",
+              "lanczos", "nnz(L)", "status");
   struct ChipRow {
     std::string name;
     double runtime_ms;
     std::size_t tecs;
     bool success;
     std::size_t probes;  ///< current-search objective evaluations, whole design
+    std::size_t lanczos_iters;  ///< Lanczos steps of every λ_m solve, whole design
     std::size_t nnz_l;   ///< nnz(L) of the final deployment's pencil
   };
   std::vector<ChipRow> rows;
   double worst = 0.0;
   auto& evaluations = obs::MetricsRegistry::global().histogram(
       "current_opt.objective_evaluations");
+  auto& lanczos = obs::MetricsRegistry::global().histogram("linalg.lanczos_iters");
   for (const auto& chip : bench::table1_chips()) {
     const double evaluations0 = evaluations.summary().sum;
+    const double lanczos0 = lanczos.summary().sum;
     auto res = bench::design_with_fallback(chip);
     const auto probes = std::size_t(evaluations.summary().sum - evaluations0);
+    const auto lanczos_iters = std::size_t(lanczos.summary().sum - lanczos0);
     const std::size_t nnz_l =
         tec::ElectroThermalSystem::assemble(
             thermal::PackageGeometry{}, res.deployment, chip.tile_powers,
             tec::TecDeviceParams::chowdhury_superlattice())
             .cholesky_symbolic()
             .factor_nnz();
-    std::printf("%-6s %12.0f %8zu %8zu %8zu %8s\n", chip.name.c_str(), res.runtime_ms,
-                res.tec_count, probes, nnz_l, res.success ? "ok" : "FAILED");
-    rows.push_back(
-        {chip.name, res.runtime_ms, res.tec_count, res.success, probes, nnz_l});
+    std::printf("%-6s %12.0f %8zu %8zu %8zu %8zu %8s\n", chip.name.c_str(),
+                res.runtime_ms, res.tec_count, probes, lanczos_iters, nnz_l,
+                res.success ? "ok" : "FAILED");
+    rows.push_back({chip.name, res.runtime_ms, res.tec_count, res.success, probes,
+                    lanczos_iters, nnz_l});
     worst = std::max(worst, res.runtime_ms);
   }
   std::printf("\nworst chip: %.0f ms — %.0fx under the paper's 3-minute budget\n",
@@ -391,7 +397,9 @@ int main() {
       out << '"' << rows[k].name << "\":{\"runtime_ms\":" << rows[k].runtime_ms
           << ",\"tecs\":" << rows[k].tecs
           << ",\"success\":" << (rows[k].success ? "true" : "false")
-          << ",\"probes\":" << rows[k].probes << ",\"nnz_l\":" << rows[k].nnz_l << '}';
+          << ",\"probes\":" << rows[k].probes
+          << ",\"lanczos_iters\":" << rows[k].lanczos_iters
+          << ",\"nnz_l\":" << rows[k].nnz_l << '}';
     }
     out << "},\"worst_ms\":" << worst
         << ",\"alpha_breakdown_ms\":{\"steady_solve\":" << solve_ms

@@ -37,9 +37,12 @@ Chip builtin_chip(const std::string& name) {
       chip.name == "alpha"
           ? floorplan::alpha21364()
           : floorplan::hypothetical_chip(std::stoul(chip.name.substr(2)));
-  power::WorkloadSynthesizer synth(plan);
-  chip.tile_powers =
-      power::worst_case_profile(plan, synth.synthesize_suite(8)).tile_powers();
+  // A synthesized suite touches full activity on every unit
+  // (WorkloadOptions::guarantee_worst_case), so its worst case is that of one
+  // all-ones step: the same reduction, bit for bit, without synthesizing it.
+  power::ActivityTrace full_activity;
+  full_activity.utilization.assign(plan.units().size(), std::vector<double>(1, 1.0));
+  chip.tile_powers = power::worst_case_profile(plan, {full_activity}).tile_powers();
   chip.plan = std::make_shared<const floorplan::Floorplan>(std::move(plan));
   return chip;
 }

@@ -126,28 +126,33 @@ void SolveContext::invalidate_runaway_cache() {
   runaway_cache_.reset();
 }
 
-std::optional<double> SolveContext::probe_peak(double i, double* slope) const {
+std::optional<PeakProbe> SolveContext::probe_peak(double i) const {
   TFC_SPAN("engine_probe");
   const auto t0 = std::chrono::steady_clock::now();
   WorkspaceLease ws(*this);
-  std::optional<double> peak;
+  std::optional<PeakProbe> probe;
   if (system_.factorize_into(i, *ws)) {
     const thermal::PackageModel& model = system_.model();
     system_.rhs_into(i, ws->rhs);
     ws->factor.solve_into(ws->rhs, ws->theta, ws->solve_scratch);
     model.tile_temperatures_into(ws->theta, ws->tiles);
-    const std::size_t hottest = linalg::argmax(ws->tiles);
-    peak = ws->tiles[hottest];
-    if (slope != nullptr) {
-      // dθ/di = H·(D·θ + p′), solved in place in the rhs buffer.
-      system_.theta_derivative_rhs_into(i, ws->theta, ws->rhs);
-      ws->factor.solve_into(ws->rhs, ws->rhs, ws->solve_scratch);
-      model.tile_temperatures_into(ws->rhs, ws->tiles);
-      *slope = ws->tiles[hottest];
-    }
+    PeakProbe p;
+    p.tile = linalg::argmax(ws->tiles);
+    p.peak = ws->tiles[p.tile];
+    const std::size_t node = model.silicon_node({p.tile / model.tile_cols(),
+                                                 p.tile % model.tile_cols()});
+    // θ′ = H·(D·θ + p′), solved in place in the rhs buffer.
+    system_.theta_derivative_rhs_into(i, ws->theta, ws->rhs);
+    ws->factor.solve_into(ws->rhs, ws->rhs, ws->solve_scratch);
+    p.slope = ws->rhs[node];
+    // θ″ = H·(2D·θ′ + p″), solved in place in the θ buffer.
+    system_.theta_curvature_rhs_into(ws->rhs, ws->theta);
+    ws->factor.solve_into(ws->theta, ws->theta, ws->solve_scratch);
+    p.curvature = ws->theta[node];
+    probe = p;
   }
   record_solve(Backend::kCholesky, t0);
-  return peak;
+  return probe;
 }
 
 std::optional<tec::OperatingPoint> SolveContext::solve_probe(double i) const {

@@ -32,6 +32,16 @@
 
 namespace tfc::engine {
 
+/// One Problem 2 objective evaluation at a supply current i: the peak silicon
+/// tile temperature and, for its lowest-index arg-max tile k*, the first two
+/// derivatives of θ_k* in i.
+struct PeakProbe {
+  double peak = 0.0;       ///< θ_k* = max over tiles of θ [K]
+  std::size_t tile = 0;    ///< k*, row-major on the virtual tile grid
+  double slope = 0.0;      ///< dθ_k*/di [K/A], a subgradient of the objective
+  double curvature = 0.0;  ///< d²θ_k*/di² [K/A²]
+};
+
 /// Reusable solve engine for one (growing) deployment.
 ///
 /// Thread model: probe_peak / solve_probe / solve / runaway_limit are const
@@ -80,11 +90,11 @@ class SolveContext {
   /// Zero-allocation positive-definiteness + peak-temperature probe at
   /// current \p i via the direct sparse refactorization: nullopt when
   /// G − i·D is not positive definite (i ≥ λ_m) or i < 0, else the peak
-  /// silicon tile temperature [K] — the Problem 2 objective. When \p slope
-  /// is non-null it also receives dθ_k*/di [K/A] of the lowest-index arg-max
-  /// tile k*, a subgradient of the objective, from the same factor plus one
-  /// triangular solve of H·(D·θ + p′).
-  std::optional<double> probe_peak(double i, double* slope = nullptr) const;
+  /// silicon tile temperature [K] — the Problem 2 objective — with the slope
+  /// and curvature of the lowest-index arg-max tile k*. Both come from the
+  /// same factor: dθ/di = H·(D·θ + p′) and d²θ/di² = H·(2D·θ′ + p″), one
+  /// triangular solve each.
+  std::optional<PeakProbe> probe_peak(double i) const;
 
   /// Full operating point via the direct sparse refactorization (the same
   /// pinned probe backend as probe_peak; workspace-pooled).

@@ -336,6 +336,7 @@ StackSpec load_stack_spec(const std::string& path) {
   std::ostringstream buffer;
   buffer << in.rdbuf();
   StackSpec spec = spec_from_json(parse_json(buffer.str()));
+  spec.validate();  // before rasterizing any floorplan onto the tile grid
 
   const std::string dir = directory_of(path);
   for (ChipSpec& chip : spec.chips) {

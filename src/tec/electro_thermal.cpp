@@ -193,6 +193,17 @@ void ElectroThermalSystem::theta_derivative_rhs_into(double i,
   for (std::size_t cold : model_.cold_nodes()) out[cold] += ri;
 }
 
+void ElectroThermalSystem::theta_curvature_rhs_into(const linalg::Vector& dtheta,
+                                                    linalg::Vector& out) const {
+  const std::size_t n = dtheta.size();
+  out.resize(n);
+  for (std::size_t k = 0; k < n; ++k) out[k] = 2.0 * d_diag_[k] * dtheta[k];
+  // p″: d²/di² of the Joule halves r·i²/2 → r at each plate.
+  const double r = device_.resistance;
+  for (std::size_t hot : model_.hot_nodes()) out[hot] += r;
+  for (std::size_t cold : model_.cold_nodes()) out[cold] += r;
+}
+
 std::optional<OperatingPoint> ElectroThermalSystem::solve(double i,
                                                           SolveWorkspace* ws) const {
   if (i < 0.0) return std::nullopt;

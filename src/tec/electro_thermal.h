@@ -170,6 +170,11 @@ class ElectroThermalSystem {
   void theta_derivative_rhs_into(double i, const linalg::Vector& theta,
                                  linalg::Vector& out) const;
 
+  /// Right-hand side of d²θ/di² = H(i)·(2D·θ′ + p″) into caller-owned storage
+  /// (resized to node_count()): 2D·θ′ plus p″ = r on every hot/cold node.
+  /// \p dtheta must be dθ/di at the probed current and must not alias \p out.
+  void theta_curvature_rhs_into(const linalg::Vector& dtheta, linalg::Vector& out) const;
+
   /// Solve (G − i·D)θ = p(i) by sparse Cholesky through the shared symbolic
   /// analysis. Returns nullopt when the matrix is no longer positive definite
   /// (i ≥ λ_m: thermal runaway) or i < 0. Passing a caller-owned \p ws

@@ -138,6 +138,21 @@ void StackSpec::validate() const {
     }
   }
 
+  // The virtual grid, counted without overflow: a wrapped product would size
+  // every per-tile array of the model wrong.
+  std::size_t rows = 0;
+  for (const ChipSpec& chip : chips) {
+    const std::size_t band = chip.die_count();
+    if (chip.tile_rows > kMaxTiles / band || chip.tile_rows * band > kMaxTiles - rows) {
+      rows = kMaxTiles + 1;
+      break;
+    }
+    rows += chip.tile_rows * band;
+  }
+  if (rows > kMaxTiles / cols) {
+    fail("virtual tile grid exceeds " + std::to_string(kMaxTiles) + " tiles");
+  }
+
   for (std::size_t a = 0; a < chips.size(); ++a) {
     for (std::size_t b = a + 1; b < chips.size(); ++b) {
       if (overlaps(footprint(chips[a]), footprint(chips[b]))) {

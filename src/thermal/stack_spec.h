@@ -108,10 +108,15 @@ struct StackSpec {
   double substrate_to_board_resistance = 5.0;
   double board_convection_resistance = 15.0;
 
+  /// Largest virtual tile grid (total_tile_rows() × tile_cols()) a spec may
+  /// describe: 2^20 tiles, about 100× the shipped 100×100 example. Every
+  /// per-tile array of a package model is sized by this grid.
+  static constexpr std::size_t kMaxTiles = std::size_t(1) << 20;
+
   /// Throws std::invalid_argument with a typed "StackSpec: ..." message on
   /// any structural error (bad layer alternation, non-positive thickness,
   /// overlapping die footprints, TEC sites out of range, mismatched grids,
-  /// chips off the spreader, ...).
+  /// a virtual grid over kMaxTiles, chips off the spreader, ...).
   void validate() const;
 
   /// The single-die package described by \p geometry: one centered chip of

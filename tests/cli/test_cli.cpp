@@ -15,6 +15,7 @@
 #include <cctype>
 #include <chrono>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -173,6 +174,30 @@ TEST(Cli, ValidateWithinPaperBound) {
   auto r = run({"validate", "--chip", "alpha"});
   EXPECT_EQ(r.code, 0);
   EXPECT_NE(r.out.find("max |diff|"), std::string::npos);
+}
+
+TEST(Cli, OversizedSpecGridIsAnErrorNotACrash) {
+  // examples/paper_single_die.json at 2^33 x 2^33 tiles: the tile count
+  // wraps to 0 in 64 bits.
+  std::ifstream in(std::string(TFC_EXAMPLES_DIR) + "/paper_single_die.json");
+  std::stringstream text;
+  text << in.rdbuf();
+  std::string spec = text.str();
+  for (const char* key : {"\"tile_rows\": 12", "\"tile_cols\": 12"}) {
+    const std::size_t at = spec.find(key);
+    ASSERT_NE(at, std::string::npos) << key;
+    spec.replace(at, std::strlen(key), std::string(key, std::strlen(key) - 2) + "8589934592");
+  }
+  const auto path = std::filesystem::temp_directory_path() /
+                    ("tfcool_cli_huge_" + std::to_string(::getpid()) + ".json");
+  std::ofstream(path) << spec;
+  const auto validate = run({"spec", "validate", path.string()});
+  EXPECT_EQ(validate.code, 1);
+  EXPECT_NE(validate.err.find("virtual tile grid exceeds"), std::string::npos) << validate.err;
+  const auto design = run({"design", "--spec", path.string()});
+  EXPECT_EQ(design.code, 2);
+  EXPECT_NE(design.err.find("virtual tile grid exceeds"), std::string::npos) << design.err;
+  std::filesystem::remove(path);
 }
 
 TEST(Cli, SweepEmitsCsv) {

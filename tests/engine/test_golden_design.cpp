@@ -7,13 +7,15 @@
 /// deployments is checked against dense bisection on the exact Schur-reduced
 /// pencil. The paper's package itself is pinned by a content hash of its
 /// assembled network at two deployments. The approximate minimum degree
-/// fill of those pencils and the probe count of the current bisection on
-/// the golden deployments are pinned exactly.
+/// fill of those pencils and the evaluation count of the current search on
+/// the golden deployments are pinned exactly, and the built-in chips' power
+/// maps against their synthesized benchmark suites.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -30,6 +32,7 @@
 #include "io/json.h"
 #include "linalg/eigen.h"
 #include "obs/metrics.h"
+#include "power/workload.h"
 #include "par/thread_pool.h"
 #include "tec/device.h"
 #include "tec/runaway.h"
@@ -162,6 +165,24 @@ TEST_P(RunawayOracle, SparseMatchesSchurPencilBisection) {
 INSTANTIATE_TEST_SUITE_P(Table1, RunawayOracle,
                          ::testing::Values("alpha", "hc1", "hc2", "hc3", "hc4", "hc5",
                                            "hc6", "hc7", "hc8", "hc9", "hc10"),
+                         [](const ::testing::TestParamInfo<const char*>& info) {
+                           return std::string(info.param);
+                         });
+
+/// A built-in chip's power map is the worst case of its synthesized
+/// eight-benchmark suite, bit for bit (every unit reaches full activity).
+class BuiltinChip : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(BuiltinChip, MapIsTheSynthesizedSuitesWorstCase) {
+  const core::Chip chip = core::builtin_chip(GetParam());
+  const power::WorkloadSynthesizer synth(*chip.plan);
+  EXPECT_EQ(chip.tile_powers,
+            power::worst_case_profile(*chip.plan, synth.synthesize_suite(8)).tile_powers());
+}
+
+INSTANTIATE_TEST_SUITE_P(Table1, BuiltinChip,
+                         ::testing::Values("alpha", "hc1", "hc2", "hc3", "hc4", "hc5",
+                                           "hc6", "hc7", "hc8", "hc9", "hc10", "hc99"),
                          [](const ::testing::TestParamInfo<const char*>& info) {
                            return std::string(info.param);
                          });
@@ -299,10 +320,16 @@ TEST(AmdFill, DesignRecordsOneFillSamplePerAnalysis) {
   EXPECT_EQ(count("cholesky.sparse.fill_ratio") - fill0, analyses);
 }
 
-/// Bisection on the sign of dθ/di on each full-cover golden deployment:
-/// ⌈log2(0.999·λ_m / kCurrentTol)⌉ = 21 probes (every golden λ_m lies in
-/// (105.0, 209.9] A) plus the final operating-point solve.
+/// The current search on each full-cover golden deployment: the plain
+/// bisection on the sign of dθ/di takes ⌈log2(0.999·λ_m / kCurrentTol)⌉ = 21
+/// probes (every golden λ_m lies in (105.0, 209.9] A) plus the final
+/// operating-point solve; bracketing then replaying it takes the exact counts
+/// below for the same current.
 class CurrentBisection : public ::testing::TestWithParam<const char*> {};
+
+const std::map<std::string, std::size_t> kGoldenEvaluations = {
+    {"alpha", 10}, {"hc1", 6}, {"hc2", 6},  {"hc3", 11}, {"hc4", 6},  {"hc5", 11},
+    {"hc6", 9},    {"hc7", 10}, {"hc8", 9}, {"hc9", 6},  {"hc10", 10}};
 
 TEST_P(CurrentBisection, GoldenDeploymentTakesAtMost22Evaluations) {
   const std::string name = GetParam();
@@ -314,7 +341,7 @@ TEST_P(CurrentBisection, GoldenDeploymentTakesAtMost22Evaluations) {
   const core::CurrentOptimum opt = core::optimize_current(context);
   EXPECT_TRUE(opt.converged);
   EXPECT_LE(opt.objective_evaluations, 22u);
-  EXPECT_EQ(opt.objective_evaluations, 22u);
+  EXPECT_EQ(opt.objective_evaluations, kGoldenEvaluations.at(name));
 }
 
 INSTANTIATE_TEST_SUITE_P(Table1, CurrentBisection,

@@ -141,7 +141,7 @@ TEST(SolveContext, ProbePeakMatchesSolveProbe) {
     auto op = ctx.solve_probe(i);
     ASSERT_TRUE(peak.has_value());
     ASSERT_TRUE(op.has_value());
-    EXPECT_EQ(*peak, op->peak_tile_temperature) << "i=" << i;
+    EXPECT_EQ(peak->peak, op->peak_tile_temperature) << "i=" << i;
   }
   EXPECT_FALSE(ctx.probe_peak(-1.0).has_value());
 }
@@ -155,11 +155,16 @@ TEST(SolveContext, ConcurrentProbesMatchSerialBitwise) {
   struct Probe {
     std::optional<double> peak;
     double slope = 0.0;
+    double curvature = 0.0;
   };
   const std::size_t count = 64;
   const auto probe = [&](std::size_t k) {
     Probe p;
-    p.peak = ctx.probe_peak(1.05 * *lambda_m * double(k) / double(count - 1), &p.slope);
+    if (auto r = ctx.probe_peak(1.05 * *lambda_m * double(k) / double(count - 1))) {
+      p.peak = r->peak;
+      p.slope = r->slope;
+      p.curvature = r->curvature;
+    }
     return p;
   };
   std::vector<Probe> serial;
@@ -172,6 +177,7 @@ TEST(SolveContext, ConcurrentProbesMatchSerialBitwise) {
   for (std::size_t k = 0; k < count; ++k) {
     EXPECT_EQ(concurrent[k].peak, serial[k].peak) << k;
     EXPECT_EQ(concurrent[k].slope, serial[k].slope) << k;
+    EXPECT_EQ(concurrent[k].curvature, serial[k].curvature) << k;
     if (!serial[k].peak) ++past_limit;
   }
   EXPECT_GT(past_limit, 0u);

@@ -123,6 +123,35 @@ TEST(SpecJson, HashDiscriminatesContent) {
   EXPECT_EQ(spec_content_hash(a).size(), 16u);
 }
 
+/// A hostile tile grid is rejected at load, before anything is sized by it:
+/// 2^33 per side wraps the tile count to 0, 10^15 would exhaust memory, and
+/// 10^5 per side is 10^10 TEC sites.
+TEST(SpecJson, OversizedTileGridRejectedOnLoad) {
+  for (std::size_t side : {std::size_t(1) << 33, std::size_t(1000000000000000),
+                           std::size_t(100000)}) {
+    thermal::StackSpec s = default_spec();
+    s.chips[0].tile_rows = s.chips[0].tile_cols = side;
+    TempSpecFile f("huge", spec_to_json(s).dump());
+    EXPECT_THROW(
+        try { load_stack_spec(f.path()); } catch (const std::invalid_argument& e) {
+          EXPECT_NE(std::string(e.what()).find("virtual tile grid exceeds 1048576 tiles"),
+                    std::string::npos)
+              << side;
+          throw;
+        },
+        std::invalid_argument)
+        << side;
+  }
+  // The cap counts every die band of the virtual grid: 1024 columns by
+  // 1024 rows fit, one more stacked row does not.
+  thermal::StackSpec s = default_spec();
+  s.chips[0].tile_rows = s.chips[0].tile_cols = 1024;
+  EXPECT_NO_THROW(s.validate());
+  s.chips[0].layers.push_back(s.chips[0].layers[0]);
+  s.chips[0].layers.push_back(s.chips[0].layers[1]);
+  EXPECT_THROW(s.validate(), std::invalid_argument);
+}
+
 TEST(SpecJson, LoadValidatesEndToEnd) {
   // A syntactically fine document whose chips overlap must fail validate()
   // inside load_stack_spec, not only at model build time.

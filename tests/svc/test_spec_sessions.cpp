@@ -168,6 +168,26 @@ TEST(ServiceSpec, BadSpecPathIsBadRequest) {
   EXPECT_EQ(reply.at("error").at("code").as_string(), "bad_request");
 }
 
+TEST(ServiceSpec, OversizedTileGridIsBadRequestAndServerLives) {
+  // 2^33 tiles per side: the tile count wraps to 0 in 64 bits.
+  const std::string path = temp_path("huge", ".json");
+  {
+    thermal::StackSpec s = thermal::StackSpec::single_die(thermal::PackageGeometry{});
+    s.chips[0].tile_rows = s.chips[0].tile_cols = std::size_t(1) << 33;
+    std::ofstream f(path);
+    f << io::spec_to_json(s).dump() << "\n";
+  }
+  ServerFixture fx(quick_options("hugespec"));
+  auto client = Client::connect_unix(fx.server().options().socket_path);
+  io::JsonValue params = io::JsonValue::make_object();
+  params.set("spec", io::JsonValue::make_string(path));
+  auto reply = client.call("solve", params);
+  std::remove(path.c_str());
+  ASSERT_FALSE(reply.at("ok").as_bool());
+  EXPECT_EQ(reply.at("error").at("code").as_string(), "bad_request");
+  EXPECT_TRUE(client.call("ping", io::JsonValue::make_object()).at("ok").as_bool());
+}
+
 TEST(ServiceSpec, DesignMethodAcceptsSpec) {
   SpecFile spec("design", 10.0);
   ServerFixture fx(quick_options("design"));
