@@ -5,8 +5,8 @@
 ///
 /// Wall-clock of the full design run (GreedyDeploy + convex current setting
 /// + full-cover comparison) per chip with its work counters (current-search
-/// probes, Lanczos iterations of its λ_m solves, nnz(L) of the final
-/// deployment's pencil), a breakdown of where
+/// probes, Lanczos iterations of its λ_m solves, numeric refactorizations,
+/// nnz(L) of the final deployment's pencil), a breakdown of where
 /// the time goes on the Alpha instance, and the greedy deployment at 1 vs 8
 /// threads. Everything is also written to `BENCH_runtime.json`, headed by
 /// the compiler, build type and `git describe`, so CI can diff runs and gate
@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -60,10 +61,13 @@ double greedy_ms_at(std::size_t threads, const tfc::linalg::Vector& powers,
   return best;
 }
 
-/// Mean point-solve latency of one engine backend on \p context [ms].
+/// Mean point-solve latency of one engine backend on \p context [ms]. Each
+/// call solves at a new current, so every direct solve factors afresh: a
+/// pooled workspace keeps the factor of its last current, and a repeat of it
+/// would measure only the triangular solves.
 double backend_probe_ms(const tfc::engine::SolveContext& context, int reps = 20) {
   const auto t0 = std::chrono::steady_clock::now();
-  for (int k = 0; k < reps; ++k) (void)context.solve(3.0);
+  for (int k = 0; k < reps; ++k) (void)context.solve(3.0 + 1e-3 * k);
   return ms_since(t0) / reps;
 }
 
@@ -73,8 +77,8 @@ int main() {
   using namespace tfc;
 
   std::printf("=== Design runtime per chip (paper budget: < 180 000 ms) ===\n\n");
-  std::printf("%-6s %12s %8s %8s %8s %8s %8s\n", "chip", "runtime[ms]", "#TECs", "probes",
-              "lanczos", "nnz(L)", "status");
+  std::printf("%-6s %12s %8s %8s %8s %9s %8s %8s\n", "chip", "runtime[ms]", "#TECs",
+              "probes", "lanczos", "refactors", "nnz(L)", "status");
   struct ChipRow {
     std::string name;
     double runtime_ms;
@@ -82,6 +86,7 @@ int main() {
     bool success;
     std::size_t probes;  ///< current-search objective evaluations, whole design
     std::size_t lanczos_iters;  ///< Lanczos steps of every λ_m solve, whole design
+    std::size_t refactors;  ///< numeric sparse refactorizations, whole design
     std::size_t nnz_l;   ///< nnz(L) of the final deployment's pencil
   };
   std::vector<ChipRow> rows;
@@ -89,23 +94,26 @@ int main() {
   auto& evaluations = obs::MetricsRegistry::global().histogram(
       "current_opt.objective_evaluations");
   auto& lanczos = obs::MetricsRegistry::global().histogram("linalg.lanczos_iters");
+  auto& refactors = obs::MetricsRegistry::global().counter("cholesky.sparse.refactors");
   for (const auto& chip : bench::table1_chips()) {
     const double evaluations0 = evaluations.summary().sum;
     const double lanczos0 = lanczos.summary().sum;
+    const std::uint64_t refactors0 = refactors.value();
     auto res = bench::design_with_fallback(chip);
     const auto probes = std::size_t(evaluations.summary().sum - evaluations0);
     const auto lanczos_iters = std::size_t(lanczos.summary().sum - lanczos0);
+    const auto design_refactors = std::size_t(refactors.value() - refactors0);
     const std::size_t nnz_l =
         tec::ElectroThermalSystem::assemble(
             thermal::PackageGeometry{}, res.deployment, chip.tile_powers,
             tec::TecDeviceParams::chowdhury_superlattice())
             .cholesky_symbolic()
             .factor_nnz();
-    std::printf("%-6s %12.0f %8zu %8zu %8zu %8zu %8s\n", chip.name.c_str(),
-                res.runtime_ms, res.tec_count, probes, lanczos_iters, nnz_l,
-                res.success ? "ok" : "FAILED");
+    std::printf("%-6s %12.0f %8zu %8zu %8zu %9zu %8zu %8s\n", chip.name.c_str(),
+                res.runtime_ms, res.tec_count, probes, lanczos_iters, design_refactors,
+                nnz_l, res.success ? "ok" : "FAILED");
     rows.push_back({chip.name, res.runtime_ms, res.tec_count, res.success, probes,
-                    lanczos_iters, nnz_l});
+                    lanczos_iters, design_refactors, nnz_l});
     worst = std::max(worst, res.runtime_ms);
   }
   std::printf("\nworst chip: %.0f ms — %.0fx under the paper's 3-minute budget\n",
@@ -399,6 +407,7 @@ int main() {
           << ",\"success\":" << (rows[k].success ? "true" : "false")
           << ",\"probes\":" << rows[k].probes
           << ",\"lanczos_iters\":" << rows[k].lanczos_iters
+          << ",\"refactors\":" << rows[k].refactors
           << ",\"nnz_l\":" << rows[k].nnz_l << '}';
     }
     out << "},\"worst_ms\":" << worst

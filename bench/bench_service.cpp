@@ -10,7 +10,9 @@
 ///
 /// Per-scenario throughput and client-observed p50/p95/p99 latency go to
 /// stdout and `BENCH_service.json` for the CI regression gate
-/// (tools/check_bench_regression.py --service-baseline ...).
+/// (tools/check_bench_regression.py --service-baseline ...). The file is
+/// headed like `BENCH_runtime.json`: compiler, build type, `git describe`
+/// and the host's hardware threads.
 
 #include <unistd.h>
 
@@ -23,6 +25,7 @@
 #include <thread>
 #include <vector>
 
+#include "obs/build_info.h"
 #include "svc/client.h"
 #include "svc/server.h"
 
@@ -162,7 +165,11 @@ int main() {
 
   {
     std::ofstream out("BENCH_service.json");
-    out << "{\"bench\":\"service\",\"workers\":" << opts.workers
+    out << "{\"bench\":\"service\",\"compiler\":\"" << TFC_BUILD_COMPILER
+        << "\",\"build_type\":\"" << TFC_BUILD_TYPE << "\",\"git_describe\":\""
+        << TFC_BUILD_GIT_DESCRIBE
+        << "\",\"hardware_threads\":" << std::thread::hardware_concurrency()
+        << ",\"workers\":" << opts.workers
         << ",\"client_threads\":" << threads << ",\"scenarios\":{";
     for (std::size_t k = 0; k < results.size(); ++k) {
       const auto& r = results[k];

@@ -1,7 +1,6 @@
 #include "core/dtm.h"
 
 #include <algorithm>
-#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -146,17 +145,14 @@ DtmResult simulate_dtm(const floorplan::Floorplan& plan,
   const auto system = tec::ElectroThermalSystem::assemble(std::move(spec), deployment,
                                                           plan.tile_powers(), device);
   tec::SolveWorkspace ws;
-  std::optional<double> factored_at;  // current of ws.factor
   linalg::Vector powers(plan.tile_count());
 
   DtmResult res;
   for (;;) {
     const double current = controller.current();
-    if (factored_at != current) {
-      if (!system.factorize_into(current, ws)) {
-        throw std::runtime_error("simulate_dtm: solve failed (runaway current?)");
-      }
-      factored_at = current;
+    // Refactors only when the current moved (the workspace records its factor).
+    if (!system.factorize_into(current, ws)) {
+      throw std::runtime_error("simulate_dtm: solve failed (runaway current?)");
     }
     // The throttled power map: each unit's scaled power spread evenly over
     // its tiles.

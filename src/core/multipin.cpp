@@ -33,6 +33,7 @@ std::optional<tec::OperatingPoint> solve_multi_pin(
   }
 
   engine::SolveContext::WorkspaceLease ws(context);
+  ws->forget_factor();  // about to hold a per-device pencil, not G − i·D
   ws->pencil.assign_add_scaled_diagonal(system.matrix_g(), d, 1.0);
   const auto& symbolic = system.cholesky_symbolic();
   if (!symbolic.pattern_matches(ws->pencil)) {

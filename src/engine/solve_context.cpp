@@ -37,6 +37,15 @@ void record_solve(Backend backend, std::chrono::steady_clock::time_point t0) {
       .record(ms_since(t0));
 }
 
+/// Counts engine.factor_reused when \p ws already holds the factor a probe
+/// or solve at \p i needs (factorize_into then skips the refactorization).
+void note_factor_reuse(const tec::ElectroThermalSystem& system,
+                       const tec::SolveWorkspace& ws, double i) {
+  if (system.holds_factor(ws, i)) {
+    obs::MetricsRegistry::global().counter("engine.factor_reused").increment();
+  }
+}
+
 /// Deployment mask normalized to the model's virtual grid (an unshaped
 /// default mask means "no TECs").
 TileMask shaped(const TileMask& mask, const thermal::PackageModel& model) {
@@ -131,6 +140,7 @@ std::optional<PeakProbe> SolveContext::probe_peak(double i) const {
   const auto t0 = std::chrono::steady_clock::now();
   WorkspaceLease ws(*this);
   std::optional<PeakProbe> probe;
+  note_factor_reuse(system_, *ws, i);
   if (system_.factorize_into(i, *ws)) {
     const thermal::PackageModel& model = system_.model();
     system_.rhs_into(i, ws->rhs);
@@ -158,6 +168,7 @@ std::optional<PeakProbe> SolveContext::probe_peak(double i) const {
 std::optional<tec::OperatingPoint> SolveContext::solve_probe(double i) const {
   const auto t0 = std::chrono::steady_clock::now();
   WorkspaceLease ws(*this);
+  note_factor_reuse(system_, *ws, i);
   auto op = system_.solve(i, ws.get());
   record_solve(Backend::kCholesky, t0);
   if (op.has_value()) maybe_audit(*op);
@@ -261,9 +272,14 @@ std::optional<double> SolveContext::runaway_limit() const {
     if (runaway_cached_) return runaway_cache_;
   }
   // Draw the Lanczos scratch from the pooled workspaces so repeated λ_m
-  // requests of one context run allocation-free.
+  // requests of one context run allocation-free. The Lanczos runs on G's
+  // factor in the leased workspace, which keeps it afterwards: the pool is
+  // LIFO, so the current search's first probe (i = 0) leases this workspace
+  // back and skips its refactorization.
   WorkspaceLease ws(*this);
-  const tec::RunawayResult r = tec::runaway_limit_ex(system_, &ws->lanczos);
+  const linalg::SparseCholeskyFactor* g_factor =
+      device_count() > 0 && system_.factorize_into(0.0, *ws) ? &ws->factor : nullptr;
+  const tec::RunawayResult r = tec::runaway_limit_ex(system_, &ws->lanczos, g_factor);
   obs::MetricsRegistry::global().counter("engine.runaway.sparse").increment();
   std::lock_guard<std::mutex> lock(runaway_mutex_);
   if (!runaway_cached_) {

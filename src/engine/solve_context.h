@@ -4,9 +4,12 @@
 ///
 /// A SolveContext owns the assembled tec::ElectroThermalSystem for one
 /// deployment, the shared symbolic Cholesky analysis, the cached runaway
-/// limit λ_m, and a pool of preallocated solve workspaces (pencil, factor,
-/// rhs/θ buffers), so the current-probe hot path of Problem 2 runs with zero
-/// allocations. Deployments only ever grow during greedy deployment
+/// limit λ_m, and a LIFO pool of preallocated solve workspaces (pencil,
+/// factor, rhs/θ buffers), so the current-probe hot path of Problem 2 runs
+/// with zero allocations. Each workspace records which factor it holds: the
+/// λ_m solve factors G into its workspace, and the current search's first
+/// probe (i = 0) leases that workspace back and skips the refactorization
+/// (engine.factor_reused). Deployments only ever grow during greedy deployment
 /// (Figure 5), so extend() re-stamps the package network incrementally
 /// (PackageModel::extend_tec) instead of re-deriving every conductance from
 /// the spec — bit-identical to a from-scratch assembly, asserted in Debug.
@@ -88,7 +91,9 @@ class SolveContext {
   void set_deployment(const TileMask& deployment);
 
   /// Zero-allocation positive-definiteness + peak-temperature probe at
-  /// current \p i via the direct sparse refactorization: nullopt when
+  /// current \p i via the direct sparse refactorization (skipped, and counted
+  /// in engine.factor_reused, when the leased workspace already holds the
+  /// factor at \p i): nullopt when
   /// G − i·D is not positive definite (i ≥ λ_m) or i < 0, else the peak
   /// silicon tile temperature [K] — the Problem 2 objective — with the slope
   /// and curvature of the lowest-index arg-max tile k*. Both come from the
@@ -97,7 +102,8 @@ class SolveContext {
   std::optional<PeakProbe> probe_peak(double i) const;
 
   /// Full operating point via the direct sparse refactorization (the same
-  /// pinned probe backend as probe_peak; workspace-pooled).
+  /// pinned probe backend as probe_peak; workspace-pooled, with the same
+  /// factor reuse).
   std::optional<tec::OperatingPoint> solve_probe(double i) const;
 
   /// Point solve dispatched over options().backend. CG reports loss of
@@ -122,9 +128,10 @@ class SolveContext {
   std::optional<double> cached_runaway_limit() const;
 
   /// Runaway limit λ_m of the current deployment (nullopt: none), by the
-  /// sparse shift-invert Lanczos (tec::runaway_limit_ex) with its scratch
-  /// drawn from the pooled workspaces. Cached; invalidated by
-  /// extend()/set_deployment(). Each computation counts in
+  /// sparse shift-invert Lanczos (tec::runaway_limit_ex) on the factor of G
+  /// in a pooled workspace, with its scratch drawn from the same workspace.
+  /// The factor stays there for a later probe or solve at i = 0. Cached;
+  /// invalidated by extend()/set_deployment(). Each computation counts in
   /// engine.runaway.sparse.
   std::optional<double> runaway_limit() const;
 

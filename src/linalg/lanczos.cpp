@@ -4,6 +4,8 @@
 #include <cmath>
 #include <cstdio>
 #include <string>
+#include <tuple>
+#include <utility>
 
 #include "linalg/dense_matrix.h"
 #include "linalg/eigen.h"
@@ -95,65 +97,87 @@ Vector tridiagonal_eigenvector(const std::vector<double>& alpha,
   return s;
 }
 
-/// A top Ritz pair (θ, s) of T_j is converged once its Ritz residual
-/// ‖C_σ·y − θ·y‖_K = |β_{j+1}·s_j| falls to this fraction of θ.
+/// Phase 1 stops once the top Ritz pair's residual ‖C_σ·y − θ·y‖_K =
+/// |β_{j+1}·s_j| falls to this fraction of θ: the Ritz value is then within
+/// about r²/gap of ν_max, inside the near shift's margin unless the top two
+/// eigenvalues nearly coincide.
+constexpr double kCoarseRitzTol = 1e-5;
+/// The fallback resumes the run to this stop (that of the single-phase solve).
 constexpr double kRitzResidualTol = 1e-12;
 
-/// λ is certified minimal when G − (1 − kMinimalityMargin)·λ·D factors.
+/// Phase 2 factors G − (1 − kNearShiftGap)·λ̃·D.
+constexpr double kNearShiftGap = 5e-9;
+/// Inverse-iteration rounds with the near factor, stopping once the
+/// certified residual reaches kNearResidual.
+constexpr int kNearRounds = 4;
+constexpr double kNearResidual = 1e-12;
+/// Refinement rounds of the fallback with K's factor.
+constexpr int kFallbackRounds = 3;
+
+/// λ is certified minimal when G − σ·D factors at some σ ≥ (1 − kMinimalityMargin)·λ.
 constexpr double kMinimalityMargin = 1e-8;
 
 struct IterationOutcome {
   double theta_max = 0.0;     ///< largest Ritz value of T_j (any sign)
   std::size_t steps = 0;      ///< Lanczos steps taken
+  bool done = false;          ///< Krylov space exhausted or cap reached
 };
 
-/// One Lanczos run on C_σ = K⁻¹D from the deterministic start vector seeded
-/// by \p start_phase. Fills ws.basis/kbasis/alpha/beta; returns the extremal
-/// Ritz value once its Ritz residual converges or the Krylov space is
-/// exhausted (or at the iteration cap).
-IterationOutcome lanczos_sweep(const SparseMatrix& k, const Vector& d,
-                               const SparseCholeskyFactor& factor,
-                               ShiftInvertLanczosWorkspace& ws, std::size_t n,
-                               std::size_t max_iterations, double start_phase) {
-  IterationOutcome out;
+void ensure_basis(ShiftInvertLanczosWorkspace& ws, std::size_t n, std::size_t count) {
+  while (ws.basis.size() < count) {
+    ws.basis.emplace_back();
+    ws.kbasis.emplace_back();
+  }
+  ws.basis[count - 1].resize(n);
+  ws.kbasis[count - 1].resize(n);
+}
+
+/// Starts a Lanczos run on C_σ = K⁻¹D from v₁ ∝ K⁻¹·z: z = d⁺, the hot
+/// plates' Peltier coefficients, when \p hot_plates, else z = d ∘ u₀ for a
+/// deterministic sinusoid u₀. Both lie in range(D), so v₁ lies in
+/// range(K⁻¹D): components outside it are invisible to C_σ anyway, and
+/// starting inside it makes the β-breakdown at rank(D) exact rather than
+/// asymptotic. Returns false when z has no K-mass.
+bool lanczos_start(const Vector& d, const SparseCholeskyFactor& factor,
+                   ShiftInvertLanczosWorkspace& ws, std::size_t n, bool hot_plates) {
   ws.alpha.clear();
-  ws.beta.clear();
-  ws.beta.push_back(0.0);  // beta[0] unused (1-based off-diagonals)
-
-  auto ensure_basis = [&](std::size_t count) {
-    while (ws.basis.size() < count) {
-      ws.basis.emplace_back();
-      ws.kbasis.emplace_back();
-    }
-    ws.basis[count - 1].resize(n);
-    ws.kbasis[count - 1].resize(n);
-  };
-
-  // Start vector restricted to range(K⁻¹D): v₁ ∝ K⁻¹·(d ∘ u₀). Components
-  // outside that range are invisible to C_σ anyway, and starting inside it
-  // makes the β-breakdown at rank(D) exact rather than asymptotic.
+  ws.beta.assign(1, 0.0);  // beta[0] unused (1-based off-diagonals)
   ws.z.resize(n);
   ws.w.resize(n);
   ws.kw.resize(n);
   bool any = false;
   for (std::size_t i = 0; i < n; ++i) {
-    const double u0 = 1.0 + 0.5 * std::sin(double(i + 1) + start_phase);
-    ws.z[i] = d[i] * u0;
+    if (hot_plates) {
+      ws.z[i] = d[i] > 0.0 ? d[i] : 0.0;
+    } else {
+      ws.z[i] = d[i] * (1.0 + 0.5 * std::sin(double(i + 1) + 0.7));
+    }
     any = any || ws.z[i] != 0.0;
   }
-  if (!any) return out;  // D ≡ 0: no eigenvalues at all
+  if (!any) return false;
   factor.solve_into(ws.z, ws.w, ws.solve_scratch);
   // ‖w‖_K² = wᵀK w = wᵀz (K·w = z by construction).
   const double b0sq = dot(ws.w, ws.z);
-  if (!(b0sq > 0.0)) return out;
+  if (!(b0sq > 0.0)) return false;
   const double b0 = std::sqrt(b0sq);
-  ensure_basis(1);
+  ensure_basis(ws, n, 1);
   for (std::size_t i = 0; i < n; ++i) {
     ws.basis[0][i] = ws.w[i] / b0;
     ws.kbasis[0][i] = ws.z[i] / b0;
   }
+  return true;
+}
 
-  for (std::size_t j = 0; j < max_iterations; ++j) {
+/// Continues the run from step out.steps until the top Ritz pair's residual
+/// falls to \p ritz_tol·θ_max, the Krylov space exhausts or the iteration
+/// cap is reached (the last two set out.done). Each next basis vector is
+/// stored before the convergence test, so a later call with a tighter
+/// \p ritz_tol resumes exactly where this one stopped.
+void lanczos_extend(const SparseMatrix& k, const Vector& d,
+                    const SparseCholeskyFactor& factor, ShiftInvertLanczosWorkspace& ws,
+                    std::size_t n, std::size_t cap, double ritz_tol,
+                    IterationOutcome& out) {
+  for (std::size_t j = out.steps; j < cap; ++j) {
     const Vector& vj = ws.basis[j];
     // w = C_σ v_j = K⁻¹(d ∘ v_j).
     for (std::size_t i = 0; i < n; ++i) ws.z[i] = d[i] * vj[i];
@@ -187,149 +211,215 @@ IterationOutcome lanczos_sweep(const SparseMatrix& k, const Vector& d,
     // The start vector lives in range(K⁻¹D), so the Krylov space exhausts in
     // at most rank(D) steps — β collapses to roundoff and the Ritz values
     // are exact.
-    if (bj <= 1e-13 * std::max(tscale, 1e-300)) break;
-    // Usually far earlier, the top Ritz pair converges: its residual is the
-    // last component of its T_j eigenvector times β_{j+1}.
-    if (out.theta_max > 0.0) {
-      const Vector s = tridiagonal_eigenvector(ws.alpha, ws.beta, j + 1, out.theta_max);
-      if (std::abs(bj * s[j]) <= kRitzResidualTol * out.theta_max) break;
+    if (bj <= 1e-13 * std::max(tscale, 1e-300)) {
+      out.done = true;
+      return;
     }
-
     ws.beta.push_back(bj);
-    ensure_basis(j + 2);
+    ensure_basis(ws, n, j + 2);
     for (std::size_t i = 0; i < n; ++i) {
       ws.basis[j + 1][i] = ws.w[i] / bj;
       ws.kbasis[j + 1][i] = ws.kw[i] / bj;
     }
+    // Usually far earlier, the top Ritz pair converges: its residual is the
+    // last component of its T_j eigenvector times β_{j+1}.
+    if (out.theta_max > 0.0) {
+      const Vector s = tridiagonal_eigenvector(ws.alpha, ws.beta, j + 1, out.theta_max);
+      if (std::abs(bj * s[j]) <= ritz_tol * out.theta_max) return;
+    }
   }
-  return out;
+  out.done = true;
+}
+
+/// The unit Ritz vector Σ s_k·v_k of the top Ritz value into \p v; false
+/// when it vanishes.
+bool ritz_vector(const ShiftInvertLanczosWorkspace& ws, const IterationOutcome& out,
+                 std::size_t n, Vector& v) {
+  const Vector s = tridiagonal_eigenvector(ws.alpha, ws.beta, out.steps, out.theta_max);
+  v = Vector(n);
+  for (std::size_t k = 0; k < out.steps; ++k) axpy(s[k], ws.basis[k], v);
+  const double vn = norm2(v);
+  if (vn == 0.0) return false;
+  v /= vn;
+  return true;
+}
+
+/// Certificate of a unit candidate: the pencil Rayleigh quotient
+/// λ = vᵀGv / vᵀ(d∘v) (falling back to \p hint when the D-mass of v is not
+/// positive) and the explicit relative residual ‖G·v − λ·(d∘v)‖₂ / ‖G·v‖₂.
+std::pair<double, double> certify(const SparseMatrix& g, const Vector& d,
+                                  const Vector& v, double hint) {
+  const std::size_t n = v.size();
+  Vector r = g * v;
+  const double gn = norm2(r);
+  double dmass = 0.0;
+  for (std::size_t i = 0; i < n; ++i) dmass += d[i] * v[i] * v[i];
+  double lambda = hint;
+  if (dmass > 0.0) {
+    const double rq = dot(r, v) / dmass;
+    if (rq > 0.0) lambda = rq;
+  }
+  for (std::size_t i = 0; i < n; ++i) r[i] -= lambda * d[i] * v[i];
+  return {lambda, gn > 0.0 ? norm2(r) / gn : norm2(r)};
+}
+
+/// At most \p rounds of inverse iteration v ← F⁻¹(d∘v)/‖F⁻¹(d∘v)‖₂ while
+/// the certified residual exceeds \p target. Each round contracts the
+/// eigenvector error by the ratio of the factored shift's distances to λ_m
+/// and to the next eigenvalue, and is kept only when it strictly lowers the
+/// certified residual. Returns the solves made.
+int inverse_iterate(const SparseMatrix& g, const Vector& d, const SparseCholeskyFactor& f,
+                    ShiftInvertLanczosWorkspace& ws, int rounds, double target,
+                    Vector& v, double& lambda, double& rel) {
+  const std::size_t n = v.size();
+  int solves = 0;
+  for (; rel > target && solves < rounds; ++solves) {
+    for (std::size_t i = 0; i < n; ++i) ws.z[i] = d[i] * v[i];
+    f.solve_into(ws.z, ws.w, ws.solve_scratch);
+    const double wn = norm2(ws.w);
+    if (!(wn > 0.0)) return solves + 1;
+    Vector cand = ws.w;
+    cand /= wn;
+    const auto [cand_lambda, cand_rel] = certify(g, d, cand, lambda);
+    if (!(cand_rel < rel) || !(cand_lambda > 0.0)) return solves + 1;
+    v = std::move(cand);
+    lambda = cand_lambda;
+    rel = cand_rel;
+  }
+  return solves;
 }
 
 }  // namespace
 
 std::optional<ShiftInvertLanczosResult> ShiftInvertLanczos::smallest_positive(
     const SparseMatrix& g, const Vector& d, const SparseCholeskySymbolic& symbolic,
-    ShiftInvertLanczosWorkspace& ws, const ShiftInvertLanczosOptions& opts) {
+    ShiftInvertLanczosWorkspace& ws, const ShiftInvertLanczosOptions& opts,
+    const SparseCholeskyFactor* g_factor) {
   const std::size_t n = g.rows();
-  if (!g.square() || d.size() != n || symbolic.dim() != n) {
+  if (!g.square() || d.size() != n || symbolic.dim() != n ||
+      (g_factor != nullptr && g_factor->dim() != n)) {
     throw std::invalid_argument("ShiftInvertLanczos: shape mismatch");
   }
-  if (n == 0) return std::nullopt;
+  // With no positive direction in D, G − λD = G + λ·|D| stays positive
+  // definite for every λ > 0: there is no positive eigenvalue.
+  if (std::none_of(d.begin(), d.end(), [](double x) { return x > 0.0; })) {
+    return std::nullopt;
+  }
 
   TFC_SPAN("shift_invert_lanczos");
   TFC_SPAN_ATTR("n", n);
   auto& metrics = obs::MetricsRegistry::global();
 
-  // Factor K = G − σD once. σ = 0 reuses G itself (no pencil copy); a shift
-  // outside the PD interval re-shifts to 0 when allowed.
+  // Phase 1's operator K = G − σD: its matrix (for the K-images) and its
+  // factor. σ = 0 is G itself, factored by the caller when g_factor is
+  // given; otherwise the factor lives in ws.factor, which phase 2 reuses.
   double shift = opts.shift;
-  bool factored = false;
-  if (shift != 0.0) {
-    ws.pencil.assign_add_scaled_diagonal(g, d, -shift);
-    factored = symbolic.refactorize_into(ws.pencil, ws.factor, ws.factor_scratch);
-    if (!factored) {
-      if (!opts.allow_reshift) throw LanczosShiftError(shift);
-      metrics.counter("linalg.lanczos.reshifts").increment();
-      TFC_LOG_DEBUG("lanczos_reshift", {"bad_shift", shift});
-      shift = 0.0;
+  const SparseMatrix* k = &g;
+  const SparseCholeskyFactor* k_factor = nullptr;
+  const auto factor_k = [&] {
+    if (shift == 0.0) {
+      k = &g;
+      if (g_factor != nullptr) {
+        k_factor = g_factor;
+        return true;
+      }
+    } else {
+      ws.pencil.assign_add_scaled_diagonal(g, d, -shift);
+      k = &ws.pencil;
     }
-  }
-  if (!factored && !symbolic.refactorize_into(g, ws.factor, ws.factor_scratch)) {
-    throw LanczosShiftError(0.0);  // G itself not SPD: precondition violation
+    k_factor = &ws.factor;
+    return symbolic.refactorize_into(*k, ws.factor, ws.factor_scratch);
+  };
+  if (!factor_k()) {
+    if (shift == 0.0) throw LanczosShiftError(0.0);  // G not SPD: precondition violation
+    if (!opts.allow_reshift) throw LanczosShiftError(shift);
+    metrics.counter("linalg.lanczos.reshifts").increment();
+    TFC_LOG_DEBUG("lanczos_reshift", {"bad_shift", shift});
+    shift = 0.0;
+    if (!factor_k()) throw LanczosShiftError(0.0);
   }
 
+  // Phase 1: a coarse top Ritz pair, started from the hot plates' response
+  // K⁻¹·d⁺. A start K-orthogonal to the extremal eigenvector is a
+  // measure-zero accident, but a second sweep from a sinusoid removes even
+  // that failure mode.
   const std::size_t cap = std::min(opts.max_iterations, n);
-  bool d_positive_direction = false;
-  for (std::size_t i = 0; i < n; ++i) d_positive_direction |= d[i] > 0.0;
-
-  // A start vector K-orthogonal to the extremal eigenvector is a
-  // measure-zero accident, but a cheap second sweep with a different
-  // deterministic phase removes even that failure mode.
-  const SparseMatrix& k = factored ? ws.pencil : g;
   IterationOutcome out;
-  for (double phase : {0.0, 0.7}) {
-    out = lanczos_sweep(k, d, ws.factor, ws, n, cap, phase);
-    if (out.steps == 0) return std::nullopt;  // D ≡ 0
-    if (out.theta_max > 0.0 || !d_positive_direction) break;
+  for (bool hot_plates : {true, false}) {
+    out = {};
+    if (lanczos_start(d, *k_factor, ws, n, hot_plates)) {
+      lanczos_extend(*k, d, *k_factor, ws, n, cap, kCoarseRitzTol, out);
+    }
+    if (out.theta_max > 0.0) break;
   }
-
-  metrics.histogram("linalg.lanczos_iters").record(double(out.steps));
-  TFC_SPAN_ATTR("iterations", out.steps);
-
+  const auto record_steps = [&] {
+    metrics.histogram("linalg.lanczos_iters").record(double(out.steps));
+    TFC_SPAN_ATTR("iterations", out.steps);
+  };
   if (!(out.theta_max > 0.0)) {
-    // No positive Ritz value. With no positive direction in D this is the
-    // exact answer (G − λD stays PD for all λ > 0); otherwise the sweep
-    // failed to capture a spectrum we know exists — refuse to guess.
-    if (!d_positive_direction) return std::nullopt;
+    // D has a positive direction, so a positive eigenvalue exists: the
+    // sweeps failed to capture it — refuse to guess.
+    record_steps();
     throw LanczosNonConvergedError(out.steps, 1.0);
   }
 
-  ShiftInvertLanczosResult res;
-  res.shift = shift;
-  res.iterations = out.steps;
-
-  // Ritz vector v = Σ s_k v_k, renormalized to ‖v‖₂ = 1.
-  const Vector s = tridiagonal_eigenvector(ws.alpha, ws.beta, out.steps, out.theta_max);
-  Vector v(n);
-  for (std::size_t k = 0; k < out.steps; ++k) axpy(s[k], ws.basis[k], v);
-  const double vn = norm2(v);
-  if (vn == 0.0) throw LanczosNonConvergedError(out.steps, 1.0);
-  v /= vn;
-
-  // Certify a unit candidate: pencil Rayleigh quotient λ = vᵀGv / vᵀ(d∘v)
-  // (falling back to \p hint when the D-mass of v is not positive), and the
-  // explicit relative residual ‖G·v − λ·(d∘v)‖₂ / ‖G·v‖₂.
-  auto certify = [&](const Vector& vec, double hint) {
-    Vector r = g * vec;
-    const double gn = norm2(r);
-    double dmass = 0.0;
-    for (std::size_t i = 0; i < n; ++i) dmass += d[i] * vec[i] * vec[i];
-    double lambda = hint;
-    if (dmass > 0.0) {
-      const double rq = dot(r, vec) / dmass;
-      if (rq > 0.0) lambda = rq;
+  // Phase 2: Ritz values of the self-adjoint C_σ lie inside its spectrum, so
+  // λ̃ = σ + 1/θ_max ≥ λ_m. One factorization just below λ̃ drives inverse
+  // iteration from the Ritz vector and, when it succeeds at a shift within
+  // kMinimalityMargin of λ, is the minimality proof: positive definiteness
+  // holds on an interval, [0, σ_K] here, so no positive eigenvalue lies below.
+  const double ritz_lambda = shift + 1.0 / out.theta_max;
+  const double near_shift = (1.0 - kNearShiftGap) * ritz_lambda;
+  Vector v;
+  double lambda = ritz_lambda, rel = 1.0;
+  int inverse_steps = 0;
+  bool certified = false;
+  if (ritz_vector(ws, out, n, v)) {
+    ws.pencil.assign_add_scaled_diagonal(g, d, -near_shift);
+    if (symbolic.refactorize_into(ws.pencil, ws.factor, ws.factor_scratch)) {
+      std::tie(lambda, rel) = certify(g, d, v, ritz_lambda);
+      inverse_steps = inverse_iterate(g, d, ws.factor, ws, kNearRounds,
+                                      std::min(kNearResidual, opts.rel_tol), v, lambda,
+                                      rel);
+      certified = rel <= opts.rel_tol && near_shift >= (1.0 - kMinimalityMargin) * lambda;
     }
-    for (std::size_t i = 0; i < n; ++i) r[i] -= lambda * d[i] * vec[i];
-    return std::pair<double, double>(lambda, gn > 0.0 ? norm2(r) / gn : norm2(r));
-  };
+  }
+  TFC_SPAN_ATTR("inverse_steps", inverse_steps);
+  TFC_SPAN_ATTR("near_shift", certified ? 1 : 0);
 
-  auto [lambda, rel] = certify(v, shift + 1.0 / out.theta_max);
-  // Bounded iterative refinement: the Ritz-residual stop can truncate the
-  // basis with the certificate within a small factor of rel_tol. Each round
-  // is one inverse-iteration step v ← K⁻¹(d∘v) (the factor is already in hand),
-  // contracting the eigenvector error by the spectral-gap ratio; a step is
-  // kept only when it strictly improves the certified residual.
-  for (int round = 0; rel > opts.rel_tol && round < 3; ++round) {
-    for (std::size_t i = 0; i < n; ++i) ws.z[i] = d[i] * v[i];
-    ws.factor.solve_into(ws.z, ws.w, ws.solve_scratch);
-    const double wn = norm2(ws.w);
-    if (!(wn > 0.0)) break;
-    Vector cand = ws.w;
-    cand /= wn;
-    const auto [cand_lambda, cand_rel] = certify(cand, lambda);
-    if (!(cand_rel < rel) || !(cand_lambda > 0.0)) break;
-    v = std::move(cand);
-    lambda = cand_lambda;
-    rel = cand_rel;
+  if (!certified) {
+    // Fallback: the single-phase solve. Resume the run to the tight Ritz
+    // stop (phase 2 may have overwritten K's factor in ws.factor), refine
+    // with K's factor, then certify minimality with one more factorization.
+    metrics.counter("linalg.lanczos.near_shift_fallbacks").increment();
+    TFC_LOG_DEBUG("lanczos_near_shift_fallback", {"steps", out.steps},
+                  {"ritz_lambda", ritz_lambda}, {"rel_residual", rel});
+    if (k_factor == &ws.factor && !factor_k()) throw LanczosShiftError(shift);
+    if (!out.done) lanczos_extend(*k, d, *k_factor, ws, n, cap, kRitzResidualTol, out);
   }
+  record_steps();
+  if (!certified) {
+    if (!ritz_vector(ws, out, n, v)) throw LanczosNonConvergedError(out.steps, 1.0);
+    std::tie(lambda, rel) = certify(g, d, v, shift + 1.0 / out.theta_max);
+    inverse_iterate(g, d, *k_factor, ws, kFallbackRounds, opts.rel_tol, v, lambda, rel);
+    if (!(rel <= opts.rel_tol)) throw LanczosNonConvergedError(out.steps, rel);
+    ws.pencil.assign_add_scaled_diagonal(g, d, -(1.0 - kMinimalityMargin) * lambda);
+    if (!symbolic.refactorize_into(ws.pencil, ws.factor, ws.factor_scratch)) {
+      throw LanczosNonConvergedError(out.steps, rel);
+    }
+  }
+
+  ShiftInvertLanczosResult res;
   res.eigenvalue = lambda;
-  res.rel_residual = rel;
-  if (!(res.rel_residual <= opts.rel_tol)) {
-    throw LanczosNonConvergedError(out.steps, res.rel_residual);
-  }
-  // The residual proves an eigenpair; minimality needs one more factor:
-  // G − (1 − kMinimalityMargin)·λ·D must stay positive definite, or a smaller
-  // positive eigenvalue exists that the Krylov space never resolved.
-  ws.pencil.assign_add_scaled_diagonal(g, d, -(1.0 - kMinimalityMargin) * lambda);
-  if (!symbolic.refactorize_into(ws.pencil, ws.factor, ws.factor_scratch)) {
-    throw LanczosNonConvergedError(out.steps, res.rel_residual);
-  }
   res.eigenvector = std::move(v);
+  res.iterations = out.steps;
+  res.rel_residual = rel;
+  res.shift = shift;
 
   TFC_SPAN_ATTR("lambda", res.eigenvalue);
   TFC_LOG_TRACE("shift_invert_lanczos", {"n", n}, {"iterations", out.steps},
                 {"shift", shift}, {"lambda", res.eigenvalue},
-                {"rel_residual", res.rel_residual});
+                {"rel_residual", res.rel_residual}, {"near_shift", certified});
   return res;
 }
 

@@ -1,6 +1,7 @@
 #include "linalg/sparse_cholesky.h"
 
 #include <algorithm>
+#include <cassert>
 #include <chrono>
 #include <cmath>
 #include <stdexcept>
@@ -95,12 +96,39 @@ SparseCholeskySymbolic SparseCholeskySymbolic::analyze(const SparseMatrix& a) {
         t = parent[t];
       }
     }
-    // The numeric up-looking step needs ascending column order.
-    std::sort(pattern.begin(), pattern.end());
     for (std::size_t j : pattern) ++s.lcol_count_[j];
     s.lpat_idx_.insert(s.lpat_idx_.end(), pattern.begin(), pattern.end());
     s.lpat_ptr_.push_back(s.lpat_idx_.size());
   }
+  // The numeric up-looking step needs each row's columns in ascending order.
+  // Two counting passes sort them all without a comparison sort: rows →
+  // columns (visiting rows in order leaves each column's rows ascending),
+  // then columns → rows (visiting columns in order leaves each row's
+  // columns ascending).
+  {
+    std::vector<std::size_t> col_ptr(n + 1, 0);
+    for (std::size_t j = 0; j < n; ++j) col_ptr[j + 1] = col_ptr[j] + s.lcol_count_[j];
+    std::vector<std::size_t> col_rows(s.lpat_idx_.size());
+    std::vector<std::size_t> cursor(col_ptr.begin(), col_ptr.end() - 1);
+    for (std::size_t k = 0; k < n; ++k) {
+      for (std::size_t q = s.lpat_ptr_[k]; q < s.lpat_ptr_[k + 1]; ++q) {
+        col_rows[cursor[s.lpat_idx_[q]]++] = k;
+      }
+    }
+    cursor.assign(s.lpat_ptr_.begin(), s.lpat_ptr_.end() - 1);
+    for (std::size_t j = 0; j < n; ++j) {
+      for (std::size_t q = col_ptr[j]; q < col_ptr[j + 1]; ++q) {
+        s.lpat_idx_[cursor[col_rows[q]]++] = j;
+      }
+    }
+  }
+#ifndef NDEBUG
+  for (std::size_t k = 0; k < n; ++k) {
+    for (std::size_t q = s.lpat_ptr_[k]; q + 1 < s.lpat_ptr_[k + 1]; ++q) {
+      assert(s.lpat_idx_[q] < s.lpat_idx_[q + 1]);
+    }
+  }
+#endif
 
   const std::size_t nnz = s.factor_nnz();
   TFC_SPAN_ATTR("nnz_l", nnz);

@@ -1,5 +1,6 @@
 #include "tec/electro_thermal.h"
 
+#include <atomic>
 #include <cassert>
 #include <cmath>
 #include <mutex>
@@ -8,6 +9,15 @@
 #include "obs/trace.h"
 
 namespace tfc::tec {
+
+namespace {
+
+std::uint64_t next_pencil_id() {
+  static std::atomic<std::uint64_t> last{0};
+  return last.fetch_add(1, std::memory_order_relaxed) + 1;
+}
+
+}  // namespace
 
 /// Lazily computed symbolic analysis, shared by copies of the system (the
 /// pattern is a function of the deployment only, never of the current).
@@ -19,7 +29,7 @@ struct ElectroThermalSystem::SymbolicCache {
 ElectroThermalSystem::ElectroThermalSystem(thermal::PackageModel model,
                                            TecDeviceParams device, bool allow_no_tec)
     : model_(std::move(model)), device_(device),
-      symbolic_cache_(std::make_shared<SymbolicCache>()) {
+      symbolic_cache_(std::make_shared<SymbolicCache>()), pencil_id_(next_pencil_id()) {
   device_.validate();
   if (!allow_no_tec && model_.tec_tiles().empty()) {
     throw std::invalid_argument("ElectroThermalSystem: model carries no TEC tiles");
@@ -34,7 +44,7 @@ ElectroThermalSystem::ElectroThermalSystem(thermal::PackageModel model,
                                            TecDeviceParams device,
                                            linalg::SparseMatrix g)
     : model_(std::move(model)), device_(device), g_(std::move(g)),
-      symbolic_cache_(std::make_shared<SymbolicCache>()) {
+      symbolic_cache_(std::make_shared<SymbolicCache>()), pencil_id_(next_pencil_id()) {
   device_.validate();
   if (model_.tec_tiles().empty()) {
     throw std::invalid_argument("ElectroThermalSystem: model carries no TEC tiles");
@@ -111,21 +121,29 @@ std::optional<linalg::SparseCholeskyFactor> ElectroThermalSystem::factorize(
 
 bool ElectroThermalSystem::factorize_into(double i, SolveWorkspace& ws) const {
   if (i < 0.0) return false;
+  if (holds_factor(ws, i)) return true;
+  ws.forget_factor();
   const auto& symbolic = cholesky_symbolic();
   const linalg::SparseMatrix* m = &g_;
   if (i != 0.0) {
     ws.pencil.assign_add_scaled_diagonal(g_, d_diag_, -i);
     m = &ws.pencil;
   }
+  bool ok = false;
   if (!symbolic.pattern_matches(*m)) {
     // Cannot happen for a well-formed G (full structural diagonal), but fall
     // back to a one-shot factorization rather than fail.
     auto f = linalg::SparseCholeskyFactor::factor(*m);
-    if (!f) return false;
-    ws.factor = std::move(*f);
-    return true;
+    ok = f.has_value();
+    if (ok) ws.factor = std::move(*f);
+  } else {
+    ok = symbolic.refactorize_into(*m, ws.factor, ws.factor_scratch);
   }
-  return symbolic.refactorize_into(*m, ws.factor, ws.factor_scratch);
+  if (ok) {
+    ws.factor_pencil = pencil_id_;
+    ws.factor_current = i;
+  }
+  return ok;
 }
 
 linalg::Vector ElectroThermalSystem::power(double i) const {

@@ -5,9 +5,13 @@
 /// Wraps a thermal::PackageModel whose TEC tiles were stamped with the
 /// device's conductances, and adds the current-dependent parts: the Peltier
 /// coupling matrix D (diagonal, +α on HOT rows, −α on CLD rows) and the
-/// Joule sources r·i²/2 at both plates of every device.
+/// Joule sources r·i²/2 at both plates of every device. Factorizations of
+/// G − i·D land in a caller-owned SolveWorkspace that records which
+/// (pencil, current) its factor holds, so asking again for the same factor
+/// (the λ_m solve's G, then the current search's i = 0 probe) costs nothing.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <optional>
 
@@ -61,9 +65,21 @@ struct EnergyBalance {
 /// matrix G − i·D, the numeric factor, and rhs/temperature buffers. Reused
 /// across probes of one deployment (one workspace per thread); every buffer
 /// is warmed on first use and stays allocation-free afterwards.
+///
+/// The workspace records which factor it holds, so a probe at the current
+/// the factor was made for skips the refactorization: the engine's λ_m
+/// solve leaves G's factor here for the current search's first probe.
 struct SolveWorkspace {
   linalg::SparseMatrix pencil;
   linalg::SparseCholeskyFactor factor;
+  /// `factor` holds G − factor_current·D of the pencil whose
+  /// ElectroThermalSystem::pencil_id() is factor_pencil (0: nothing).
+  /// ElectroThermalSystem::factorize_into() keeps the record.
+  std::uint64_t factor_pencil = 0;
+  double factor_current = 0.0;
+  /// Forget the record; code that writes `factor` other than through
+  /// factorize_into() must call this first.
+  void forget_factor() { factor_pencil = 0; }
   std::vector<double> factor_scratch;
   linalg::Vector rhs;
   linalg::Vector theta;
@@ -130,6 +146,17 @@ class ElectroThermalSystem {
   /// update preserves G's pattern exactly).
   linalg::SparseMatrix system_matrix(double i) const;
 
+  /// Identity of the pencil (G, D): unique to each constructed system and
+  /// shared by its copies, which hold the same G and D. Never 0. A re-stamped
+  /// deployment is a new system, so its id differs.
+  std::uint64_t pencil_id() const { return pencil_id_; }
+
+  /// True when \p ws already holds the factor of G − i·D of this pencil —
+  /// factorize_into(i, ws) then skips the refactorization.
+  bool holds_factor(const SolveWorkspace& ws, double i) const {
+    return ws.factor_pencil == pencil_id_ && ws.factor_current == i;
+  }
+
   /// Symbolic Cholesky analysis of the pattern of G − i·D, shared by every
   /// current probe of this deployment. Computed on first use (thread-safe);
   /// copies of the system share the cached analysis.
@@ -142,8 +169,10 @@ class ElectroThermalSystem {
 
   /// Factor G − i·D into caller-owned storage (pencil, factor and sweep
   /// scratch live in \p ws) — the zero-allocation variant of factorize().
+  /// Skips the work when \p ws already holds that factor (holds_factor()).
   /// Returns false when the matrix is not positive definite (i ≥ λ_m) or
-  /// i < 0, leaving ws.factor invalid. Identical arithmetic to factorize().
+  /// i < 0, leaving ws.factor invalid and its record cleared. Identical
+  /// arithmetic to factorize().
   bool factorize_into(double i, SolveWorkspace& ws) const;
 
   /// Power vector p(i): tile powers on silicon nodes plus r·i²/2 on every
@@ -200,6 +229,7 @@ class ElectroThermalSystem {
   linalg::SparseMatrix g_;
   linalg::Vector d_diag_;
   std::shared_ptr<SymbolicCache> symbolic_cache_;
+  std::uint64_t pencil_id_;
 };
 
 }  // namespace tfc::tec

@@ -84,7 +84,8 @@ std::optional<double> runaway_limit(const ElectroThermalSystem& system) {
 }
 
 RunawayResult runaway_limit_ex(const ElectroThermalSystem& system,
-                               linalg::ShiftInvertLanczosWorkspace* ws) {
+                               linalg::ShiftInvertLanczosWorkspace* ws,
+                               const linalg::SparseCholeskyFactor* g_factor) {
   RunawayResult res;
   if (system.model().hot_nodes().empty()) return res;
 
@@ -94,7 +95,7 @@ RunawayResult runaway_limit_ex(const ElectroThermalSystem& system,
   linalg::ShiftInvertLanczosWorkspace local;
   auto lanczos = linalg::ShiftInvertLanczos::smallest_positive(
       system.matrix_g(), system.d_diagonal(), system.cholesky_symbolic(),
-      ws != nullptr ? *ws : local);
+      ws != nullptr ? *ws : local, {}, g_factor);
   if (lanczos) {
     res.lambda_m = lanczos->eigenvalue;
     res.iterations = lanczos->iterations;

@@ -8,9 +8,12 @@
 /// steady-state model.
 ///
 /// λ_m is computed one way on every path: a sparse shift-invert Lanczos on
-/// the pencil (G, D) itself (linalg::ShiftInvertLanczos) — one sparse
-/// factorization through the system's shared symbolic analysis, a few
-/// triangular-solve iterations, and a residual plus minimality certificate.
+/// the pencil (G, D) itself (linalg::ShiftInvertLanczos) — a coarse Ritz
+/// estimate from a few triangular solves with the factor of G, then one
+/// factorization of G just below λ_m (through the system's shared symbolic
+/// analysis) that refines the eigenvector and certifies minimality. The
+/// factor of G may come from the caller: the engine factors G into a pooled
+/// workspace, where the current search's first probe (i = 0) finds it again.
 /// No dense matrix is ever formed, so it scales past the paper's 12×12 grid.
 ///
 /// The exact reduction onto the TEC nodes stays as a diagnostic and test
@@ -44,9 +47,12 @@ std::optional<double> runaway_limit(const ElectroThermalSystem& system);
 /// As runaway_limit(), additionally reporting the Lanczos iteration count.
 /// \p ws, when given, supplies the Lanczos scratch (a pooled
 /// tec::SolveWorkspace::lanczos — zero allocations once warm); a local one
-/// is used otherwise.
+/// is used otherwise. \p g_factor, when given, must be the factor of
+/// system.matrix_g() (G − 0·D); the Lanczos then runs on it instead of
+/// factoring G itself.
 RunawayResult runaway_limit_ex(const ElectroThermalSystem& system,
-                               linalg::ShiftInvertLanczosWorkspace* ws = nullptr);
+                               linalg::ShiftInvertLanczosWorkspace* ws = nullptr,
+                               const linalg::SparseCholeskyFactor* g_factor = nullptr);
 
 /// The current-independent Schur complement S₀ of G on the TEC (hot ∪ cold)
 /// block, plus the matching diagonal of D. Exposed for diagnostics and tests.

@@ -212,6 +212,27 @@ TEST(SparseRunaway, DesignAndSolveContextAgreeBitwise) {
   }
 }
 
+TEST(SparseRunaway, AlphaGoldenDeploymentsCertifyAtTheNearShift) {
+  // The near-λ_m factorization certifies minimality by itself on Alpha's
+  // golden greedy deployment and on full cover: no fallback to the
+  // single-phase solve, whose own certificate, G − (1 − 1e-8)·λ·D positive
+  // definite, still holds.
+  const core::Chip chip = core::builtin_chip("alpha");
+  const auto golden = io::design_result_from_json(fixture("golden_design_alpha.json"));
+  auto& fallbacks =
+      obs::MetricsRegistry::global().counter("linalg.lanczos.near_shift_fallbacks");
+  for (const TileMask& mask : {golden.deployment, TileMask::full(12, 12)}) {
+    const std::uint64_t before = fallbacks.value();
+    const engine::SolveContext context(chip.spec, mask, chip.tile_powers,
+                                       tec::TecDeviceParams::chowdhury_superlattice());
+    const auto lm = context.runaway_limit();
+    ASSERT_TRUE(lm.has_value()) << mask.count() << " TECs";
+    EXPECT_EQ(fallbacks.value(), before) << mask.count() << " TECs";
+    EXPECT_TRUE(context.system().factorize((1.0 - 1e-8) * *lm).has_value())
+        << mask.count() << " TECs";
+  }
+}
+
 /// FNV-1a over the assembled network: G's CSR arrays, the ambient legs, the
 /// node capacitances and the TEC cold/hot node lists (native byte order).
 std::string package_hash(const thermal::PackageModel& m) {

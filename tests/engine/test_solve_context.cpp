@@ -5,7 +5,8 @@
 ///  * every backend agrees on the operating point and on where positive
 ///    definiteness is lost (i ≥ λ_m);
 ///  * the pooled-workspace probe path returns exactly what a plain
-///    ElectroThermalSystem::solve returns.
+///    ElectroThermalSystem::solve returns, also when it reuses the factor of
+///    G that the λ_m solve left in the workspace.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -181,6 +182,61 @@ TEST(SolveContext, ConcurrentProbesMatchSerialBitwise) {
     if (!serial[k].peak) ++past_limit;
   }
   EXPECT_GT(past_limit, 0u);
+}
+
+std::uint64_t counter(const char* name) {
+  return obs::MetricsRegistry::global().counter(name).value();
+}
+
+TEST(SolveContext, ZeroCurrentProbeReusesTheRunawayFactor) {
+  // runaway_limit() factors G into a pooled workspace for the Lanczos; the
+  // LIFO pool hands that workspace to the next probe, which at i = 0 skips
+  // its refactorization and still returns a fresh context's bits.
+  const SolveContext ctx = make_context();
+  ASSERT_TRUE(ctx.runaway_limit().has_value());
+  const std::uint64_t refactors0 = counter("cholesky.sparse.refactors");
+  const std::uint64_t reused0 = counter("engine.factor_reused");
+  const auto reused = ctx.probe_peak(0.0);
+  EXPECT_EQ(counter("cholesky.sparse.refactors"), refactors0);
+  EXPECT_EQ(counter("engine.factor_reused"), reused0 + 1);
+
+  const SolveContext fresh_ctx = make_context();
+  const auto fresh = fresh_ctx.probe_peak(0.0);
+  EXPECT_EQ(counter("cholesky.sparse.refactors"), refactors0 + 1);
+  ASSERT_TRUE(reused.has_value());
+  ASSERT_TRUE(fresh.has_value());
+  EXPECT_EQ(reused->peak, fresh->peak);
+  EXPECT_EQ(reused->tile, fresh->tile);
+  EXPECT_EQ(reused->slope, fresh->slope);
+  EXPECT_EQ(reused->curvature, fresh->curvature);
+
+  // A full solve at the same current reuses the factor too.
+  const auto op = ctx.solve_probe(0.0);
+  ASSERT_TRUE(op.has_value());
+  EXPECT_EQ(op->peak_tile_temperature, fresh->peak);
+  EXPECT_EQ(counter("cholesky.sparse.refactors"), refactors0 + 1);
+  EXPECT_EQ(counter("engine.factor_reused"), reused0 + 2);
+}
+
+TEST(SolveContext, ExtendForgetsTheReusedFactor) {
+  SolveContext ctx = make_context();
+  ASSERT_TRUE(ctx.runaway_limit().has_value());
+  TileMask grown = two_tiles();
+  grown.set(3, 3);
+  ctx.extend(grown);
+  const std::uint64_t refactors0 = counter("cholesky.sparse.refactors");
+  const std::uint64_t reused0 = counter("engine.factor_reused");
+  const auto probe = ctx.probe_peak(0.0);
+  EXPECT_EQ(counter("cholesky.sparse.refactors"), refactors0 + 1);
+  EXPECT_EQ(counter("engine.factor_reused"), reused0);
+
+  const SolveContext fresh_ctx(small_geom(), grown, small_powers(),
+                               tec::TecDeviceParams::chowdhury_superlattice());
+  const auto fresh = fresh_ctx.probe_peak(0.0);
+  ASSERT_TRUE(probe.has_value());
+  ASSERT_TRUE(fresh.has_value());
+  EXPECT_EQ(probe->peak, fresh->peak);
+  EXPECT_EQ(probe->slope, fresh->slope);
 }
 
 TEST(SolveContext, AllBackendsAgreeOnTheOperatingPoint) {

@@ -1,19 +1,28 @@
 /// Property tests of the sparse shift-invert Lanczos eigensolver against the
 /// dense pencil-bisection oracle, over random Stieltjes matrices (the
 /// paper's own validation family), sizes, shifts — including a near-singular
-/// K = G − σD and a deliberately bad shift that must re-shift or throw.
+/// K = G − σD and a deliberately bad shift that must re-shift or throw — and
+/// the two-phase structure: a caller's factor of G, the counted fallback when
+/// the top two eigenvalues nearly coincide, and the no-positive-entry exit.
 #include "linalg/lanczos.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <map>
 #include <random>
+#include <string>
+#include <utility>
+#include <variant>
 
 #include "linalg/dense_matrix.h"
 #include "linalg/eigen.h"
 #include "linalg/random_stieltjes.h"
 #include "linalg/sparse_matrix.h"
+#include "obs/context.h"
+#include "obs/metrics.h"
 
 namespace tfc::linalg {
 namespace {
@@ -223,6 +232,116 @@ TEST(ShiftInvertLanczos, WorkspaceReuseIsBitIdentical) {
   EXPECT_EQ(first->iterations, second->iterations);
   EXPECT_EQ(first->rel_residual, second->rel_residual);
   EXPECT_TRUE(first->eigenvector == second->eigenvector);
+
+  // The two-phase path on a caller's factor of G (the engine's pooled
+  // factor) computes the same bits as on its own, with no fallback.
+  auto& fallbacks =
+      obs::MetricsRegistry::global().counter("linalg.lanczos.near_shift_fallbacks");
+  const std::uint64_t fallbacks0 = fallbacks.value();
+  const auto g_factor = symbolic.refactorize(g);
+  ASSERT_TRUE(g_factor.has_value());
+  for (int rep = 0; rep < 2; ++rep) {
+    const auto given =
+        ShiftInvertLanczos::smallest_positive(g, d, symbolic, ws, {}, &*g_factor);
+    ASSERT_TRUE(given.has_value());
+    EXPECT_EQ(first->eigenvalue, given->eigenvalue);
+    EXPECT_EQ(first->iterations, given->iterations);
+    EXPECT_EQ(first->rel_residual, given->rel_residual);
+    EXPECT_TRUE(first->eigenvector == given->eigenvector);
+  }
+  EXPECT_EQ(fallbacks.value(), fallbacks0);
+}
+
+/// A pencil with λ₁ = 1 and λ₂ = 1 + 1e-6: the phase-1 Ritz value (stopped
+/// at a 1e-5 residual) cannot resolve the pair.
+std::pair<SparseMatrix, Vector> close_top_pair() {
+  const std::size_t n = 40;
+  TripletList t(n, n);
+  Vector d(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    t.add(i, i, i == 0 ? 1.0 : i == 1 ? 1.0 + 1e-6 : 1.5 + 0.3 * double(i));
+    d[i] = i < 30 ? 1.0 : -0.5;
+  }
+  return {SparseMatrix::from_triplets(t), d};
+}
+
+TEST(ShiftInvertLanczos, CloseTopEigenvaluesFallBackToTheSinglePhaseSolve) {
+  // The near-λ_m factorization cannot certify, so the solve resumes the run
+  // to the tight stop, refines with K's factor and certifies minimality with
+  // its own factorization.
+  const auto [g, d] = close_top_pair();
+  auto& fallbacks =
+      obs::MetricsRegistry::global().counter("linalg.lanczos.near_shift_fallbacks");
+  const std::uint64_t fallbacks0 = fallbacks.value();
+  const auto res = ShiftInvertLanczos::smallest_positive(g, d);
+  EXPECT_EQ(fallbacks.value(), fallbacks0 + 1);
+  ASSERT_TRUE(res.has_value());
+  EXPECT_LE(res->rel_residual, 1e-9);
+  const auto oracle = dense_oracle(g.to_dense(), d);
+  ASSERT_TRUE(oracle.has_value());
+  EXPECT_NEAR(res->eigenvalue, *oracle, 1e-8 * *oracle);
+  EXPECT_TRUE(
+      SparseCholeskyFactor::factor(g.add_scaled_diagonal(d, -(1.0 - 1e-8) * res->eigenvalue))
+          .has_value());
+}
+
+/// The attributes of the one shift_invert_lanczos span of \p trace.
+std::map<std::string, obs::Field::Value> lanczos_span_attrs(const obs::RequestTrace& trace) {
+  std::map<std::string, obs::Field::Value> attrs;
+  for (const auto& span : trace.spans()) {
+    if (std::string(span.name) != "shift_invert_lanczos") continue;
+    for (const auto& field : span.attrs) attrs[field.key] = field.value;
+  }
+  return attrs;
+}
+
+TEST(ShiftInvertLanczos, SpanRecordsInverseStepsAndNearShift) {
+  std::mt19937_64 rng(31);
+  const std::size_t n = 40;
+  const SparseMatrix g = SparseMatrix::from_dense(random_pd_stieltjes(n, rng));
+  const Vector d = tec_like_diagonal(n, 8, 6, rng);
+  obs::RequestTrace certified;
+  {
+    obs::ScopedRequestContext scope("lanczos-near-shift", &certified);
+    ASSERT_TRUE(ShiftInvertLanczos::smallest_positive(g, d).has_value());
+  }
+  auto attrs = lanczos_span_attrs(certified);
+  ASSERT_EQ(attrs.count("near_shift"), 1u);
+  ASSERT_EQ(attrs.count("inverse_steps"), 1u);
+  EXPECT_EQ(std::get<std::int64_t>(attrs["near_shift"]), 1);
+  EXPECT_LE(std::get<std::int64_t>(attrs["inverse_steps"]), 4);
+
+  const auto [close_g, close_d] = close_top_pair();
+  obs::RequestTrace fallback;
+  {
+    obs::ScopedRequestContext scope("lanczos-fallback", &fallback);
+    ASSERT_TRUE(ShiftInvertLanczos::smallest_positive(close_g, close_d).has_value());
+  }
+  attrs = lanczos_span_attrs(fallback);
+  ASSERT_EQ(attrs.count("near_shift"), 1u);
+  EXPECT_EQ(std::get<std::int64_t>(attrs["near_shift"]), 0);
+}
+
+TEST(ShiftInvertLanczos, NoPositiveEntryReturnsNulloptOnEveryPath) {
+  // A D without a positive entry has no positive eigenvalue, whatever the
+  // shift or factor offered: the solve returns before any Lanczos step.
+  std::mt19937_64 rng(29);
+  const std::size_t n = 16;
+  const DenseMatrix gd = random_pd_stieltjes(n, rng);
+  const SparseMatrix g = SparseMatrix::from_dense(gd);
+  const auto symbolic = SparseCholeskySymbolic::analyze(g);
+  const auto g_factor = symbolic.refactorize(g);
+  ASSERT_TRUE(g_factor.has_value());
+  const Vector neg = tec_like_diagonal(n, 0, 5, rng);
+  auto& steps = obs::MetricsRegistry::global().histogram("linalg.lanczos_iters");
+  const std::uint64_t samples0 = steps.summary().count;
+  ShiftInvertLanczosWorkspace ws;
+  EXPECT_FALSE(ShiftInvertLanczos::smallest_positive(g, neg, symbolic, ws, {}, &*g_factor)
+                   .has_value());
+  ShiftInvertLanczosOptions shifted;
+  shifted.shift = 0.5;
+  EXPECT_FALSE(ShiftInvertLanczos::smallest_positive(g, neg, shifted).has_value());
+  EXPECT_EQ(steps.summary().count, samples0);
 }
 
 TEST(ShiftInvertLanczos, ShapeMismatchThrows) {

@@ -7,11 +7,12 @@ or the worst-case total — regressed by more than the threshold fraction.
 
 Wall-clock baselines are deliberately generous: they exist to catch
 order-of-magnitude algorithmic regressions (a lost symbolic cache, an
-accidental O(n^2) loop), not scheduler noise. Each chip also carries three
+accidental O(n^2) loop), not scheduler noise. Each chip also carries four
 exact work counters that do not depend on the host — current-search probes
-over the design, Lanczos iterations of the design's lambda_m solves, and
-nnz(L) of the final deployment's pencil — gated with <= against the
-baseline's counts, so a slide back to more probes, more iterations or more
+over the design, Lanczos iterations of the design's lambda_m solves, numeric
+sparse refactorizations over the design, and nnz(L) of the final
+deployment's pencil — gated with <= against the baseline's counts, so a
+slide back to more probes, more iterations, more factorizations or more
 fill fails even when the wall clock hides it. Chips present in only one file are
 reported but never fail the gate, so adding a chip does not require a
 lockstep baseline update.
@@ -57,7 +58,12 @@ def fmt_value(v):
 
 
 def check_service(baseline_path, current_path):
-    """Return the list of failed service-scenario checks."""
+    """Return the list of failed service-scenario checks.
+
+    Only the "scenarios" block is read: the provenance header (compiler,
+    build_type, git_describe, hardware_threads) and the cache counters are
+    informational.
+    """
     baseline = load(baseline_path)
     current = load(current_path)
     base_scenarios = baseline.get("scenarios", {})
@@ -339,11 +345,12 @@ def main():
             rows.append((name, None, cur_chips[name]["runtime_ms"],
                          cur_chips[name].get("probes"),
                          cur_chips[name].get("lanczos_iters"),
+                         cur_chips[name].get("refactors"),
                          cur_chips[name].get("nnz_l"), "new (no baseline)"))
             continue
         if name not in cur_chips:
             rows.append((name, base_chips[name]["runtime_ms"], None, None, None, None,
-                         "missing in current"))
+                         None, "missing in current"))
             continue
         base_ms = float(base_chips[name]["runtime_ms"])
         cur_ms = float(cur_chips[name]["runtime_ms"])
@@ -352,7 +359,7 @@ def main():
         if cur_ms > limit:
             status = "REGRESSED (limit %.0f ms)" % limit
             failures.append(fail("chip:%s:runtime_ms" % name, cur_ms, limit))
-        for counter in ("probes", "lanczos_iters", "nnz_l"):
+        for counter in ("probes", "lanczos_iters", "refactors", "nnz_l"):
             cap = base_chips[name].get(counter)
             if cap is None:
                 continue
@@ -364,19 +371,21 @@ def main():
             status = "DESIGN FAILED"
             failures.append(fail("chip:%s:success" % name, False, True, "=="))
         rows.append((name, base_ms, cur_ms, cur_chips[name].get("probes"),
-                     cur_chips[name].get("lanczos_iters"), cur_chips[name].get("nnz_l"),
+                     cur_chips[name].get("lanczos_iters"),
+                     cur_chips[name].get("refactors"), cur_chips[name].get("nnz_l"),
                      status))
 
-    print("%-8s %14s %14s %8s %8s %8s  %s"
-          % ("chip", "baseline[ms]", "current[ms]", "probes", "lanczos", "nnz(L)",
-             "status"))
-    for name, base_ms, cur_ms, probes, lanczos, nnz_l, status in rows:
-        print("%-8s %14s %14s %8s %8s %8s  %s"
+    print("%-8s %14s %14s %8s %8s %9s %8s  %s"
+          % ("chip", "baseline[ms]", "current[ms]", "probes", "lanczos", "refactors",
+             "nnz(L)", "status"))
+    for name, base_ms, cur_ms, probes, lanczos, refactors, nnz_l, status in rows:
+        print("%-8s %14s %14s %8s %8s %9s %8s  %s"
               % (name,
                  "-" if base_ms is None else "%.0f" % base_ms,
                  "-" if cur_ms is None else "%.0f" % cur_ms,
                  "-" if probes is None else probes,
                  "-" if lanczos is None else lanczos,
+                 "-" if refactors is None else refactors,
                  "-" if nnz_l is None else nnz_l,
                  status))
 
