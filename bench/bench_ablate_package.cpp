@@ -23,16 +23,11 @@ int main() {
   for (double t_um : {20.0, 35.0, 50.0, 75.0, 100.0}) {
     thermal::PackageGeometry geometry;
     geometry.tim_thickness = t_um * 1e-6;
-    core::DesignRequest req;
-    req.tile_powers = powers;
-    req.spec = std::make_shared<const thermal::StackSpec>(
+    core::Chip chip;
+    chip.tile_powers = powers;
+    chip.spec = std::make_shared<const thermal::StackSpec>(
         thermal::StackSpec::single_die(geometry));
-    auto res = core::design_cooling_system(req);
-    // Paper fallback if infeasible.
-    while (!res.success && req.theta_limit_celsius < 110.0) {
-      req.theta_limit_celsius += 1.0;
-      res = core::design_cooling_system(req);
-    }
+    const auto res = core::design_with_fallback(chip, 85.0, /*run_full_cover=*/true);
     std::printf("%10.0f %12.1f %8s %8zu %10.2f %12.1f\n", t_um,
                 res.peak_no_tec_celsius, res.success ? "ok" : "FAIL", res.tec_count,
                 res.current, res.peak_greedy_celsius);
@@ -47,15 +42,11 @@ int main() {
   for (double t_um : {150.0, 300.0, 500.0}) {
     thermal::PackageGeometry geometry;
     geometry.die_thickness = t_um * 1e-6;
-    core::DesignRequest req;
-    req.tile_powers = powers;
-    req.spec = std::make_shared<const thermal::StackSpec>(
+    core::Chip chip;
+    chip.tile_powers = powers;
+    chip.spec = std::make_shared<const thermal::StackSpec>(
         thermal::StackSpec::single_die(geometry));
-    auto res = core::design_cooling_system(req);
-    while (!res.success && req.theta_limit_celsius < 110.0) {
-      req.theta_limit_celsius += 1.0;
-      res = core::design_cooling_system(req);
-    }
+    const auto res = core::design_with_fallback(chip, 85.0, /*run_full_cover=*/true);
     std::printf("%10.0f %12.1f %8s %8zu %10.2f %12.1f\n", t_um,
                 res.peak_no_tec_celsius, res.success ? "ok" : "FAIL", res.tec_count,
                 res.current, res.peak_greedy_celsius);

@@ -278,9 +278,10 @@ int main() {
       sopts.policy.current_levels = {0.0, 0.5 * res.current, res.current};
     }
     for (int r = 0; r < 3; ++r) {
-      sim::ScenarioEngine engine(plan, thermal::paper_package(),
-                                 tec::TecDeviceParams::chowdhury_superlattice(),
-                                 res.deployment, sopts);
+      const engine::SolveContext context(thermal::paper_package(), res.deployment,
+                                         plan.tile_powers(),
+                                         tec::TecDeviceParams::chowdhury_superlattice());
+      sim::ScenarioEngine engine(plan, context, sopts);
       const auto t1 = std::chrono::steady_clock::now();
       const auto summary = engine.run();
       sim_steps = summary.steps;

@@ -74,9 +74,10 @@ int main() {
       paper_ptec += pr.ptec;
       if (res.theta_limit_celsius > 85.0) {
         ++fallbacks;
+        // The relax loop tries 85, 86, … up to the final limit.
         std::printf("       (relaxed after %zu attempts: %.0f -> %.0f degC)\n",
-                    res.attempts(), res.attempted_limits.front(),
-                    res.attempted_limits.back());
+                    std::size_t(res.theta_limit_celsius - 85.0) + 1, 85.0,
+                    res.theta_limit_celsius);
       }
     }
   }

@@ -7,7 +7,7 @@
 
 #include <cstdio>
 
-#include "core/cooling_system.h"
+#include "core/chip.h"
 #include "floorplan/random_chip.h"
 #include "power/workload.h"
 
@@ -25,18 +25,14 @@ int main() {
     power::WorkloadSynthesizer synth(chip);
     auto profile = power::worst_case_profile(chip, synth.synthesize_suite(8));
 
-    core::DesignRequest request;
-    request.chip_name = floorplan::hypothetical_chip_name(idx);
-    request.tile_powers = profile.tile_powers();
-    request.theta_limit_celsius = 85.0;
+    core::Chip design_chip;
+    design_chip.name = floorplan::hypothetical_chip_name(idx);
+    design_chip.tile_powers = profile.tile_powers();
 
-    auto result = core::design_cooling_system(request);
     // Paper fallback: HC06/HC09 were infeasible at 85 °C; the limit was
     // relaxed (to 89 / 88 °C) until a proper configuration existed.
-    while (!result.success && request.theta_limit_celsius < 110.0) {
-      request.theta_limit_celsius += 1.0;
-      result = core::design_cooling_system(request);
-    }
+    const auto result =
+        core::design_with_fallback(design_chip, 85.0, /*run_full_cover=*/true);
 
     std::printf("%s\n", core::format_table_row(result).c_str());
     if (result.success) {

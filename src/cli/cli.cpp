@@ -4,6 +4,9 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <charconv>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <iomanip>
@@ -88,16 +91,32 @@ std::optional<ParsedArgs> parse(const std::vector<std::string>& args, std::ostre
   return p;
 }
 
+/// A number flag: one whole, finite token. Throws std::invalid_argument.
 double parse_double(const ParsedArgs& p, const std::string& key, double fallback) {
   auto it = p.options.find(key);
   if (it == p.options.end()) return fallback;
-  return std::stod(it->second);
+  const std::string& text = it->second;
+  double value = 0.0;
+  const auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), value);
+  if (ec != std::errc() || end != text.data() + text.size() || !std::isfinite(value)) {
+    throw std::invalid_argument(key + " expects a finite number, got '" + text + "'");
+  }
+  return value;
 }
 
+/// A count flag: unsigned decimal digits that fit in 64 bits. Throws
+/// std::invalid_argument.
 std::size_t parse_size(const ParsedArgs& p, const std::string& key, std::size_t fallback) {
   auto it = p.options.find(key);
   if (it == p.options.end()) return fallback;
-  return std::stoul(it->second);
+  const std::string& text = it->second;
+  std::uint64_t value = 0;
+  const auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), value);
+  if (ec != std::errc() || end != text.data() + text.size()) {
+    throw std::invalid_argument(key + " expects unsigned decimal digits, got '" + text +
+                                "'");
+  }
+  return value;
 }
 
 std::string option_or(const ParsedArgs& p, const std::string& key,
@@ -106,17 +125,15 @@ std::string option_or(const ParsedArgs& p, const std::string& key,
   return it == p.options.end() ? fallback : it->second;
 }
 
-/// Resolve --backend into solve-engine options; nullopt (with a message on
-/// \p err) for an unknown name.
-std::optional<engine::EngineOptions> parse_engine_options(const ParsedArgs& p,
-                                                          std::ostream& err) {
+/// Resolve --backend into solve-engine options. Throws std::invalid_argument
+/// for an unknown name.
+engine::EngineOptions parse_engine_options(const ParsedArgs& p) {
   engine::EngineOptions opts;
   if (auto it = p.options.find("--backend"); it != p.options.end()) {
     auto backend = engine::parse_backend(it->second);
     if (!backend) {
-      err << "error: unknown backend '" << it->second << "' (use "
-          << engine::backend_list() << ")\n";
-      return std::nullopt;
+      throw std::invalid_argument("unknown backend '" + it->second + "' (use " +
+                                  engine::backend_list() + ")");
     }
     opts.backend = *backend;
   }
@@ -195,11 +212,12 @@ std::optional<core::Chip> load_chip(const ParsedArgs& p, std::ostream& err) {
   return core::builtin_chip(chip_it == p.options.end() ? "alpha" : chip_it->second);
 }
 
-/// Solve engine over the chip's designed deployment.
-engine::SolveContext make_context(const core::Chip& chip, const TileMask& deployment,
-                                  const engine::EngineOptions& opts) {
-  return engine::SolveContext(chip.spec, deployment, chip.tile_powers,
-                              tec::TecDeviceParams::chowdhury_superlattice(), opts);
+/// The chip flags, --limit and --backend as a designed session.
+std::optional<core::Session> open_session(const ParsedArgs& p, std::ostream& err) {
+  auto chip = load_chip(p, err);
+  if (!chip) return std::nullopt;
+  return core::open_session(std::move(*chip), parse_double(p, "--limit", 85.0),
+                            parse_engine_options(p));
 }
 
 int cmd_design(const ParsedArgs& p, std::ostream& out, std::ostream& err) {
@@ -208,10 +226,9 @@ int cmd_design(const ParsedArgs& p, std::ostream& out, std::ostream& err) {
   const double limit = parse_double(p, "--limit", 85.0);
   const bool full_cover = p.options.find("--no-full-cover") == p.options.end();
   const bool certify = p.options.find("--certify") != p.options.end();
-  const auto engine_opts = parse_engine_options(p, err);
-  if (!engine_opts) return 2;
+  const engine::EngineOptions engine_opts = parse_engine_options(p);
 
-  auto res = core::design_with_fallback(*chip, limit, full_cover, certify, *engine_opts);
+  auto res = core::design_with_fallback(*chip, limit, full_cover, certify, engine_opts);
   out << core::table_header() << "\n" << core::format_table_row(res) << "\n";
   if (p.options.count("--map") != 0) {
     out << "\n" << core::deployment_map(res.deployment);
@@ -233,16 +250,13 @@ int cmd_design(const ParsedArgs& p, std::ostream& out, std::ostream& err) {
   return res.success ? 0 : 1;
 }
 
-int cmd_table1(const ParsedArgs& p, std::ostream& out, std::ostream& err) {
+int cmd_table1(const ParsedArgs& p, std::ostream& out, std::ostream&) {
   const double limit = parse_double(p, "--limit", 85.0);
   out << core::table_header() << "\n";
   bool all_ok = true;
   for (std::size_t idx = 0; idx <= 10; ++idx) {
-    ParsedArgs one = p;
-    one.options["--chip"] = idx == 0 ? "alpha" : ("hc" + std::to_string(idx));
-    auto chip = load_chip(one, err);
-    if (!chip) return 2;
-    auto res = core::design_with_fallback(*chip, limit, true, false);
+    auto res = core::design_with_fallback(
+        core::builtin_chip(idx == 0 ? "alpha" : "hc" + std::to_string(idx)), limit, true);
     out << core::format_table_row(res) << "\n";
     all_ok = all_ok && res.success;
   }
@@ -250,72 +264,52 @@ int cmd_table1(const ParsedArgs& p, std::ostream& out, std::ostream& err) {
 }
 
 int cmd_runaway(const ParsedArgs& p, std::ostream& out, std::ostream& err) {
-  auto chip = load_chip(p, err);
-  if (!chip) return 2;
-  const auto engine_opts = parse_engine_options(p, err);
-  if (!engine_opts) return 2;
-  auto res = core::design_with_fallback(*chip, parse_double(p, "--limit", 85.0), false,
-                                        false, *engine_opts);
-  if (res.deployment.empty()) {
+  const auto session = open_session(p, err);
+  if (!session) return 2;
+  if (session->design.deployment.empty()) {
     err << "error: no TECs deployed; nothing to analyze\n";
     return 1;
   }
-  const engine::SolveContext context = make_context(*chip, res.deployment, *engine_opts);
-  const double lm = *context.runaway_limit();
+  const double lm = *session->lambda_m();
   // Full precision, so the line can be compared against an oracle at 1e-8.
   char lm_full[32];
   std::snprintf(lm_full, sizeof(lm_full), "%.17g", lm);
-  out << "deployment: " << res.tec_count << " TECs; lambda_m = " << lm_full << " A\n";
+  out << "deployment: " << session->design.tec_count << " TECs; lambda_m = " << lm_full
+      << " A\n";
   out << "i[A], peak[degC]\n";
   for (double f : {0.0, 0.05, 0.1, 0.2, 0.4, 0.6, 0.8, 0.95, 0.99}) {
-    auto op = context.solve(f * lm);
+    auto op = session->context->solve(f * lm);
     out << f * lm << ", " << thermal::to_celsius(op->peak_tile_temperature) << "\n";
   }
   return 0;
 }
 
 int cmd_sweep(const ParsedArgs& p, std::ostream& out, std::ostream& err) {
-  auto chip = load_chip(p, err);
-  if (!chip) return 2;
-  const auto engine_opts = parse_engine_options(p, err);
-  if (!engine_opts) return 2;
-  auto res = core::design_with_fallback(*chip, parse_double(p, "--limit", 85.0), false,
-                                        false, *engine_opts);
-  if (res.deployment.empty()) {
-    err << "error: no TECs deployed; nothing to sweep\n";
-    return 1;
-  }
-  const engine::SolveContext context = make_context(*chip, res.deployment, *engine_opts);
-  const double lm = *context.runaway_limit();
-  const std::size_t points = parse_size(p, "--points", 25);
-  const double hi = parse_double(p, "--max-fraction", 0.95) * lm;
+  core::SweepRequest request;
+  request.points = parse_size(p, "--points", request.points);
+  request.max_fraction = parse_double(p, "--max-fraction", request.max_fraction);
+  request.validate();
+  const auto session = open_session(p, err);
+  if (!session) return 2;
   out << "current_a,peak_degc,ptec_w\n";
-  for (std::size_t s = 0; s <= points; ++s) {
-    const double i = hi * double(s) / double(points);
-    auto op = context.solve(i);
-    if (!op) break;
-    out << i << "," << thermal::to_celsius(op->peak_tile_temperature) << ","
-        << op->tec_input_power << "\n";
+  for (const core::SweepRow& row : core::sweep(*session, request)) {
+    out << row.current << "," << row.peak_celsius << "," << row.tec_power << "\n";
   }
   return 0;
 }
 
 int cmd_sensitivity(const ParsedArgs& p, std::ostream& out, std::ostream& err) {
-  auto chip = load_chip(p, err);
-  if (!chip) return 2;
-  const auto engine_opts = parse_engine_options(p, err);
-  if (!engine_opts) return 2;
-  auto res = core::design_with_fallback(*chip, parse_double(p, "--limit", 85.0), false,
-                                        false, *engine_opts);
-  if (res.deployment.empty()) {
+  const auto session = open_session(p, err);
+  if (!session) return 2;
+  if (session->design.deployment.empty()) {
     err << "error: no TECs deployed; nothing to analyze\n";
     return 1;
   }
   core::SensitivityOptions sens;
-  sens.engine = *engine_opts;
-  auto rows = core::device_sensitivities(chip->spec, chip->tile_powers,
+  sens.engine = session->context->options();
+  auto rows = core::device_sensitivities(session->chip.spec, session->chip.tile_powers,
                                          tec::TecDeviceParams::chowdhury_superlattice(),
-                                         res.deployment, sens);
+                                         session->design.deployment, sens);
   out << "parameter,d_peak_per_rel,d_lambda_per_rel,d_iopt_per_rel\n";
   for (const auto& r : rows) {
     out << r.parameter << "," << r.peak_per_unit_relative << ","
@@ -379,47 +373,24 @@ int cmd_spec(const ParsedArgs& p, std::ostream& out, std::ostream& err) {
 /// a {"summary": ...} footer. Deterministic for a fixed option set, so the
 /// output is byte-diffable across thread counts.
 int cmd_simulate(const ParsedArgs& p, std::ostream& out, std::ostream& err) {
-  auto chip = load_chip(p, err);
-  if (!chip) return 2;
-  const floorplan::Floorplan& plan = *chip->plan;
+  sim::SimulateRequest request;
+  request.benchmark = option_or(p, "--benchmark", request.benchmark);
+  request.dt = parse_double(p, "--dt", request.dt);
+  request.steps = parse_size(p, "--steps", request.steps);
+  request.frame_every = parse_size(p, "--frame-every", request.frame_every);
+  request.control_every = parse_size(p, "--control-every", request.control_every);
+  request.dtm = p.options.count("--no-dtm") == 0;
+  request.tiles = p.options.count("--tiles") != 0;
+  request.cold_start = p.options.count("--cold-start") != 0;
+  if (p.options.count("--current")) request.current = parse_double(p, "--current", 0.0);
+  if (p.options.count("--tec-on")) request.tec_on = parse_size(p, "--tec-on", 0);
+  if (p.options.count("--tec-off")) request.tec_off = parse_size(p, "--tec-off", 0);
+  request.validate();
+  const auto session = open_session(p, err);
+  if (!session) return 2;
 
-  const double limit = parse_double(p, "--limit", 85.0);
-  auto res = core::design_with_fallback(*chip, limit, false, false);
-
-  sim::ScenarioOptions opts;
-  opts.benchmark = option_or(p, "--benchmark", "bench00");
-  opts.dt = parse_double(p, "--dt", 1e-3);
-  opts.steps = parse_size(p, "--steps", 500);
-  opts.frame_every = parse_size(p, "--frame-every", 10);
-  opts.control_every = parse_size(p, "--control-every", 10);
-  opts.dtm = p.options.count("--no-dtm") == 0;
-  opts.include_tiles = p.options.count("--tiles") != 0;
-  opts.start_from_steady_state = p.options.count("--cold-start") == 0;
-  opts.policy.theta_limit = thermal::to_kelvin(limit);
-
-  const double current = parse_double(p, "--current", res.current);
-  if (current < 0.0) {
-    err << "error: --current must be >= 0\n";
-    return 2;
-  }
-  const bool has_tec = res.tec_count > 0 && current > 0.0;
-  if (has_tec && opts.dtm) {
-    opts.policy.current_levels = {0.0, 0.5 * current, current};
-  }
-  if (const double on = parse_double(p, "--tec-on", -1.0); on >= 0.0 && has_tec) {
-    opts.schedule.push_back({std::size_t(on), current});
-  }
-  if (const double off = parse_double(p, "--tec-off", -1.0); off >= 0.0 && has_tec) {
-    opts.schedule.push_back({std::size_t(off), 0.0});
-  }
-  if (!opts.dtm && has_tec && opts.schedule.empty()) {
-    opts.schedule.push_back({0, current});
-  }
-
-  sim::ScenarioEngine engine(plan, chip->spec,
-                             tec::TecDeviceParams::chowdhury_superlattice(),
-                             res.deployment, opts);
-  auto summary = engine.run([&](const sim::Frame& frame) {
+  const floorplan::Floorplan& plan = *session->chip.plan;
+  auto summary = sim::simulate(*session, request, [&](const sim::Frame& frame) {
     out << sim::frame_to_json(frame, plan).dump() << "\n";
     return true;
   });
@@ -430,12 +401,10 @@ int cmd_simulate(const ParsedArgs& p, std::ostream& out, std::ostream& err) {
 }
 
 /// Run the canonical design workload under the continuous profiler and
-/// report where the time went. The workload deliberately mirrors a service
-/// session build (svc session_for): worst-case workload synthesis, design
-/// with run_full_cover=false plus the θ-limit fallback relax loop, a
-/// SolveContext, and λ_m — so the per-kernel *counts* here match a `design`
-/// request served under `serve --profile` exactly (wall times vary run to
-/// run; counts do not).
+/// report where the time went. The workload is a service session build:
+/// core::open_session and λ_m, so the per-kernel *counts* here match a
+/// `design` request served under `serve --profile` exactly (wall times vary
+/// run to run; counts do not).
 int cmd_profile(const ParsedArgs& p, std::ostream& out, std::ostream& err) {
   auto chip = load_chip(p, err);
   if (!chip) return 2;
@@ -450,12 +419,8 @@ int cmd_profile(const ParsedArgs& p, std::ostream& out, std::ostream& err) {
   prof.enable();
   prof.snapshot(true);  // drop anything recorded before the workload
 
-  auto res = core::design_with_fallback(*chip, limit, /*full_cover=*/false,
-                                        /*certify=*/false);
-  const engine::SolveContext context =
-      make_context(*chip, res.deployment, engine::EngineOptions{});
-  std::optional<double> lambda_m;
-  if (!res.deployment.empty()) lambda_m = context.runaway_limit();
+  const core::Session session = core::open_session(std::move(*chip), limit);
+  const std::optional<double> lambda_m = session.lambda_m();
 
   const obs::prof::ProfileSnapshot snap = prof.snapshot(false);
   prof.disable();
@@ -468,7 +433,8 @@ int cmd_profile(const ParsedArgs& p, std::ostream& out, std::ostream& err) {
     rendered = obs::prof::to_collapsed(snap);
   } else {
     std::ostringstream t;
-    t << "profile: " << chip->name << " design, " << res.tec_count << " TECs";
+    t << "profile: " << session.chip.name << " design, " << session.design.tec_count
+      << " TECs";
     if (lambda_m) t << ", lambda_m " << *lambda_m << " A";
     t << "\n";
     const double wall_ms = double(snap.wall_ns) * 1e-6;
@@ -506,7 +472,7 @@ int cmd_profile(const ParsedArgs& p, std::ostream& out, std::ostream& err) {
   } else {
     out << rendered;
   }
-  return res.success ? 0 : 1;
+  return session.design.success ? 0 : 1;
 }
 
 // --- service commands -------------------------------------------------------
@@ -1277,20 +1243,13 @@ int run_cli(const std::vector<std::string>& args, std::ostream& out, std::ostrea
     }
   }
 
-  if (auto it = parsed->options.find("--threads"); it != parsed->options.end()) {
-    try {
-      par::ThreadPool::set_global_threads(std::stoul(it->second));
-    } catch (const std::exception&) {
-      err << "error: bad --threads value '" << it->second << "'\n";
-      return 2;
-    }
-  }
-
   ObsScope obs_scope;
-  if (!obs_scope.configure(*parsed, err)) return 2;
-
   int code;
   try {
+    if (parsed->options.count("--threads") != 0) {
+      par::ThreadPool::set_global_threads(parse_size(*parsed, "--threads", 0));
+    }
+    if (!obs_scope.configure(*parsed, err)) return 2;
     code = spec->handler(*parsed, out, err);
   } catch (const std::exception& e) {
     err << "error: " << e.what() << "\n";

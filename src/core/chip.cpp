@@ -1,5 +1,6 @@
 #include "core/chip.h"
 
+#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -69,13 +70,57 @@ DesignResult design_with_fallback(const Chip& chip, double theta_limit_celsius,
   req.run_convexity_certificate = certify;
   req.greedy.engine = engine;
   DesignResult res = design_cooling_system(req);
-  while (!res.success && req.theta_limit_celsius < theta_limit_celsius + 25.0) {
+  const double relax_to = std::min(theta_limit_celsius + 25.0, kMaxThetaLimitCelsius);
+  while (!res.success && req.theta_limit_celsius < relax_to) {
     req.theta_limit_celsius += 1.0;
     TFC_LOG_INFO("design_fallback_relax", {"chip", chip.name},
                  {"theta_limit_c", req.theta_limit_celsius});
     res = design_cooling_system(req);
   }
   return res;
+}
+
+std::optional<double> Session::lambda_m() const {
+  if (design.deployment.empty()) return std::nullopt;
+  return context->runaway_limit();
+}
+
+Session open_session(Chip chip, double theta_limit_celsius,
+                     const engine::EngineOptions& engine) {
+  Session session;
+  session.theta_limit_celsius = theta_limit_celsius;
+  session.design = design_with_fallback(chip, theta_limit_celsius, /*run_full_cover=*/false,
+                                        /*certify=*/false, engine);
+  session.context = std::make_shared<const engine::SolveContext>(
+      chip.spec, session.design.deployment, chip.tile_powers,
+      tec::TecDeviceParams::chowdhury_superlattice(), engine);
+  session.chip = std::move(chip);
+  return session;
+}
+
+void SweepRequest::validate() const {
+  if (points < 1 || points > 10000) {
+    throw std::invalid_argument("'points' must be an integer in [1, 10000]");
+  }
+  if (!(max_fraction > 0.0 && max_fraction < 1.0)) {
+    throw std::invalid_argument("'max_fraction' must be in (0, 1)");
+  }
+}
+
+std::vector<SweepRow> sweep(const Session& session, const SweepRequest& request) {
+  request.validate();
+  const std::optional<double> lambda_m = session.lambda_m();
+  if (!lambda_m) throw std::invalid_argument("no TECs deployed; nothing to sweep");
+  const double hi = request.max_fraction * *lambda_m;
+  std::vector<SweepRow> rows;
+  for (std::size_t s = 0; s <= request.points; ++s) {
+    const double i = hi * double(s) / double(request.points);
+    const auto op = session.context->solve(i);
+    if (!op) break;
+    rows.push_back(
+        {i, thermal::to_celsius(op->peak_tile_temperature), op->tec_input_power});
+  }
+  return rows;
 }
 
 }  // namespace tfc::core

@@ -8,7 +8,17 @@
 
 namespace tfc::core {
 
+void DesignRequest::check_theta_limit(double celsius) {
+  if (!(celsius > 0.0 && celsius <= kMaxThetaLimitCelsius)) {
+    throw std::invalid_argument("'limit' must be in (0, 500] degC");
+  }
+}
+
 DesignResult design_cooling_system(const DesignRequest& request) {
+  if (request.spec == nullptr) {
+    throw std::invalid_argument("design_cooling_system: null spec");
+  }
+  DesignRequest::check_theta_limit(request.theta_limit_celsius);
   TFC_SPAN("design");
   const auto t0 = std::chrono::steady_clock::now();
 
@@ -22,9 +32,6 @@ DesignResult design_cooling_system(const DesignRequest& request) {
   GreedyDeployOptions greedy = request.greedy;
   greedy.theta_max = thermal::to_kelvin(request.theta_limit_celsius);
 
-  if (request.spec == nullptr) {
-    throw std::invalid_argument("design_cooling_system: null spec");
-  }
   linalg::Vector powers = request.tile_powers;
   if (powers.size() == 0) powers = request.spec->tile_powers();
 

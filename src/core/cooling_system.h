@@ -16,6 +16,9 @@
 
 namespace tfc::core {
 
+/// Largest θ-limit a design accepts [°C].
+inline constexpr double kMaxThetaLimitCelsius = 500.0;
+
 /// A complete problem instance.
 struct DesignRequest {
   std::string chip_name = "chip";
@@ -37,6 +40,10 @@ struct DesignRequest {
   /// deployment.
   bool run_convexity_certificate = false;
   GreedyDeployOptions greedy;
+
+  /// The θ-limit check of every front end: throws std::invalid_argument
+  /// unless \p celsius is finite and in (0, kMaxThetaLimitCelsius].
+  static void check_theta_limit(double celsius);
 };
 
 /// Everything Table I reports for one chip, plus diagnostics.
@@ -73,7 +80,8 @@ struct DesignResult {
 };
 
 /// Solve Problem 1 on one chip and assemble the Table-I row. Throws
-/// std::invalid_argument on a null request.spec.
+/// std::invalid_argument on a null request.spec or a θ-limit that
+/// DesignRequest::check_theta_limit refuses.
 DesignResult design_cooling_system(const DesignRequest& request);
 
 /// Render a deployment mask as an ASCII tile map ('#' = TEC, '.' = bare),

@@ -43,10 +43,14 @@ JsonValue JsonValue::make_object() {
 
 namespace {
 
-[[noreturn]] void type_error(const char* want, JsonValue::Type got) {
+const char* type_name(JsonValue::Type type) {
   static const char* names[] = {"null", "bool", "number", "string", "array", "object"};
+  return names[static_cast<int>(type)];
+}
+
+[[noreturn]] void type_error(const char* want, JsonValue::Type got) {
   throw std::runtime_error(std::string("json: expected ") + want + ", got " +
-                           names[static_cast<int>(got)]);
+                           type_name(got));
 }
 
 }  // namespace
@@ -106,20 +110,37 @@ void JsonValue::set(const std::string& key, JsonValue v) {
   object_.emplace_back(key, std::move(v));
 }
 
+namespace {
+
+/// The member \p key of \p obj when it holds a \p want value; nullptr when it
+/// is absent or null. Throws std::invalid_argument for any other type.
+const JsonValue* typed_member(const JsonValue& obj, const std::string& key,
+                              JsonValue::Type want, const char* want_name) {
+  const JsonValue* v = obj.get(key);
+  if (v == nullptr || v->is_null()) return nullptr;
+  if (v->type() != want) {
+    throw std::invalid_argument("'" + key + "' must be a " + want_name + ", got " +
+                                type_name(v->type()));
+  }
+  return v;
+}
+
+}  // namespace
+
 double JsonValue::number_or(const std::string& key, double fallback) const {
-  const JsonValue* v = get(key);
-  return v && v->is_number() ? v->as_number() : fallback;
+  const JsonValue* v = typed_member(*this, key, Type::kNumber, "number");
+  return v != nullptr ? v->number_ : fallback;
 }
 
 std::string JsonValue::string_or(const std::string& key,
                                  const std::string& fallback) const {
-  const JsonValue* v = get(key);
-  return v && v->is_string() ? v->as_string() : fallback;
+  const JsonValue* v = typed_member(*this, key, Type::kString, "string");
+  return v != nullptr ? v->string_ : fallback;
 }
 
 bool JsonValue::bool_or(const std::string& key, bool fallback) const {
-  const JsonValue* v = get(key);
-  return v && v->is_bool() ? v->as_bool() : fallback;
+  const JsonValue* v = typed_member(*this, key, Type::kBool, "boolean");
+  return v != nullptr ? v->bool_ : fallback;
 }
 
 std::string json_escape(const std::string& s) {

@@ -74,7 +74,9 @@ class JsonValue {
   void push_back(JsonValue v);
   void set(const std::string& key, JsonValue v);
 
-  /// Convenience typed lookups with defaults (object values only).
+  /// Typed lookups with defaults (object values only): \p fallback when the
+  /// key is absent or null; any other wrong type throws
+  /// std::invalid_argument naming the key.
   double number_or(const std::string& key, double fallback) const;
   std::string string_or(const std::string& key, const std::string& fallback) const;
   bool bool_or(const std::string& key, bool fallback) const;

@@ -20,8 +20,10 @@ using thermal::LayerSpec;
 using thermal::Material;
 using thermal::StackSpec;
 
+/// Schema error; spec_from_json adds the "StackSpec JSON: " prefix to these
+/// and to the typed-lookup errors of JsonValue alike.
 [[noreturn]] void fail(const std::string& message) {
-  throw std::invalid_argument("StackSpec JSON: " + message);
+  throw std::invalid_argument(message);
 }
 
 const std::vector<Material>& presets() {
@@ -114,7 +116,9 @@ LayerSpec layer_from_json(const JsonValue& v, const std::string& where) {
               "ptrace", "tec_capable", "tec_sites"},
              where);
   LayerSpec layer;
-  const std::string kind = require(v, "kind", where).as_string();
+  const JsonValue& kind_value = require(v, "kind", where);
+  if (!kind_value.is_string()) fail(where + ": 'kind' must be a string");
+  const std::string& kind = kind_value.as_string();
   if (kind == "die") {
     layer.kind = LayerSpec::Kind::kDie;
   } else if (kind == "interface") {
@@ -268,7 +272,9 @@ JsonValue spec_to_json(const StackSpec& spec) {
   return doc;
 }
 
-StackSpec spec_from_json(const JsonValue& value) {
+namespace {
+
+StackSpec parse_spec(const JsonValue& value) {
   if (!value.is_object()) fail("document must be an object");
   check_keys(value,
              {"name", "chips", "spreader", "sink", "convection_resistance", "ambient_k",
@@ -328,6 +334,16 @@ StackSpec spec_from_json(const JsonValue& value) {
         "board_convection_resistance", spec.board_convection_resistance);
   }
   return spec;
+}
+
+}  // namespace
+
+StackSpec spec_from_json(const JsonValue& value) {
+  try {
+    return parse_spec(value);
+  } catch (const std::invalid_argument& e) {
+    throw std::invalid_argument(std::string("StackSpec JSON: ") + e.what());
+  }
 }
 
 StackSpec load_stack_spec(const std::string& path) {

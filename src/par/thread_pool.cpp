@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <memory>
+#include <stdexcept>
 #include <string>
 
 #include "obs/metrics.h"
@@ -23,10 +24,12 @@ std::size_t resolve_thread_count() {
   if (const char* env = std::getenv("TFCOOL_THREADS")) {
     char* end = nullptr;
     const long v = std::strtol(env, &end, 10);
-    if (end != env && *end == '\0' && v > 0) return std::size_t(v);
+    if (end != env && *end == '\0' && v > 0 && std::size_t(v) <= kMaxThreads) {
+      return std::size_t(v);
+    }
   }
   const unsigned hw = std::thread::hardware_concurrency();
-  return hw > 0 ? std::size_t(hw) : 1;
+  return hw > 0 ? std::min(std::size_t(hw), kMaxThreads) : 1;
 }
 
 }  // namespace
@@ -144,6 +147,11 @@ ThreadPool& ThreadPool::global() {
 }
 
 void ThreadPool::set_global_threads(std::size_t threads) {
+  if (threads > kMaxThreads) {
+    throw std::invalid_argument("thread count must be at most " +
+                                std::to_string(kMaxThreads) + ", got " +
+                                std::to_string(threads));
+  }
   std::lock_guard<std::mutex> lock(g_global_mutex);
   g_thread_override = threads;
   const std::size_t want = std::max<std::size_t>(1, [&] {

@@ -10,7 +10,8 @@
 ///
 /// The process-wide pool is created lazily; its size resolves, in order,
 /// from `set_global_threads()` (the CLI's `--threads`), the
-/// `TFCOOL_THREADS` environment variable, and `hardware_concurrency()`.
+/// `TFCOOL_THREADS` environment variable, and `hardware_concurrency()`, and
+/// never exceeds kMaxThreads.
 #pragma once
 
 #include <atomic>
@@ -23,6 +24,9 @@
 #include <vector>
 
 namespace tfc::par {
+
+/// Ceiling on the process-wide pool size and on the service's worker count.
+inline constexpr std::size_t kMaxThreads = 256;
 
 /// Fixed pool of worker threads executing indexed jobs.
 class ThreadPool {
@@ -58,7 +62,8 @@ class ThreadPool {
 
   /// Override the global pool size (0 = resolve from env/hardware again).
   /// If the global pool already exists with a different size it is joined
-  /// and recreated. Must not race with in-flight parallel work.
+  /// and recreated. Must not race with in-flight parallel work. Throws
+  /// std::invalid_argument, changing nothing, for more than kMaxThreads.
   static void set_global_threads(std::size_t threads);
 
   /// The size the global pool has (or would be created with).

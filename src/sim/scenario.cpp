@@ -54,15 +54,6 @@ void validate_trace(const floorplan::Floorplan& plan, const power::ActivityTrace
 }  // namespace
 
 ScenarioEngine::ScenarioEngine(const floorplan::Floorplan& plan,
-                               std::shared_ptr<const thermal::StackSpec> spec,
-                               const tec::TecDeviceParams& device,
-                               const TileMask& deployment, ScenarioOptions options)
-    : ScenarioEngine(plan,
-                     tec::ElectroThermalSystem::assemble(std::move(spec), deployment,
-                                                         plan.tile_powers(), device),
-                     std::nullopt, std::move(options)) {}
-
-ScenarioEngine::ScenarioEngine(const floorplan::Floorplan& plan,
                                const engine::SolveContext& context,
                                ScenarioOptions options)
     : ScenarioEngine(plan, context.system(), std::nullopt, std::move(options)) {}
@@ -265,6 +256,60 @@ ScenarioSummary ScenarioEngine::run(const FrameSink& sink) {
   TFC_SPAN_ATTR("frames", static_cast<std::uint64_t>(sum.frames));
   TFC_SPAN_ATTR("max_peak_k", sum.max_peak_k);
   return sum;
+}
+
+void SimulateRequest::validate() const {
+  if (steps < 1 || steps > 100000) {
+    throw std::invalid_argument("'steps' must be an integer in [1, 100000]");
+  }
+  if (!(dt > 0.0 && dt <= 10.0)) {
+    throw std::invalid_argument("'dt' must be in (0, 10] seconds");
+  }
+  if (frame_every < 1 || control_every < 1) {
+    throw std::invalid_argument(
+        "'frame_every'/'control_every' must be positive integers");
+  }
+  if (current && !(std::isfinite(*current) && *current >= 0.0)) {
+    throw std::invalid_argument("'current' must be finite and nonnegative");
+  }
+  if (tec_on && *tec_on > steps) {
+    throw std::invalid_argument("tec_on must be at most steps");
+  }
+  if (tec_off && !tec_on) throw std::invalid_argument("tec_off requires tec_on");
+  if (tec_off && !(*tec_off > *tec_on && *tec_off <= steps)) {
+    throw std::invalid_argument("tec_off must be in (tec_on, steps]");
+  }
+}
+
+double SimulateRequest::supply(const core::Session& session) const {
+  return current.value_or(session.design.current);
+}
+
+ScenarioOptions SimulateRequest::options(const core::Session& session) const {
+  validate();
+  ScenarioOptions o;
+  o.benchmark = benchmark;
+  o.dt = dt;
+  o.steps = steps;
+  o.frame_every = frame_every;
+  o.control_every = control_every;
+  o.dtm = dtm;
+  o.include_tiles = tiles;
+  o.start_from_steady_state = !cold_start;
+  o.policy.theta_limit = thermal::to_kelvin(session.theta_limit_celsius);
+  const double i = supply(session);
+  if (session.design.tec_count > 0 && i > 0.0) {
+    if (dtm) o.policy.current_levels = {0.0, 0.5 * i, i};
+    if (tec_on || !dtm) o.schedule.push_back({tec_on.value_or(0), i});
+    if (tec_off) o.schedule.push_back({*tec_off, 0.0});
+  }
+  return o;
+}
+
+ScenarioSummary simulate(const core::Session& session, const SimulateRequest& request,
+                         const FrameSink& sink) {
+  ScenarioEngine engine(*session.chip.plan, *session.context, request.options(session));
+  return engine.run(sink);
 }
 
 io::JsonValue frame_to_json(const Frame& frame, const floorplan::Floorplan& plan) {

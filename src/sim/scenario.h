@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "common/tile.h"
+#include "core/chip.h"
 #include "core/dtm.h"
 #include "engine/solve_context.h"
 #include "floorplan/floorplan.h"
@@ -136,21 +137,15 @@ using FrameSink = std::function<bool(const Frame&)>;
 /// condition and a fresh controller).
 class ScenarioEngine {
  public:
-  /// Assemble the coupled system of \p spec for \p deployment (may be empty
-  /// — the passive baseline) and synthesize the workload trace over \p plan,
-  /// which must tile the spec's virtual grid (for a StackSpec without its own
-  /// chip floorplan, spec->combined_floorplan(): every die's floorplan or
+  /// Integrate over an engine::SolveContext's already-assembled system
+  /// (shares its symbolic-analysis cache; the context is not retained) and
+  /// synthesize the workload trace over \p plan, which must tile the
+  /// context's virtual grid (for a StackSpec without its own chip
+  /// floorplan, spec->combined_floorplan(): every die's floorplan or
   /// uniform power block, stacked row-wise and prefixed "chip.layer.", so
   /// each die gets its own per-unit activity trace). \p plan must outlive
   /// the engine. Throws std::invalid_argument on grid mismatch or bad
   /// options.
-  ScenarioEngine(const floorplan::Floorplan& plan,
-                 std::shared_ptr<const thermal::StackSpec> spec,
-                 const tec::TecDeviceParams& device, const TileMask& deployment,
-                 ScenarioOptions options = {});
-
-  /// Reuse an engine::SolveContext's already-assembled system (shares its
-  /// symbolic-analysis cache; the context is not retained).
   ScenarioEngine(const floorplan::Floorplan& plan, const engine::SolveContext& context,
                  ScenarioOptions options = {});
 
@@ -205,6 +200,47 @@ class ScenarioEngine {
   linalg::Vector theta_next_;
   linalg::Vector tiles_scratch_;
 };
+
+/// One `simulate` request as both front ends take it (CLI flags, service
+/// params): the scenario fields plus the TEC supply and its forced schedule.
+struct SimulateRequest {
+  std::string benchmark = "bench00";
+  double dt = 1e-3;
+  std::size_t steps = 500;
+  std::size_t frame_every = 10;
+  std::size_t control_every = 10;
+  bool dtm = true;
+  bool tiles = false;
+  /// Start from uniform ambient (CLI --cold-start; the service has no such
+  /// param).
+  bool cold_start = false;
+  /// TEC supply ceiling [A]; absent: the session's designed optimum.
+  std::optional<double> current;
+  /// Force the supply on from this step (a floor under the controller).
+  std::optional<std::size_t> tec_on;
+  /// Turn the forced supply off from this step; only together with tec_on.
+  std::optional<std::size_t> tec_off;
+
+  /// Throws std::invalid_argument unless steps is in [1, 100000], dt in
+  /// (0, 10] s, frame_every and control_every >= 1, current finite and
+  /// >= 0, tec_on <= steps, and tec_off (given only with tec_on) in
+  /// (tec_on, steps].
+  void validate() const;
+
+  /// The supply current: current, else the session's designed optimum [A].
+  double supply(const core::Session& session) const;
+
+  /// Scenario options on \p session (validated first), DTM limit at the
+  /// session's requested θ-limit. Nothing is scheduled unless TECs are
+  /// deployed and the supply i is > 0. Under DTM the controller's levels are
+  /// {0, i/2, i} and tec_on adds a floor of i; with DTM off the supply runs
+  /// at i from tec_on (default step 0). tec_off ends either.
+  ScenarioOptions options(const core::Session& session) const;
+};
+
+/// Run \p request on \p session's context, emitting frames to \p sink.
+ScenarioSummary simulate(const core::Session& session, const SimulateRequest& request,
+                         const FrameSink& sink);
 
 /// Frame -> JSON (the streaming NDJSON schema; see docs/SIMULATION.md).
 /// \p plan resolves action unit indices to names.

@@ -21,6 +21,7 @@
 #include "io/spec_json.h"
 #include "obs/build_info.h"
 #include "obs/obs.h"
+#include "par/thread_pool.h"
 #include "sim/scenario.h"
 #include "thermal/package.h"
 
@@ -275,6 +276,10 @@ Server::Server(ServerOptions options)
       health_(options_.tolerances,
               options_.health_window == 0 ? 1 : options_.health_window),
       start_time_(Clock::now()) {
+  if (options_.workers > par::kMaxThreads) {
+    throw std::invalid_argument("svc: more than " + std::to_string(par::kMaxThreads) +
+                                " workers");
+  }
   register_metrics();
   if (options_.profile) obs::prof::Profiler::global().enable();
   if (options_.workers == 0) options_.workers = 1;
@@ -669,6 +674,11 @@ void Server::serve_request(Pending& item) {
       ok = false;
       err_code = e.code();
       err_msg = e.what();
+    } catch (const std::invalid_argument& e) {
+      // A wrong-typed or out-of-range param, or a refused session input.
+      ok = false;
+      err_code = ErrorCode::kBadRequest;
+      err_msg = e.what();
     } catch (const std::exception& e) {
       ok = false;
       err_code = ErrorCode::kInternal;
@@ -752,16 +762,35 @@ const std::string& default_package_hash() {
   return hash;
 }
 
+/// \p key of \p params; nullopt when absent or null. A value of another type
+/// throws std::invalid_argument (JsonValue::number_or).
+std::optional<double> number_param(const io::JsonValue& params, const std::string& key) {
+  const io::JsonValue* value = params.get(key);
+  if (value == nullptr || value->is_null()) return std::nullopt;
+  return params.number_or(key, 0.0);
+}
+
+/// The one reader of count params: nullopt when absent or null, else a whole
+/// number in [0, 2^53] (exactly representable, so the cast is exact), else
+/// std::invalid_argument naming the key.
+std::optional<std::size_t> count_param(const io::JsonValue& params,
+                                       const std::string& key) {
+  const std::optional<double> value = number_param(params, key);
+  if (!value) return std::nullopt;
+  if (!(*value >= 0.0 && *value <= 9007199254740992.0 && *value == std::floor(*value))) {
+    throw std::invalid_argument("'" + key + "' must be a whole number >= 0");
+  }
+  return std::size_t(*value);
+}
+
 }  // namespace
 
 std::shared_ptr<const Session> Server::session_for(const io::JsonValue& params,
                                                    DispatchInfo& info) {
   SessionKey key;
   key.theta_limit_celsius = params.number_or("limit", 85.0);
-  if (!(key.theta_limit_celsius > 0.0) || key.theta_limit_celsius > 500.0) {
-    throw ProtocolError(ErrorCode::kBadRequest,
-                        "'limit' must be in (0, 500] degC");
-  }
+  // Before the cache lookup: a refused limit never takes or evicts a slot.
+  core::DesignRequest::check_theta_limit(key.theta_limit_celsius);
 
   // Declarative-package path: "spec" names a StackSpec JSON file. The key
   // hashes the file's *content*, so two different packages never share a
@@ -784,11 +813,7 @@ std::shared_ptr<const Session> Server::session_for(const io::JsonValue& params,
   } else {
     // Built-in chips key on the canonical name, so spellings of one chip
     // ("hc7", "hc007") share a session.
-    try {
-      key.chip = core::builtin_chip_name(params.string_or("chip", "alpha"));
-    } catch (const std::invalid_argument& e) {
-      throw ProtocolError(ErrorCode::kBadRequest, e.what());
-    }
+    key.chip = core::builtin_chip_name(params.string_or("chip", "alpha"));
     const thermal::StackSpec& paper = *thermal::paper_package();
     key.tile_rows = paper.total_tile_rows();
     key.tile_cols = paper.tile_cols();
@@ -805,24 +830,16 @@ std::shared_ptr<const Session> Server::session_for(const io::JsonValue& params,
     core::Chip chip =
         spec != nullptr ? core::spec_chip(spec) : core::builtin_chip(k.chip);
     chip.name = k.chip;
-    session->spec = spec;
-    session->plan = chip.plan;
-    session->tile_powers = chip.tile_powers;
-    session->design = core::design_with_fallback(chip, k.theta_limit_celsius,
-                                                 /*run_full_cover=*/false);
-    session->context = std::make_shared<const engine::SolveContext>(
-        chip.spec, session->design.deployment, session->tile_powers,
-        tec::TecDeviceParams::chowdhury_superlattice(), engine::EngineOptions{});
-    if (!session->design.deployment.empty()) {
-      session->lambda_m = session->context->runaway_limit();
-    }
+    session->solver = core::open_session(std::move(chip), k.theta_limit_celsius);
+    // Every request reads λ_m; compute it once, with the build.
+    (void)session->solver.lambda_m();
     TFC_LOG_INFO("svc_session_built", {"key", k.to_string()},
-                 {"spec", session->spec_id}, {"tecs", session->design.tec_count});
+                 {"spec", session->spec_id}, {"tecs", session->solver.design.tec_count});
     return std::shared_ptr<const Session>(session);
   }, &cache_hit);
   info.cache = cache_hit ? 1 : 0;
   info.spec = session->spec_id;
-  info.backend = engine::backend_name(session->context->options().backend);
+  info.backend = engine::backend_name(session->solver.context->options().backend);
   return session;
 }
 
@@ -924,12 +941,12 @@ io::JsonValue Server::dispatch(const Request& request, DispatchInfo& info,
   }
 
   if (request.method == "recent") {
-    const double count_d = params.number_or("count", 20.0);
-    if (count_d < 1.0 || count_d > 10000.0 || count_d != std::size_t(count_d)) {
+    const std::size_t count = count_param(params, "count").value_or(20);
+    if (count < 1 || count > 10000) {
       throw ProtocolError(ErrorCode::kBadRequest,
                           "'count' must be an integer in [1, 10000]");
     }
-    const auto records = recorder_.recent(std::size_t(count_d));
+    const auto records = recorder_.recent(count);
     JsonValue requests = JsonValue::make_array();
     for (const auto& rec : records) requests.push_back(record_to_json(rec));
     JsonValue result = JsonValue::make_object();
@@ -941,17 +958,19 @@ io::JsonValue Server::dispatch(const Request& request, DispatchInfo& info,
 
   if (request.method == "solve") {
     auto session = session_for(params, info);
-    double current = params.number_or("current", session->design.current);
+    const core::Session& solver = session->solver;
+    double current = params.number_or("current", solver.design.current);
     if (current < 0.0) {
       throw ProtocolError(ErrorCode::kBadRequest, "'current' must be nonnegative");
     }
-    if (session->lambda_m) {
+    const std::optional<double> lambda_m = solver.lambda_m();
+    if (lambda_m) {
       // λ_m margin of the requested operating point, on the svc.request span.
-      TFC_SPAN_ATTR("lambda_margin_a", *session->lambda_m - current);
+      TFC_SPAN_ATTR("lambda_margin_a", *lambda_m - current);
     }
     std::optional<tec::OperatingPoint> op;
     try {
-      op = session->context->solve(current);
+      op = solver.context->solve(current);
     } catch (const engine::CgNonConvergedError& e) {
       // First-class non-convergence: a typed internal error instead of a
       // silently-wrong θ, and a degraded mark in the health window.
@@ -971,10 +990,9 @@ io::JsonValue Server::dispatch(const Request& request, DispatchInfo& info,
     result.set("peak_celsius",
                JsonValue::make_number(thermal::to_celsius(op->peak_tile_temperature)));
     result.set("tec_power_w", JsonValue::make_number(op->tec_input_power));
-    result.set("tec_count", JsonValue::make_number(double(session->design.tec_count)));
-    result.set("lambda_m_a", session->lambda_m
-                                 ? JsonValue::make_number(*session->lambda_m)
-                                 : JsonValue::make_null());
+    result.set("tec_count", JsonValue::make_number(double(solver.design.tec_count)));
+    result.set("lambda_m_a",
+               lambda_m ? JsonValue::make_number(*lambda_m) : JsonValue::make_null());
     return result;
   }
 
@@ -982,7 +1000,7 @@ io::JsonValue Server::dispatch(const Request& request, DispatchInfo& info,
     auto session = session_for(params, info);
     // Re-use the canonical serializer so the service and `tfcool design
     // --json` emit byte-identical documents for the same chip.
-    return io::parse_json(io::design_result_to_json(session->design));
+    return io::parse_json(io::design_result_to_json(session->solver.design));
   }
 
   if (request.method == "runaway") {
@@ -994,48 +1012,34 @@ io::JsonValue Server::dispatch(const Request& request, DispatchInfo& info,
       throw ProtocolError(ErrorCode::kBadRequest,
                           "unknown runaway method '" + method + "' (use sparse)");
     }
+    const std::optional<double> lambda_m = session->solver.lambda_m();
     JsonValue result = JsonValue::make_object();
     result.set("chip", JsonValue::make_string(session->key.chip));
     result.set("method", JsonValue::make_string("sparse"));
-    result.set("tec_count", JsonValue::make_number(double(session->design.tec_count)));
-    result.set("lambda_m_a", session->lambda_m
-                                 ? JsonValue::make_number(*session->lambda_m)
-                                 : JsonValue::make_null());
+    result.set("tec_count",
+               JsonValue::make_number(double(session->solver.design.tec_count)));
+    result.set("lambda_m_a",
+               lambda_m ? JsonValue::make_number(*lambda_m) : JsonValue::make_null());
     return result;
   }
 
   if (request.method == "sweep") {
+    core::SweepRequest sweep;
+    sweep.points = count_param(params, "points").value_or(sweep.points);
+    sweep.max_fraction = params.number_or("max_fraction", sweep.max_fraction);
+    sweep.validate();
     auto session = session_for(params, info);
-    if (!session->lambda_m) {
-      throw ProtocolError(ErrorCode::kBadRequest,
-                          "no TECs deployed for this session; nothing to sweep");
-    }
-    const double points_d = params.number_or("points", 25.0);
-    if (points_d < 1.0 || points_d > 10000.0 || points_d != std::size_t(points_d)) {
-      throw ProtocolError(ErrorCode::kBadRequest,
-                          "'points' must be an integer in [1, 10000]");
-    }
-    const std::size_t points = std::size_t(points_d);
-    const double max_fraction = params.number_or("max_fraction", 0.95);
-    if (!(max_fraction > 0.0) || max_fraction >= 1.0) {
-      throw ProtocolError(ErrorCode::kBadRequest, "'max_fraction' must be in (0, 1)");
-    }
-    const double hi = max_fraction * *session->lambda_m;
     JsonValue currents = JsonValue::make_array();
     JsonValue peaks = JsonValue::make_array();
     JsonValue powers = JsonValue::make_array();
-    for (std::size_t s = 0; s <= points; ++s) {
-      const double i = hi * double(s) / double(points);
-      auto op = session->context->solve(i);
-      if (!op) break;
-      currents.push_back(JsonValue::make_number(i));
-      peaks.push_back(
-          JsonValue::make_number(thermal::to_celsius(op->peak_tile_temperature)));
-      powers.push_back(JsonValue::make_number(op->tec_input_power));
+    for (const core::SweepRow& row : core::sweep(session->solver, sweep)) {
+      currents.push_back(JsonValue::make_number(row.current));
+      peaks.push_back(JsonValue::make_number(row.peak_celsius));
+      powers.push_back(JsonValue::make_number(row.tec_power));
     }
     JsonValue result = JsonValue::make_object();
     result.set("chip", JsonValue::make_string(session->key.chip));
-    result.set("lambda_m_a", JsonValue::make_number(*session->lambda_m));
+    result.set("lambda_m_a", JsonValue::make_number(*session->solver.lambda_m()));
     result.set("current_a", currents);
     result.set("peak_celsius", peaks);
     result.set("tec_power_w", powers);
@@ -1125,60 +1129,26 @@ io::JsonValue Server::dispatch(const Request& request, DispatchInfo& info,
   }
 
   if (request.method == "simulate") {
+    sim::SimulateRequest simulate;
+    simulate.benchmark = params.string_or("benchmark", simulate.benchmark);
+    simulate.dt = params.number_or("dt", simulate.dt);
+    simulate.steps = count_param(params, "steps").value_or(simulate.steps);
+    simulate.frame_every =
+        count_param(params, "frame_every").value_or(simulate.frame_every);
+    simulate.control_every =
+        count_param(params, "control_every").value_or(simulate.control_every);
+    simulate.dtm = params.bool_or("dtm", simulate.dtm);
+    simulate.tiles = params.bool_or("tiles", simulate.tiles);
+    simulate.current = number_param(params, "current");
+    simulate.tec_on = count_param(params, "tec_on_step");
+    simulate.tec_off = count_param(params, "tec_off_step");
+    simulate.validate();
     auto session = session_for(params, info);
-
-    const double steps_d = params.number_or("steps", 200.0);
-    if (steps_d < 1.0 || steps_d > 100000.0 || steps_d != std::size_t(steps_d)) {
-      throw ProtocolError(ErrorCode::kBadRequest,
-                          "'steps' must be an integer in [1, 100000]");
-    }
-    const double dt = params.number_or("dt", 1e-3);
-    if (!(dt > 0.0) || dt > 10.0) {
-      throw ProtocolError(ErrorCode::kBadRequest, "'dt' must be in (0, 10] seconds");
-    }
-    const double frame_every_d = params.number_or("frame_every", 10.0);
-    const double control_every_d = params.number_or("control_every", 10.0);
-    if (frame_every_d < 1.0 || frame_every_d != std::size_t(frame_every_d) ||
-        control_every_d < 1.0 || control_every_d != std::size_t(control_every_d)) {
-      throw ProtocolError(ErrorCode::kBadRequest,
-                          "'frame_every'/'control_every' must be positive integers");
-    }
-    const double current = params.number_or("current", session->design.current);
-    if (current < 0.0) {
-      throw ProtocolError(ErrorCode::kBadRequest, "'current' must be nonnegative");
-    }
-
-    sim::ScenarioOptions opts;
-    opts.benchmark = params.string_or("benchmark", "bench00");
-    opts.steps = std::size_t(steps_d);
-    opts.dt = dt;
-    opts.frame_every = std::size_t(frame_every_d);
-    opts.control_every = std::size_t(control_every_d);
-    opts.dtm = params.bool_or("dtm", true);
-    opts.include_tiles = params.bool_or("tiles", false);
-    opts.policy.theta_limit = thermal::to_kelvin(session->key.theta_limit_celsius);
-    if (opts.dtm && current > 0.0 && session->design.tec_count > 0) {
-      // Closed loop: the controller may idle, half-drive, or fully drive the
-      // designed deployment against the θ-limit.
-      opts.policy.current_levels = {0.0, 0.5 * current, current};
-    }
-    // Optional forced TEC schedule (a floor under the controller; the whole
-    // supply when the controller is off).
-    const double on_step_d = params.number_or("tec_on_step", -1.0);
-    const double off_step_d = params.number_or("tec_off_step", -1.0);
-    if (on_step_d >= 0.0) {
-      opts.schedule.push_back({std::size_t(on_step_d), current});
-      if (off_step_d > on_step_d) {
-        opts.schedule.push_back({std::size_t(off_step_d), 0.0});
-      }
-    } else if (!opts.dtm && current > 0.0 && session->design.tec_count > 0) {
-      opts.schedule.push_back({0, current});
-    }
-
-    sim::ScenarioEngine engine(*session->plan, *session->context, opts);
-    const sim::ScenarioSummary summary = engine.run([&](const sim::Frame& frame) {
-      return stream.emit(sim::frame_to_json(frame, *session->plan));
-    });
+    const core::Session& solver = session->solver;
+    const sim::ScenarioSummary summary =
+        sim::simulate(solver, simulate, [&](const sim::Frame& frame) {
+          return stream.emit(sim::frame_to_json(frame, *solver.chip.plan));
+        });
     if (summary.aborted) {
       obs::MetricsRegistry::global().counter("svc.stream.deadline_aborts").increment();
       throw ProtocolError(ErrorCode::kDeadlineExceeded,
@@ -1188,10 +1158,10 @@ io::JsonValue Server::dispatch(const Request& request, DispatchInfo& info,
 
     JsonValue result = JsonValue::make_object();
     result.set("chip", JsonValue::make_string(session->key.chip));
-    result.set("benchmark", JsonValue::make_string(opts.benchmark));
-    result.set("dtm", JsonValue::make_bool(opts.dtm));
-    result.set("current_a", JsonValue::make_number(current));
-    result.set("tec_count", JsonValue::make_number(double(session->design.tec_count)));
+    result.set("benchmark", JsonValue::make_string(simulate.benchmark));
+    result.set("dtm", JsonValue::make_bool(simulate.dtm));
+    result.set("current_a", JsonValue::make_number(simulate.supply(solver)));
+    result.set("tec_count", JsonValue::make_number(double(solver.design.tec_count)));
     result.set("summary", sim::summary_to_json(summary));
     return result;
   }
@@ -1205,7 +1175,7 @@ io::JsonValue Server::dispatch(const Request& request, DispatchInfo& info,
 
 void Server::audit_solve(const Session& session, const tec::OperatingPoint& op,
                          bool cache_hit, DispatchInfo& info) {
-  if (options_.audit_every == 0 || session.context == nullptr) return;
+  if (options_.audit_every == 0 || session.solver.context == nullptr) return;
   const std::uint64_t seq = audit_seq_.fetch_add(1, std::memory_order_relaxed);
   if (seq % options_.audit_every != 0) return;
 
@@ -1224,7 +1194,7 @@ void Server::audit_solve(const Session& session, const tec::OperatingPoint& op,
     audited = &faulted;
   }
 
-  const obs::health::Certificate cert = session.context->audit(*audited);
+  const obs::health::Certificate cert = session.solver.context->audit(*audited);
   metrics.counter("svc.audit.samples").increment();
   const bool ok = health_.record_certificate(scope, cert);
   info.audit = ok ? 1 : 0;
@@ -1247,7 +1217,7 @@ void Server::audit_solve(const Session& session, const tec::OperatingPoint& op,
   double drift = -1.0;
   try {
     const auto check =
-        session.context->solve_backend(engine::Backend::kCg, op.current);
+        session.solver.context->solve_backend(engine::Backend::kCg, op.current);
     if (check.has_value()) {
       double num = 0.0, den = 0.0;
       for (std::size_t k = 0; k < check->theta.size(); ++k) {

@@ -64,8 +64,9 @@ struct ServerOptions {
   /// `listen`). Serves `GET /metrics` in Prometheus text format; empty
   /// disables the listener. See Server::prom_port().
   std::string prom_listen;
-  /// Worker threads draining the request queue. Each worker runs the full
-  /// solver stack (which parallelizes internally via tfc::par).
+  /// Worker threads draining the request queue, at most par::kMaxThreads
+  /// (the constructor throws std::invalid_argument above it). Each worker
+  /// runs the full solver stack (which parallelizes internally via tfc::par).
   std::size_t workers = 2;
   /// Bounded request-queue capacity; a full queue sheds load.
   std::size_t queue_capacity = 64;

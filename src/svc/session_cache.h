@@ -29,10 +29,7 @@
 #include <optional>
 #include <string>
 
-#include "core/cooling_system.h"
-#include "engine/solve_context.h"
-#include "floorplan/floorplan.h"
-#include "tec/electro_thermal.h"
+#include "core/chip.h"
 
 namespace tfc::svc {
 
@@ -54,26 +51,16 @@ struct SessionKey {
   friend bool operator==(const SessionKey&, const SessionKey&) = default;
 };
 
-/// A fully prepared solver context for one key.
+/// A fully prepared solver session for one key.
 struct Session {
   SessionKey key;
-  /// Declarative package the session was designed on; null for the built-in
-  /// chips (default single-die geometry).
-  std::shared_ptr<const thermal::StackSpec> spec;
   /// "name@hash" spec identity for logs and the flight recorder; "" for
   /// built-in chips.
   std::string spec_id;
-  /// The chip's floorplan (unit structure — the `simulate` method rasterizes
-  /// workload phases and resolves DTM actions against it).
-  std::shared_ptr<const floorplan::Floorplan> plan;
-  linalg::Vector tile_powers;
-  core::DesignResult design;
-  /// Solve engine assembled for the designed deployment; carries the shared
-  /// symbolic Cholesky analysis and the pooled solve workspaces, so solves
-  /// at any current are numeric-only and allocation-free.
-  std::shared_ptr<const engine::SolveContext> context;
-  /// λ_m of the deployment (nullopt when no TECs were deployed).
-  std::optional<double> lambda_m;
+  /// The designed chip and the solve engine over its deployment (shared
+  /// symbolic Cholesky analysis, pooled solve workspaces, cached λ_m), so
+  /// solves at any current are numeric-only and allocation-free.
+  core::Session solver;
   /// Test-only fault injection (`inject` method behind --fault-injection):
   /// a uniform perturbation [K] the server adds to this session's solved θ
   /// before auditing/cross-checking, simulating a corrupted cached factor.

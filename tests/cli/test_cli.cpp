@@ -7,11 +7,13 @@
 #include "io/json.h"
 #include "linalg/eigen.h"
 #include "obs/obs.h"
+#include "par/thread_pool.h"
 #include "svc/client.h"
 #include "svc/server.h"
 #include "tec/runaway.h"
 
 #include <algorithm>
+#include <array>
 #include <cctype>
 #include <chrono>
 #include <cstdio>
@@ -19,8 +21,11 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <memory>
 #include <sstream>
 #include <thread>
+#include <utility>
+#include <vector>
 
 namespace tfc::cli {
 namespace {
@@ -80,6 +85,204 @@ TEST(Cli, ChipNamesResolveAlikeInCliAndService) {
 
   server.request_stop();
   thread.join();
+}
+
+/// An in-process service on a temp unix socket, stopped on destruction.
+class LocalServer {
+ public:
+  explicit LocalServer(const std::string& tag) {
+    const std::string name = "tfc_cli_" + tag + std::to_string(::getpid()) + ".sock";
+    options_.socket_path = (std::filesystem::temp_directory_path() / name).string();
+    options_.workers = 1;
+    options_.cache_capacity = 4;
+    server_ = std::make_unique<svc::Server>(options_);
+    thread_ = std::thread([this] { server_->run(); });
+  }
+  ~LocalServer() {
+    server_->request_stop();
+    thread_.join();
+  }
+  svc::Client client() const { return svc::Client::connect_unix(options_.socket_path); }
+
+ private:
+  svc::ServerOptions options_;
+  std::unique_ptr<svc::Server> server_;
+  std::thread thread_;
+};
+
+/// Params object from (key, JSON text) pairs.
+io::JsonValue params_of(std::initializer_list<std::pair<const char*, const char*>> kv) {
+  io::JsonValue params = io::JsonValue::make_object();
+  for (const auto& [key, json] : kv) params.set(key, io::parse_json(json));
+  return params;
+}
+
+/// The `sweep` method and `tfcool sweep` run one core::sweep: the service's
+/// arrays hold the numbers the CLI prints.
+TEST(Cli, SweepMatchesServiceSweep) {
+  LocalServer server("sweep");
+  auto client = server.client();
+  const std::vector<std::pair<std::vector<std::string>, io::JsonValue>> cases = {
+      {{}, params_of({{"chip", "\"alpha\""}})},
+      {{"--points", "7"}, params_of({{"chip", "\"alpha\""}, {"points", "7"}})},
+      {{"--max-fraction", "0.5"},
+       params_of({{"chip", "\"alpha\""}, {"max_fraction", "0.5"}})},
+  };
+  for (const auto& [flags, params] : cases) {
+    std::vector<std::string> args = {"sweep", "--chip", "alpha"};
+    args.insert(args.end(), flags.begin(), flags.end());
+    const auto cli = run(args);
+    ASSERT_EQ(cli.code, 0) << cli.err;
+    const io::JsonValue reply = client.call("sweep", params);
+    ASSERT_TRUE(reply.at("ok").as_bool()) << reply.dump();
+    const io::JsonValue& result = reply.at("result");
+    std::ostringstream csv;
+    csv << "current_a,peak_degc,ptec_w\n";
+    const auto& currents = result.at("current_a").as_array();
+    for (std::size_t k = 0; k < currents.size(); ++k) {
+      csv << currents[k].as_number() << ","
+          << result.at("peak_celsius").as_array()[k].as_number() << ","
+          << result.at("tec_power_w").as_array()[k].as_number() << "\n";
+    }
+    EXPECT_EQ(cli.out, csv.str()) << params.dump();
+  }
+}
+
+/// The `simulate` method and `tfcool simulate` share one request type and
+/// one schedule rule: the same frames and summary for the same request.
+TEST(Cli, SimulateMatchesServiceSimulate) {
+  LocalServer server("simulate");
+  auto client = server.client();
+  const std::vector<std::pair<std::vector<std::string>, io::JsonValue>> cases = {
+      {{}, params_of({})},
+      {{"--steps", "60"}, params_of({{"steps", "60"}})},
+      {{"--steps", "60", "--no-dtm"}, params_of({{"steps", "60"}, {"dtm", "false"}})},
+      {{"--steps", "60", "--tec-on", "5", "--tec-off", "30"},
+       params_of({{"steps", "60"}, {"tec_on_step", "5"}, {"tec_off_step", "30"}})},
+      {{"--steps", "60", "--no-dtm", "--tec-on", "5", "--tec-off", "30"},
+       params_of({{"steps", "60"}, {"dtm", "false"}, {"tec_on_step", "5"},
+                  {"tec_off_step", "30"}})},
+      {{"--steps", "60", "--current", "3"},
+       params_of({{"steps", "60"}, {"current", "3"}})},
+      {{"--steps", "30", "--tiles", "--frame-every", "7"},
+       params_of({{"steps", "30"}, {"tiles", "true"}, {"frame_every", "7"}})},
+  };
+  for (const auto& [flags, params] : cases) {
+    std::vector<std::string> args = {"simulate", "--chip", "hc1"};
+    args.insert(args.end(), flags.begin(), flags.end());
+    const auto cli = run(args);
+    ASSERT_LE(cli.code, 1) << cli.err;
+    std::vector<std::string> lines;
+    std::istringstream text(cli.out);
+    for (std::string line; std::getline(text, line);) lines.push_back(line);
+    ASSERT_FALSE(lines.empty());
+
+    io::JsonValue request = io::JsonValue::make_object();
+    request.set("method", io::JsonValue::make_string("simulate"));
+    io::JsonValue with_chip = params;
+    with_chip.set("chip", io::JsonValue::make_string("hc1"));
+    request.set("params", with_chip);
+    client.send_raw(request.dump());
+    std::vector<io::JsonValue> frames;
+    io::JsonValue final;
+    while (true) {
+      io::JsonValue line = io::parse_json(client.read_line());
+      if (line.has("ok")) {
+        final = std::move(line);
+        break;
+      }
+      frames.push_back(std::move(line));
+    }
+    ASSERT_TRUE(final.at("ok").as_bool()) << final.dump();
+    ASSERT_EQ(frames.size() + 1, lines.size()) << params.dump();
+    for (std::size_t k = 0; k < frames.size(); ++k) {
+      EXPECT_EQ(io::parse_json(lines[k]).dump(), frames[k].at("sim").dump())
+          << params.dump() << " frame " << k;
+    }
+    EXPECT_EQ(io::parse_json(lines.back()).at("summary").dump(),
+              final.at("result").at("summary").dump())
+        << params.dump();
+  }
+}
+
+/// A range error is refused by the shared validate(): the CLI exits 2 with
+/// the message the service returns as bad_request, and a refused limit
+/// never reaches the session cache.
+TEST(Cli, RangeErrorsReadTheSameInCliAndService) {
+  LocalServer server("ranges");
+  auto client = server.client();
+  // Hit/miss/eviction counts are process-wide metrics; compare deltas.
+  const io::JsonValue before = client.call("stats").at("result").at("cache");
+  struct Case {
+    std::vector<std::string> args;
+    const char* method;
+    io::JsonValue params;
+  };
+  const std::vector<Case> cases = {
+      {{"sweep", "--points", "0"}, "sweep", params_of({{"points", "0"}})},
+      {{"sweep", "--max-fraction", "1.5"}, "sweep", params_of({{"max_fraction", "1.5"}})},
+      {{"simulate", "--steps", "0"}, "simulate", params_of({{"steps", "0"}})},
+      {{"simulate", "--dt", "20"}, "simulate", params_of({{"dt", "20"}})},
+      {{"simulate", "--no-dtm", "--tec-off", "5"}, "simulate",
+       params_of({{"dtm", "false"}, {"tec_off_step", "5"}})},
+      {{"sweep", "--limit", "600"}, "sweep", params_of({{"limit", "600"}})},
+      {{"runaway", "--limit", "600"}, "runaway", params_of({{"limit", "600"}})},
+  };
+  for (const Case& c : cases) {
+    const auto cli = run(c.args);
+    EXPECT_EQ(cli.code, 2) << c.params.dump();
+    io::JsonValue reply;
+    if (std::string(c.method) == "simulate") {
+      io::JsonValue request = io::JsonValue::make_object();
+      request.set("method", io::JsonValue::make_string("simulate"));
+      request.set("params", c.params);
+      client.send_raw(request.dump());
+      reply = io::parse_json(client.read_line());  // no frames before a refusal
+    } else {
+      reply = client.call(c.method, c.params);
+    }
+    ASSERT_FALSE(reply.at("ok").as_bool()) << c.params.dump();
+    EXPECT_EQ(reply.at("error").at("code").as_string(), "bad_request");
+    EXPECT_EQ(cli.err, "error: " + reply.at("error").at("message").as_string() + "\n");
+  }
+  const io::JsonValue cache = client.call("stats").at("result").at("cache");
+  EXPECT_EQ(cache.at("size").as_number(), 0.0);
+  for (const char* count : {"misses", "evictions"}) {
+    EXPECT_EQ(cache.at(count).as_number(), before.at(count).as_number()) << count;
+  }
+}
+
+/// Numbers are read strictly: a malformed flag or a wrong-typed or
+/// out-of-range param is refused at once instead of wrapping, casting out of
+/// range, or falling back to a default.
+TEST(Cli, MalformedNumbersAreRefusedAtOnce) {
+  for (const std::vector<std::string>& args :
+       {std::vector<std::string>{"sweep", "--points", "-3"},
+        std::vector<std::string>{"simulate", "--steps", "-1"},
+        std::vector<std::string>{"design", "--limit", "nan", "--no-full-cover"},
+        std::vector<std::string>{"simulate", "--steps", "20", "--no-dtm", "--tec-on",
+                                 "1e30"}}) {
+    const auto r = run(args);
+    EXPECT_EQ(r.code, 2) << args[1] << " " << args[2];
+    EXPECT_EQ(r.out, "");
+    EXPECT_EQ(r.err.rfind("error: ", 0), 0u) << r.err;
+  }
+
+  LocalServer server("strict");
+  auto client = server.client();
+  using MethodParams = std::pair<const char*, io::JsonValue>;
+  for (const auto& [method, params] :
+       {MethodParams{"design", params_of({{"chip", "\"hc6\""}, {"limit", "\"90\""}})},
+        MethodParams{"sweep", params_of({{"points", "\"5\""}})},
+        MethodParams{"simulate", params_of({{"tec_on_step", "1e300"}})}}) {
+    io::JsonValue request = io::JsonValue::make_object();
+    request.set("method", io::JsonValue::make_string(method));
+    request.set("params", params);
+    client.send_raw(request.dump());
+    const io::JsonValue reply = io::parse_json(client.read_line());
+    ASSERT_FALSE(reply.at("ok").as_bool()) << params.dump();
+    EXPECT_EQ(reply.at("error").at("code").as_string(), "bad_request") << params.dump();
+  }
 }
 
 TEST(Cli, HelpPrintsUsage) {
@@ -198,6 +401,41 @@ TEST(Cli, OversizedSpecGridIsAnErrorNotACrash) {
   EXPECT_EQ(design.code, 2);
   EXPECT_NE(design.err.find("virtual tile grid exceeds"), std::string::npos) << design.err;
   std::filesystem::remove(path);
+}
+
+/// A wrong-typed optional field is a schema error, not a default: `spec
+/// validate` refuses it and `design` never runs on the defaulted value.
+TEST(Cli, WrongTypedSpecFieldsAreRefused) {
+  std::ifstream in(std::string(TFC_EXAMPLES_DIR) + "/paper_single_die.json");
+  std::stringstream text;
+  text << in.rdbuf();
+  const auto path = std::filesystem::temp_directory_path() /
+                    ("tfcool_cli_typed_" + std::to_string(::getpid()) + ".json");
+  for (const auto& [field, good, bad] :
+       {std::array<std::string, 3>{"power_w", "\"power_w\": 25", "\"power_w\": \"25\""},
+        std::array<std::string, 3>{"tec_capable", "\"tec_capable\": true",
+                                   "\"tec_capable\": \"yes\""},
+        std::array<std::string, 3>{"name", "\"name\": \"chip0\"", "\"name\": 5"},
+        std::array<std::string, 3>{"kind", "\"kind\": \"die\"", "\"kind\": 5"}}) {
+    std::string spec = text.str();
+    const std::size_t at = spec.find(good);
+    ASSERT_NE(at, std::string::npos) << good;
+    spec.replace(at, good.size(), bad);
+    std::ofstream(path) << spec;
+    const auto validate = run({"spec", "validate", path.string()});
+    EXPECT_EQ(validate.code, 1) << field;
+    EXPECT_NE(validate.err.find("'" + field + "'"), std::string::npos) << validate.err;
+    EXPECT_EQ(run({"design", "--spec", path.string()}).code, 2) << field;
+  }
+  std::filesystem::remove(path);
+}
+
+TEST(Cli, ThreadCountAboveTheCeilingIsRefused) {
+  const auto r = run({"design", "--threads", std::to_string(par::kMaxThreads + 1),
+                      "--no-full-cover"});
+  EXPECT_EQ(r.code, 2);
+  EXPECT_EQ(r.out, "");
+  EXPECT_NE(r.err.find("at most 256"), std::string::npos) << r.err;
 }
 
 TEST(Cli, SweepEmitsCsv) {

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
+#include <stdexcept>
+
+#include "core/chip.h"
 
 namespace tfc::core {
 namespace {
@@ -35,6 +39,38 @@ TEST(CoolingSystem, EndToEndDesignSucceeds) {
   EXPECT_GT(res.runtime_ms, 0.0);
   EXPECT_GE(res.greedy_iterations, 1u);
   ASSERT_TRUE(res.lambda_m.has_value());
+}
+
+/// One θ-limit check for every front end: finite and in (0, 500] °C, run by
+/// design_cooling_system and design_with_fallback before any work.
+TEST(CoolingSystem, ThetaLimitMustBeFiniteAndInRange) {
+  for (double limit : {std::nan(""), 0.0, -1.0, 500.5, HUGE_VAL}) {
+    DesignRequest req = small_request();
+    req.theta_limit_celsius = limit;
+    EXPECT_THROW(DesignRequest::check_theta_limit(limit), std::invalid_argument) << limit;
+    EXPECT_THROW(design_cooling_system(req), std::invalid_argument) << limit;
+  }
+  EXPECT_NO_THROW(DesignRequest::check_theta_limit(kMaxThetaLimitCelsius));
+  EXPECT_THROW(design_with_fallback(builtin_chip("alpha"), std::nan(""), false),
+               std::invalid_argument);
+}
+
+/// The sweep request's bounds, checked before any solve.
+TEST(CoolingSystem, SweepRequestBounds) {
+  SweepRequest ok;
+  EXPECT_NO_THROW(ok.validate());
+  ok.points = 10000;
+  EXPECT_NO_THROW(ok.validate());
+  for (std::size_t points : {std::size_t(0), std::size_t(10001)}) {
+    SweepRequest bad;
+    bad.points = points;
+    EXPECT_THROW(bad.validate(), std::invalid_argument) << points;
+  }
+  for (double fraction : {0.0, 1.0, -0.5, std::nan("")}) {
+    SweepRequest bad;
+    bad.max_fraction = fraction;
+    EXPECT_THROW(bad.validate(), std::invalid_argument) << fraction;
+  }
 }
 
 TEST(CoolingSystem, FullCoverComparisonFields) {

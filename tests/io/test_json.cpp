@@ -100,5 +100,28 @@ TEST(Json, DefaultedAccessors) {
   EXPECT_FALSE(doc.bool_or("absent", false));
 }
 
+/// Absent or null is the fallback; any other wrong type is an error naming
+/// the key, never a silent default.
+TEST(Json, DefaultedAccessorsRefuseWrongTypes) {
+  const auto doc = parse_json(R"({"n": "90", "s": 5, "b": "yes", "z": null})");
+  EXPECT_DOUBLE_EQ(doc.number_or("z", 9.0), 9.0);
+  EXPECT_EQ(doc.string_or("z", "y"), "y");
+  EXPECT_TRUE(doc.bool_or("z", true));
+  const auto message = [](const auto& read) {
+    try {
+      read();
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+    return std::string("no error");
+  };
+  EXPECT_EQ(message([&] { (void)doc.number_or("n", 0.0); }),
+            "'n' must be a number, got string");
+  EXPECT_EQ(message([&] { (void)doc.string_or("s", ""); }),
+            "'s' must be a string, got number");
+  EXPECT_EQ(message([&] { (void)doc.bool_or("b", false); }),
+            "'b' must be a boolean, got string");
+}
+
 }  // namespace
 }  // namespace tfc::io

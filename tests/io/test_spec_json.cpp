@@ -5,10 +5,13 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <array>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "thermal/stack_spec.h"
 
@@ -164,6 +167,42 @@ TEST(SpecJson, LoadValidatesEndToEnd) {
         throw;
       },
       std::invalid_argument);
+}
+
+/// A minimal valid spec document and mutants that give one optional field
+/// (or the layer kind) the wrong type.
+const char kSmallSpec[] =
+    R"({"chips": [{"name": "c", "width": 0.006, "height": 0.006, "tile_rows": 4,)"
+    R"( "tile_cols": 4, "layers": [)"
+    R"({"kind": "die", "name": "die", "material": "silicon", "thickness": 3e-4,)"
+    R"( "power_w": 25},)"
+    R"({"kind": "interface", "name": "tim", "material": "TIM", "thickness": 5e-5,)"
+    R"( "tec_capable": true}]}]})";
+
+/// (field, original text, wrong-typed text) per mutant.
+const std::vector<std::array<std::string, 3>> kWrongTypedFields = {
+    {"power_w", R"("power_w": 25)", R"("power_w": "25")"},
+    {"tec_capable", R"("tec_capable": true)", R"("tec_capable": "yes")"},
+    {"name", R"("name": "c")", R"("name": 5)"},
+    {"kind", R"("kind": "die")", R"("kind": 5)"},
+};
+
+TEST(SpecJson, WrongTypedFieldsAreSchemaErrors) {
+  EXPECT_NO_THROW(spec_from_json(parse_json(kSmallSpec)));
+  for (const auto& [field, good, bad] : kWrongTypedFields) {
+    std::string text = kSmallSpec;
+    const std::size_t at = text.find(good);
+    ASSERT_NE(at, std::string::npos) << field;
+    text.replace(at, good.size(), bad);
+    EXPECT_THROW(
+        try { spec_from_json(parse_json(text)); } catch (const std::invalid_argument& e) {
+          EXPECT_NE(std::string(e.what()).find("'" + field + "'"), std::string::npos)
+              << e.what();
+          throw;
+        },
+        std::invalid_argument)
+        << field;
+  }
 }
 
 }  // namespace

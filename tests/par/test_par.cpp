@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
 #include <memory>
 #include <numeric>
 #include <stdexcept>
@@ -60,6 +61,29 @@ TEST(ThreadPool, GlobalSizeOverride) {
   EXPECT_EQ(ThreadPool::global().size(), 5u);
   ThreadPool::set_global_threads(2);
   EXPECT_EQ(ThreadPool::global().size(), 2u);
+}
+
+/// Thread counts are bounded: an override above the ceiling is refused
+/// before any thread starts, and an environment value above it is ignored
+/// like a malformed one.
+TEST(ThreadPool, ThreadCountIsBounded) {
+  GlobalThreadsGuard guard;
+  ThreadPool::set_global_threads(2);
+  EXPECT_THROW(ThreadPool::set_global_threads(kMaxThreads + 1), std::invalid_argument);
+  EXPECT_EQ(ThreadPool::global_thread_count(), 2u);
+
+  const char* saved = std::getenv("TFCOOL_THREADS");
+  const std::string saved_value = saved != nullptr ? saved : "";
+  ::setenv("TFCOOL_THREADS", std::to_string(kMaxThreads + 1).c_str(), 1);
+  ThreadPool::set_global_threads(0);
+  EXPECT_LE(ThreadPool::global_thread_count(), kMaxThreads);
+  ::setenv("TFCOOL_THREADS", "3", 1);
+  EXPECT_EQ(ThreadPool::global_thread_count(), 3u);
+  if (saved != nullptr) {
+    ::setenv("TFCOOL_THREADS", saved_value.c_str(), 1);
+  } else {
+    ::unsetenv("TFCOOL_THREADS");
+  }
 }
 
 TEST(ParallelMap, ResultsAreInIterationOrder) {

@@ -7,8 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "engine/solve_context.h"
@@ -22,6 +24,14 @@ tec::TecDeviceParams dev() { return tec::TecDeviceParams::chowdhury_superlattice
 
 std::shared_ptr<const thermal::StackSpec> spec_of(const thermal::PackageGeometry& g) {
   return std::make_shared<const thermal::StackSpec>(thermal::StackSpec::single_die(g));
+}
+
+/// The solve engine a ScenarioEngine integrates over: \p spec with
+/// \p deployment and the alpha chip's tile powers.
+engine::SolveContext context_of(std::shared_ptr<const thermal::StackSpec> spec,
+                                const TileMask& deployment) {
+  return engine::SolveContext(std::move(spec), deployment,
+                              floorplan::alpha21364().tile_powers(), dev());
 }
 
 /// Central 2x2 deployment on the alpha chip's 12x12 grid.
@@ -65,7 +75,7 @@ TEST(Scenario, TransientConvergesToSteadyStateWithoutTec) {
   // Backward Euler's fixed point is the exact steady state for any dt, so a
   // large step reaches it quickly even past the heat sink's long time
   // constant (each mode decays by 1/(1 + dt/tau) per step).
-  ScenarioEngine engine(plan, spec_of(geometry), dev(), center_deployment(),
+  ScenarioEngine engine(plan, context_of(spec_of(geometry), center_deployment()),
                         constant_power_options(300, 50.0));
 
   Frame last;
@@ -95,7 +105,8 @@ TEST(Scenario, TransientConvergesToSteadyStateWithEnergizedTec) {
   const double current = 1.5;
   auto opts = constant_power_options(300, 50.0);
   opts.schedule.push_back({0, current});
-  ScenarioEngine engine(plan, spec_of(geometry), dev(), center_deployment(), opts);
+  ScenarioEngine engine(plan, context_of(spec_of(geometry), center_deployment()),
+                        opts);
 
   Frame last;
   auto summary = engine.run([&](const Frame& f) {
@@ -122,7 +133,7 @@ TEST(Scenario, FrameCadenceAndSeqNumbering) {
   o.steps = 47;
   o.frame_every = 10;
   o.dt = 1e-3;
-  ScenarioEngine engine(plan, thermal::paper_package(), dev(), TileMask(12, 12), o);
+  ScenarioEngine engine(plan, context_of(thermal::paper_package(), TileMask(12, 12)), o);
 
   std::vector<Frame> frames;
   auto summary = engine.run([&](const Frame& f) {
@@ -148,7 +159,7 @@ TEST(Scenario, SinkAbortStopsTheRun) {
   ScenarioOptions o;
   o.steps = 100;
   o.frame_every = 5;
-  ScenarioEngine engine(plan, thermal::paper_package(), dev(), TileMask(12, 12), o);
+  ScenarioEngine engine(plan, context_of(thermal::paper_package(), TileMask(12, 12)), o);
 
   std::size_t delivered = 0;
   auto summary = engine.run([&](const Frame&) { return ++delivered < 3; });
@@ -163,8 +174,8 @@ TEST(Scenario, ScheduleSwitchesTecOnAndOff) {
   auto o = constant_power_options(40, 1e-3);
   o.frame_every = 1;
   o.schedule = {{10, 2.0}, {30, 0.0}};
-  ScenarioEngine engine(plan, thermal::paper_package(), dev(),
-                        center_deployment(), o);
+  ScenarioEngine engine(plan,
+                        context_of(thermal::paper_package(), center_deployment()), o);
 
   std::vector<Frame> frames;
   auto summary = engine.run([&](const Frame& f) {
@@ -189,8 +200,8 @@ TEST(Scenario, ClosedLoopHoldsLimitThatOpenLoopViolates) {
   open.steps = 300;
   open.dtm = false;
   open.policy.theta_limit = limit_k;
-  ScenarioEngine open_engine(plan, thermal::paper_package(), dev(),
-                             center_deployment(), open);
+  ScenarioEngine open_engine(
+      plan, context_of(thermal::paper_package(), center_deployment()), open);
   auto open_summary = open_engine.run();
   ASSERT_GT(open_summary.violation_steps, 0u)
       << "limit must start out violated for the closed-loop test to bite";
@@ -198,8 +209,8 @@ TEST(Scenario, ClosedLoopHoldsLimitThatOpenLoopViolates) {
   ScenarioOptions closed = open;
   closed.dtm = true;
   closed.policy.current_levels = {0.0, 2.4, 4.8};
-  ScenarioEngine closed_engine(plan, thermal::paper_package(), dev(),
-                               center_deployment(), closed);
+  ScenarioEngine closed_engine(
+      plan, context_of(thermal::paper_package(), center_deployment()), closed);
   auto closed_summary = closed_engine.run();
   EXPECT_TRUE(closed_summary.limit_held_at_end);
   EXPECT_LT(closed_summary.final_peak_k, open_summary.final_peak_k);
@@ -216,8 +227,8 @@ TEST(Scenario, RunIsRepeatableAndByteIdenticalAcrossThreadCounts) {
   o.policy.current_levels = {0.0, 2.0, 4.0};
 
   auto render = [&]() {
-    ScenarioEngine engine(plan, thermal::paper_package(), dev(),
-                          center_deployment(), o);
+    ScenarioEngine engine(plan,
+                          context_of(thermal::paper_package(), center_deployment()), o);
     std::string text;
     auto summary = engine.run([&](const Frame& f) {
       text += frame_to_json(f, plan).dump();
@@ -235,11 +246,89 @@ TEST(Scenario, RunIsRepeatableAndByteIdenticalAcrossThreadCounts) {
   EXPECT_EQ(serial, parallel);
 }
 
+/// A session stub: options() reads only the design and the θ-limit.
+core::Session session_with(std::size_t tecs, double current) {
+  core::Session session;
+  session.design.tec_count = tecs;
+  session.design.current = current;
+  return session;
+}
+
+/// The one schedule rule of both front ends.
+TEST(SimulateRequest, ScheduleRule) {
+  const core::Session session = session_with(3, 4.0);
+  using Schedule = std::vector<std::pair<std::size_t, double>>;
+  const auto schedule_of = [](const ScenarioOptions& o) {
+    Schedule out;
+    for (const CurrentEvent& e : o.schedule) out.emplace_back(e.step, e.current_a);
+    return out;
+  };
+
+  SimulateRequest dtm;
+  ScenarioOptions o = dtm.options(session);
+  EXPECT_EQ(o.policy.current_levels, (std::vector<double>{0.0, 2.0, 4.0}));
+  EXPECT_TRUE(o.schedule.empty());
+  EXPECT_DOUBLE_EQ(o.policy.theta_limit, thermal::to_kelvin(85.0));
+  EXPECT_TRUE(o.start_from_steady_state);
+  dtm.tec_on = 5;
+  dtm.tec_off = 9;
+  EXPECT_EQ(schedule_of(dtm.options(session)), (Schedule{{5, 4.0}, {9, 0.0}}));
+
+  SimulateRequest open;
+  open.dtm = false;
+  open.current = 2.5;
+  o = open.options(session);
+  EXPECT_TRUE(o.policy.current_levels.empty());
+  EXPECT_EQ(schedule_of(o), (Schedule{{0, 2.5}}));
+  open.tec_on = 3;
+  EXPECT_EQ(schedule_of(open.options(session)), (Schedule{{3, 2.5}}));
+  open.tec_off = 7;
+  EXPECT_EQ(schedule_of(open.options(session)), (Schedule{{3, 2.5}, {7, 0.0}}));
+
+  // Nothing is scheduled without TECs or without supply.
+  for (bool with_dtm : {true, false}) {
+    SimulateRequest idle;
+    idle.dtm = with_dtm;
+    for (const core::Session& s : {session_with(0, 4.0), session_with(3, 0.0)}) {
+      o = idle.options(s);
+      EXPECT_TRUE(o.schedule.empty());
+      EXPECT_TRUE(o.policy.current_levels.empty());
+    }
+    idle.current = 0.0;
+    EXPECT_TRUE(idle.options(session).schedule.empty());
+  }
+}
+
+TEST(SimulateRequest, ValidateRefusesOutOfRangeFields) {
+  const std::vector<std::function<void(SimulateRequest&)>> mutants = {
+      [](SimulateRequest& r) { r.steps = 0; },
+      [](SimulateRequest& r) { r.steps = 100001; },
+      [](SimulateRequest& r) { r.dt = 0.0; },
+      [](SimulateRequest& r) { r.dt = 10.5; },
+      [](SimulateRequest& r) { r.frame_every = 0; },
+      [](SimulateRequest& r) { r.control_every = 0; },
+      [](SimulateRequest& r) { r.current = -1.0; },
+      [](SimulateRequest& r) { r.current = std::nan(""); },
+      [](SimulateRequest& r) { r.tec_on = r.steps + 1; },
+      [](SimulateRequest& r) { r.tec_off = 5; },
+      [](SimulateRequest& r) { r.tec_on = 5, r.tec_off = 5; },
+      [](SimulateRequest& r) { r.tec_on = 5, r.tec_off = r.steps + 1; },
+  };
+  SimulateRequest ok;
+  ok.tec_on = ok.steps;
+  EXPECT_NO_THROW(ok.validate());
+  for (std::size_t k = 0; k < mutants.size(); ++k) {
+    SimulateRequest bad;
+    mutants[k](bad);
+    EXPECT_THROW(bad.validate(), std::invalid_argument) << "mutant " << k;
+  }
+}
+
 TEST(Scenario, InvalidOptionsThrow) {
   const auto plan = floorplan::alpha21364();
   const thermal::PackageGeometry geometry;
   auto make = [&](ScenarioOptions o) {
-    ScenarioEngine engine(plan, spec_of(geometry), dev(), TileMask(12, 12), o);
+    ScenarioEngine engine(plan, context_of(spec_of(geometry), TileMask(12, 12)), o);
   };
   ScenarioOptions bad_dt;
   bad_dt.dt = 0.0;
@@ -256,9 +345,10 @@ TEST(Scenario, InvalidOptionsThrow) {
   // Grid mismatch between the floorplan and the package geometry.
   thermal::PackageGeometry wrong;
   wrong.tile_rows = wrong.tile_cols = 6;
-  EXPECT_THROW(
-      ScenarioEngine(plan, spec_of(wrong), dev(), TileMask(6, 6), ScenarioOptions{}),
-      std::invalid_argument);
+  const engine::SolveContext wrong_context(spec_of(wrong), TileMask(6, 6),
+                                           linalg::Vector(36, 0.0), dev());
+  EXPECT_THROW(ScenarioEngine(plan, wrong_context, ScenarioOptions{}),
+               std::invalid_argument);
 }
 
 }  // namespace

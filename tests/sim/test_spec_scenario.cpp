@@ -9,6 +9,7 @@
 #include <sstream>
 #include <vector>
 
+#include "engine/solve_context.h"
 #include "par/thread_pool.h"
 #include "thermal/stack_spec.h"
 
@@ -52,6 +53,14 @@ std::shared_ptr<const thermal::StackSpec> stacked_spec() {
   return std::make_shared<const thermal::StackSpec>(std::move(s));
 }
 
+/// The solve engine a ScenarioEngine integrates over: \p spec with
+/// \p deployment and \p plan's tile powers.
+engine::SolveContext context_of(std::shared_ptr<const thermal::StackSpec> spec,
+                                const floorplan::Floorplan& plan,
+                                const TileMask& deployment) {
+  return engine::SolveContext(std::move(spec), deployment, plan.tile_powers(), dev());
+}
+
 ScenarioOptions short_run(std::size_t steps) {
   ScenarioOptions o;
   o.workload.timesteps = 1;
@@ -67,15 +76,17 @@ ScenarioOptions short_run(std::size_t steps) {
 
 TEST(SpecScenario, NullSpecThrows) {
   const floorplan::Floorplan plan = stacked_spec()->combined_floorplan();
-  EXPECT_THROW(ScenarioEngine(plan, std::shared_ptr<const thermal::StackSpec>(), dev(),
-                              TileMask(), ScenarioOptions{}),
+  EXPECT_THROW(ScenarioEngine(plan,
+                              context_of(std::shared_ptr<const thermal::StackSpec>(),
+                                         plan, TileMask()),
+                              ScenarioOptions{}),
                std::invalid_argument);
 }
 
 TEST(SpecScenario, RunsOnVirtualGridAndHeatsUp) {
   auto spec = stacked_spec();
   const floorplan::Floorplan plan = spec->combined_floorplan();
-  ScenarioEngine engine(plan, spec, dev(), TileMask(), short_run(50));
+  ScenarioEngine engine(plan, context_of(spec, plan, TileMask()), short_run(50));
   std::vector<Frame> frames;
   ScenarioSummary summary = engine.run([&](const Frame& f) {
     frames.push_back(f);
@@ -98,12 +109,12 @@ TEST(SpecScenario, SupplyCurrentLowersTransientPeak) {
   auto peak_at = [&](double amps) {
     ScenarioOptions o = short_run(120);
     if (amps > 0.0) o.schedule.push_back({0, amps});
-    ScenarioEngine engine(plan, spec, dev(), deployment, o);
+    ScenarioEngine engine(plan, context_of(spec, plan, deployment), o);
     return engine.run(nullptr).final_peak_k;
   };
 
   // Unpowered TECs only add interfacial resistance: hotter than passive.
-  ScenarioEngine base(plan, spec, dev(), TileMask(), short_run(120));
+  ScenarioEngine base(plan, context_of(spec, plan, TileMask()), short_run(120));
   const double passive = base.run(nullptr).final_peak_k;
   const double idle = peak_at(0.0);
   EXPECT_GT(idle, passive);
@@ -119,7 +130,7 @@ TEST(SpecScenario, ByteIdenticalAcrossThreadCounts) {
   auto spec = stacked_spec();
   const floorplan::Floorplan plan = spec->combined_floorplan();
   auto render = [&]() {
-    ScenarioEngine engine(plan, spec, dev(), TileMask(), short_run(30));
+    ScenarioEngine engine(plan, context_of(spec, plan, TileMask()), short_run(30));
     std::ostringstream out;
     ScenarioSummary summary = engine.run([&](const Frame& f) {
       out << frame_to_json(f, plan).dump() << "\n";

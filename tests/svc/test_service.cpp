@@ -17,10 +17,12 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "obs/obs.h"
+#include "par/thread_pool.h"
 #include "svc/client.h"
 
 namespace tfc::svc {
@@ -58,6 +60,12 @@ ServerOptions quick_options(const std::string& tag) {
   o.queue_capacity = 16;
   o.cache_capacity = 4;
   return o;
+}
+
+TEST(Service, WorkerCountIsBounded) {
+  ServerOptions o = quick_options("workers");
+  o.workers = par::kMaxThreads + 1;
+  EXPECT_THROW(Server server(o), std::invalid_argument);
 }
 
 TEST(Service, PingPong) {
