@@ -42,32 +42,43 @@ double ms_since(std::chrono::steady_clock::time_point t0) {
 }
 
 /// Greedy deployment on one chip at a fixed pool size; returns wall ms
-/// (best of `reps` to damp scheduler noise). \p incremental_restamp toggles
-/// the engine's per-pass incremental re-stamping vs the pre-engine
-/// full-reassembly behaviour.
+/// (best of `reps` to damp scheduler noise).
 double greedy_ms_at(std::size_t threads, const tfc::linalg::Vector& powers,
-                    int reps = 3, bool incremental_restamp = true) {
+                    int reps = 3) {
   using namespace tfc;
   par::ThreadPool::set_global_threads(threads);
-  core::GreedyDeployOptions options;
-  options.engine.incremental_restamp = incremental_restamp;
   double best = 1e300;
   for (int r = 0; r < reps; ++r) {
     const auto t0 = std::chrono::steady_clock::now();
     (void)core::greedy_deploy(thermal::paper_package(), powers,
-                              tec::TecDeviceParams::chowdhury_superlattice(), options);
+                              tec::TecDeviceParams::chowdhury_superlattice());
     best = std::min(best, ms_since(t0));
   }
   return best;
 }
 
-/// Mean point-solve latency of one engine backend on \p context [ms]. Each
-/// call solves at a new current, so every direct solve factors afresh: a
-/// pooled workspace keeps the factor of its last current, and a repeat of it
-/// would measure only the triangular solves.
-double backend_probe_ms(const tfc::engine::SolveContext& context, int reps = 20) {
+/// Mean point-solve latency on \p context [ms]: SolveContext::solve, or
+/// its CG cross-check solve_cg when \p cg. Each call solves at a new current,
+/// so every direct solve factors afresh: a pooled workspace keeps the factor
+/// of its last current, and a repeat of it would measure only the triangular
+/// solves.
+double point_solve_ms(const tfc::engine::SolveContext& context, int reps = 20,
+                      bool cg = false) {
   const auto t0 = std::chrono::steady_clock::now();
-  for (int k = 0; k < reps; ++k) (void)context.solve(3.0 + 1e-3 * k);
+  for (int k = 0; k < reps; ++k) {
+    const double i = 3.0 + 1e-3 * k;
+    (void)(cg ? context.solve_cg(i) : context.solve(i));
+  }
+  return ms_since(t0) / reps;
+}
+
+/// point_solve_ms of the bare ElectroThermalSystem::solve on the context's
+/// pooled workspace: the same arithmetic as SolveContext::solve, never
+/// audited.
+double unaudited_solve_ms(const tfc::engine::SolveContext& context, int reps) {
+  tfc::engine::SolveContext::WorkspaceLease ws(context);
+  const auto t0 = std::chrono::steady_clock::now();
+  for (int k = 0; k < reps; ++k) (void)context.system().solve(3.0 + 1e-3 * k, ws.get());
   return ms_since(t0) / reps;
 }
 
@@ -174,23 +185,11 @@ int main() {
               "threads — %.2fx speedup (%u hardware threads available)\n",
               greedy_1t_ms, greedy_8t_ms, speedup, hw);
 
-  // Engine-layer ablations on Alpha, single-threaded so the deltas are not
-  // hidden by pool scheduling:
-  //  * incremental re-stamping (PackageModel::extend_tec per greedy pass) vs
-  //    the pre-engine full PackageModel reassembly, and
-  //  * per-backend point-solve latency on the designed deployment.
-  const double greedy_inc_ms = greedy_ms_at(1, powers, 3, true);
-  const double greedy_full_ms = greedy_ms_at(1, powers, 3, false);
-  par::ThreadPool::set_global_threads(0);
-  std::printf("\ngreedy on Alpha (1 thread): %.1f ms with incremental re-stamping "
-              "vs %.1f ms with full reassembly per pass\n",
-              greedy_inc_ms, greedy_full_ms);
-
-  // The per-pass re-stamp itself, isolated: grow the designed deployment by
-  // its final tile via extend() — incrementally (PackageModel::extend_tec)
-  // vs the pre-engine full from-geometry reassembly. This is the assembly
-  // overhead incremental re-stamping eliminates from every greedy pass.
-  double pass_inc_ms = 1e300, pass_full_ms = 1e300;
+  // Engine-layer costs on Alpha, single-threaded so they are not hidden by
+  // pool scheduling. First the per-pass re-stamp, isolated: grow the designed
+  // deployment by its final tile through set_deployment(), which re-assembles
+  // the package from its spec — the assembly every greedy pass pays.
+  double pass_restamp_ms = 1e300;
   {
     const auto tiles = res.deployment.tiles();
     TileMask partial(res.deployment.rows(), res.deployment.cols());
@@ -201,66 +200,50 @@ int main() {
       engine::SolveContext ctx(thermal::PackageGeometry{}, partial, powers,
                                tec::TecDeviceParams::chowdhury_superlattice());
       const auto t1 = std::chrono::steady_clock::now();
-      ctx.extend(res.deployment);
-      pass_inc_ms = std::min(pass_inc_ms, ms_since(t1));
-    }
-    engine::EngineOptions full_opts;
-    full_opts.incremental_restamp = false;
-    for (int r = 0; r < 10; ++r) {
-      engine::SolveContext ctx(thermal::PackageGeometry{}, partial, powers,
-                               tec::TecDeviceParams::chowdhury_superlattice(),
-                               full_opts);
-      const auto t1 = std::chrono::steady_clock::now();
-      ctx.extend(res.deployment);
-      pass_full_ms = std::min(pass_full_ms, ms_since(t1));
+      ctx.set_deployment(res.deployment);
+      pass_restamp_ms = std::min(pass_restamp_ms, ms_since(t1));
     }
   }
-  std::printf("per-pass re-stamp on Alpha: %.3f ms incremental vs %.3f ms full "
-              "assembly — %.3f ms eliminated per greedy pass\n",
-              pass_inc_ms, pass_full_ms, pass_full_ms - pass_inc_ms);
+  std::printf("\nper-pass re-stamp on Alpha: %.3f ms (one full assembly)\n",
+              pass_restamp_ms);
 
+  // Point-solve latency on the designed deployment: the direct solve, and
+  // the CG cross-check the service samples.
   double probe_ms[2] = {0.0, 0.0};
-  const engine::Backend kBackends[2] = {engine::Backend::kCholesky,
-                                        engine::Backend::kCg};
-  for (int k = 0; k < 2; ++k) {
-    engine::EngineOptions opts;
-    opts.backend = kBackends[k];
-    opts.audit.enabled = false;  // the audit ablation is measured separately
+  {
     const engine::SolveContext context(thermal::PackageGeometry{}, res.deployment,
                                        powers,
-                                       tec::TecDeviceParams::chowdhury_superlattice(),
-                                       opts);
-    probe_ms[k] = backend_probe_ms(context);
-    std::printf("point solve via %-8s backend: %8.3f ms\n",
-                engine::backend_name(kBackends[k]), probe_ms[k]);
+                                       tec::TecDeviceParams::chowdhury_superlattice());
+    probe_ms[0] = point_solve_ms(context);
+    probe_ms[1] = point_solve_ms(context, 20, /*cg=*/true);
   }
+  std::printf("point solve: %8.3f ms direct (cholesky), %8.3f ms cg cross-check\n",
+              probe_ms[0], probe_ms[1]);
 
-  // Numerical-health audit ablation: mean point-solve latency with the
-  // engine audit off vs on at the service's default 1-in-8 sample rate, best
-  // of 200 alternating 8-solve blocks per side. Every audited block holds
-  // exactly one certificate, and a block (~3 ms) is short enough that the
-  // alternation cancels host drift, which swamps the ~1% being measured. The
-  // gate (check_bench_regression.py) caps the overhead at 5%.
+  // Numerical-health audit ablation: mean point-solve latency of
+  // SolveContext::solve (audited 1 in kAuditSampleEvery) vs the same
+  // arithmetic without the audit hook (ElectroThermalSystem::solve on a
+  // pooled workspace), best of 200 alternating blocks of kAuditSampleEvery
+  // solves per side. Every audited block holds exactly one certificate, and a
+  // block (a few ms) is short enough that the alternation cancels host
+  // drift, which swamps the ~1% being measured. The gate
+  // (check_bench_regression.py) caps the overhead at 5%.
   double audit_off_ms = 1e300, audit_on_ms = 1e300;
   {
-    engine::EngineOptions opts;
-    opts.audit.enabled = false;
-    const engine::SolveContext off(thermal::PackageGeometry{}, res.deployment, powers,
-                                   tec::TecDeviceParams::chowdhury_superlattice(), opts);
-    opts.audit.enabled = true;
-    opts.audit.sample_every = 8;  // svc::ServerOptions::audit_every default
-    const engine::SolveContext on(thermal::PackageGeometry{}, res.deployment, powers,
-                                  tec::TecDeviceParams::chowdhury_superlattice(), opts);
+    const int block = int(engine::SolveContext::kAuditSampleEvery);
+    const engine::SolveContext ctx(thermal::PackageGeometry{}, res.deployment, powers,
+                                   tec::TecDeviceParams::chowdhury_superlattice());
     for (int r = 0; r < 200; ++r) {
-      audit_off_ms = std::min(audit_off_ms, backend_probe_ms(off, 8));
-      audit_on_ms = std::min(audit_on_ms, backend_probe_ms(on, 8));
+      audit_off_ms = std::min(audit_off_ms, unaudited_solve_ms(ctx, block));
+      audit_on_ms = std::min(audit_on_ms, point_solve_ms(ctx, block));
     }
   }
   const double audit_overhead_pct =
       audit_off_ms > 0.0 ? 100.0 * (audit_on_ms - audit_off_ms) / audit_off_ms : 0.0;
-  std::printf("audit ablation (1-in-8 sampling): %.3f ms unaudited vs %.3f ms "
+  std::printf("audit ablation (1-in-%zu sampling): %.3f ms unaudited vs %.3f ms "
               "audited — %.2f%% overhead\n",
-              audit_off_ms, audit_on_ms, audit_overhead_pct);
+              engine::SolveContext::kAuditSampleEvery, audit_off_ms, audit_on_ms,
+              audit_overhead_pct);
 
   // Transient scenario stepping (tfc::sim): mean backward-Euler step cost of
   // the closed-loop simulate path on the designed Alpha deployment. Each step
@@ -373,7 +356,7 @@ int main() {
     // A solve at this size refactors ~3M entries of L: a few reps suffice.
     const engine::SolveContext ctx(spec, block, spec->tile_powers(),
                                    tec::TecDeviceParams::chowdhury_superlattice());
-    stack_solve_ms = backend_probe_ms(ctx, 4);
+    stack_solve_ms = point_solve_ms(ctx, 4);
     auto system = tec::ElectroThermalSystem::assemble(
         spec, block, spec->tile_powers(),
         tec::TecDeviceParams::chowdhury_superlattice());
@@ -421,11 +404,7 @@ int main() {
         << ",\"dense_over_sparse_ratio\":" << lm_ratio
         << "},\"greedy_speedup\":{\"threads_1_ms\":" << greedy_1t_ms
         << ",\"threads_8_ms\":" << greedy_8t_ms << ",\"speedup\":" << speedup
-        << "},\"greedy_restamp\":{\"greedy_incremental_ms\":" << greedy_inc_ms
-        << ",\"greedy_full_reassembly_ms\":" << greedy_full_ms
-        << ",\"pass_incremental_ms\":" << pass_inc_ms
-        << ",\"pass_full_assemble_ms\":" << pass_full_ms
-        << ",\"pass_saved_ms\":" << pass_full_ms - pass_inc_ms
+        << "},\"greedy_restamp\":{\"pass_restamp_ms\":" << pass_restamp_ms
         << "},\"backend_probe_ms\":{\"cholesky\":" << probe_ms[0]
         << ",\"cg\":" << probe_ms[1]
         << "},\"audit_overhead\":{\"probe_unaudited_ms\":" << audit_off_ms

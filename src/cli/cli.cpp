@@ -125,21 +125,6 @@ std::string option_or(const ParsedArgs& p, const std::string& key,
   return it == p.options.end() ? fallback : it->second;
 }
 
-/// Resolve --backend into solve-engine options. Throws std::invalid_argument
-/// for an unknown name.
-engine::EngineOptions parse_engine_options(const ParsedArgs& p) {
-  engine::EngineOptions opts;
-  if (auto it = p.options.find("--backend"); it != p.options.end()) {
-    auto backend = engine::parse_backend(it->second);
-    if (!backend) {
-      throw std::invalid_argument("unknown backend '" + it->second + "' (use " +
-                                  engine::backend_list() + ")");
-    }
-    opts.backend = *backend;
-  }
-  return opts;
-}
-
 /// Resolve --chip / --flp+--ptrace / --spec into a chip to design.
 std::optional<core::Chip> load_chip(const ParsedArgs& p, std::ostream& err) {
   const auto chip_it = p.options.find("--chip");
@@ -212,12 +197,11 @@ std::optional<core::Chip> load_chip(const ParsedArgs& p, std::ostream& err) {
   return core::builtin_chip(chip_it == p.options.end() ? "alpha" : chip_it->second);
 }
 
-/// The chip flags, --limit and --backend as a designed session.
+/// The chip flags and --limit as a designed session.
 std::optional<core::Session> open_session(const ParsedArgs& p, std::ostream& err) {
   auto chip = load_chip(p, err);
   if (!chip) return std::nullopt;
-  return core::open_session(std::move(*chip), parse_double(p, "--limit", 85.0),
-                            parse_engine_options(p));
+  return core::open_session(std::move(*chip), parse_double(p, "--limit", 85.0));
 }
 
 int cmd_design(const ParsedArgs& p, std::ostream& out, std::ostream& err) {
@@ -226,9 +210,8 @@ int cmd_design(const ParsedArgs& p, std::ostream& out, std::ostream& err) {
   const double limit = parse_double(p, "--limit", 85.0);
   const bool full_cover = p.options.find("--no-full-cover") == p.options.end();
   const bool certify = p.options.find("--certify") != p.options.end();
-  const engine::EngineOptions engine_opts = parse_engine_options(p);
 
-  auto res = core::design_with_fallback(*chip, limit, full_cover, certify, engine_opts);
+  auto res = core::design_with_fallback(*chip, limit, full_cover, certify);
   out << core::table_header() << "\n" << core::format_table_row(res) << "\n";
   if (p.options.count("--map") != 0) {
     out << "\n" << core::deployment_map(res.deployment);
@@ -299,17 +282,18 @@ int cmd_sweep(const ParsedArgs& p, std::ostream& out, std::ostream& err) {
 }
 
 int cmd_sensitivity(const ParsedArgs& p, std::ostream& out, std::ostream& err) {
-  const auto session = open_session(p, err);
-  if (!session) return 2;
-  if (session->design.deployment.empty()) {
+  // Each perturbed device assembles its own system: only the design is needed.
+  const auto chip = load_chip(p, err);
+  if (!chip) return 2;
+  const core::DesignResult design = core::design_with_fallback(
+      *chip, parse_double(p, "--limit", 85.0), /*run_full_cover=*/false);
+  if (design.deployment.empty()) {
     err << "error: no TECs deployed; nothing to analyze\n";
     return 1;
   }
-  core::SensitivityOptions sens;
-  sens.engine = session->context->options();
-  auto rows = core::device_sensitivities(session->chip.spec, session->chip.tile_powers,
+  auto rows = core::device_sensitivities(chip->spec, chip->tile_powers,
                                          tec::TecDeviceParams::chowdhury_superlattice(),
-                                         session->design.deployment, sens);
+                                         design.deployment);
   out << "parameter,d_peak_per_rel,d_lambda_per_rel,d_iopt_per_rel\n";
   for (const auto& r : rows) {
     out << r.parameter << "," << r.peak_per_unit_relative << ","
@@ -944,23 +928,20 @@ const char kSpecOptionHelp[] =
 
 const char* kDesignOptions[] = {"--chip", "--flp", "--ptrace", "--rows", "--cols",
                                 "--die-mm", "--spec", "--limit", "--map", "--json",
-                                "--certify", "--no-full-cover", "--backend",
-                                nullptr};
+                                "--certify", "--no-full-cover", nullptr};
 
 const char* kTable1Options[] = {"--limit", nullptr};
 
 const char* kLimitChipOptions[] = {"--chip", "--flp", "--ptrace", "--rows",
-                                   "--cols", "--die-mm", "--limit", "--backend",
-                                   nullptr};
+                                   "--cols", "--die-mm", "--limit", nullptr};
 
 const char* kRunawayCommandOptions[] = {"--chip", "--flp", "--ptrace", "--rows",
                                         "--cols", "--die-mm", "--spec", "--limit",
-                                        "--backend", nullptr};
+                                        nullptr};
 
 const char* kSweepOptions[] = {"--chip", "--flp",    "--ptrace",       "--rows",
                                "--cols", "--die-mm", "--spec", "--limit",
-                               "--points", "--max-fraction", "--backend",
-                               nullptr};
+                               "--points", "--max-fraction", nullptr};
 
 const char* kNoOptions[] = {nullptr};
 
@@ -996,9 +977,6 @@ const CommandSpec kCommands[] = {
      "  --json PATH             write the result as JSON\n"
      "  --certify               run the Theorem-4 convexity certificate\n"
      "  --no-full-cover         skip the full-cover comparison\n"
-     "  --backend B             linear backend for point solves\n"
-     "                          (cholesky|cg, default cholesky; the\n"
-     "                          design probe path always uses cholesky)\n"
      "\nchip selection:\n",
      cmd_design},
     {"table1", "reproduce the paper's Table I (all 11 benchmark chips)",
@@ -1007,8 +985,6 @@ const CommandSpec kCommands[] = {
     {"runaway", "report lambda_m and a supply-current sweep",
      kRunawayCommandOptions,
      "  --limit C               design temperature limit [degC] (default 85)\n"
-     "  --backend B             linear backend for point solves\n"
-     "                          (cholesky|cg, default cholesky)\n"
      "\nchip selection:\n",
      cmd_runaway},
     {"validate", "compact-model vs fine-grid agreement", kChipOptions,
@@ -1018,8 +994,6 @@ const CommandSpec kCommands[] = {
      "  --points N              sweep points (default 25)\n"
      "  --max-fraction F        top of the sweep as a fraction of lambda_m\n"
      "                          (default 0.95)\n"
-     "  --backend B             linear backend for point solves\n"
-     "                          (cholesky|cg, default cholesky)\n"
      "\nchip selection:\n",
      cmd_sweep},
     {"sensitivity", "CSV of device-parameter sensitivities at the design",

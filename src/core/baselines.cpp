@@ -23,22 +23,19 @@ BaselineResult optimize_deployment(const engine::SolveContext& context) {
 
 BaselineResult full_cover(std::shared_ptr<const thermal::StackSpec> spec,
                           const linalg::Vector& tile_powers,
-                          const tec::TecDeviceParams& device,
-                          const engine::EngineOptions& engine_options) {
+                          const tec::TecDeviceParams& device) {
   if (spec == nullptr) throw std::invalid_argument("full_cover: null spec");
   const TileMask deployment = spec->tec_allowed_tiles();
   if (deployment.empty()) {
     throw std::invalid_argument("full_cover: spec has no TEC-capable sites");
   }
-  const engine::SolveContext context(std::move(spec), deployment, tile_powers, device,
-                                     engine_options);
+  const engine::SolveContext context(std::move(spec), deployment, tile_powers, device);
   return optimize_deployment(context);
 }
 
 BaselineResult threshold_cover(std::shared_ptr<const thermal::StackSpec> spec,
                                const linalg::Vector& tile_powers,
-                               const tec::TecDeviceParams& device, std::size_t k,
-                               const engine::EngineOptions& engine_options) {
+                               const tec::TecDeviceParams& device, std::size_t k) {
   if (spec == nullptr) throw std::invalid_argument("threshold_cover: null spec");
   const TileMask allowed = spec->tec_allowed_tiles();
   std::vector<Tile> sites = allowed.tiles();
@@ -47,9 +44,8 @@ BaselineResult threshold_cover(std::shared_ptr<const thermal::StackSpec> spec,
         "threshold_cover: k must be in [1, TEC-capable site count]");
   }
   // Rank the sites by passive steady-state temperature.
-  const engine::SolveContext passive(spec, TileMask(), tile_powers, device,
-                                     engine_options);
-  auto op = passive.solve_probe(0.0);
+  const engine::SolveContext passive(spec, TileMask(), tile_powers, device);
+  auto op = passive.solve(0.0);
   if (!op) throw std::runtime_error("threshold_cover: passive model not solvable");
 
   const std::size_t cols = allowed.cols();
@@ -59,8 +55,7 @@ BaselineResult threshold_cover(std::shared_ptr<const thermal::StackSpec> spec,
   });
   TileMask mask(allowed.rows(), cols);
   for (std::size_t j = 0; j < k; ++j) mask.set(sites[j]);
-  const engine::SolveContext context(std::move(spec), mask, tile_powers, device,
-                                     engine_options);
+  const engine::SolveContext context(std::move(spec), mask, tile_powers, device);
   return optimize_deployment(context);
 }
 

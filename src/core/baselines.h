@@ -29,15 +29,13 @@ struct BaselineResult {
 /// std::invalid_argument on a null spec or one without TEC-capable sites.
 BaselineResult full_cover(std::shared_ptr<const thermal::StackSpec> spec,
                           const linalg::Vector& tile_powers,
-                          const tec::TecDeviceParams& device,
-                          const engine::EngineOptions& engine_options = {});
+                          const tec::TecDeviceParams& device);
 
 /// TEC on the k hottest TEC-capable sites of the passive steady state (ties
 /// in row-major order); current optimized. Throws std::invalid_argument on a
 /// null spec or k outside [1, number of TEC-capable sites].
 BaselineResult threshold_cover(std::shared_ptr<const thermal::StackSpec> spec,
                                const linalg::Vector& tile_powers,
-                               const tec::TecDeviceParams& device, std::size_t k,
-                               const engine::EngineOptions& engine_options = {});
+                               const tec::TecDeviceParams& device, std::size_t k);
 
 }  // namespace tfc::core

@@ -59,8 +59,7 @@ Chip spec_chip(std::shared_ptr<const thermal::StackSpec> spec) {
 }
 
 DesignResult design_with_fallback(const Chip& chip, double theta_limit_celsius,
-                                  bool run_full_cover, bool certify,
-                                  const engine::EngineOptions& engine) {
+                                  bool run_full_cover, bool certify) {
   DesignRequest req;
   req.chip_name = chip.name;
   req.spec = chip.spec;
@@ -68,7 +67,6 @@ DesignResult design_with_fallback(const Chip& chip, double theta_limit_celsius,
   req.theta_limit_celsius = theta_limit_celsius;
   req.run_full_cover = run_full_cover;
   req.run_convexity_certificate = certify;
-  req.greedy.engine = engine;
   DesignResult res = design_cooling_system(req);
   const double relax_to = std::min(theta_limit_celsius + 25.0, kMaxThetaLimitCelsius);
   while (!res.success && req.theta_limit_celsius < relax_to) {
@@ -85,15 +83,14 @@ std::optional<double> Session::lambda_m() const {
   return context->runaway_limit();
 }
 
-Session open_session(Chip chip, double theta_limit_celsius,
-                     const engine::EngineOptions& engine) {
+Session open_session(Chip chip, double theta_limit_celsius) {
   Session session;
   session.theta_limit_celsius = theta_limit_celsius;
   session.design = design_with_fallback(chip, theta_limit_celsius, /*run_full_cover=*/false,
-                                        /*certify=*/false, engine);
+                                        /*certify=*/false);
   session.context = std::make_shared<const engine::SolveContext>(
       chip.spec, session.design.deployment, chip.tile_powers,
-      tec::TecDeviceParams::chowdhury_superlattice(), engine);
+      tec::TecDeviceParams::chowdhury_superlattice());
   session.chip = std::move(chip);
   return session;
 }

@@ -52,8 +52,7 @@ Chip spec_chip(std::shared_ptr<const thermal::StackSpec> spec);
 /// Throws std::invalid_argument on a limit DesignRequest::check_theta_limit
 /// refuses.
 DesignResult design_with_fallback(const Chip& chip, double theta_limit_celsius,
-                                  bool run_full_cover, bool certify = false,
-                                  const engine::EngineOptions& engine = {});
+                                  bool run_full_cover, bool certify = false);
 
 /// One chip designed at one θ-limit, with the solve engine over its
 /// deployment: what every CLI solver command and every service session
@@ -73,8 +72,7 @@ struct Session {
 /// Design \p chip with design_with_fallback (no full cover, no certificate)
 /// and build the SolveContext over its deployment. Throws
 /// std::invalid_argument on a bad θ-limit.
-Session open_session(Chip chip, double theta_limit_celsius,
-                     const engine::EngineOptions& engine = {});
+Session open_session(Chip chip, double theta_limit_celsius);
 
 /// A supply-current sweep: points + 1 currents evenly spaced over
 /// [0, max_fraction·λ_m].

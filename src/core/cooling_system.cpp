@@ -49,7 +49,7 @@ DesignResult design_cooling_system(const DesignRequest& request) {
   if (request.run_full_cover) {
     TFC_SPAN("full_cover");
     BaselineResult fc =
-        full_cover(request.spec, powers, request.device, request.greedy.engine);
+        full_cover(request.spec, powers, request.device);
     res.full_cover_min_peak_celsius = thermal::to_celsius(fc.min_peak_temperature);
     res.full_cover_current = fc.optimum.current;
     res.full_cover_power = fc.optimum.tec_input_power;

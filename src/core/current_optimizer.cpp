@@ -166,7 +166,7 @@ CurrentOptimum optimize_current(const engine::SolveContext& context) {
 
   if (system.device_count() == 0) {
     // No devices: current has no effect; report the passive solution.
-    auto op = context.solve_probe(0.0);
+    auto op = context.solve(0.0);
     if (!op) throw std::runtime_error("optimize_current: passive system not solvable");
     res.current = 0.0;
     res.converged = true;
@@ -188,7 +188,7 @@ CurrentOptimum optimize_current(const engine::SolveContext& context) {
   res.current = search.current;
   res.converged = search.converged;
 
-  auto op = context.solve_probe(res.current);
+  auto op = context.solve(res.current);
   if (!op) throw std::runtime_error("optimize_current: optimum not solvable");
   res.objective_evaluations = search.probes + 1;
   res.operating_point = std::move(*op);

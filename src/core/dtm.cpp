@@ -154,21 +154,7 @@ DtmResult simulate_dtm(const floorplan::Floorplan& plan,
     if (!system.factorize_into(current, ws)) {
       throw std::runtime_error("simulate_dtm: solve failed (runaway current?)");
     }
-    // The throttled power map: each unit's scaled power spread evenly over
-    // its tiles.
-    powers.fill(0.0);
-    for (std::size_t u = 0; u < plan.units().size(); ++u) {
-      const auto& unit = plan.units()[u];
-      const double per_tile =
-          controller.unit_scales()[u] * unit.peak_power / double(unit.tile_count());
-      for (const auto& r : unit.rects) {
-        for (std::size_t rr = r.row; rr < r.row + r.rows; ++rr) {
-          for (std::size_t cc = r.col; cc < r.col + r.cols; ++cc) {
-            powers[rr * plan.tile_cols() + cc] += per_tile;
-          }
-        }
-      }
-    }
+    plan.tile_powers_into(controller.unit_scales(), powers);  // the throttled map
     system.rhs_into(current, powers, ws.rhs);
     ws.factor.solve_into(ws.rhs, ws.theta, ws.solve_scratch);
     system.model().tile_temperatures_into(ws.theta, ws.tiles);

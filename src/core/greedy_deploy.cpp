@@ -35,7 +35,7 @@ GreedyDeployResult greedy_deploy_impl(engine::SolveContext& context,
   result.deployment = TileMask(rows, cols);
 
   // Line 3-4: solve G·θ = p (no TECs) and collect the over-limit set T.
-  auto passive_op = context.solve_probe(0.0);
+  auto passive_op = context.solve(0.0);
   if (!passive_op) throw std::runtime_error("greedy_deploy: passive model not solvable");
   result.peak_without_tec = passive_op->peak_tile_temperature;
   result.peak_tile_temperature = passive_op->peak_tile_temperature;
@@ -72,7 +72,7 @@ GreedyDeployResult greedy_deploy_impl(engine::SolveContext& context,
     metrics.counter("greedy.passes").increment();
     metrics.counter("greedy.accepted_sites").increment(result.deployment.count() - before);
 
-    context.extend(result.deployment);
+    context.set_deployment(result.deployment);
     // Line 8: find i_opt minimizing the peak tile temperature.
     CurrentOptimum opt = optimize_current(context);
     metrics.counter("greedy.candidate_evaluations").increment(opt.objective_evaluations);
@@ -132,12 +132,10 @@ GreedyDeployResult greedy_deploy(std::shared_ptr<const thermal::StackSpec> spec,
     throw std::invalid_argument("greedy_deploy: negative coverage_margin");
   }
   TFC_SPAN("greedy_deploy");
-  // One solve context spans the whole greedy loop: the deployment only ever
-  // grows, so each pass extends the stamped network in place (engine
-  // incremental re-stamp) instead of reassembling from the spec.
+  // One solve context spans the whole greedy loop; each pass re-stamps it
+  // with the grown deployment.
   const TileMask allowed = spec->tec_allowed_tiles();
-  engine::SolveContext context(std::move(spec), TileMask(), tile_powers, device,
-                               options.engine);
+  engine::SolveContext context(std::move(spec), TileMask(), tile_powers, device);
   return greedy_deploy_impl(context, allowed, options);
 }
 

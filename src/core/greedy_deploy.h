@@ -30,10 +30,6 @@ struct GreedyDeployOptions {
   /// over) at the cost of extra devices — ablated in
   /// bench_ablate_deployment.
   double coverage_margin = 0.0;
-  /// Solve-engine knobs: one engine::SolveContext spans every pass, so each
-  /// deployment extension is an incremental re-stamp instead of a full
-  /// reassembly (unless incremental_restamp is off).
-  engine::EngineOptions engine;
 };
 
 /// One loop iteration, for reporting/analysis.

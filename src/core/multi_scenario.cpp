@@ -16,8 +16,8 @@ namespace {
 
 /// Fixed deployment, multiple scenarios: evaluate per-scenario tile
 /// temperatures at a current by factoring once (into the context's pooled
-/// workspace) and solving per RHS. Rebuilt per greedy pass on a context that
-/// persists across passes, so each pass is an incremental re-stamp.
+/// workspace) and solving per RHS. Rebuilt per greedy pass on the context the
+/// pass re-stamped.
 class ScenarioEvaluator {
  public:
   ScenarioEvaluator(const engine::SolveContext& context,
@@ -89,11 +89,10 @@ MultiScenarioResult greedy_deploy_multi(std::shared_ptr<const thermal::StackSpec
   MultiScenarioResult result;
   result.deployment = TileMask(rows, cols);
 
-  // One context spans the whole loop: deployments only grow, so each pass
-  // re-stamps incrementally. Scenario powers ride in the per-solve RHS, so
-  // the context's installed power map (scenario 0) is never consulted.
-  engine::SolveContext context(std::move(spec), TileMask(), scenarios[0], device,
-                               options.engine);
+  // One context spans the whole loop; each pass re-stamps it with the grown
+  // deployment. Scenario powers ride in the per-solve RHS, so the context's
+  // installed power map (scenario 0) is never consulted.
+  engine::SolveContext context(std::move(spec), TileMask(), scenarios[0], device);
 
   // Passive worst case over all scenarios.
   ScenarioEvaluator passive(context, scenarios);
@@ -120,7 +119,7 @@ MultiScenarioResult greedy_deploy_multi(std::shared_ptr<const thermal::StackSpec
     result.deployment |= cover;
     ++result.iterations;
 
-    context.extend(result.deployment);
+    context.set_deployment(result.deployment);
     ScenarioEvaluator eval(context, scenarios);
     result.lambda_m = context.runaway_limit();
     const double hi = result.lambda_m ? kRunawayFraction * *result.lambda_m : 40.0;

@@ -17,12 +17,10 @@ struct ProbeResult {
 
 ProbeResult probe(const std::shared_ptr<const thermal::StackSpec>& spec,
                   const linalg::Vector& tile_powers, const tec::TecDeviceParams& device,
-                  const TileMask& deployment,
-                  const engine::EngineOptions& engine_options) {
+                  const TileMask& deployment) {
   // Each perturbed device gets its own context (its conductances change the
   // stamped network), but every current probe inside it is workspace-pooled.
-  const engine::SolveContext context(spec, deployment, tile_powers, device,
-                                     engine_options);
+  const engine::SolveContext context(spec, deployment, tile_powers, device);
   auto opt = optimize_current(context);
   ProbeResult r;
   r.peak_celsius = thermal::to_celsius(opt.peak_tile_temperature);
@@ -66,10 +64,8 @@ std::vector<ParameterSensitivity> device_sensitivities(
     tec::TecDeviceParams down = device;
     access(down) *= (1.0 - h);
 
-    const ProbeResult pu =
-        probe(spec, tile_powers, up, deployment, options.engine);
-    const ProbeResult pd =
-        probe(spec, tile_powers, down, deployment, options.engine);
+    const ProbeResult pu = probe(spec, tile_powers, up, deployment);
+    const ProbeResult pd = probe(spec, tile_powers, down, deployment);
 
     ParameterSensitivity s;
     s.parameter = name;

@@ -23,8 +23,6 @@ namespace tfc::core {
 struct SensitivityOptions {
   /// Relative perturbation per parameter (two-sided).
   double relative_step = 0.10;
-  /// Solve-engine knobs for the per-perturbation contexts.
-  engine::EngineOptions engine;
 };
 
 /// One row of the sensitivity table.

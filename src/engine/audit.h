@@ -12,7 +12,6 @@
 
 #include <optional>
 
-#include "engine/backend.h"
 #include "obs/health.h"
 #include "tec/electro_thermal.h"
 

@@ -1,13 +1,13 @@
 #include "engine/solve_context.h"
 
 #include <chrono>
+#include <cstdio>
 #include <stdexcept>
 #include <string>
 
 #include "engine/audit.h"
 #include "linalg/cg.h"
 #include "obs/obs.h"
-#include "obs/prometheus.h"
 #include "tec/runaway.h"
 
 namespace tfc::engine {
@@ -19,22 +19,8 @@ double ms_since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-/// Histogram name `engine.solve_ms{backend=...}`; built once per backend.
-const std::string& solve_histogram_name(Backend backend) {
-  static const std::string cholesky =
-      obs::labeled_name("engine.solve_ms", {{"backend", "cholesky"}});
-  static const std::string cg = obs::labeled_name("engine.solve_ms", {{"backend", "cg"}});
-  switch (backend) {
-    case Backend::kCg: return cg;
-    case Backend::kCholesky: break;
-  }
-  return cholesky;
-}
-
-void record_solve(Backend backend, std::chrono::steady_clock::time_point t0) {
-  obs::MetricsRegistry::global()
-      .histogram(solve_histogram_name(backend))
-      .record(ms_since(t0));
+void record_solve(std::chrono::steady_clock::time_point t0) {
+  obs::MetricsRegistry::global().histogram("engine.solve_ms").record(ms_since(t0));
 }
 
 /// Counts engine.factor_reused when \p ws already holds the factor a probe
@@ -56,77 +42,46 @@ TileMask shaped(const TileMask& mask, const thermal::PackageModel& model) {
   return mask;
 }
 
+std::string cg_message(std::size_t iterations, double rel_residual) {
+  char buf[128];
+  std::snprintf(buf, sizeof(buf),
+                "cg cross-check failed to converge: %zu iterations, rel residual %.3e",
+                iterations, rel_residual);
+  return buf;
+}
+
 }  // namespace
+
+CgNonConvergedError::CgNonConvergedError(std::size_t iterations, double rel_residual)
+    : std::runtime_error(cg_message(iterations, rel_residual)),
+      iterations_(iterations),
+      rel_residual_(rel_residual) {}
 
 SolveContext::SolveContext(std::shared_ptr<const thermal::StackSpec> spec,
                            const TileMask& deployment, const linalg::Vector& tile_powers,
-                           const tec::TecDeviceParams& device, EngineOptions options,
-                           std::size_t stages)
-    : options_(options),
-      system_(tec::ElectroThermalSystem::assemble(std::move(spec), deployment,
+                           const tec::TecDeviceParams& device, std::size_t stages)
+    : system_(tec::ElectroThermalSystem::assemble(std::move(spec), deployment,
                                                   tile_powers, device, stages)) {}
 
 SolveContext::SolveContext(const thermal::PackageGeometry& geometry,
                            const TileMask& deployment, const linalg::Vector& tile_powers,
-                           const tec::TecDeviceParams& device, EngineOptions options,
-                           std::size_t stages)
+                           const tec::TecDeviceParams& device, std::size_t stages)
     : SolveContext(std::make_shared<const thermal::StackSpec>(
                        thermal::StackSpec::single_die(geometry)),
-                   deployment, tile_powers, device, options, stages) {}
+                   deployment, tile_powers, device, stages) {}
 
-SolveContext::SolveContext(tec::ElectroThermalSystem system, EngineOptions options)
-    : options_(options), system_(std::move(system)) {}
-
-void SolveContext::extend(const TileMask& tiles) {
-  const thermal::PackageModel& model = system_.model();
-  TileMask delta(model.tile_rows(), model.tile_cols());
-  bool any = false;
-  for (Tile t : shaped(tiles, model).tiles()) {
-    if (!model.deployment().test(t)) {
-      delta.set(t);
-      any = true;
-    }
-  }
-  if (!any) return;
-  invalidate_runaway_cache();
-
-  if (!options_.incremental_restamp) {
-    TileMask next = model.deployment();
-    next |= delta;
-    rebuild(next);
-    return;
-  }
-  TFC_SPAN("engine_restamp_incremental");
-  TFC_SPAN_ATTR("added_tiles", delta.count());
-  obs::MetricsRegistry::global().counter("engine.restamp.incremental").increment();
-  // extend_tec replays the node/edge lists in O(model); the conductance
-  // matrix is then re-assembled in O(nnz) — only the rows touched by the new
-  // devices are restamped, everything else is carried over bitwise from the
-  // previous G through the node remap.
-  thermal::TecExtendDelta remap;
-  thermal::PackageModel next = model.extend_tec(delta, &remap);
-  linalg::SparseMatrix g = next.network().conductance_matrix_extended(
-      system_.matrix_g(), remap.old_to_new, remap.dirty_rows);
-  system_ = tec::ElectroThermalSystem(std::move(next), system_.device(), std::move(g));
-}
+SolveContext::SolveContext(tec::ElectroThermalSystem system) : system_(std::move(system)) {}
 
 void SolveContext::set_deployment(const TileMask& deployment) {
-  const TileMask target = shaped(deployment, system_.model());
-  if (this->deployment().subset_of(target)) {
-    extend(target);
-    return;
-  }
-  invalidate_runaway_cache();
-  rebuild(target);
-}
-
-void SolveContext::rebuild(const TileMask& deployment) {
-  TFC_SPAN("engine_restamp_full");
-  obs::MetricsRegistry::global().counter("engine.restamp.full").increment();
   const thermal::PackageModel& model = system_.model();
-  system_ = tec::ElectroThermalSystem::assemble(model.spec(), deployment,
-                                                model.tile_powers(), system_.device(),
-                                                model.tec_stages());
+  const TileMask target = shaped(deployment, model);
+  if (target == model.deployment()) return;
+  TFC_SPAN("engine_restamp");
+  TFC_SPAN_ATTR("tecs", target.count());
+  obs::MetricsRegistry::global().counter("engine.restamps").increment();
+  invalidate_runaway_cache();
+  system_ = tec::ElectroThermalSystem::assemble(model.spec(), target, model.tile_powers(),
+                                                system_.device(), model.tec_stages());
 }
 
 void SolveContext::invalidate_runaway_cache() {
@@ -161,31 +116,18 @@ std::optional<PeakProbe> SolveContext::probe_peak(double i) const {
     p.curvature = ws->theta[node];
     probe = p;
   }
-  record_solve(Backend::kCholesky, t0);
+  record_solve(t0);
   return probe;
 }
 
-std::optional<tec::OperatingPoint> SolveContext::solve_probe(double i) const {
+std::optional<tec::OperatingPoint> SolveContext::solve(double i) const {
   const auto t0 = std::chrono::steady_clock::now();
   WorkspaceLease ws(*this);
   note_factor_reuse(system_, *ws, i);
   auto op = system_.solve(i, ws.get());
-  record_solve(Backend::kCholesky, t0);
+  record_solve(t0);
   if (op.has_value()) maybe_audit(*op);
   return op;
-}
-
-std::optional<tec::OperatingPoint> SolveContext::solve(double i) const {
-  return solve_backend(options_.backend, i);
-}
-
-std::optional<tec::OperatingPoint> SolveContext::solve_backend(Backend backend,
-                                                               double i) const {
-  switch (backend) {
-    case Backend::kCholesky: return solve_probe(i);
-    case Backend::kCg: return solve_cg(i);
-  }
-  return solve_probe(i);
 }
 
 namespace {
@@ -205,8 +147,12 @@ tec::OperatingPoint finish_point(const tec::ElectroThermalSystem& system, double
 }  // namespace
 
 std::optional<tec::OperatingPoint> SolveContext::solve_cg(double i) const {
+  return solve_cg(i, kCgMaxIterations);
+}
+
+std::optional<tec::OperatingPoint> SolveContext::solve_cg(double i,
+                                                          std::size_t max_iterations) const {
   if (i < 0.0) return std::nullopt;
-  const auto t0 = std::chrono::steady_clock::now();
   const linalg::SparseMatrix m = system_.system_matrix(i);
   linalg::Preconditioner precond;
   try {
@@ -214,15 +160,13 @@ std::optional<tec::OperatingPoint> SolveContext::solve_cg(double i) const {
   } catch (const std::invalid_argument&) {
     // A non-positive pencil diagonal certifies loss of positive
     // definiteness (i past λ_m pushes hot-node diagonals negative).
-    record_solve(Backend::kCg, t0);
     return std::nullopt;
   }
   linalg::CgOptions co;
-  co.rel_tol = options_.cg_rel_tol;
-  co.max_iterations = options_.cg_max_iterations;
+  co.rel_tol = kCgRelTol;
+  co.max_iterations = max_iterations;
   const linalg::Vector b = system_.rhs(i);
   const linalg::CgResult r = linalg::conjugate_gradient(m, b, precond, co);
-  record_solve(Backend::kCg, t0);
   if (!r.converged) {
     if (r.iterations < co.max_iterations) return std::nullopt;  // p·Ap ≤ 0 breakdown
     // First-class non-convergence signal: count it, leave a degraded audit
@@ -231,12 +175,10 @@ std::optional<tec::OperatingPoint> SolveContext::solve_cg(double i) const {
     obs::MetricsRegistry::global().counter("engine.cg.nonconverged").increment();
     const double rel =
         linalg::norm2(b) > 0.0 ? r.residual_norm / linalg::norm2(b) : r.residual_norm;
-    if (options_.audit.enabled) {
-      record_audit_metrics(
-          audit_point(system_, finish_point(system_, i, r.x), cached_runaway_limit(),
-                      /*degraded=*/true),
-          options_.audit.tolerances);
-    }
+    record_audit_metrics(
+        audit_point(system_, finish_point(system_, i, r.x), cached_runaway_limit(),
+                    /*degraded=*/true),
+        obs::health::Tolerances{});
     throw CgNonConvergedError(r.iterations, rel);
   }
   auto op = finish_point(system_, i, r.x);
@@ -245,19 +187,16 @@ std::optional<tec::OperatingPoint> SolveContext::solve_cg(double i) const {
 }
 
 void SolveContext::maybe_audit(const tec::OperatingPoint& op) const {
-  const AuditOptions& audit_opts = options_.audit;
-  if (!audit_opts.enabled) return;
   const std::uint64_t seq = audit_seq_.fetch_add(1, std::memory_order_relaxed);
-  const std::size_t every = audit_opts.sample_every == 0 ? 1 : audit_opts.sample_every;
-  if (seq % every != 0) return;
+  if (seq % kAuditSampleEvery != 0) return;
   TFC_SPAN("engine_audit");
   record_audit_metrics(audit_point(system_, op, cached_runaway_limit()),
-                       audit_opts.tolerances);
+                       obs::health::Tolerances{});
 }
 
 obs::health::Certificate SolveContext::audit(const tec::OperatingPoint& op) const {
   obs::health::Certificate cert = audit_point(system_, op, cached_runaway_limit());
-  record_audit_metrics(cert, options_.audit.tolerances);
+  record_audit_metrics(cert, obs::health::Tolerances{});
   return cert;
 }
 

@@ -9,31 +9,51 @@
 /// with zero allocations. Each workspace records which factor it holds: the
 /// λ_m solve factors G into its workspace, and the current search's first
 /// probe (i = 0) leases that workspace back and skips the refactorization
-/// (engine.factor_reused). Deployments only ever grow during greedy deployment
-/// (Figure 5), so extend() re-stamps the package network incrementally
-/// (PackageModel::extend_tec) instead of re-deriving every conductance from
-/// the spec — bit-identical to a from-scratch assembly, asserted in Debug.
+/// (engine.factor_reused). A new deployment (one greedy pass of Figure 5) is
+/// re-stamped by assembling the package from its spec
+/// (tec::ElectroThermalSystem::assemble), the one way a deployment is stamped.
 ///
-/// Point solves dispatch over the runtime-selected Backend; the design/probe
-/// path is pinned to the direct sparse factorization (see EngineOptions).
+/// Every point solve is the direct sparse refactorization, whose failure
+/// doubles as the λ_m positive-definiteness test. Jacobi-preconditioned CG
+/// remains only as solve_cg(), the independent cross-check the service runs
+/// on sampled cache hits.
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
 #include "common/tile.h"
-#include "engine/backend.h"
 #include "linalg/vector.h"
+#include "obs/health.h"
 #include "tec/electro_thermal.h"
 #include "thermal/package.h"
 #include "thermal/stack_spec.h"
 
 namespace tfc::engine {
+
+/// Thrown by SolveContext::solve_cg when the iteration cap is reached without
+/// convergence — a first-class signal (engine.cg.nonconverged counter, a
+/// degraded audit record) instead of a silently-wrong θ. The positive-
+/// definiteness breakdown (p·Ap ≤ 0, i ≥ λ_m) still returns nullopt; this
+/// exception means the system was solvable but CG did not get there.
+class CgNonConvergedError : public std::runtime_error {
+ public:
+  CgNonConvergedError(std::size_t iterations, double rel_residual);
+
+  std::size_t iterations() const { return iterations_; }
+  double rel_residual() const { return rel_residual_; }
+
+ private:
+  std::size_t iterations_;
+  double rel_residual_;
+};
 
 /// One Problem 2 objective evaluation at a supply current i: the peak silicon
 /// tile temperature and, for its lowest-index arg-max tile k*, the first two
@@ -47,29 +67,41 @@ struct PeakProbe {
 
 /// Reusable solve engine for one (growing) deployment.
 ///
-/// Thread model: probe_peak / solve_probe / solve / runaway_limit are const
-/// and safe to call concurrently (service sessions, tfc::par sweeps). extend()
-/// and set_deployment() mutate the context and must not race any solve.
+/// Thread model: probe_peak / solve / solve_cg / runaway_limit are const and
+/// safe to call concurrently (service sessions, tfc::par sweeps).
+/// set_deployment() mutates the context and must not race any solve.
 class SolveContext {
  public:
+  /// solve_cg() convergence: ‖r‖ ≤ kCgRelTol·‖b‖ within kCgMaxIterations.
+  static constexpr double kCgRelTol = 1e-12;
+  static constexpr std::size_t kCgMaxIterations = 20000;
+  /// Every kAuditSampleEvery-th point solve (solve, solve_cg) is audited
+  /// against obs::health::Tolerances{} (see engine/audit.h): 1 in 16 in
+  /// Release, keeping the probe hot path cheap; every solve in Debug. The
+  /// sample counter starts at 0, so the first solve is always audited.
+#ifdef NDEBUG
+  static constexpr std::size_t kAuditSampleEvery = 16;
+#else
+  static constexpr std::size_t kAuditSampleEvery = 1;
+#endif
+
   /// Assemble the system of \p spec for \p deployment (may be empty) with
   /// \p tile_powers installed. The mask and the powers address the spec's
   /// virtual tile grid.
   SolveContext(std::shared_ptr<const thermal::StackSpec> spec, const TileMask& deployment,
                const linalg::Vector& tile_powers, const tec::TecDeviceParams& device,
-               EngineOptions options = {}, std::size_t stages = 1);
+               std::size_t stages = 1);
 
   /// The same on the single-die package StackSpec::single_die(\p geometry).
   SolveContext(const thermal::PackageGeometry& geometry, const TileMask& deployment,
                const linalg::Vector& tile_powers, const tec::TecDeviceParams& device,
-               EngineOptions options = {}, std::size_t stages = 1);
+               std::size_t stages = 1);
 
   /// Adopt an already-assembled system (keeps its model, powers and the
   /// shared symbolic-analysis cache).
-  explicit SolveContext(tec::ElectroThermalSystem system, EngineOptions options = {});
+  explicit SolveContext(tec::ElectroThermalSystem system);
 
   const tec::ElectroThermalSystem& system() const { return system_; }
-  const EngineOptions& options() const { return options_; }
   const TileMask& deployment() const { return system_.model().deployment(); }
   std::size_t device_count() const { return system_.device_count(); }
 
@@ -78,16 +110,10 @@ class SolveContext {
     return system_.model().spec();
   }
 
-  /// Grow the deployment by \p tiles (tiles already deployed are ignored; a
-  /// fully covered \p tiles is a no-op). The purely additive delta is
-  /// re-stamped incrementally when options().incremental_restamp is on
-  /// (metric engine.restamp.incremental), otherwise the model is rebuilt
-  /// from the spec (engine.restamp.full). Invalidates the λ_m cache.
-  void extend(const TileMask& tiles);
-
-  /// Move to an arbitrary \p deployment: additive supersets of the current
-  /// deployment go through extend(); anything else (a removed tile — not an
-  /// additive delta) falls back to a full rebuild from the spec.
+  /// Move to \p deployment (an empty or default mask means no TECs):
+  /// re-assemble the package from the spec with the installed tile powers
+  /// (span engine_restamp, counter engine.restamps) and invalidate the λ_m
+  /// cache. The current deployment itself is a no-op.
   void set_deployment(const TileMask& deployment);
 
   /// Zero-allocation positive-definiteness + peak-temperature probe at
@@ -101,22 +127,18 @@ class SolveContext {
   /// triangular solve each.
   std::optional<PeakProbe> probe_peak(double i) const;
 
-  /// Full operating point via the direct sparse refactorization (the same
-  /// pinned probe backend as probe_peak; workspace-pooled, with the same
-  /// factor reuse).
-  std::optional<tec::OperatingPoint> solve_probe(double i) const;
-
-  /// Point solve dispatched over options().backend. CG reports loss of
-  /// positive definiteness through iteration breakdown (p·Ap ≤ 0) or a
-  /// non-positive pencil diagonal. All backends return nullopt when G − i·D
-  /// is not positive definite or i < 0. CG throws CgNonConvergedError when
-  /// the iteration cap is hit on a solvable system (never a silent bad θ).
+  /// Full operating point via the direct sparse refactorization
+  /// (workspace-pooled, with the same factor reuse as probe_peak). nullopt
+  /// when G − i·D is not positive definite (i ≥ λ_m) or i < 0.
   std::optional<tec::OperatingPoint> solve(double i) const;
 
-  /// Point solve with an explicit backend, ignoring options().backend — the
-  /// service's sampled cross-check path (solve with a second backend, compare
-  /// θ). Same semantics as solve().
-  std::optional<tec::OperatingPoint> solve_backend(Backend backend, double i) const;
+  /// The same operating point by Jacobi-preconditioned CG, independent of
+  /// the cached symbolic analysis and pooled factors — the service's sampled
+  /// cross-check. Loss of positive definiteness shows as iteration breakdown
+  /// (p·Ap ≤ 0) or a non-positive pencil diagonal and returns nullopt, as does
+  /// i < 0. Throws CgNonConvergedError when kCgMaxIterations is hit on a
+  /// solvable system (never a silent bad θ).
+  std::optional<tec::OperatingPoint> solve_cg(double i) const;
 
   /// Physics certificate of \p op (see engine/audit.h), recorded into the
   /// engine.audit.* metrics. Uses the *cached* runaway limit when present —
@@ -131,7 +153,7 @@ class SolveContext {
   /// sparse shift-invert Lanczos (tec::runaway_limit_ex) on the factor of G
   /// in a pooled workspace, with its scratch drawn from the same workspace.
   /// The factor stays there for a later probe or solve at i = 0. Cached;
-  /// invalidated by extend()/set_deployment(). Each computation counts in
+  /// invalidated by set_deployment(). Each computation counts in
   /// engine.runaway.sparse.
   std::optional<double> runaway_limit() const;
 
@@ -158,22 +180,22 @@ class SolveContext {
 
  private:
   friend class WorkspaceLease;
+  /// Reaches the capped solve_cg below; tests use it to hit the cap without
+  /// a near-singular pencil.
+  friend struct SolveContextTestPeer;
 
   tec::SolveWorkspace* acquire_workspace() const;
   void release_workspace(tec::SolveWorkspace* ws) const;
 
-  /// Full rebuild from the spec (the non-incremental path).
-  void rebuild(const TileMask& deployment);
   void invalidate_runaway_cache();
 
-  std::optional<tec::OperatingPoint> solve_cg(double i) const;
+  /// solve_cg() with an explicit iteration cap.
+  std::optional<tec::OperatingPoint> solve_cg(double i, std::size_t max_iterations) const;
 
-  /// Sampled audit hook on the point-solve paths: every options().audit
-  /// .sample_every-th solve gets a certificate (the counter starts at zero,
-  /// so the first solve is always audited).
+  /// Sampled audit hook on the point-solve paths: every kAuditSampleEvery-th
+  /// solve gets a certificate.
   void maybe_audit(const tec::OperatingPoint& op) const;
 
-  EngineOptions options_;
   tec::ElectroThermalSystem system_;
 
   // Workspace pool: all_ owns, free_ lists the idle ones. The lock guards
@@ -182,7 +204,7 @@ class SolveContext {
   mutable std::vector<std::unique_ptr<tec::SolveWorkspace>> ws_all_;
   mutable std::vector<tec::SolveWorkspace*> ws_free_;
 
-  // λ_m cache (the deployment is implicit: extend() invalidates).
+  // λ_m cache (the deployment is implicit: set_deployment() invalidates).
   // runaway_cached_ tells a computed "no finite limit" from a cold cache.
   mutable std::mutex runaway_mutex_;
   mutable bool runaway_cached_ = false;

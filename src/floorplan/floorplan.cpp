@@ -108,18 +108,29 @@ double Floorplan::power_fraction(const std::vector<std::string>& names) const {
 }
 
 linalg::Vector Floorplan::tile_powers() const {
-  linalg::Vector p(tile_count());
-  for (const auto& u : units_) {
-    const double per_tile = u.peak_power / double(u.tile_count());
-    for (const auto& r : u.rects) {
+  linalg::Vector p;
+  tile_powers_into(std::vector<double>(units_.size(), 1.0), p);
+  return p;
+}
+
+void Floorplan::tile_powers_into(const std::vector<double>& unit_scales,
+                                 linalg::Vector& out) const {
+  if (unit_scales.size() != units_.size()) {
+    throw std::invalid_argument("Floorplan::tile_powers_into: one scale per unit");
+  }
+  out.resize(tile_count());
+  out.fill(0.0);
+  for (std::size_t u = 0; u < units_.size(); ++u) {
+    const FunctionalUnit& unit = units_[u];
+    const double per_tile = unit_scales[u] * unit.peak_power / double(unit.tile_count());
+    for (const auto& r : unit.rects) {
       for (std::size_t rr = r.row; rr < r.row + r.rows; ++rr) {
         for (std::size_t cc = r.col; cc < r.col + r.cols; ++cc) {
-          p[rr * cols_ + cc] += per_tile;
+          out[rr * cols_ + cc] += per_tile;
         }
       }
     }
   }
-  return p;
 }
 
 double Floorplan::unit_power_density(std::size_t unit_index, double tile_area) const {

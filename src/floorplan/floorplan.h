@@ -76,8 +76,16 @@ class Floorplan {
   double power_fraction(const std::vector<std::string>& names) const;
 
   /// Worst-case power per tile [W], row-major: each unit's power is spread
-  /// uniformly over its tiles.
+  /// uniformly over its tiles (tile_powers_into with every scale 1).
   linalg::Vector tile_powers() const;
+
+  /// Scaled power per tile [W] into \p out (resized to tile_count() and
+  /// overwritten), row-major: unit u puts (unit_scales[u]·peak_power)/tiles
+  /// on each of its tiles. The one per-unit rasterizer of the worst-case
+  /// map, the transient per-tick map and the DTM-throttled map; no
+  /// allocation once \p out has the size. Throws std::invalid_argument
+  /// unless unit_scales has one entry per unit.
+  void tile_powers_into(const std::vector<double>& unit_scales, linalg::Vector& out) const;
 
   /// Power density of a unit [W/m²] given the tile area [m²].
   double unit_power_density(std::size_t unit_index, double tile_area) const;

@@ -38,7 +38,7 @@
 /// counted in linalg.lanczos.near_shift_fallbacks — to the single-phase path:
 /// it resumes the run to a 1e-12·ν_max Ritz residual, refines with K's
 /// factor, and factors G − (1 − 1e-8)·λ·D. Failing that throws a typed
-/// LanczosNonConvergedError (mirroring the CG backend's CgNonConvergedError)
+/// LanczosNonConvergedError (mirroring the CG cross-check's CgNonConvergedError)
 /// instead of ever returning an uncertified eigenvalue. A shift that lands
 /// outside the PD interval (K not positive definite) re-shifts to σ = 0 when
 /// allowed, else throws LanczosShiftError.

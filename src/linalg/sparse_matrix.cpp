@@ -19,9 +19,7 @@ void TripletList::add_symmetric(std::size_t r, std::size_t c, double value) {
 namespace {
 
 /// Sort one bucketed row by column and sum duplicates in sorted order,
-/// dropping exact zeros — the single merge used by every assembly path, so
-/// incremental re-assembly accumulates in exactly the order a from-scratch
-/// from_triplets() would (bitwise-identical floating-point sums).
+/// dropping exact zeros.
 void sort_and_merge_row(std::vector<std::pair<std::size_t, double>>& row) {
   std::sort(row.begin(), row.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
@@ -58,84 +56,6 @@ SparseMatrix SparseMatrix::from_triplets(const TripletList& t) {
     for (const auto& [c, v] : row) {
       m.col_idx_.push_back(c);
       m.values_.push_back(v);
-    }
-  }
-  return m;
-}
-
-SparseMatrix SparseMatrix::extend_remapped(const SparseMatrix& previous,
-                                           const std::vector<std::size_t>& old_to_new,
-                                           const std::vector<char>& dirty,
-                                           const TripletList& dirty_triplets) {
-  const std::size_t n = dirty.size();
-  if (dirty_triplets.rows() != n || dirty_triplets.cols() != n) {
-    throw std::invalid_argument("SparseMatrix::extend_remapped: triplet shape mismatch");
-  }
-  if (old_to_new.size() != previous.rows() || !previous.square()) {
-    throw std::invalid_argument("SparseMatrix::extend_remapped: map/previous mismatch");
-  }
-
-  // Invert the (strictly increasing on survivors) old → new row map.
-  std::vector<std::size_t> source(n, npos);
-  std::size_t last_new = npos;
-  for (std::size_t r = 0; r < old_to_new.size(); ++r) {
-    const std::size_t nr = old_to_new[r];
-    if (nr == npos) continue;
-    if (nr >= n || (last_new != npos && nr <= last_new)) {
-      throw std::invalid_argument("SparseMatrix::extend_remapped: map not increasing");
-    }
-    source[nr] = r;
-    last_new = nr;
-  }
-
-  // Bucket the dirty-row stamps (entry order per row is the caller's stamp
-  // order) and merge each with the canonical sort/accumulate/drop pass.
-  std::vector<std::vector<std::pair<std::size_t, double>>> rebuilt(n);
-  for (const auto& e : dirty_triplets.entries()) {
-    if (!dirty[e.row]) {
-      throw std::invalid_argument("SparseMatrix::extend_remapped: stamp in a clean row");
-    }
-    rebuilt[e.row].emplace_back(e.col, e.value);
-  }
-
-  SparseMatrix m;
-  m.rows_ = m.cols_ = n;
-  m.row_ptr_.assign(n + 1, 0);
-  for (std::size_t r = 0; r < n; ++r) {
-    std::size_t len = 0;
-    if (dirty[r]) {
-      sort_and_merge_row(rebuilt[r]);
-      len = rebuilt[r].size();
-    } else {
-      const std::size_t src = source[r];
-      if (src == npos) {
-        throw std::invalid_argument(
-            "SparseMatrix::extend_remapped: clean row without a source row");
-      }
-      len = previous.row_ptr_[src + 1] - previous.row_ptr_[src];
-    }
-    m.row_ptr_[r + 1] = m.row_ptr_[r] + len;
-  }
-
-  m.col_idx_.reserve(m.row_ptr_.back());
-  m.values_.reserve(m.row_ptr_.back());
-  for (std::size_t r = 0; r < n; ++r) {
-    if (dirty[r]) {
-      for (const auto& [c, v] : rebuilt[r]) {
-        m.col_idx_.push_back(c);
-        m.values_.push_back(v);
-      }
-      continue;
-    }
-    const std::size_t src = source[r];
-    for (std::size_t k = previous.row_ptr_[src]; k < previous.row_ptr_[src + 1]; ++k) {
-      const std::size_t c = old_to_new[previous.col_idx_[k]];
-      if (c == npos) {
-        throw std::invalid_argument(
-            "SparseMatrix::extend_remapped: clean row references a dropped column");
-      }
-      m.col_idx_.push_back(c);
-      m.values_.push_back(previous.values_[k]);  // bitwise: no re-accumulation
     }
   }
   return m;

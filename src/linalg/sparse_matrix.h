@@ -52,32 +52,6 @@ class SparseMatrix {
   /// Compress a triplet list (duplicates summed, exact zeros dropped).
   static SparseMatrix from_triplets(const TripletList& t);
 
-  /// Sentinel for extend_remapped: an old row with old_to_new[r] == npos was
-  /// dropped and has no counterpart in the extended matrix.
-  static constexpr std::size_t npos = static_cast<std::size_t>(-1);
-
-  /// Incremental re-assembly: build the matrix a full from_triplets() over
-  /// the extended stamp list would produce, in O(nnz) without sorting the
-  /// unchanged rows. Each new row is either
-  ///  * *clean* — the image of exactly one old row under \p old_to_new with
-  ///    no stamps added or removed: copied bitwise from \p previous, column
-  ///    indices renamed through old_to_new (which must be strictly
-  ///    increasing on surviving rows, so the CSR column order is preserved
-  ///    and no re-sort happens); or
-  ///  * *dirty* (dirty[r] != 0) — rebuilt from \p dirty_triplets with
-  ///    from_triplets()' exact sort/merge/drop semantics, so duplicate
-  ///    accumulation order (and hence every floating-point sum) matches a
-  ///    from-scratch assembly bit for bit.
-  /// \p dirty_triplets must carry, for every dirty row, the same per-row
-  /// entry sequence a full stamp list would; entries in clean rows are not
-  /// allowed (the caller filters). Throws std::invalid_argument on shape
-  /// mismatch, a non-monotone map, a clean row without a source, or a clean
-  /// row referencing a dropped column.
-  static SparseMatrix extend_remapped(const SparseMatrix& previous,
-                                      const std::vector<std::size_t>& old_to_new,
-                                      const std::vector<char>& dirty,
-                                      const TripletList& dirty_triplets);
-
   /// Convert from dense, dropping entries with |a_ij| <= drop_tol.
   static SparseMatrix from_dense(const DenseMatrix& a, double drop_tol = 0.0);
 

@@ -45,14 +45,9 @@ struct RequestRecord {
   std::uint64_t factorizations = 0;
   /// Total CG iterations (0 when the direct solver handled everything).
   std::uint64_t cg_iterations = 0;
-  /// Engine backend serving the session's point solves ("" for non-solver
-  /// methods).
-  std::string backend;
-  /// Incremental deployment re-stamps performed inside the request (greedy
-  /// passes served by PackageModel::extend_tec instead of full reassembly).
-  std::uint64_t restamp_incremental = 0;
-  /// Full from-geometry assemblies performed inside the request.
-  std::uint64_t restamp_full = 0;
+  /// Deployment re-stamps (engine_restamp spans: one per greedy pass that
+  /// grew the deployment) performed inside the request.
+  std::uint64_t restamps = 0;
   /// Spans captured in the request's trace.
   std::uint64_t span_count = 0;
   /// Numerical-health audit outcome: -1 not audited, 0 certificate failed,

@@ -8,7 +8,7 @@
 /// solves — the relative pencil residual ‖(G−iθD)θ−p‖/‖p‖, global energy
 /// conservation (power in vs. heat rejected at the ambient boundary),
 /// temperature-bounds sanity, and the distance to the thermal-runaway limit
-/// λ_m — so a solve that drifts (stale factor, broken re-stamp, backend bug)
+/// λ_m — so a solve that drifts (stale factor, broken re-stamp, solver bug)
 /// trips an auditable signal instead of shipping a wrong θ with green
 /// latency metrics.
 ///
@@ -41,8 +41,9 @@ struct Tolerances {
   /// ambient; anything outside [150, 1000] K is a broken solve, not physics.
   double theta_min_k = 150.0;
   double theta_max_k = 1000.0;
-  /// Max acceptable relative θ disagreement between two backends solving the
-  /// same operating point (the service's sampled cross-check).
+  /// Max acceptable relative θ disagreement between the direct solve and the
+  /// CG re-solve of the same operating point (the service's sampled
+  /// cross-check).
   double max_cross_check_drift = 1e-6;
 };
 
@@ -114,7 +115,7 @@ class HealthMonitor {
   /// monitor's tolerances (false = violation recorded).
   bool record_certificate(const std::string& scope, const Certificate& cert);
 
-  /// Record one backend cross-check under \p scope: \p drift is the relative
+  /// Record one CG cross-check under \p scope: \p drift is the relative
   /// θ disagreement; a drift beyond max_cross_check_drift is a violation.
   /// Returns whether the check passed.
   bool record_cross_check(const std::string& scope, double drift);

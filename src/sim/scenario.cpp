@@ -84,17 +84,7 @@ ScenarioEngine::ScenarioEngine(const floorplan::Floorplan& plan,
   }
   validate_trace(plan, trace_);
 
-  const std::size_t cols = plan.tile_cols();
-  unit_tiles_.resize(plan.units().size());
-  for (std::size_t u = 0; u < plan.units().size(); ++u) {
-    for (const auto& r : plan.units()[u].rects) {
-      for (std::size_t rr = r.row; rr < r.row + r.rows; ++rr) {
-        for (std::size_t cc = r.col; cc < r.col + r.cols; ++cc) {
-          unit_tiles_[u].push_back(rr * cols + cc);
-        }
-      }
-    }
-  }
+  unit_scale_scratch_.assign(plan.units().size(), 0.0);
   tile_power_scratch_ = linalg::Vector(plan.tile_count());
   rhs_scratch_ = linalg::Vector(system_.node_count());
 }
@@ -128,15 +118,10 @@ void ScenarioEngine::build_rhs(std::size_t step, const std::vector<double>& scal
   TFC_SPAN("sim.rasterize");
   const std::size_t tick = step % trace_.length();
 
-  tile_power_scratch_.fill(0.0);
-  for (std::size_t u = 0; u < unit_tiles_.size(); ++u) {
-    const auto& unit = plan_->units()[u];
-    if (unit_tiles_[u].empty()) continue;
-    const double per_tile = scales[u] * trace_.utilization[u][tick] * unit.peak_power /
-                            double(unit_tiles_[u].size());
-    for (std::size_t t : unit_tiles_[u]) tile_power_scratch_[t] += per_tile;
+  for (std::size_t u = 0; u < unit_scale_scratch_.size(); ++u) {
+    unit_scale_scratch_[u] = scales[u] * trace_.utilization[u][tick];
   }
-
+  plan_->tile_powers_into(unit_scale_scratch_, tile_power_scratch_);
   system_.rhs_into(current, tile_power_scratch_, rhs_scratch_);
 }
 

@@ -179,7 +179,8 @@ class ScenarioEngine {
   /// first level's symbolic analysis.
   thermal::TransientSolver& solver_for(double current);
 
-  /// Rasterize the per-tile power map of \p step under \p scales into
+  /// Rasterize the per-tile power map of \p step under \p scales (each unit
+  /// at scale × utilization, Floorplan::tile_powers_into) into
   /// tile_power_scratch_, then build the RHS (ElectroThermalSystem::rhs_into
   /// at \p current) into rhs_scratch_.
   void build_rhs(std::size_t step, const std::vector<double>& scales, double current);
@@ -189,11 +190,10 @@ class ScenarioEngine {
   tec::ElectroThermalSystem system_;
   power::ActivityTrace trace_;
 
-  std::vector<std::vector<std::size_t>> unit_tiles_;  ///< [unit] -> tile ids
-
   std::map<double, thermal::TransientSolver> solvers_;
 
   // run() scratch.
+  std::vector<double> unit_scale_scratch_;  ///< [unit] scale × utilization
   linalg::Vector tile_power_scratch_;
   linalg::Vector rhs_scratch_;
   linalg::Vector theta_;

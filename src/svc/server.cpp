@@ -187,11 +187,7 @@ io::JsonValue record_to_json(const obs::RequestRecord& rec) {
   out.set("solve_ms", JsonValue::make_number(rec.solve_ms));
   out.set("factorizations", JsonValue::make_number(double(rec.factorizations)));
   out.set("cg_iterations", JsonValue::make_number(double(rec.cg_iterations)));
-  out.set("backend", rec.backend.empty() ? JsonValue::make_null()
-                                         : JsonValue::make_string(rec.backend));
-  out.set("restamp_incremental",
-          JsonValue::make_number(double(rec.restamp_incremental)));
-  out.set("restamp_full", JsonValue::make_number(double(rec.restamp_full)));
+  out.set("restamps", JsonValue::make_number(double(rec.restamps)));
   out.set("span_count", JsonValue::make_number(double(rec.span_count)));
   out.set("audit", rec.audit < 0
                        ? JsonValue::make_null()
@@ -710,7 +706,6 @@ void Server::serve_request(Pending& item) {
   rec.chip = info.chip;
   rec.spec = info.spec;
   rec.cache = info.cache;
-  rec.backend = info.backend;
   rec.audit = info.audit;
   rec.rel_residual = info.rel_residual;
   rec.energy_balance_rel = info.energy_balance_rel;
@@ -722,8 +717,7 @@ void Server::serve_request(Pending& item) {
   for (const auto& span : trace.spans()) {
     const std::string_view name(span.name);
     if (name == "sparse_factor" || name == "sparse_refactor") ++rec.factorizations;
-    if (name == "engine_restamp_incremental") ++rec.restamp_incremental;
-    if (name == "engine_restamp_full") ++rec.restamp_full;
+    if (name == "engine_restamp") ++rec.restamps;
   }
   rec.cg_iterations =
       std::uint64_t(trace.total_attr("cg_solve", "iterations") + 0.5);
@@ -839,7 +833,6 @@ std::shared_ptr<const Session> Server::session_for(const io::JsonValue& params,
   }, &cache_hit);
   info.cache = cache_hit ? 1 : 0;
   info.spec = session->spec_id;
-  info.backend = engine::backend_name(session->solver.context->options().backend);
   return session;
 }
 
@@ -968,16 +961,7 @@ io::JsonValue Server::dispatch(const Request& request, DispatchInfo& info,
       // λ_m margin of the requested operating point, on the svc.request span.
       TFC_SPAN_ATTR("lambda_margin_a", *lambda_m - current);
     }
-    std::optional<tec::OperatingPoint> op;
-    try {
-      op = solver.context->solve(current);
-    } catch (const engine::CgNonConvergedError& e) {
-      // First-class non-convergence: a typed internal error instead of a
-      // silently-wrong θ, and a degraded mark in the health window.
-      health_.record_degraded(session->key.to_string());
-      throw ProtocolError(ErrorCode::kInternal,
-                          std::string("numerical failure: ") + e.what());
-    }
+    const std::optional<tec::OperatingPoint> op = solver.context->solve(current);
     if (!op) {
       throw ProtocolError(ErrorCode::kBadRequest,
                           "current " + std::to_string(current) +
@@ -1206,7 +1190,7 @@ void Server::audit_solve(const Session& session, const tec::OperatingPoint& op,
                  {"certificate", cert.describe()});
   }
 
-  // Sampled backend cross-check on cache hits: an independent CG solve of
+  // Sampled cross-check on cache hits: an independent CG solve of
   // the same pencil catches a stale or corrupted cached factor, which the
   // residual — computed against the same matrices — cannot.
   if (options_.cross_check_every == 0 || !cache_hit) return;
@@ -1216,8 +1200,7 @@ void Server::audit_solve(const Session& session, const tec::OperatingPoint& op,
   TFC_SPAN("svc_cross_check");
   double drift = -1.0;
   try {
-    const auto check =
-        session.solver.context->solve_backend(engine::Backend::kCg, op.current);
+    const auto check = session.solver.context->solve_cg(op.current);
     if (check.has_value()) {
       double num = 0.0, den = 0.0;
       for (std::size_t k = 0; k < check->theta.size(); ++k) {
@@ -1227,7 +1210,7 @@ void Server::audit_solve(const Session& session, const tec::OperatingPoint& op,
       drift = den > 0.0 ? num / den : num;
     }
   } catch (const engine::CgNonConvergedError&) {
-    // The checking backend itself struggled; that is degradation, not drift.
+    // The checking solver itself struggled; that is degradation, not drift.
     health_.record_degraded(scope);
     return;
   }

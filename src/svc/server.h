@@ -87,9 +87,10 @@ struct ServerOptions {
   /// The sample counter starts at 0, so the first solve is always audited.
   /// 0 disables auditing.
   std::size_t audit_every = 8;
-  /// Backend cross-check: re-solve 1-in-N *audited* cache-hit requests with
-  /// the CG backend and compare θ — catches a stale factor or restamp drift
-  /// that a residual against the same matrix cannot see. 0 disables.
+  /// Cross-check: re-solve 1-in-N *audited* cache-hit requests by CG
+  /// (SolveContext::solve_cg) and compare θ — catches a stale factor or
+  /// re-stamp drift that a residual against the same matrix cannot see.
+  /// 0 disables.
   std::size_t cross_check_every = 4;
   /// Tolerances the health monitor judges certificates against.
   obs::health::Tolerances tolerances;
@@ -149,7 +150,6 @@ class Server {
     std::string chip;     ///< "" for non-solver methods
     std::string spec;     ///< "name@hash" for StackSpec sessions, else ""
     int cache = -1;       ///< session-cache outcome: -1 n/a, 0 miss, 1 hit
-    std::string backend;  ///< engine backend name; "" for non-solver methods
     int audit = -1;       ///< health audit: -1 not audited, 0 failed, 1 passed
     double rel_residual = -1.0;        ///< audit certificate, when audited
     double energy_balance_rel = -1.0;  ///< audit certificate, when audited
@@ -179,7 +179,7 @@ class Server {
   /// Sampled numerical-health audit of one successful `solve`: certify the
   /// operating point (applying any injected fault first), feed the health
   /// monitor and svc.audit.* metrics, and — 1-in-cross_check_every audited
-  /// cache hits — re-solve with the CG backend and compare θ.
+  /// cache hits — re-solve by CG (SolveContext::solve_cg) and compare θ.
   void audit_solve(const Session& session, const tec::OperatingPoint& op,
                    bool cache_hit, DispatchInfo& info);
 

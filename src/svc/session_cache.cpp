@@ -70,24 +70,19 @@ std::shared_ptr<const Session> SessionCache::get_or_build(const SessionKey& key,
       inserted_id = ++next_id_;
       lru_.push_front(Entry{skey, inserted_id, future});
       index_[skey] = lru_.begin();
-      while (lru_.size() > capacity_) {
-        eviction_counter().increment();
-        index_.erase(lru_.back().key);
-        lru_.pop_back();
-      }
     }
   }
 
   if (!to_fulfill) return future.get();  // hit (may block on an in-flight build)
 
-  // Miss: build outside the lock, publish to every waiter.
+  // Miss: build outside the lock, publish to every waiter. Only a built
+  // session makes room in the cache; a failed build drops its own
+  // placeholder (so the next request retries) and evicts nothing.
+  std::shared_ptr<const Session> session;
   try {
-    auto session = build(key);
-    to_fulfill->set_value(session);
-    return session;
+    session = build(key);
   } catch (...) {
     to_fulfill->set_exception(std::current_exception());
-    // Drop the poisoned entry so the next request retries the build.
     std::lock_guard<std::mutex> lock(mutex_);
     if (auto it = index_.find(skey); it != index_.end() && it->second->id == inserted_id) {
       lru_.erase(it->second);
@@ -95,6 +90,14 @@ std::shared_ptr<const Session> SessionCache::get_or_build(const SessionKey& key,
     }
     throw;
   }
+  to_fulfill->set_value(session);
+  std::lock_guard<std::mutex> lock(mutex_);
+  while (lru_.size() > capacity_) {
+    eviction_counter().increment();
+    index_.erase(lru_.back().key);
+    lru_.pop_back();
+  }
+  return session;
 }
 
 std::size_t SessionCache::size() const {

@@ -77,10 +77,13 @@ class SessionCache {
   explicit SessionCache(std::size_t capacity);
 
   /// Return the session for \p key, building it via \p build on a miss.
-  /// Build failures propagate to every waiter of that key and the entry is
-  /// dropped so a later request can retry. When \p cache_hit is non-null it
-  /// is set to whether the key was already present (joining an in-flight
-  /// build of the same key counts as a hit).
+  /// The least recently used sessions are evicted only once the build has
+  /// succeeded (while builds are in flight the cache may briefly hold more
+  /// than capacity() entries). Build failures propagate to every waiter of
+  /// that key and drop only that key's entry, so a later request can retry
+  /// and no cached session is lost. When \p cache_hit is non-null it is set
+  /// to whether the key was already present (joining an in-flight build of
+  /// the same key counts as a hit).
   std::shared_ptr<const Session> get_or_build(const SessionKey& key,
                                               const Builder& build,
                                               bool* cache_hit = nullptr);

@@ -1,7 +1,6 @@
 #include "tec/electro_thermal.h"
 
 #include <atomic>
-#include <cassert>
 #include <cmath>
 #include <mutex>
 #include <stdexcept>
@@ -35,27 +34,6 @@ ElectroThermalSystem::ElectroThermalSystem(thermal::PackageModel model,
     throw std::invalid_argument("ElectroThermalSystem: model carries no TEC tiles");
   }
   g_ = model_.network().conductance_matrix();
-  d_diag_ = linalg::Vector(model_.node_count());
-  for (std::size_t hot : model_.hot_nodes()) d_diag_[hot] = +device_.seebeck;
-  for (std::size_t cold : model_.cold_nodes()) d_diag_[cold] = -device_.seebeck;
-}
-
-ElectroThermalSystem::ElectroThermalSystem(thermal::PackageModel model,
-                                           TecDeviceParams device,
-                                           linalg::SparseMatrix g)
-    : model_(std::move(model)), device_(device), g_(std::move(g)),
-      symbolic_cache_(std::make_shared<SymbolicCache>()), pencil_id_(next_pencil_id()) {
-  device_.validate();
-  if (model_.tec_tiles().empty()) {
-    throw std::invalid_argument("ElectroThermalSystem: model carries no TEC tiles");
-  }
-#ifndef NDEBUG
-  {
-    const linalg::SparseMatrix fresh = model_.network().conductance_matrix();
-    assert(g_.row_ptr() == fresh.row_ptr() && g_.col_idx() == fresh.col_idx() &&
-           g_.values() == fresh.values());
-  }
-#endif
   d_diag_ = linalg::Vector(model_.node_count());
   for (std::size_t hot : model_.hot_nodes()) d_diag_[hot] = +device_.seebeck;
   for (std::size_t cold : model_.cold_nodes()) d_diag_[cold] = -device_.seebeck;

@@ -103,14 +103,6 @@ class ElectroThermalSystem {
   ElectroThermalSystem(thermal::PackageModel model, TecDeviceParams device,
                        bool allow_no_tec = false);
 
-  /// As above, but adopt \p g instead of assembling it from the model's
-  /// network — the incremental re-stamp fast path (tfc::engine), where G is
-  /// produced in O(nnz) by ConductanceNetwork::conductance_matrix_extended.
-  /// \p g must equal model.network().conductance_matrix() bit for bit
-  /// (asserted in Debug builds).
-  ElectroThermalSystem(thermal::PackageModel model, TecDeviceParams device,
-                       linalg::SparseMatrix g);
-
   /// Convenience factory: build the package model of \p spec with TECs on
   /// \p deployment (may be empty; a virtual-grid mask within the spec's
   /// TEC-capable sites), install \p tile_powers (virtual grid), and wrap

@@ -81,34 +81,6 @@ linalg::SparseMatrix ConductanceNetwork::conductance_matrix() const {
   return linalg::SparseMatrix::from_triplets(t);
 }
 
-linalg::SparseMatrix ConductanceNetwork::conductance_matrix_extended(
-    const linalg::SparseMatrix& previous, const std::vector<std::size_t>& old_to_new,
-    const std::vector<char>& dirty) const {
-  const std::size_t n = nodes_.size();
-  if (dirty.size() != n) {
-    throw std::invalid_argument(
-        "ConductanceNetwork::conductance_matrix_extended: dirty mask size mismatch");
-  }
-  // Stamp exactly what conductance_matrix() would, restricted to dirty rows
-  // and in the same per-row order, so the duplicate sums come out bitwise
-  // identical after the shared sort/merge pass.
-  linalg::TripletList t(n, n);
-  for (const Edge& e : edges_) {
-    if (dirty[e.a]) {
-      t.add(e.a, e.b, -e.g);
-      t.add(e.a, e.a, e.g);
-    }
-    if (dirty[e.b]) {
-      t.add(e.b, e.a, -e.g);
-      t.add(e.b, e.b, e.g);
-    }
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    if (dirty[i] && ambient_legs_[i] > 0.0) t.add(i, i, ambient_legs_[i]);
-  }
-  return linalg::SparseMatrix::extend_remapped(previous, old_to_new, dirty, t);
-}
-
 linalg::Vector ConductanceNetwork::rhs(double ambient) const {
   linalg::Vector r(nodes_.size());
   for (std::size_t i = 0; i < nodes_.size(); ++i) {

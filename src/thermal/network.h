@@ -102,21 +102,6 @@ class ConductanceNetwork {
   /// diagonal Σ_l g_kl + g_ambient.
   linalg::SparseMatrix conductance_matrix() const;
 
-  /// Incremental assembly of conductance_matrix() for a network derived from
-  /// an older one by dropping/adding nodes and edges (PackageModel::
-  /// extend_tec): rows marked dirty are restamped from this network's edges
-  /// and ambient legs in stamping order; every other row is copied bitwise
-  /// from \p previous (the old network's conductance_matrix()) with columns
-  /// renamed through \p old_to_new. The result is bit-identical to
-  /// conductance_matrix() at a fraction of its cost — O(edges) with no
-  /// sorting of unchanged rows. \p dirty must mark (at least) every node
-  /// incident to an edge or ambient leg that is not carried over unchanged
-  /// from the old network.
-  linalg::SparseMatrix conductance_matrix_extended(
-      const linalg::SparseMatrix& previous,
-      const std::vector<std::size_t>& old_to_new,
-      const std::vector<char>& dirty) const;
-
   /// Right-hand side of G·θ = p + g_amb·θ_amb for ambient temperature
   /// \p ambient [K].
   linalg::Vector rhs(double ambient) const;

@@ -1,7 +1,6 @@
 #include "thermal/package_model.h"
 
 #include <algorithm>
-#include <cassert>
 #include <stdexcept>
 #include <utility>
 
@@ -133,7 +132,6 @@ PackageModel PackageModel::build(std::shared_ptr<const StackSpec> spec,
   model.tile_rows_ = vrows;
   model.tile_cols_ = vcols;
   model.deployment_ = any_tec ? deployment : TileMask(vrows, vcols);
-  model.link_ = link;
   model.stages_ = tec_stages;
 
   ConductanceNetwork& net = model.network_;
@@ -423,7 +421,6 @@ PackageModel PackageModel::build(std::shared_ptr<const StackSpec> spec,
 
   // TEC substitution: die-top —g_c— cold —κ— hot —g_h— layer-above (the next
   // die's bottom slab in a 3-D stack, or the spreader for the top interface).
-  model.tec_edge_begin_ = net.edges().size();
   if (any_tec) {
     const double g_interstage =
         1.0 / (1.0 / link.g_hot_contact + 1.0 / link.g_cold_contact);
@@ -463,7 +460,6 @@ PackageModel PackageModel::build(std::shared_ptr<const StackSpec> spec,
       net.add_conductance(hot, above, series(1.0 / link.g_hot_contact, r_half_above));
     }
   }
-  model.tec_edge_end_ = net.edges().size();
 
   // ---- spreader / sink periphery -------------------------------------------
   const auto boundary_to_edges = [&](const std::vector<std::vector<std::size_t>>& ids,
@@ -619,283 +615,6 @@ PackageModel PackageModel::build(std::shared_ptr<const StackSpec> spec,
   return model;
 }
 
-PackageModel PackageModel::extend_tec(const TileMask& added_tiles,
-                                      TecExtendDelta* delta_out) const {
-  const StackSpec& sp = *spec_;
-  const std::size_t vrows = tile_rows_;
-  const std::size_t vcols = tile_cols_;
-  if (added_tiles.rows() != vrows || added_tiles.cols() != vcols) {
-    throw std::invalid_argument("PackageModel::extend_tec: mask shape mismatch");
-  }
-  const std::vector<Tile> fresh_tiles = added_tiles.tiles();
-  if (fresh_tiles.empty()) {
-    if (delta_out != nullptr) {
-      delta_out->old_to_new.resize(network_.node_count());
-      for (std::size_t i = 0; i < delta_out->old_to_new.size(); ++i) {
-        delta_out->old_to_new[i] = i;
-      }
-      delta_out->dirty_rows.assign(network_.node_count(), 0);
-    }
-    return *this;
-  }
-  link_.validate();
-  if (!added_tiles.subset_of(sp.tec_allowed_tiles())) {
-    throw std::invalid_argument(
-        "PackageModel::extend_tec: added tiles outside TEC-capable sites");
-  }
-  for (Tile t : fresh_tiles) {
-    if (has_tec(t)) {
-      throw std::invalid_argument("PackageModel::extend_tec: tile already carries a TEC");
-    }
-  }
-
-  const std::size_t stages = stages_;
-  const std::size_t old_n = network_.node_count();
-  const std::size_t n_chips = sp.chips.size();
-
-  PackageModel model;
-  model.spec_ = spec_;
-  model.deployment_ = deployment_;
-  model.deployment_ |= added_tiles;
-  model.link_ = link_;
-  model.stages_ = stages_;
-  model.tile_rows_ = tile_rows_;
-  model.tile_cols_ = tile_cols_;
-  model.dies_ = dies_;
-
-  std::vector<std::vector<std::size_t>> die_row(n_chips);
-  for (std::size_t ci = 0; ci < n_chips; ++ci) {
-    die_row[ci].assign(sp.chips[ci].layers.size(), 0);
-  }
-  for (const auto& d : dies_) die_row[d.chip][d.layer] = d.row_offset;
-
-  // ---- old-node → new-node map, replaying build()'s numbering --------
-  // Block order is per-chip layer grids | per-chip spreader | per-chip sink |
-  // TEC chains (virtual row-major) | the rest (periphery macros + secondary).
-  std::vector<std::size_t> map(old_n, kNoNode);
-  std::vector<char> dropped(old_n, 0);
-  std::size_t next = 0;
-
-  model.lay_.resize(n_chips);
-  for (std::size_t ci = 0; ci < n_chips; ++ci) {
-    const ChipSpec& ch = sp.chips[ci];
-    model.lay_[ci].resize(lay_[ci].size());
-    for (std::size_t li = 0; li < lay_[ci].size(); ++li) {
-      const auto& grid = lay_[ci][li];
-      auto& out = model.lay_[ci][li];
-      out.assign(grid.size(),
-                 std::vector<std::size_t>(grid.empty() ? 0 : grid[0].size(), kNoNode));
-      const bool iface = ch.layers[li].kind == LayerSpec::Kind::kInterface;
-      const std::size_t band = iface ? die_row[ci][li - 1] : 0;
-      for (std::size_t sl = 0; sl < grid.size(); ++sl) {
-        for (std::size_t j = 0; j < grid[sl].size(); ++j) {
-          const std::size_t id = grid[sl][j];
-          if (id == kNoNode) continue;
-          if (iface && added_tiles.test(band + j / ch.tile_cols, j % ch.tile_cols)) {
-            dropped[id] = 1;  // this interface cell gives way to the new TEC
-            continue;
-          }
-          map[id] = next;
-          out[sl][j] = next;
-          ++next;
-        }
-      }
-    }
-  }
-  model.sprg_.resize(n_chips);
-  for (std::size_t ci = 0; ci < n_chips; ++ci) {
-    const auto& grid = sprg_[ci];
-    auto& out = model.sprg_[ci];
-    out.assign(grid.size(),
-               std::vector<std::size_t>(grid.empty() ? 0 : grid[0].size(), kNoNode));
-    for (std::size_t sl = 0; sl < grid.size(); ++sl) {
-      for (std::size_t j = 0; j < grid[sl].size(); ++j) {
-        map[grid[sl][j]] = next;
-        out[sl][j] = next++;
-      }
-    }
-  }
-  model.snkg_.resize(n_chips);
-  for (std::size_t ci = 0; ci < n_chips; ++ci) {
-    model.snkg_[ci].assign(snkg_[ci].size(), kNoNode);
-    for (std::size_t j = 0; j < snkg_[ci].size(); ++j) {
-      map[snkg_[ci][j]] = next;
-      model.snkg_[ci][j] = next++;
-    }
-  }
-
-  // TEC chains: union tiles in virtual row-major order; fresh pairs
-  // interleave exactly where build() would create them.
-  std::vector<NodeInfo> fresh_infos;
-  std::vector<char> is_fresh_tile;
-  model.tec_cold_.assign(vrows * vcols, kNoNode);
-  model.tec_hot_.assign(vrows * vcols, kNoNode);
-  for (Tile t : model.deployment_.tiles()) {
-    const std::size_t idx = t.row * vcols + t.col;
-    const bool fresh = added_tiles.test(t);
-    is_fresh_tile.push_back(fresh ? 1 : 0);
-    const std::size_t old_k =
-        fresh ? kNoNode
-              : std::size_t(std::find(tec_tile_list_.begin(), tec_tile_list_.end(), t) -
-                            tec_tile_list_.begin());
-    std::size_t first_cold = kNoNode;
-    std::size_t last_hot = kNoNode;
-    for (std::size_t st = 0; st < stages; ++st) {
-      const std::size_t c_id = next++;
-      const std::size_t h_id = next++;
-      if (fresh) {
-        const DieCell dc = die_cell(t);
-        const StackSpec::DieRef& die = dies_[dc.die];
-        const ChipSpec& ch = sp.chips[die.chip];
-        const LayerSpec& iface = ch.layers[die.layer + 1];
-        NodeInfo cold;
-        cold.kind = NodeKind::kTecCold;
-        cold.row = t.row;
-        cold.col = t.col;
-        cold.slab = st;
-        cold.area = ch.cell_area();
-        cold.capacitance = iface.material.volumetric_heat_capacity * ch.cell_area() *
-                           (0.5 * iface.thickness / double(stages));
-        NodeInfo hot = cold;
-        hot.kind = NodeKind::kTecHot;
-        fresh_infos.push_back(cold);
-        fresh_infos.push_back(hot);
-      } else {
-        map[cold_nodes_[old_k * stages + st]] = c_id;
-        map[hot_nodes_[old_k * stages + st]] = h_id;
-      }
-      model.cold_nodes_.push_back(c_id);
-      model.hot_nodes_.push_back(h_id);
-      if (st == 0) first_cold = c_id;
-      last_hot = h_id;
-    }
-    model.tec_cold_[idx] = first_cold;
-    model.tec_hot_[idx] = last_hot;
-    model.tec_tile_list_.push_back(t);
-  }
-
-  // The rest (periphery macros, secondary path): created after every grid and
-  // TEC node in build(), so plain old order is the from-scratch order.
-  for (std::size_t id = 0; id < old_n; ++id) {
-    if (map[id] == kNoNode && !dropped[id]) map[id] = next++;
-  }
-  const std::size_t new_n = next;
-
-  // ---- nodes, ambient legs, powers ----------------------------------------
-  ConductanceNetwork& net = model.network_;
-  {
-    std::vector<NodeInfo> infos(new_n);
-    std::vector<double> ambient(new_n, 0.0);
-    std::vector<double> power(new_n, 0.0);
-    for (std::size_t id = 0; id < old_n; ++id) {
-      if (dropped[id]) continue;
-      const std::size_t nid = map[id];
-      infos[nid] = network_.node(id);
-      ambient[nid] = network_.ambient_conductance(id);
-      power[nid] = network_.power(id);
-    }
-    std::size_t fresh_cursor = 0;
-    for (std::size_t j = 0; j < model.tec_tile_list_.size(); ++j) {
-      if (!is_fresh_tile[j]) continue;
-      for (std::size_t st = 0; st < stages; ++st) {
-        infos[model.cold_nodes_[j * stages + st]] = fresh_infos[fresh_cursor++];
-        infos[model.hot_nodes_[j * stages + st]] = fresh_infos[fresh_cursor++];
-      }
-    }
-    for (std::size_t i = 0; i < new_n; ++i) {
-      net.add_node(infos[i]);
-      if (ambient[i] > 0.0) net.add_ambient_leg(i, ambient[i]);
-      if (power[i] != 0.0) net.set_power(i, power[i]);
-    }
-  }
-
-  // ---- edges ---------------------------------------------------------------
-  std::vector<char> dirty(new_n, 0);
-  const auto& old_edges = network_.edges();
-  const auto replay = [&](const ConductanceNetwork::Edge& e) {
-    if (dropped[e.a] || dropped[e.b]) {
-      if (!dropped[e.a]) dirty[map[e.a]] = 1;
-      if (!dropped[e.b]) dirty[map[e.b]] = 1;
-      return;
-    }
-    net.add_conductance(map[e.a], map[e.b], e.g);
-  };
-  const auto stamp_fresh = [&](std::size_t a, std::size_t b, double cond) {
-    dirty[a] = 1;
-    dirty[b] = 1;
-    net.add_conductance(a, b, cond);
-  };
-  for (std::size_t q = 0; q < tec_edge_begin_; ++q) replay(old_edges[q]);
-
-  model.tec_edge_begin_ = net.edges().size();
-  {
-    const TecThermalLink& link = link_;
-    const double g_interstage =
-        1.0 / (1.0 / link.g_hot_contact + 1.0 / link.g_cold_contact);
-    // Per-tile group length in the old TEC block: one internal edge per
-    // stage, one inter-stage bond between consecutive stages, and the two
-    // contact edges.
-    const std::size_t group_len = stages + (stages - 1) + 2;
-    const double t_spr_slab = sp.spreader_thickness / double(sp.spreader_slabs);
-    const double k_spr = sp.spreader_material.thermal_conductivity;
-
-    std::size_t old_group = 0;
-    for (std::size_t j = 0; j < model.tec_tile_list_.size(); ++j) {
-      const Tile t = model.tec_tile_list_[j];
-      if (!is_fresh_tile[j]) {
-        const std::size_t base = tec_edge_begin_ + old_group * group_len;
-        for (std::size_t q = base; q < base + group_len; ++q) replay(old_edges[q]);
-        ++old_group;
-        continue;
-      }
-      for (std::size_t st = 0; st < stages; ++st) {
-        stamp_fresh(model.cold_nodes_[j * stages + st],
-                    model.hot_nodes_[j * stages + st], link.g_internal);
-        if (st + 1 < stages) {
-          stamp_fresh(model.hot_nodes_[j * stages + st],
-                      model.cold_nodes_[j * stages + st + 1], g_interstage);
-        }
-      }
-      const std::size_t cold = model.tec_cold_[t.row * vcols + t.col];
-      const std::size_t hot = model.tec_hot_[t.row * vcols + t.col];
-      const DieCell dc = die_cell(t);
-      const StackSpec::DieRef& die = dies_[dc.die];
-      const ChipSpec& ch = sp.chips[die.chip];
-      const std::size_t cell = dc.row * ch.tile_cols + dc.col;
-      const double cell_area = ch.cell_area();
-      const LayerSpec& die_l = ch.layers[die.layer];
-      const double r_half_below =
-          half_slab_resistance(die_l.thickness / double(die_l.slabs),
-                               die_l.material.thermal_conductivity, cell_area);
-      const std::size_t below = model.lay_[die.chip][die.layer].back()[cell];
-      std::size_t above = kNoNode;
-      double r_half_above = 0.0;
-      if (die.layer + 2 < ch.layers.size()) {
-        const LayerSpec& above_l = ch.layers[die.layer + 2];
-        above = model.lay_[die.chip][die.layer + 2].front()[cell];
-        r_half_above = half_slab_resistance(above_l.thickness / double(above_l.slabs),
-                                            above_l.material.thermal_conductivity, cell_area);
-      } else {
-        above = model.sprg_[die.chip].front()[cell];
-        r_half_above = half_slab_resistance(t_spr_slab, k_spr, cell_area);
-      }
-      stamp_fresh(below, cold, series(r_half_below, 1.0 / link.g_cold_contact));
-      stamp_fresh(hot, above, series(1.0 / link.g_hot_contact, r_half_above));
-    }
-  }
-  model.tec_edge_end_ = net.edges().size();
-
-  for (std::size_t q = tec_edge_end_; q < old_edges.size(); ++q) replay(old_edges[q]);
-
-  model.index_tiles();
-  if (delta_out != nullptr) {
-    delta_out->old_to_new = std::move(map);
-    delta_out->dirty_rows = std::move(dirty);
-  }
-  assert(model.matches_fresh_build());
-  return model;
-}
-
 namespace {
 
 std::string grid_suffix(std::size_t slab, std::size_t row, std::size_t col,
@@ -987,24 +706,6 @@ std::string PackageModel::node_name(std::size_t node) const {
     default:
       return to_string(info.kind) + std::string("#") + std::to_string(node);
   }
-}
-
-bool PackageModel::matches_fresh_build() const {
-  const PackageModel fresh = build(spec_, deployment_, link_, stages_);
-  if (fresh.node_count() != node_count()) return false;
-  const linalg::SparseMatrix a = network_.conductance_matrix();
-  const linalg::SparseMatrix b = fresh.network_.conductance_matrix();
-  if (a.row_ptr() != b.row_ptr() || a.col_idx() != b.col_idx() ||
-      a.values() != b.values()) {
-    return false;
-  }
-  for (std::size_t i = 0; i < node_count(); ++i) {
-    if (network_.ambient_conductance(i) != fresh.network_.ambient_conductance(i)) {
-      return false;
-    }
-    if (network_.node(i).capacitance != fresh.network_.node(i).capacitance) return false;
-  }
-  return true;
 }
 
 }  // namespace tfc::thermal

@@ -43,20 +43,6 @@ struct TecThermalLink {
   void validate() const;
 };
 
-/// Node renumbering produced by PackageModel::extend_tec, consumed by
-/// ConductanceNetwork::conductance_matrix_extended to re-assemble G
-/// incrementally instead of from scratch.
-struct TecExtendDelta {
-  /// Old node index → new node index; SparseMatrix::npos for the TIM nodes
-  /// dropped under the fresh TECs. Strictly increasing on survivors (the
-  /// replay preserves relative node order).
-  std::vector<std::size_t> old_to_new;
-  /// Per new node: 1 iff the node's matrix row cannot be carried over from
-  /// the old assembly (fresh TEC nodes and every neighbour of a fresh edge
-  /// or a dropped TIM node).
-  std::vector<char> dirty_rows;
-};
-
 /// Immutable-topology package model. Node powers remain settable (power maps
 /// and Joule terms change between solves; the conductance topology does not).
 class PackageModel {
@@ -73,28 +59,6 @@ class PackageModel {
                             const TileMask& deployment = TileMask(),
                             const TecThermalLink& link = TecThermalLink(),
                             std::size_t tec_stages = 1);
-
-  /// Incremental re-stamp (the tfc::engine fast path): a copy of this model
-  /// with TECs added on \p added_tiles, built by replaying this network's
-  /// node and edge lists instead of re-deriving every conductance from the
-  /// spec. Greedy deployment only ever *adds* sites, so this covers its
-  /// per-pass rebuild. Node numbering, edge order, stamped values, ambient
-  /// legs and node powers all match PackageModel::build for the union
-  /// deployment exactly, so the assembled conductance matrix is
-  /// bit-identical to a from-scratch build (asserted in Debug).
-  /// \p added_tiles must be disjoint from the current deployment and within
-  /// the TEC-capable sites, and the model's TEC link must be valid (throws
-  /// std::invalid_argument). When \p delta_out is non-null it receives the
-  /// old→new node map and the dirty-row mask that let the caller
-  /// re-assemble the conductance matrix incrementally (see
-  /// ConductanceNetwork::conductance_matrix_extended).
-  PackageModel extend_tec(const TileMask& added_tiles,
-                          TecExtendDelta* delta_out = nullptr) const;
-
-  /// Verification hook behind the Debug assertion in extend_tec: true iff a
-  /// from-scratch build of this model's inputs assembles the exact same
-  /// conductance matrix, ambient legs and node capacitances (bitwise).
-  bool matches_fresh_build() const;
 
   /// The package this model was built from (never null).
   const std::shared_ptr<const StackSpec>& spec() const { return spec_; }
@@ -167,7 +131,6 @@ class PackageModel {
 
   std::shared_ptr<const StackSpec> spec_;
   TileMask deployment_;
-  TecThermalLink link_;
   std::size_t stages_ = 1;
   std::size_t tile_rows_ = 0;
   std::size_t tile_cols_ = 0;
@@ -186,11 +149,6 @@ class PackageModel {
   std::vector<Tile> tec_tile_list_;
   std::vector<std::size_t> cold_nodes_;
   std::vector<std::size_t> hot_nodes_;
-  // Half-open range of the TEC-substitution block within network_.edges(),
-  // recorded by build() so extend_tec can splice new per-tile edge groups at
-  // the exact position a from-scratch build would stamp them.
-  std::size_t tec_edge_begin_ = 0;
-  std::size_t tec_edge_end_ = 0;
 };
 
 }  // namespace tfc::thermal

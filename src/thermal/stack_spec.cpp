@@ -1,6 +1,7 @@
 #include "thermal/stack_spec.h"
 
 #include <cmath>
+#include <cstdio>
 #include <stdexcept>
 
 namespace tfc::thermal {
@@ -21,12 +22,31 @@ std::string layer_label(const LayerSpec& layer, std::size_t index) {
   throw std::invalid_argument("StackSpec: " + message);
 }
 
+/// Fails unless lo <= value <= hi (NaN fails), naming \p field.
+void require_range(double value, double lo, double hi, const std::string& field,
+                   const char* unit) {
+  if (value >= lo && value <= hi) return;
+  char range[96];
+  std::snprintf(range, sizeof(range), " %g %s is outside [%g, %g] %s", value, unit, lo, hi,
+                unit);
+  fail(field + range);
+}
+
 void validate_material(const Material& m, const std::string& where) {
   try {
     m.validate();
   } catch (const std::invalid_argument& e) {
     fail(where + ": " + e.what());
   }
+  const std::string field = where + ": material '" + m.name + "'";
+  require_range(m.thermal_conductivity, StackSpec::kMinConductivity,
+                StackSpec::kMaxConductivity, field + " conductivity", "W/(m K)");
+  require_range(m.volumetric_heat_capacity, StackSpec::kMinHeatCapacity,
+                StackSpec::kMaxHeatCapacity, field + " heat_capacity", "J/(m^3 K)");
+}
+
+void require_length(double value, const std::string& field) {
+  require_range(value, StackSpec::kMinLength, StackSpec::kMaxLength, field, "m");
 }
 
 /// Chip footprint on the spreader [m]: half-open [x0, x1) × [y0, y1).
@@ -66,6 +86,13 @@ void StackSpec::validate() const {
   }
   if (!(convection_resistance > 0.0)) fail("convection_resistance must be > 0");
   if (!(ambient > 0.0)) fail("ambient must be > 0 K (absolute)");
+  require_length(spreader_side, "spreader side");
+  require_length(spreader_thickness, "spreader thickness");
+  require_length(sink_side, "sink side");
+  require_length(sink_thickness, "sink thickness");
+  require_range(convection_resistance, kMinResistance, kMaxResistance,
+                "convection_resistance", "K/W");
+  require_range(ambient, kMinAmbient, kMaxAmbient, "ambient_k", "K");
   validate_material(spreader_material, "spreader");
   validate_material(sink_material, "sink");
   if (model_secondary_path) {
@@ -73,6 +100,11 @@ void StackSpec::validate() const {
         !(board_convection_resistance > 0.0)) {
       fail("secondary-path resistances must be > 0");
     }
+    require_range(c4_resistance, kMinResistance, kMaxResistance, "c4_resistance", "K/W");
+    require_range(substrate_to_board_resistance, kMinResistance, kMaxResistance,
+                  "substrate_to_board_resistance", "K/W");
+    require_range(board_convection_resistance, kMinResistance, kMaxResistance,
+                  "board_convection_resistance", "K/W");
   }
 
   const std::size_t cols = chips.front().tile_cols;
@@ -80,6 +112,10 @@ void StackSpec::validate() const {
     const ChipSpec& chip = chips[ci];
     const std::string cl = "chip '" + chip_label(chip, ci) + "'";
     if (!(chip.width > 0.0) || !(chip.height > 0.0)) fail(cl + ": dimensions must be > 0");
+    require_length(chip.width, cl + ": width");
+    require_length(chip.height, cl + ": height");
+    require_range(chip.x, -kMaxLength, kMaxLength, cl + ": x", "m");
+    require_range(chip.y, -kMaxLength, kMaxLength, cl + ": y", "m");
     if (chip.tile_rows == 0 || chip.tile_cols == 0) fail(cl + ": tile grid must be >= 1x1");
     if (chip.tile_cols != cols) {
       fail("all chips must share tile_cols (" + cl + " has " +
@@ -105,10 +141,16 @@ void StackSpec::validate() const {
         fail(cl + ": layers must alternate die/interface bottom-up, starting with a die");
       }
       if (!(layer.thickness > 0.0)) fail(ll + ": thickness must be > 0");
+      require_length(layer.thickness, ll + ": thickness");
       if (layer.slabs == 0) fail(ll + ": slabs must be >= 1");
       validate_material(layer.material, ll);
       if (layer.kind == LayerSpec::Kind::kDie) {
         if (layer.power_w < 0.0) fail(ll + ": power_w must be >= 0");
+        require_range(layer.power_w, 0.0, kMaxDiePower, ll + ": power_w", "W");
+        if (layer.floorplan != nullptr) {
+          require_range(layer.floorplan->total_power(), 0.0, kMaxDiePower,
+                        ll + ": floorplan power", "W");
+        }
         if (layer.tec_capable || !layer.tec_sites.empty()) {
           fail(ll + ": TEC sites belong on interface layers, not dies");
         }

@@ -113,10 +113,33 @@ struct StackSpec {
   /// per-tile array of a package model is sized by this grid.
   static constexpr std::size_t kMaxTiles = std::size_t(1) << 20;
 
+  /// Closed physical ranges of the numeric fields (docs/PACKAGES.md). Every
+  /// value inside them assembles to a positive-definite Stieltjes G with a
+  /// finite passive solution.
+  /// Thicknesses, chip width/height and spreader/sink sides [m]; chip
+  /// offsets x, y lie within ±kMaxLength.
+  static constexpr double kMinLength = 1e-9;
+  static constexpr double kMaxLength = 1.0;
+  /// Material conductivity k [W/(m·K)].
+  static constexpr double kMinConductivity = 1e-3;
+  static constexpr double kMaxConductivity = 1e4;
+  /// Material volumetric heat capacity ρ·c_p [J/(m³·K)].
+  static constexpr double kMinHeatCapacity = 1e3;
+  static constexpr double kMaxHeatCapacity = 1e8;
+  /// Ambient temperature [K].
+  static constexpr double kMinAmbient = 1.0;
+  static constexpr double kMaxAmbient = 1000.0;
+  /// Convection and secondary-path resistances [K/W].
+  static constexpr double kMinResistance = 1e-6;
+  static constexpr double kMaxResistance = 1e6;
+  /// Power of one die [W]: power_w, or its floorplan's total.
+  static constexpr double kMaxDiePower = 1e4;
+
   /// Throws std::invalid_argument with a typed "StackSpec: ..." message on
   /// any structural error (bad layer alternation, non-positive thickness,
   /// overlapping die footprints, TEC sites out of range, mismatched grids,
-  /// a virtual grid over kMaxTiles, chips off the spreader, ...).
+  /// a virtual grid over kMaxTiles, chips off the spreader, ...) and on any
+  /// numeric field outside its range above (the message names the field).
   void validate() const;
 
   /// The single-die package described by \p geometry: one centered chip of

@@ -430,6 +430,35 @@ TEST(Cli, WrongTypedSpecFieldsAreRefused) {
   std::filesystem::remove(path);
 }
 
+/// A field outside its physical range fails `spec validate` (exit 1) and
+/// `design` (exit 2) with the field named, before any model is assembled.
+TEST(Cli, OutOfRangeSpecFieldsAreRefused) {
+  std::ifstream in(std::string(TFC_EXAMPLES_DIR) + "/paper_single_die.json");
+  std::stringstream text;
+  text << in.rdbuf();
+  const auto path = std::filesystem::temp_directory_path() /
+                    ("tfcool_cli_range_" + std::to_string(::getpid()) + ".json");
+  for (const auto& [field, good, bad] :
+       {std::array<std::string, 3>{"spreader thickness", "\"thickness\": 0.001",
+                                   "\"thickness\": 4294967297"},
+        std::array<std::string, 3>{"ambient_k", "\"ambient_k\": 318.15",
+                                   "\"ambient_k\": 1e308"}}) {
+    std::string spec = text.str();
+    const std::size_t at = spec.find(good);
+    ASSERT_NE(at, std::string::npos) << good;
+    spec.replace(at, good.size(), bad);
+    std::ofstream(path) << spec;
+    const auto validate = run({"spec", "validate", path.string()});
+    EXPECT_EQ(validate.code, 1) << field;
+    EXPECT_EQ(validate.out.find("ok"), std::string::npos) << validate.out;
+    EXPECT_NE(validate.err.find(field), std::string::npos) << validate.err;
+    const auto design = run({"design", "--spec", path.string()});
+    EXPECT_EQ(design.code, 2) << field;
+    EXPECT_NE(design.err.find(field), std::string::npos) << design.err;
+  }
+  std::filesystem::remove(path);
+}
+
 TEST(Cli, ThreadCountAboveTheCeilingIsRefused) {
   const auto r = run({"design", "--threads", std::to_string(par::kMaxThreads + 1),
                       "--no-full-cover"});
@@ -452,6 +481,40 @@ TEST(Cli, SensitivityEmitsCsv) {
   EXPECT_NE(r.out.find("parameter,d_peak_per_rel"), std::string::npos);
   EXPECT_NE(r.out.find("seebeck,"), std::string::npos);
   EXPECT_NE(r.out.find("g_cold_contact,"), std::string::npos);
+}
+
+/// Number of spans named \p name in the Chrome trace that `tfcool \p args
+/// --trace-out` writes.
+std::size_t traced_span_count(std::vector<std::string> args, const std::string& name) {
+  namespace fs = std::filesystem;
+  const auto trace = fs::temp_directory_path() /
+                     ("tfcool_cli_spans_" + std::to_string(::getpid()) + ".json");
+  fs::remove(trace);
+  args.push_back("--trace-out");
+  args.push_back(trace.string());
+  const auto r = run(args);
+  EXPECT_EQ(r.code, 0) << r.err;
+  std::ifstream tf(trace);
+  std::stringstream buf;
+  buf << tf.rdbuf();
+  fs::remove(trace);
+  const auto doc = tfc::io::parse_json(buf.str());
+  std::size_t count = 0;
+  for (const auto& e : doc.at("traceEvents").as_array()) {
+    if (e.string_or("name", "") == name) ++count;
+  }
+  return count;
+}
+
+TEST(Cli, SensitivityAssemblesOnlyThePerturbedSystems) {
+  // The design's own assemblies plus one per perturbed device (5 parameters,
+  // two sides each); no solve context is built beside them.
+  const std::size_t design =
+      traced_span_count({"design", "--chip", "alpha", "--no-full-cover"}, "assemble");
+  const std::size_t sensitivity =
+      traced_span_count({"sensitivity", "--chip", "alpha"}, "assemble");
+  ASSERT_GT(design, 0u);
+  EXPECT_EQ(sensitivity, design + 10);
 }
 
 TEST(Cli, FlpRequiresPtrace) {

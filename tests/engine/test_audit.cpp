@@ -1,8 +1,9 @@
 /// tfc::engine audit certificates — the numerical-health contracts:
 ///  * a healthy direct solve certifies with a tiny pencil residual and a
 ///    closed energy balance (the row-sum identity of the Stieltjes G);
-///  * the certificate holds across backends and thread counts on the
-///    paper's Alpha deployment, not just on toy grids;
+///  * the certificate holds for the direct solve and the CG cross-check at
+///    every thread count on the paper's Alpha deployment, not just on toy
+///    grids;
 ///  * CG hitting its iteration cap throws the typed CgNonConvergedError
 ///    and bumps engine.cg.nonconverged instead of returning a wrong θ.
 #include <gtest/gtest.h>
@@ -20,6 +21,15 @@
 #include "tec/electro_thermal.h"
 
 namespace tfc::engine {
+
+/// Test access to SolveContext's private capped CG.
+struct SolveContextTestPeer {
+  static std::optional<tec::OperatingPoint> solve_cg(const SolveContext& ctx, double i,
+                                                     std::size_t max_iterations) {
+    return ctx.solve_cg(i, max_iterations);
+  }
+};
+
 namespace {
 
 thermal::PackageGeometry small_geom() {
@@ -43,9 +53,9 @@ TileMask two_tiles() {
   return dep;
 }
 
-SolveContext make_context(EngineOptions opts = {}) {
+SolveContext make_context() {
   return SolveContext(small_geom(), two_tiles(), small_powers(),
-                      tec::TecDeviceParams::chowdhury_superlattice(), opts);
+                      tec::TecDeviceParams::chowdhury_superlattice());
 }
 
 TEST(Audit, HealthyDirectSolveCertifiesWithinDefaultTolerances) {
@@ -107,8 +117,8 @@ TEST(Audit, EnergyBalanceDecomposesActiveSolve) {
 
 TEST(Audit, ResidualBelowTargetOnAlphaAcrossBackendsAndThreads) {
   // The acceptance bar: on the paper's Alpha worst-case deployment the
-  // direct solve certifies at rel residual < 1e-10 and balance < 1e-8,
-  // for every backend × thread combination.
+  // direct solve certifies at rel residual < 1e-10 and balance < 1e-8, and
+  // the CG cross-check at < 1e-9, at every thread count.
   const auto plan = floorplan::alpha21364();
   power::WorkloadSynthesizer synth(plan);
   core::DesignRequest req;
@@ -119,25 +129,21 @@ TEST(Audit, ResidualBelowTargetOnAlphaAcrossBackendsAndThreads) {
   const auto design = core::design_cooling_system(req);
   ASSERT_TRUE(design.success);
 
-  for (Backend backend : {Backend::kCholesky, Backend::kCg}) {
+  for (const bool cg : {false, true}) {
+    const char* solver = cg ? "cg" : "direct";
     for (std::size_t threads : {std::size_t(1), std::size_t(4)}) {
       par::ThreadPool::set_global_threads(threads);
-      EngineOptions opts;
-      opts.backend = backend;
       SolveContext ctx(thermal::PackageGeometry{}, design.deployment,
                        req.tile_powers,
-                       tec::TecDeviceParams::chowdhury_superlattice(), opts);
-      const auto op = ctx.solve(design.current);
-      ASSERT_TRUE(op.has_value())
-          << backend_name(backend) << " threads=" << threads;
+                       tec::TecDeviceParams::chowdhury_superlattice());
+      const auto op = cg ? ctx.solve_cg(design.current) : ctx.solve(design.current);
+      ASSERT_TRUE(op.has_value()) << solver << " threads=" << threads;
       const auto cert = audit_point(ctx.system(), *op, ctx.runaway_limit());
-      EXPECT_LT(cert.rel_residual, backend == Backend::kCholesky ? 1e-10 : 1e-9)
-          << backend_name(backend) << " threads=" << threads;
-      EXPECT_LT(cert.energy_balance_rel, 1e-8)
-          << backend_name(backend) << " threads=" << threads;
+      EXPECT_LT(cert.rel_residual, cg ? 1e-9 : 1e-10)
+          << solver << " threads=" << threads;
+      EXPECT_LT(cert.energy_balance_rel, 1e-8) << solver << " threads=" << threads;
       EXPECT_TRUE(cert.pass(obs::health::Tolerances{}))
-          << backend_name(backend) << " threads=" << threads << " "
-          << cert.describe();
+          << solver << " threads=" << threads << " " << cert.describe();
     }
   }
   par::ThreadPool::set_global_threads(0);
@@ -167,10 +173,8 @@ TEST(Audit, DegradedCertificateNeverPasses) {
 TEST(Audit, RecordAuditMetricsCountsSamplesViolationsAndDegraded) {
   auto& m = obs::MetricsRegistry::global();
 
-  EngineOptions opts;
-  opts.audit.enabled = false;  // count only the explicit records below
-  const SolveContext ctx = make_context(opts);
-  auto op = ctx.solve(1.0);
+  const SolveContext ctx = make_context();
+  auto op = ctx.solve(1.0);  // its own sampled audit lands before the baseline
   ASSERT_TRUE(op.has_value());
 
   const auto samples0 = m.counter("engine.audit.samples").value();
@@ -196,41 +200,44 @@ TEST(Audit, RecordAuditMetricsCountsSamplesViolationsAndDegraded) {
 }
 
 TEST(Audit, CgIterationCapThrowsTypedErrorAndCounts) {
-  EngineOptions opts;
-  opts.backend = Backend::kCg;
-  opts.cg_rel_tol = 1e-300;  // unreachable: force the iteration cap
-  opts.cg_max_iterations = 3;
-  const SolveContext ctx = make_context(opts);
+  // The public solve_cg caps at kCgMaxIterations, which this small, well-
+  // conditioned pencil never needs (it converges in tens of iterations);
+  // the capped overload stops after 3 to reach the same typed error path.
+  const SolveContext ctx = make_context();
+  ASSERT_TRUE(ctx.solve_cg(1.0).has_value());
 
   auto& m = obs::MetricsRegistry::global();
   const auto nonconv0 = m.counter("engine.cg.nonconverged").value();
+  const auto degraded0 = m.counter("engine.audit.degraded").value();
   try {
-    (void)ctx.solve(1.0);
+    (void)SolveContextTestPeer::solve_cg(ctx, 1.0, 3);
     FAIL() << "expected CgNonConvergedError";
   } catch (const CgNonConvergedError& e) {
     EXPECT_EQ(e.iterations(), 3u);
-    EXPECT_GT(e.rel_residual(), 0.0);
+    EXPECT_GT(e.rel_residual(), SolveContext::kCgRelTol);
     EXPECT_NE(std::string(e.what()).find("failed to converge"),
               std::string::npos);
   }
   EXPECT_EQ(m.counter("engine.cg.nonconverged").value(), nonconv0 + 1);
+  EXPECT_EQ(m.counter("engine.audit.degraded").value(), degraded0 + 1);
 }
 
 TEST(Audit, InternalSamplingAuditsFirstSolveDeterministically) {
   auto& m = obs::MetricsRegistry::global();
   const auto samples0 = m.counter("engine.audit.samples").value();
 
-  EngineOptions opts;
-  opts.audit.sample_every = 4;  // seq 0 audits, 1..3 do not, 4 audits again
-  const SolveContext ctx = make_context(opts);
-  for (int k = 0; k < 5; ++k) ASSERT_TRUE(ctx.solve(1.0).has_value());
+  // Solve 0 audits, 1 .. N−1 do not, N audits again (N = 16 in Release,
+  // 1 in Debug); the direct solve and the CG cross-check share the count.
+  const std::size_t every = SolveContext::kAuditSampleEvery;
+  const SolveContext ctx = make_context();
+  for (std::size_t k = 0; k < every; ++k) ASSERT_TRUE(ctx.solve(1.0).has_value());
+  EXPECT_EQ(m.counter("engine.audit.samples").value(), samples0 + 1);
+  ASSERT_TRUE(ctx.solve_cg(1.0).has_value());
   EXPECT_EQ(m.counter("engine.audit.samples").value(), samples0 + 2);
 
-  EngineOptions off;
-  off.audit.enabled = false;
-  const SolveContext quiet = make_context(off);
+  // The probe path of the design search is never audited.
   const auto samples1 = m.counter("engine.audit.samples").value();
-  ASSERT_TRUE(quiet.solve(1.0).has_value());
+  for (std::size_t k = 0; k < 2 * every; ++k) ASSERT_TRUE(ctx.probe_peak(1.0).has_value());
   EXPECT_EQ(m.counter("engine.audit.samples").value(), samples1);
 }
 

@@ -1,9 +1,7 @@
 /// Design goldens: `tfcool design --json` must be byte-identical to the
 /// committed fixtures — alpha21364 and hc3 without full cover, and all 11
-/// Table-1 chips with full cover — and stay byte-identical across every
-/// --backend and across thread counts. The design probe path is pinned to
-/// the direct sparse Cholesky refactorization precisely so the backend
-/// choice cannot perturb this output. The sparse λ_m of the golden
+/// Table-1 chips with full cover — and stay byte-identical across thread
+/// counts. The sparse λ_m of the golden
 /// deployments is checked against dense bisection on the exact Schur-reduced
 /// pencil. The paper's package itself is pinned by a content hash of its
 /// assembled network at two deployments. The approximate minimum degree
@@ -82,15 +80,6 @@ TEST(EngineGolden, Hc3DesignJsonMatchesPreEngineFixture) {
   EXPECT_EQ(design_json({"--chip", "hc3"}), golden);
 }
 
-TEST(EngineGolden, ByteIdenticalAcrossBackends) {
-  const std::string golden = fixture("golden_design_alpha.json");
-  ASSERT_FALSE(golden.empty());
-  for (const char* backend : {"cholesky", "cg"}) {
-    EXPECT_EQ(design_json({"--chip", "alpha", "--backend", backend}), golden)
-        << backend;
-  }
-}
-
 TEST(EngineGolden, ByteIdenticalAcrossThreadCounts) {
   const std::string golden = fixture("golden_design_hc3.json");
   ASSERT_FALSE(golden.empty());
@@ -99,15 +88,13 @@ TEST(EngineGolden, ByteIdenticalAcrossThreadCounts) {
 }
 
 TEST(EngineGolden, ByteIdenticalAcrossBackendThreadMatrix) {
+  // Every point solve is the direct factorization, so the matrix has only
+  // its thread axis left: the alpha golden at 1 and 8 threads.
   const std::string golden = fixture("golden_design_alpha.json");
   ASSERT_FALSE(golden.empty());
-  for (const char* backend : {"cg"}) {
-    for (const char* threads : {"1", "8"}) {
-      EXPECT_EQ(design_json({"--chip", "alpha", "--backend", backend,
-                             "--threads", threads}),
-                golden)
-          << backend << " threads=" << threads;
-    }
+  for (const char* threads : {"1", "8"}) {
+    EXPECT_EQ(design_json({"--chip", "alpha", "--threads", threads}), golden)
+        << "threads=" << threads;
   }
 }
 

@@ -1,9 +1,8 @@
 /// tfc::engine::SolveContext — the tentpole invariants:
-///  * extend() re-stamps incrementally yet reproduces a from-scratch
-///    assembly bit for bit (the Debug assertion inside
-///    PackageModel::extend_tec checks the same predicate on every extend);
-///  * every backend agrees on the operating point and on where positive
-///    definiteness is lost (i ≥ λ_m);
+///  * set_deployment() re-stamps by a from-scratch assembly, so a grown
+///    context solves exactly what a freshly built one does;
+///  * the direct solve and the CG cross-check agree on the operating point
+///    and on where positive definiteness is lost (i ≥ λ_m);
 ///  * the pooled-workspace probe path returns exactly what a plain
 ///    ElectroThermalSystem::solve returns, also when it reuses the factor of
 ///    G that the λ_m solve left in the workspace.
@@ -42,50 +41,27 @@ TileMask two_tiles() {
   return dep;
 }
 
-SolveContext make_context(EngineOptions opts = {}) {
+SolveContext make_context() {
   return SolveContext(small_geom(), two_tiles(), small_powers(),
-                      tec::TecDeviceParams::chowdhury_superlattice(), opts);
+                      tec::TecDeviceParams::chowdhury_superlattice());
 }
 
-std::uint64_t restamp_incremental() {
-  return obs::MetricsRegistry::global().counter("engine.restamp.incremental").value();
+std::uint64_t restamps() {
+  return obs::MetricsRegistry::global().counter("engine.restamps").value();
 }
 
-std::uint64_t restamp_full() {
-  return obs::MetricsRegistry::global().counter("engine.restamp.full").value();
-}
-
-TEST(SolveContext, ExtendRestampsIncrementallyAndMatchesFreshAssembly) {
-  SolveContext ctx(small_geom(), TileMask(), small_powers(),
-                   tec::TecDeviceParams::chowdhury_superlattice());
-  const std::uint64_t inc0 = restamp_incremental();
-
-  TileMask dep(4, 4);
-  dep.set(1, 1);
-  ctx.extend(dep);
-  dep.set(2, 2);
-  dep.set(0, 3);
-  ctx.extend(dep);
-  EXPECT_EQ(restamp_incremental(), inc0 + 2);
-
-  // The restamped network must be bitwise the from-scratch assembly — the
-  // same predicate the Debug-mode assert in PackageModel::extend_tec checks.
-  EXPECT_TRUE(ctx.system().model().matches_fresh_build());
-  EXPECT_EQ(ctx.deployment().count(), 3u);
-
-  // And the solves must agree bit for bit with a freshly assembled system.
-  auto fresh = tec::ElectroThermalSystem::assemble(
-      small_geom(), dep, small_powers(),
+/// \p ctx's G is the CSR of a fresh assembly of \p deployment, bit for bit,
+/// and its solves return the fresh system's bits.
+void expect_fresh_assembly(const SolveContext& ctx, const TileMask& deployment) {
+  const auto fresh = tec::ElectroThermalSystem::assemble(
+      small_geom(), deployment, small_powers(),
       tec::TecDeviceParams::chowdhury_superlattice());
-
-  // The incrementally re-assembled G (clean rows copied through the node
-  // remap, dirty rows restamped) must be the from-scratch CSR exactly.
   EXPECT_EQ(ctx.system().matrix_g().row_ptr(), fresh.matrix_g().row_ptr());
   EXPECT_EQ(ctx.system().matrix_g().col_idx(), fresh.matrix_g().col_idx());
   EXPECT_EQ(ctx.system().matrix_g().values(), fresh.matrix_g().values());
-
+  EXPECT_EQ(ctx.system().d_diagonal(), fresh.d_diagonal());
   for (double i : {0.0, 0.5, 2.0}) {
-    auto a = ctx.solve_probe(i);
+    auto a = ctx.solve(i);
     auto b = fresh.solve(i);
     ASSERT_TRUE(a.has_value());
     ASSERT_TRUE(b.has_value());
@@ -94,52 +70,55 @@ TEST(SolveContext, ExtendRestampsIncrementallyAndMatchesFreshAssembly) {
   }
 }
 
-TEST(SolveContext, ExtendWithAlreadyDeployedTilesIsANoOp) {
-  SolveContext ctx = make_context();
-  const std::uint64_t inc0 = restamp_incremental();
-  const std::uint64_t full0 = restamp_full();
-  ctx.extend(two_tiles());  // fully covered already
-  EXPECT_EQ(restamp_incremental(), inc0);
-  EXPECT_EQ(restamp_full(), full0);
+TEST(SolveContext, ExtendRestampsIncrementallyAndMatchesFreshAssembly) {
+  // Greedy deployment grows the deployment pass by pass; every pass is one
+  // re-stamp, and the grown context is the fresh assembly.
+  SolveContext ctx(small_geom(), TileMask(), small_powers(),
+                   tec::TecDeviceParams::chowdhury_superlattice());
+  const std::uint64_t restamps0 = restamps();
+
+  TileMask dep(4, 4);
+  dep.set(1, 1);
+  ctx.set_deployment(dep);
+  dep.set(2, 2);
+  dep.set(0, 3);
+  ctx.set_deployment(dep);
+  EXPECT_EQ(restamps(), restamps0 + 2);
+  EXPECT_EQ(ctx.deployment().count(), 3u);
+  expect_fresh_assembly(ctx, dep);
 }
 
-TEST(SolveContext, IncrementalOffFallsBackToFullRebuildBitwise) {
-  EngineOptions off;
-  off.incremental_restamp = false;
-  SolveContext a(small_geom(), TileMask(), small_powers(),
-                 tec::TecDeviceParams::chowdhury_superlattice());
-  SolveContext b(small_geom(), TileMask(), small_powers(),
-                 tec::TecDeviceParams::chowdhury_superlattice(), off);
-
-  const std::uint64_t full0 = restamp_full();
-  a.extend(two_tiles());
-  b.extend(two_tiles());
-  EXPECT_GE(restamp_full(), full0 + 1);  // b rebuilt from geometry
-
-  auto pa = a.solve_probe(1.0);
-  auto pb = b.solve_probe(1.0);
-  ASSERT_TRUE(pa.has_value());
-  ASSERT_TRUE(pb.has_value());
-  EXPECT_EQ(pa->theta, pb->theta);
+TEST(SolveContext, ExtendWithAlreadyDeployedTilesIsANoOp) {
+  SolveContext ctx = make_context();
+  const std::uint64_t restamps0 = restamps();
+  const std::uint64_t pencil = ctx.system().pencil_id();
+  ctx.set_deployment(two_tiles());  // the current deployment
+  EXPECT_EQ(restamps(), restamps0);
+  EXPECT_EQ(ctx.system().pencil_id(), pencil);
 }
 
 TEST(SolveContext, SetDeploymentHandlesNonAdditiveDelta) {
   SolveContext ctx = make_context();
-  const std::uint64_t full0 = restamp_full();
+  const std::uint64_t restamps0 = restamps();
   TileMask other(4, 4);
   other.set(0, 0);  // (1,1)/(2,2) removed: not an additive delta
   ctx.set_deployment(other);
-  EXPECT_EQ(restamp_full(), full0 + 1);
+  EXPECT_EQ(restamps(), restamps0 + 1);
   EXPECT_EQ(ctx.deployment().count(), 1u);
-  EXPECT_TRUE(ctx.system().model().matches_fresh_build());
   EXPECT_EQ(ctx.device_count(), 1u);
+  expect_fresh_assembly(ctx, other);
+
+  ctx.set_deployment(TileMask());  // back to passive
+  EXPECT_EQ(restamps(), restamps0 + 2);
+  EXPECT_EQ(ctx.device_count(), 0u);
+  expect_fresh_assembly(ctx, TileMask(4, 4));
 }
 
 TEST(SolveContext, ProbePeakMatchesSolveProbe) {
   const SolveContext ctx = make_context();
   for (double i : {0.0, 0.3, 1.7}) {
     auto peak = ctx.probe_peak(i);
-    auto op = ctx.solve_probe(i);
+    auto op = ctx.solve(i);
     ASSERT_TRUE(peak.has_value());
     ASSERT_TRUE(op.has_value());
     EXPECT_EQ(peak->peak, op->peak_tile_temperature) << "i=" << i;
@@ -211,7 +190,7 @@ TEST(SolveContext, ZeroCurrentProbeReusesTheRunawayFactor) {
   EXPECT_EQ(reused->curvature, fresh->curvature);
 
   // A full solve at the same current reuses the factor too.
-  const auto op = ctx.solve_probe(0.0);
+  const auto op = ctx.solve(0.0);
   ASSERT_TRUE(op.has_value());
   EXPECT_EQ(op->peak_tile_temperature, fresh->peak);
   EXPECT_EQ(counter("cholesky.sparse.refactors"), refactors0 + 1);
@@ -223,7 +202,7 @@ TEST(SolveContext, ExtendForgetsTheReusedFactor) {
   ASSERT_TRUE(ctx.runaway_limit().has_value());
   TileMask grown = two_tiles();
   grown.set(3, 3);
-  ctx.extend(grown);
+  ctx.set_deployment(grown);
   const std::uint64_t refactors0 = counter("cholesky.sparse.refactors");
   const std::uint64_t reused0 = counter("engine.factor_reused");
   const auto probe = ctx.probe_peak(0.0);
@@ -240,45 +219,29 @@ TEST(SolveContext, ExtendForgetsTheReusedFactor) {
 }
 
 TEST(SolveContext, AllBackendsAgreeOnTheOperatingPoint) {
-  const SolveContext direct = make_context();
-  const auto reference = direct.solve(1.0);
-  ASSERT_TRUE(reference.has_value());
-
-  for (Backend b : {Backend::kCg}) {
-    EngineOptions opts;
-    opts.backend = b;
-    const SolveContext ctx = make_context(opts);
-    const auto op = ctx.solve(1.0);
-    ASSERT_TRUE(op.has_value()) << backend_name(b);
-    EXPECT_NEAR(op->peak_tile_temperature, reference->peak_tile_temperature,
-                1e-7) << backend_name(b);
-    EXPECT_NEAR(op->tec_input_power, reference->tec_input_power, 1e-7)
-        << backend_name(b);
-  }
+  // The direct solve and the CG cross-check (the service's independent
+  // reference) reach the same operating point.
+  const SolveContext ctx = make_context();
+  const auto direct = ctx.solve(1.0);
+  const auto cg = ctx.solve_cg(1.0);
+  ASSERT_TRUE(direct.has_value());
+  ASSERT_TRUE(cg.has_value());
+  EXPECT_NEAR(cg->peak_tile_temperature, direct->peak_tile_temperature, 1e-7);
+  EXPECT_NEAR(cg->tec_input_power, direct->tec_input_power, 1e-7);
 }
 
 TEST(SolveContext, AllBackendsDetectLossOfPositiveDefiniteness) {
-  const SolveContext direct = make_context();
-  const auto lambda_m = direct.runaway_limit();
+  const SolveContext ctx = make_context();
+  const auto lambda_m = ctx.runaway_limit();
   ASSERT_TRUE(lambda_m.has_value());
   const double beyond = *lambda_m * 1.05;
 
-  for (Backend b : {Backend::kCholesky, Backend::kCg}) {
-    EngineOptions opts;
-    opts.backend = b;
-    const SolveContext ctx = make_context(opts);
-    EXPECT_FALSE(ctx.solve(beyond).has_value()) << backend_name(b);
-    EXPECT_TRUE(ctx.solve(*lambda_m * 0.5).has_value()) << backend_name(b);
-  }
-}
-
-TEST(SolveContext, SolveBackendOverridesConfiguredBackend) {
-  const SolveContext ctx = make_context();  // configured cholesky
-  const auto direct = ctx.solve(1.0);
-  const auto via_cg = ctx.solve_backend(Backend::kCg, 1.0);
-  ASSERT_TRUE(direct.has_value());
-  ASSERT_TRUE(via_cg.has_value());
-  EXPECT_NEAR(via_cg->peak_tile_temperature, direct->peak_tile_temperature, 1e-7);
+  EXPECT_FALSE(ctx.solve(beyond).has_value());
+  EXPECT_TRUE(ctx.solve(*lambda_m * 0.5).has_value());
+  EXPECT_FALSE(ctx.solve_cg(beyond).has_value());
+  EXPECT_TRUE(ctx.solve_cg(*lambda_m * 0.5).has_value());
+  EXPECT_FALSE(ctx.solve(-1.0).has_value());
+  EXPECT_FALSE(ctx.solve_cg(-1.0).has_value());
 }
 
 TEST(SolveContext, RunawayLimitIsCachedUntilExtend) {
@@ -291,7 +254,7 @@ TEST(SolveContext, RunawayLimitIsCachedUntilExtend) {
 
   TileMask grown = two_tiles();
   grown.set(3, 3);
-  ctx.extend(grown);
+  ctx.set_deployment(grown);
   const auto after = ctx.runaway_limit();
   ASSERT_TRUE(after.has_value());
   EXPECT_NE(*after, *first);  // λ_m changes with the deployment
@@ -324,8 +287,8 @@ TEST(SolveContext, AdoptingConstructorRecoversInstalledPowers) {
       tec::TecDeviceParams::chowdhury_superlattice());
   const SolveContext adopted(std::move(system));
   const SolveContext built = make_context();
-  auto a = adopted.solve_probe(0.8);
-  auto b = built.solve_probe(0.8);
+  auto a = adopted.solve(0.8);
+  auto b = built.solve(0.8);
   ASSERT_TRUE(a.has_value());
   ASSERT_TRUE(b.has_value());
   EXPECT_EQ(a->theta, b->theta);
@@ -336,7 +299,7 @@ TEST(SolveContext, EmptyDeploymentSolvesPassivelyOnly) {
                    tec::TecDeviceParams::chowdhury_superlattice());
   EXPECT_EQ(ctx.device_count(), 0u);
   EXPECT_FALSE(ctx.runaway_limit().has_value());
-  auto op = ctx.solve_probe(0.0);
+  auto op = ctx.solve(0.0);
   ASSERT_TRUE(op.has_value());
   EXPECT_GT(op->peak_tile_temperature, 0.0);
 }

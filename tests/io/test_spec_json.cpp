@@ -11,6 +11,7 @@
 #include <fstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "thermal/stack_spec.h"
@@ -167,6 +168,27 @@ TEST(SpecJson, LoadValidatesEndToEnd) {
         throw;
       },
       std::invalid_argument);
+}
+
+/// The two unphysical values that used to load as valid specs are refused on
+/// load, naming the field.
+TEST(SpecJson, OutOfRangeFieldsRejectedOnLoad) {
+  thermal::StackSpec thick = default_spec();
+  thick.spreader_thickness = 4294967297.0;
+  thermal::StackSpec hot = default_spec();
+  hot.ambient = 1e308;
+  for (const auto& [field, spec] : {std::pair<std::string, thermal::StackSpec>{
+                                        "spreader thickness", thick},
+                                    {"ambient_k", hot}}) {
+    TempSpecFile f("range", spec_to_json(spec).dump());
+    EXPECT_THROW(
+        try { load_stack_spec(f.path()); } catch (const std::invalid_argument& e) {
+          EXPECT_NE(std::string(e.what()).find(field), std::string::npos) << e.what();
+          throw;
+        },
+        std::invalid_argument)
+        << field;
+  }
 }
 
 /// A minimal valid spec document and mutants that give one optional field

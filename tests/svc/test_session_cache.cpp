@@ -98,6 +98,28 @@ TEST(SessionCache, FailedBuildPropagatesAndRetries) {
   EXPECT_EQ(calls, 2);
 }
 
+TEST(SessionCache, FailedBuildEvictsNothing) {
+  // At capacity, a build that throws must not cost the live session its
+  // slot: only a built session makes room.
+  SessionCache cache(1);
+  CountingBuilder builder;
+  (void)cache.get_or_build(key_for("alpha"), builder.fn());
+  const auto e0 = cache.evictions();
+  const auto throwing = [](const SessionKey&) -> std::shared_ptr<const Session> {
+    throw std::invalid_argument("passive model not solvable");
+  };
+  EXPECT_THROW((void)cache.get_or_build(key_for("hc1"), throwing), std::invalid_argument);
+  EXPECT_EQ(cache.evictions(), e0);
+  EXPECT_EQ(cache.size(), 1u);
+
+  bool hit = false;
+  (void)cache.get_or_build(key_for("alpha"), builder.fn(), &hit);
+  EXPECT_TRUE(hit);
+  EXPECT_EQ(builder.builds.load(), 1);
+  EXPECT_EQ(cache.evictions(), e0);
+  EXPECT_EQ(cache.size(), 1u);
+}
+
 TEST(SessionCache, ConcurrentRequestsBuildOnce) {
   SessionCache cache(4);
   CountingBuilder builder;

@@ -4,8 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <functional>
+#include <limits>
 #include <memory>
 #include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "thermal/material.h"
 
@@ -144,6 +150,56 @@ TEST(StackSpecValidate, ChipOffSpreaderThrows) {
   StackSpec s = small_spec();
   s.chips[0].x = 0.02;  // 6 mm die centered 20 mm out on a 30 mm spreader
   EXPECT_THROW(s.validate(), std::invalid_argument);
+}
+
+/// Positive but unphysical values used to pass validation and then broke the
+/// model: a 4294967297 m spreader left G numerically indefinite ("passive
+/// model not solvable"), and a 1e308 K ambient solved to θ = inf.
+TEST(StackSpecValidate, FieldsOutsidePhysicalRangesThrowNamingTheField) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<std::pair<std::string, std::function<void(StackSpec&)>>> mutants = {
+      {"spreader thickness", [](StackSpec& s) { s.spreader_thickness = 4294967297.0; }},
+      {"ambient_k", [](StackSpec& s) { s.ambient = 1e308; }},
+      {"sink side", [inf](StackSpec& s) { s.sink_side = inf; }},
+      {"sink thickness", [](StackSpec& s) { s.sink_thickness = 1e-12; }},
+      {"convection_resistance", [](StackSpec& s) { s.convection_resistance = 1e300; }},
+      {"c4_resistance",
+       [](StackSpec& s) {
+         s.model_secondary_path = true;
+         s.c4_resistance = 1e9;
+       }},
+      {"width", [](StackSpec& s) { s.chips[0].width = 1e3; }},
+      {": x", [nan](StackSpec& s) { s.chips[0].x = nan; }},
+      {"thickness", [](StackSpec& s) { s.chips[0].layers[1].thickness = 2.0; }},
+      {"conductivity",
+       [](StackSpec& s) { s.chips[0].layers[0].material.thermal_conductivity = 1e9; }},
+      {"heat_capacity",
+       [](StackSpec& s) { s.spreader_material.volumetric_heat_capacity = 1e-3; }},
+      {"power_w", [](StackSpec& s) { s.chips[0].layers[0].power_w = 1e12; }},
+  };
+  for (const auto& [field, mutate] : mutants) {
+    StackSpec s = small_spec();
+    mutate(s);
+    EXPECT_THROW(
+        try { s.validate(); } catch (const std::invalid_argument& e) {
+          EXPECT_NE(std::string(e.what()).find(field), std::string::npos) << e.what();
+          throw;
+        },
+        std::invalid_argument)
+        << field;
+  }
+}
+
+TEST(StackSpecValidate, RangeEndpointsAreAccepted) {
+  StackSpec s = small_spec();
+  s.ambient = StackSpec::kMaxAmbient;
+  s.convection_resistance = StackSpec::kMinResistance;
+  s.sink_side = StackSpec::kMaxLength;
+  s.chips[0].layers[1].thickness = StackSpec::kMinLength;
+  s.chips[0].layers[0].power_w = StackSpec::kMaxDiePower;
+  s.chips[0].layers[0].material.thermal_conductivity = StackSpec::kMaxConductivity;
+  EXPECT_NO_THROW(s.validate());
 }
 
 // --- the paper's package -----------------------------------------------------

@@ -100,12 +100,12 @@ def check_service(baseline_path, current_path):
 
 
 def check_restamp(baseline, current):
-    """Gate the engine's incremental re-stamp against full reassembly.
+    """Gate the per-pass deployment re-stamp against an absolute ceiling.
 
-    Two checks, both against ci/bench_baseline.json's greedy_restamp block:
-    an absolute ceiling on the incremental per-pass cost, and a
-    machine-independent floor on the full/incremental ratio — the speedup the
-    engine layer exists to provide must not silently erode back to 1x.
+    bench_runtime grows the designed Alpha deployment by one tile through
+    SolveContext::set_deployment, which re-assembles the package from its
+    spec: the cost every greedy pass pays. The ceiling is the
+    greedy_restamp block of ci/bench_baseline.json.
     """
     base = baseline.get("greedy_restamp")
     if base is None:
@@ -115,26 +115,21 @@ def check_restamp(baseline, current):
         print("greedy re-stamp: MISSING from current bench output")
         return [fail("greedy_restamp", None, None)]
 
-    failures = []
-    inc = float(cur["pass_incremental_ms"])
-    full = float(cur["pass_full_assemble_ms"])
-    ratio = full / inc if inc > 0.0 else float("inf")
-    ceiling = float(base["max_pass_incremental_ms"])
-    floor = float(base["min_pass_saved_ratio"])
-    status = "ok"
-    if inc > ceiling:
-        status = "REGRESSED (ceiling %.3f ms)" % ceiling
-        failures.append(fail("greedy_restamp:pass_incremental_ms", inc, ceiling))
-    if ratio < floor:
-        status = "REGRESSED (ratio floor %.1fx)" % floor
-        failures.append(fail("greedy_restamp:pass_saved_ratio", ratio, floor, ">="))
-    print("greedy re-stamp per pass: %.3f ms incremental vs %.3f ms full "
-          "(%.1fx, floor %.1fx)  %s" % (inc, full, ratio, floor, status))
-    return failures
+    ms = float(cur["pass_restamp_ms"])
+    ceiling = float(base["max_pass_restamp_ms"])
+    status = "ok" if ms <= ceiling else "REGRESSED (ceiling %.3f ms)" % ceiling
+    print("greedy re-stamp per pass: %.3f ms (ceiling %.3f ms)  %s"
+          % (ms, ceiling, status))
+    return [] if ms <= ceiling else [fail("greedy_restamp:pass_restamp_ms", ms, ceiling)]
 
 
 def check_backends(baseline, current):
-    """Gate per-backend point-solve latency against absolute ceilings."""
+    """Gate point-solve latency against absolute ceilings.
+
+    `cholesky` is SolveContext::solve (the direct refactorization every point
+    solve uses) and `cg` is SolveContext::solve_cg (the service's sampled
+    cross-check).
+    """
     base = baseline.get("backend_probe_ms")
     if base is None:
         return []
@@ -163,9 +158,11 @@ def check_backends(baseline, current):
 def check_audit(baseline, current):
     """Gate the numerical-health audit overhead on the point-solve path.
 
-    bench_runtime measures mean probe latency with the engine audit off vs on
-    at the service's default 1-in-8 sample rate; the sampled certificate (one
-    SpMV + a few O(n) passes) must stay under the baseline's percentage cap.
+    bench_runtime measures mean point-solve latency of SolveContext::solve
+    (audited 1 in SolveContext::kAuditSampleEvery) against the same
+    arithmetic without the audit hook (ElectroThermalSystem::solve on a pooled
+    workspace); the sampled certificate (one SpMV + a few O(n) passes) must
+    stay under the baseline's percentage cap.
     """
     base = baseline.get("audit_overhead")
     if base is None:
