@@ -26,11 +26,10 @@ int main() {
     auto sys = tec::ElectroThermalSystem::assemble(thermal::PackageGeometry{},
                                                    res.deployment, chip.tile_powers,
                                                    tec::TecDeviceParams::chowdhury_superlattice());
-    core::MultiPinOptions opts;
-    opts.max_sweeps = 3;
-    auto grouped =
-        core::optimize_grouped_pins(sys, core::hotness_groups(sys, 2), res.current, opts);
-    auto mp = core::optimize_multi_pin(sys, res.current, opts);
+    const std::size_t max_sweeps = 3;
+    auto grouped = core::optimize_grouped_pins(sys, core::hotness_groups(sys, 2),
+                                               res.current, max_sweeps);
+    auto mp = core::optimize_multi_pin(sys, res.current, max_sweeps);
 
     double lo = 1e300, hi = 0.0;
     for (double i : mp.currents) {

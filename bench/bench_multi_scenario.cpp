@@ -36,11 +36,10 @@ int main() {
 
   const auto spec = thermal::paper_package();
   const auto device = tec::TecDeviceParams::chowdhury_superlattice();
-  core::GreedyDeployOptions opts;
-  opts.theta_max = thermal::to_kelvin(85.0);
+  const double theta_max = thermal::to_kelvin(85.0);
 
-  auto fold_res = core::greedy_deploy(spec, folded, device, opts);
-  auto multi_res = core::greedy_deploy_multi(spec, scenarios, device, opts);
+  auto fold_res = core::greedy_deploy(spec, folded, device, theta_max);
+  auto multi_res = core::greedy_deploy_multi(spec, scenarios, device, theta_max);
 
   std::printf("=== Scenario-aware design vs folded worst case (Alpha, 85 degC) ===\n\n");
   std::printf("%-22s %8s %10s %14s %12s\n", "design", "#TECs", "Iopt[A]",
@@ -64,7 +63,7 @@ int main() {
   // benchmark under the limit (it does by construction; verify numerically),
   // and it never needs more devices than the folded design.
   bool peaks_ok = true;
-  for (double p : multi_res.scenario_peaks) peaks_ok = peaks_ok && p <= opts.theta_max;
+  for (double p : multi_res.scenario_peaks) peaks_ok = peaks_ok && p <= theta_max;
   const bool not_larger = multi_res.deployment.count() <= fold_res.deployment.count();
   std::printf("\nall per-benchmark peaks under the limit: %s; deployment size %zu vs "
               "%zu (never larger: %s)\n",

@@ -76,10 +76,8 @@ int main() {
   std::printf("  it  #TECs  over-limit  I[A]    peak[C]\n");
 
   // Re-run the raw algorithm to show the iteration history.
-  core::GreedyDeployOptions greedy;
-  greedy.theta_max = thermal::to_kelvin(request.theta_limit_celsius);
   auto raw = core::greedy_deploy(request.spec, request.tile_powers, request.device,
-                                 greedy);
+                                 thermal::to_kelvin(request.theta_limit_celsius));
   for (std::size_t k = 0; k < raw.iterations.size(); ++k) {
     const auto& it = raw.iterations[k];
     std::printf("  %2zu  %5zu  %10zu  %5.2f  %8.2f\n", k + 1, it.tecs_deployed,

@@ -607,18 +607,39 @@ void print_recent_table(const io::JsonValue& reply, std::ostream& out) {
   }
 }
 
+/// Whether exactly one of --socket PATH or --connect HOST:PORT names the
+/// service that `request` and `health` talk to (a message on \p err if not).
+bool one_service_address(const ParsedArgs& p, std::ostream& err) {
+  if (option_or(p, "--socket", "").empty() != option_or(p, "--connect", "").empty()) {
+    return true;
+  }
+  err << "error: " << p.command
+      << " needs exactly one of --socket PATH or --connect HOST:PORT\n";
+  return false;
+}
+
+/// Connects to the service named by --socket or --connect with the
+/// --timeout-ms reply timeout. Throws on a transport failure.
+svc::Client connect_service(const ParsedArgs& p) {
+  const std::string socket_path = option_or(p, "--socket", "");
+  svc::Client client = socket_path.empty()
+                           ? [&] {
+                               const auto [host, port] =
+                                   svc::parse_listen_spec(option_or(p, "--connect", ""));
+                               return svc::Client::connect_tcp(host, port);
+                             }()
+                           : svc::Client::connect_unix(socket_path);
+  client.set_receive_timeout_ms(parse_double(p, "--timeout-ms", 120000.0));
+  return client;
+}
+
 int cmd_request(const ParsedArgs& p, std::ostream& out, std::ostream& err) {
   const std::string method = option_or(p, "--method", "");
   if (method.empty()) {
     err << "error: request requires --method NAME\n";
     return 2;
   }
-  const std::string socket_path = option_or(p, "--socket", "");
-  const std::string connect = option_or(p, "--connect", "");
-  if (socket_path.empty() == connect.empty()) {
-    err << "error: request needs exactly one of --socket PATH or --connect HOST:PORT\n";
-    return 2;
-  }
+  if (!one_service_address(p, err)) return 2;
 
   io::JsonValue request = io::JsonValue::make_object();
   if (const std::string id = option_or(p, "--id", ""); !id.empty()) {
@@ -652,13 +673,7 @@ int cmd_request(const ParsedArgs& p, std::ostream& out, std::ostream& err) {
   }
 
   try {
-    svc::Client client = socket_path.empty()
-                             ? [&] {
-                                 const auto [host, port] = svc::parse_listen_spec(connect);
-                                 return svc::Client::connect_tcp(host, port);
-                               }()
-                             : svc::Client::connect_unix(socket_path);
-    client.set_receive_timeout_ms(parse_double(p, "--timeout-ms", 120000.0));
+    svc::Client client = connect_service(p);
     client.send_raw(request.dump());
     // A streamed method (simulate) sends zero or more non-final frame lines
     // (no "ok" member) before the final reply. Pass frames through as they
@@ -687,25 +702,14 @@ int cmd_request(const ParsedArgs& p, std::ostream& out, std::ostream& err) {
 /// Ask a running service for its numerical-health verdict and render it.
 /// Exit code: 0 = green, 1 = degraded/red (or error reply), 2 = transport.
 int cmd_health(const ParsedArgs& p, std::ostream& out, std::ostream& err) {
-  const std::string socket_path = option_or(p, "--socket", "");
-  const std::string connect = option_or(p, "--connect", "");
-  if (socket_path.empty() == connect.empty()) {
-    err << "error: health needs exactly one of --socket PATH or --connect HOST:PORT\n";
-    return 2;
-  }
+  if (!one_service_address(p, err)) return 2;
 
   io::JsonValue request = io::JsonValue::make_object();
   request.set("id", io::JsonValue::make_number(1));
   request.set("method", io::JsonValue::make_string("health"));
 
   try {
-    svc::Client client = socket_path.empty()
-                             ? [&] {
-                                 const auto [host, port] = svc::parse_listen_spec(connect);
-                                 return svc::Client::connect_tcp(host, port);
-                               }()
-                             : svc::Client::connect_unix(socket_path);
-    client.set_receive_timeout_ms(parse_double(p, "--timeout-ms", 120000.0));
+    svc::Client client = connect_service(p);
     const std::string reply_line = client.call_raw(request.dump());
     const io::JsonValue reply = io::parse_json(reply_line);
     if (p.options.count("--raw") != 0) {
@@ -900,6 +904,9 @@ struct CommandSpec {
   /// Per-command option help lines (shown by `tfcool <command> --help`).
   const char* option_help;
   CommandHandler handler;
+  /// Whether the command designs a chip it reads through load_chip: it then
+  /// accepts every kChipOptions key and lists them under "chip selection".
+  bool selects_chip = false;
   /// Whether bare (non "--") arguments after the command name are accepted
   /// (the handler reads them from ParsedArgs::positionals).
   bool allow_positionals = false;
@@ -909,47 +916,37 @@ const char* kGlobalOptions[] = {"--threads",   "--log-level",   "--log-json",
                                 "--trace-out", "--metrics-out", "--profile-out",
                                 "--help",      nullptr};
 
-const char* kChipOptions[] = {"--chip", "--flp", "--ptrace", "--rows",
-                              "--cols", "--die-mm", nullptr};
+/// What load_chip reads: every chip-selecting command accepts all of them.
+const char* kChipOptions[] = {"--chip", "--flp",    "--ptrace", "--rows",
+                              "--cols", "--die-mm", "--spec",   nullptr};
 
 const char kChipOptionHelp[] =
+    "\nchip selection:\n"
     "  --chip alpha|hc<N>      built-in benchmark chip (default alpha)\n"
     "  --flp F --ptrace P      import HotSpot floorplan + power trace\n"
     "  --rows R --cols C       tile grid for --flp imports only (default\n"
     "                          12x12; a --spec package carries its own\n"
     "                          per-chip grids and may use any resolution)\n"
-    "  --die-mm W              die side for --flp imports [mm] (default 6)\n";
-
-const char kSpecOptionHelp[] =
+    "  --die-mm W              die side for --flp imports [mm] (default 6)\n"
     "  --spec FILE             declarative package spec (JSON, see\n"
     "                          docs/PACKAGES.md): layer stacks, 3-D stacked\n"
     "                          dies, multi-chip packages, arbitrary grids;\n"
     "                          excludes --chip/--flp\n";
 
-const char* kDesignOptions[] = {"--chip", "--flp", "--ptrace", "--rows", "--cols",
-                                "--die-mm", "--spec", "--limit", "--map", "--json",
-                                "--certify", "--no-full-cover", nullptr};
+const char* kDesignOptions[] = {"--limit", "--map", "--json", "--certify",
+                                "--no-full-cover", nullptr};
 
-const char* kTable1Options[] = {"--limit", nullptr};
+const char* kLimitOptions[] = {"--limit", nullptr};
 
-const char* kLimitChipOptions[] = {"--chip", "--flp", "--ptrace", "--rows",
-                                   "--cols", "--die-mm", "--limit", nullptr};
-
-const char* kRunawayCommandOptions[] = {"--chip", "--flp", "--ptrace", "--rows",
-                                        "--cols", "--die-mm", "--spec", "--limit",
-                                        nullptr};
-
-const char* kSweepOptions[] = {"--chip", "--flp",    "--ptrace",       "--rows",
-                               "--cols", "--die-mm", "--spec", "--limit",
-                               "--points", "--max-fraction", nullptr};
+const char* kSweepOptions[] = {"--limit", "--points", "--max-fraction", nullptr};
 
 const char* kNoOptions[] = {nullptr};
 
-const char* kSimulateOptions[] = {"--chip",       "--spec",     "--limit",
-                                  "--benchmark",  "--steps",    "--dt",
-                                  "--frame-every", "--control-every", "--current",
-                                  "--tec-on",     "--tec-off",  "--no-dtm",
-                                  "--tiles",      "--cold-start", nullptr};
+const char* kSimulateOptions[] = {"--limit",       "--benchmark", "--steps",
+                                  "--dt",          "--frame-every", "--control-every",
+                                  "--current",     "--tec-on",    "--tec-off",
+                                  "--no-dtm",      "--tiles",     "--cold-start",
+                                  nullptr};
 
 const char* kServeOptions[] = {"--socket",      "--listen",   "--workers",
                                "--queue",       "--cache",    "--deadline-ms",
@@ -958,9 +955,7 @@ const char* kServeOptions[] = {"--socket",      "--listen",   "--workers",
                                "--cross-check-every", "--fault-injection",
                                "--profile",     nullptr};
 
-const char* kProfileOptions[] = {"--chip",   "--flp",    "--ptrace", "--rows",
-                                 "--cols",   "--die-mm", "--spec",   "--limit",
-                                 "--format", "--out",    nullptr};
+const char* kProfileOptions[] = {"--limit", "--format", "--out", nullptr};
 
 const char* kHealthOptions[] = {"--socket", "--connect", "--timeout-ms",
                                 "--raw", nullptr};
@@ -976,36 +971,28 @@ const CommandSpec kCommands[] = {
      "  --map                   print the deployment tile map\n"
      "  --json PATH             write the result as JSON\n"
      "  --certify               run the Theorem-4 convexity certificate\n"
-     "  --no-full-cover         skip the full-cover comparison\n"
-     "\nchip selection:\n",
-     cmd_design},
+     "  --no-full-cover         skip the full-cover comparison\n",
+     cmd_design, /*selects_chip=*/true},
     {"table1", "reproduce the paper's Table I (all 11 benchmark chips)",
-     kTable1Options, "  --limit C               temperature limit [degC] (default 85)\n",
+     kLimitOptions, "  --limit C               temperature limit [degC] (default 85)\n",
      cmd_table1},
-    {"runaway", "report lambda_m and a supply-current sweep",
-     kRunawayCommandOptions,
-     "  --limit C               design temperature limit [degC] (default 85)\n"
-     "\nchip selection:\n",
-     cmd_runaway},
-    {"validate", "compact-model vs fine-grid agreement", kChipOptions,
-     "\nchip selection:\n", cmd_validate},
+    {"runaway", "report lambda_m and a supply-current sweep", kLimitOptions,
+     "  --limit C               design temperature limit [degC] (default 85)\n",
+     cmd_runaway, /*selects_chip=*/true},
+    {"validate", "compact-model vs fine-grid agreement", kNoOptions, "",
+     cmd_validate, /*selects_chip=*/true},
     {"sweep", "CSV sweep of peak temperature vs supply current", kSweepOptions,
      "  --limit C               design temperature limit [degC] (default 85)\n"
      "  --points N              sweep points (default 25)\n"
      "  --max-fraction F        top of the sweep as a fraction of lambda_m\n"
-     "                          (default 0.95)\n"
-     "\nchip selection:\n",
-     cmd_sweep},
+     "                          (default 0.95)\n",
+     cmd_sweep, /*selects_chip=*/true},
     {"sensitivity", "CSV of device-parameter sensitivities at the design",
-     kLimitChipOptions,
-     "  --limit C               design temperature limit [degC] (default 85)\n"
-     "\nchip selection:\n",
-     cmd_sensitivity},
+     kLimitOptions,
+     "  --limit C               design temperature limit [degC] (default 85)\n",
+     cmd_sensitivity, /*selects_chip=*/true},
     {"simulate", "transient closed-loop DTM scenario, printed as NDJSON",
      kSimulateOptions,
-     "  --chip alpha|hc<N>      built-in benchmark chip (default alpha)\n"
-     "  --spec FILE             declarative package spec instead of --chip\n"
-     "                          (workload phases rasterize per die)\n"
      "  --limit C               DTM temperature limit [degC] (default 85)\n"
      "  --benchmark NAME        workload phase trace (default bench00)\n"
      "  --steps N               backward-Euler steps (default 500)\n"
@@ -1023,7 +1010,7 @@ const CommandSpec kCommands[] = {
      "\nprints one NDJSON frame per line, then a {\"summary\": ...} footer.\n"
      "output is deterministic (byte-identical at any --threads).\n"
      "exit code: 0 = limit held at the end, 1 = not held, 2 = usage error.\n",
-     cmd_simulate},
+     cmd_simulate, /*selects_chip=*/true},
     {"serve", "run the persistent solver service (see docs/SERVICE.md)",
      kServeOptions,
      "  --socket PATH           listen on a unix-domain socket at PATH\n"
@@ -1089,9 +1076,8 @@ const CommandSpec kCommands[] = {
      "theta-limit fallback loop, then lambda_m) under the continuous\n"
      "profiler; 'table' prints per-kernel self times sorted descending,\n"
      "'collapsed' is flamegraph.pl-compatible, 'json' is the same tree the\n"
-     "service 'profile' method returns.\n"
-     "\nchip selection:\n",
-     cmd_profile},
+     "service 'profile' method returns.\n",
+     cmd_profile, /*selects_chip=*/true},
     {"spec", "validate or canonicalize a declarative package spec", kNoOptions,
      "  (none beyond the global set)\n"
      "\nsubcommands:\n"
@@ -1102,7 +1088,7 @@ const CommandSpec kCommands[] = {
      "                          order, every field explicit — the form the\n"
      "                          content hash is computed over)\n"
      "\nexit code: 0 = valid, 1 = invalid or unreadable, 2 = usage error.\n",
-     cmd_spec, /*allow_positionals=*/true},
+     cmd_spec, /*selects_chip=*/false, /*allow_positionals=*/true},
     {"version", "print build provenance (git, compiler, build type)", kNoOptions,
      "", cmd_version},
 };
@@ -1121,15 +1107,7 @@ std::string command_usage(const CommandSpec& spec) {
   text += spec.summary;
   text += "\n\noptions:\n";
   text += spec.option_help;
-  if (std::string(spec.option_help).find("chip selection") != std::string::npos) {
-    text += kChipOptionHelp;
-    for (const char* const* opt = spec.options; *opt; ++opt) {
-      if (std::string("--spec") == *opt) {
-        text += kSpecOptionHelp;
-        break;
-      }
-    }
-  }
+  if (spec.selects_chip) text += kChipOptionHelp;
   text +=
       "\nglobal options (any command): --threads N, --log-level L,\n"
       "--log-json PATH, --trace-out PATH, --metrics-out PATH,\n"
@@ -1143,6 +1121,11 @@ bool option_allowed(const CommandSpec& spec, const std::string& key) {
   }
   for (const char* const* opt = spec.options; *opt; ++opt) {
     if (key == *opt) return true;
+  }
+  if (spec.selects_chip) {
+    for (const char* const* opt = kChipOptions; *opt; ++opt) {
+      if (key == *opt) return true;
+    }
   }
   return false;
 }

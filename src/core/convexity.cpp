@@ -8,14 +8,21 @@
 
 namespace tfc::core {
 
-ConvexityCertificate certify_convexity(const tec::ElectroThermalSystem& system,
-                                       const ConvexityOptions& options) {
+namespace {
+
+/// The partition: kSubintervals subintervals [i_t, i_{t+1}] of
+/// [0, kLambdaFraction·λ_m], each sampled at kSamplesPerInterval points of the
+/// Lemma-4 functional (its convexity makes a negative dip between samples an
+/// interval; sampling this densely makes the check reliable in practice).
+constexpr std::size_t kSubintervals = 8;
+constexpr std::size_t kSamplesPerInterval = 9;
+constexpr double kLambdaFraction = 0.98;
+
+}  // namespace
+
+ConvexityCertificate certify_convexity(const tec::ElectroThermalSystem& system) {
   if (system.device_count() == 0) {
     throw std::invalid_argument("certify_convexity: system has no TEC devices");
-  }
-  if (options.subintervals == 0 || options.samples_per_interval < 2 ||
-      !(options.lambda_fraction > 0.0 && options.lambda_fraction < 1.0)) {
-    throw std::invalid_argument("certify_convexity: bad options");
   }
 
   auto lm = tec::runaway_limit(system);
@@ -30,8 +37,8 @@ ConvexityCertificate certify_convexity(const tec::ElectroThermalSystem& system,
 
   const auto& model = system.model();
   const double r = system.device().resistance;
-  const double hi = options.lambda_fraction * *lm;
-  const double dt = hi / double(options.subintervals);
+  const double hi = kLambdaFraction * *lm;
+  const double dt = hi / double(kSubintervals);
 
   // Silicon injection node per tile (the tile functional).
   const std::size_t rows = model.tile_rows();
@@ -45,7 +52,7 @@ ConvexityCertificate certify_convexity(const tec::ElectroThermalSystem& system,
     return node_values[tile_nodes[t]];
   };
 
-  for (std::size_t seg = 0; seg < options.subintervals; ++seg) {
+  for (std::size_t seg = 0; seg < kSubintervals; ++seg) {
     const double it_lo = double(seg) * dt;
     const double it_hi = it_lo + dt;
 
@@ -55,9 +62,9 @@ ConvexityCertificate certify_convexity(const tec::ElectroThermalSystem& system,
     ResponseSample lo = eval_lo->sample();
     cert.solves += 3;
 
-    for (std::size_t s = 0; s < options.samples_per_interval; ++s) {
+    for (std::size_t s = 0; s < kSamplesPerInterval; ++s) {
       const double i = it_lo + (it_hi - it_lo) * double(s) /
-                                   double(options.samples_per_interval - 1);
+                                   double(kSamplesPerInterval - 1);
       linalg::Vector eta_i;
       if (s == 0) {
         eta_i = lo.eta;

@@ -23,17 +23,6 @@
 
 namespace tfc::core {
 
-struct ConvexityOptions {
-  /// Number of subintervals [i_t, i_{t+1}] partitioning [0, fraction·λ_m].
-  std::size_t subintervals = 8;
-  /// Samples of the Lemma-4 functional per subinterval (its convexity makes
-  /// a negative dip between samples an interval; sampling this densely makes
-  /// the check reliable in practice).
-  std::size_t samples_per_interval = 9;
-  /// Upper end of the certified range as a fraction of λ_m.
-  double lambda_fraction = 0.98;
-};
-
 /// Outcome of the certificate.
 struct ConvexityCertificate {
   /// True iff the Lemma-4 functional stayed ≥ 0 at every sample for every
@@ -50,9 +39,10 @@ struct ConvexityCertificate {
   std::size_t solves = 0;
 };
 
-/// Evaluate the Theorem-4 certificate. Throws std::invalid_argument if the
-/// system has no TECs (there is nothing to certify: θ is constant in i).
-ConvexityCertificate certify_convexity(const tec::ElectroThermalSystem& system,
-                                       const ConvexityOptions& options = {});
+/// Evaluate the Theorem-4 certificate on 8 equal subintervals of
+/// [0, 0.98·λ_m], sampling the Lemma-4 functional at 9 points of each. Throws
+/// std::invalid_argument if the system has no TECs (there is nothing to
+/// certify: θ is constant in i).
+ConvexityCertificate certify_convexity(const tec::ElectroThermalSystem& system);
 
 }  // namespace tfc::core

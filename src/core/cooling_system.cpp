@@ -29,13 +29,11 @@ DesignResult design_cooling_system(const DesignRequest& request) {
                {"theta_limit_c", request.theta_limit_celsius},
                {"tiles", request.tile_powers.size()});
 
-  GreedyDeployOptions greedy = request.greedy;
-  greedy.theta_max = thermal::to_kelvin(request.theta_limit_celsius);
-
   linalg::Vector powers = request.tile_powers;
   if (powers.size() == 0) powers = request.spec->tile_powers();
 
-  GreedyDeployResult g = greedy_deploy(request.spec, powers, request.device, greedy);
+  GreedyDeployResult g = greedy_deploy(request.spec, powers, request.device,
+                                       thermal::to_kelvin(request.theta_limit_celsius));
   res.success = g.success;
   res.deployment = g.deployment;
   res.tec_count = g.deployment.count();

@@ -39,7 +39,6 @@ struct DesignRequest {
   /// Also evaluate the Theorem-4 convexity certificate on the final greedy
   /// deployment.
   bool run_convexity_certificate = false;
-  GreedyDeployOptions greedy;
 
   /// The θ-limit check of every front end: throws std::invalid_argument
   /// unless \p celsius is finite and in (0, kMaxThetaLimitCelsius].

@@ -21,10 +21,8 @@ const char* dtm_action_name(DtmActionKind kind) {
 
 DtmController::DtmController(const floorplan::Floorplan& plan, DtmPolicyOptions options)
     : plan_(&plan), options_(std::move(options)) {
-  if (!(options_.scale_step > 0.0 && options_.scale_step < 1.0) ||
-      !(options_.boost_step > 0.0 && options_.boost_step <= 1.0) ||
-      !(options_.min_scale >= 0.0 && options_.min_scale <= 1.0)) {
-    throw std::invalid_argument("DtmController: bad throttle/boost options");
+  if (!(options_.min_scale >= 0.0 && options_.min_scale <= 1.0)) {
+    throw std::invalid_argument("DtmController: min_scale must be in [0, 1]");
   }
   if (!(options_.guard_band >= 0.0)) {
     throw std::invalid_argument("DtmController: guard_band must be >= 0");
@@ -63,17 +61,17 @@ DtmAction DtmController::decide(const linalg::Vector& tile_temperatures) {
   DtmAction action;
   action.current_a = current();
 
-  const auto step_current_up = [&]() -> bool {
-    if (level_ + 1 >= options_.current_levels.size()) return false;
-    ++level_;
-    action.kind = DtmActionKind::kCurrentUp;
-    action.current_a = current();
-    return true;
-  };
-  const auto throttle_hottest = [&]() -> bool {
-    // The unit owning the hottest tile among units that still have headroom
-    // (a floored hot unit must not deadlock the controller while cooler
-    // units keep heating the die).
+  if (peak > options_.theta_limit) {
+    // Thermal emergency: move one actuator, the TEC current first.
+    if (level_ + 1 < options_.current_levels.size()) {
+      ++level_;
+      action.kind = DtmActionKind::kCurrentUp;
+      action.current_a = current();
+      return action;
+    }
+    // Then throttle the unit owning the hottest tile among units that still
+    // have headroom (a floored hot unit must not deadlock the controller
+    // while cooler units keep heating the die).
     std::size_t victim = scales_.size();
     double victim_peak = 0.0;
     for (std::size_t t = 0; t < plan_->tile_count(); ++t) {
@@ -84,23 +82,13 @@ DtmAction DtmController::decide(const linalg::Vector& tile_temperatures) {
         victim_peak = tile_temperatures[t];
       }
     }
-    if (victim == scales_.size()) return false;  // every covered unit floored
+    if (victim == scales_.size()) return action;  // kNone: every actuator exhausted
     double& scale = scales_[victim];
-    scale = std::max(options_.min_scale, scale - options_.scale_step);
+    scale = std::max(options_.min_scale, scale - kDtmScaleStep);
     action.kind = DtmActionKind::kThrottle;
     action.unit = victim;
     action.scale = scale;
-    return true;
-  };
-
-  if (peak > options_.theta_limit) {
-    // Thermal emergency: move one actuator, preferring the configured order.
-    if (options_.escalate_current_first) {
-      if (step_current_up() || throttle_hottest()) return action;
-    } else {
-      if (throttle_hottest() || step_current_up()) return action;
-    }
-    return action;  // kNone: every actuator exhausted
+    return action;
   }
 
   if (peak < options_.theta_limit - options_.guard_band) {
@@ -114,7 +102,7 @@ DtmAction DtmController::decide(const linalg::Vector& tile_temperatures) {
     }
     if (most_throttled < scales_.size()) {
       double& scale = scales_[most_throttled];
-      scale = std::min(1.0, scale + options_.boost_step);
+      scale = std::min(1.0, scale + kDtmBoostStep);
       action.kind = DtmActionKind::kBoost;
       action.unit = most_throttled;
       action.scale = scale;

@@ -24,6 +24,11 @@
 
 namespace tfc::core {
 
+/// Scale taken from the offending unit per throttle action.
+inline constexpr double kDtmScaleStep = 0.05;
+/// Scale given back to the most-throttled unit per recovery action.
+inline constexpr double kDtmBoostStep = 0.05;
+
 /// Policy of DtmController (tfc::sim's closed loop and simulate_dtm). Besides
 /// throttling it has a recovery path (boost) and a TEC supply-current
 /// schedule: when the peak runs hot the controller first escalates the TEC
@@ -38,10 +43,6 @@ struct DtmPolicyOptions {
   double theta_limit = thermal::to_kelvin(85.0);
   /// Hysteresis band [K]: recovery actions require peak < theta_limit − band.
   double guard_band = 1.0;
-  /// Multiplicative throttle per action on the offending unit.
-  double scale_step = 0.05;
-  /// Multiplicative boost per recovery action.
-  double boost_step = 0.05;
   /// Floor on any unit's scale, in [0, 1] (a unit cannot be gated off
   /// completely). 1 disables throttling: no unit has headroom, so the
   /// controller only schedules the TEC current.
@@ -49,8 +50,6 @@ struct DtmPolicyOptions {
   /// Ascending TEC supply levels [A] the controller may schedule; index 0 is
   /// the starting level. Empty: the controller never touches the current.
   std::vector<double> current_levels;
-  /// Prefer raising the TEC current over throttling when over the limit.
-  bool escalate_current_first = true;
 };
 
 enum class DtmActionKind : std::uint8_t {
@@ -82,9 +81,8 @@ struct DtmAction {
 /// depend only on the temperature sequence.
 class DtmController {
  public:
-  /// Throws std::invalid_argument on bad policy options (scale_step outside
-  /// (0, 1), boost_step outside (0, 1], min_scale outside [0, 1], negative
-  /// guard band, non-ascending or negative current levels).
+  /// Throws std::invalid_argument on bad policy options (min_scale outside
+  /// [0, 1], negative guard band, non-ascending or negative current levels).
   explicit DtmController(const floorplan::Floorplan& plan, DtmPolicyOptions options = {});
 
   /// One control decision for the given silicon tile temperatures [K]

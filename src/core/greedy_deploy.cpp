@@ -26,8 +26,7 @@ TileMask over_limit_tiles(const linalg::Vector& tile_temps, std::size_t rows,
 /// that may carry a device (the spec's TEC-capable interface sites) and
 /// fixes the grid shape.
 GreedyDeployResult greedy_deploy_impl(engine::SolveContext& context,
-                                      const TileMask& allowed,
-                                      const GreedyDeployOptions& options) {
+                                      const TileMask& allowed, double theta_max) {
   const std::size_t rows = allowed.rows();
   const std::size_t cols = allowed.cols();
   auto& metrics = obs::MetricsRegistry::global();
@@ -40,20 +39,14 @@ GreedyDeployResult greedy_deploy_impl(engine::SolveContext& context,
   result.peak_without_tec = passive_op->peak_tile_temperature;
   result.peak_tile_temperature = passive_op->peak_tile_temperature;
 
-  TileMask over =
-      over_limit_tiles(passive_op->tile_temperatures, rows, cols, options.theta_max);
+  TileMask over = over_limit_tiles(passive_op->tile_temperatures, rows, cols, theta_max);
   if (over.empty()) {
     // Already within limits: the empty deployment is proper.
     result.success = true;
     return result;
   }
-  // Coverage set: with a margin, grow over tiles that are merely *near* the
-  // limit as well (margin = 0 reproduces Figure 5 exactly). Only sites that
-  // can physically carry a device are candidates.
-  TileMask cover = options.coverage_margin > 0.0
-                       ? over_limit_tiles(passive_op->tile_temperatures, rows, cols,
-                                          options.theta_max - options.coverage_margin)
-                       : over;
+  // Coverage set: the over-limit tiles that can physically carry a device.
+  TileMask cover = over;
   cover &= allowed;
   if (cover.empty()) {
     // Every over-limit tile sits outside the TEC-capable sites: nothing to
@@ -65,7 +58,7 @@ GreedyDeployResult greedy_deploy_impl(engine::SolveContext& context,
   }
 
   // Lines 6-15: the greedy loop.
-  for (std::size_t it = 0; it < options.max_iterations; ++it) {
+  for (std::size_t it = 0; it < kMaxGreedyPasses; ++it) {
     TFC_SPAN("greedy_pass");
     const std::size_t before = result.deployment.count();
     result.deployment |= cover;  // Line 7: S_TEC ∪= T
@@ -83,12 +76,8 @@ GreedyDeployResult greedy_deploy_impl(engine::SolveContext& context,
     result.lambda_m = opt.lambda_m;
 
     // Lines 9-10: re-solve and recollect T.
-    over = over_limit_tiles(opt.operating_point.tile_temperatures, rows, cols,
-                            options.theta_max);
-    cover = options.coverage_margin > 0.0
-                ? over_limit_tiles(opt.operating_point.tile_temperatures, rows, cols,
-                                   options.theta_max - options.coverage_margin)
-                : over;
+    over = over_limit_tiles(opt.operating_point.tile_temperatures, rows, cols, theta_max);
+    cover = over;
     cover &= allowed;
 
     result.iterations.push_back({result.deployment.count(), over.count(), opt.current,
@@ -103,8 +92,7 @@ GreedyDeployResult greedy_deploy_impl(engine::SolveContext& context,
                    {"tecs", result.deployment.count()}, {"current_a", result.current});
       return result;
     }
-    // Lines 13-14 (with cover == over when margin is 0, i.e. the paper's
-    // exact test): no coverable tile left to add ⇒ no proper deployment
+    // Lines 13-14: no coverable tile left to add ⇒ no proper deployment
     // exists (over-limit tiles outside `allowed` can never be covered).
     if (cover.subset_of(result.deployment)) {
       result.success = false;
@@ -115,7 +103,7 @@ GreedyDeployResult greedy_deploy_impl(engine::SolveContext& context,
     }
   }
   result.success = false;
-  TFC_LOG_WARN("greedy_max_iterations", {"max_iterations", options.max_iterations},
+  TFC_LOG_WARN("greedy_max_iterations", {"max_iterations", kMaxGreedyPasses},
                {"tecs", result.deployment.count()});
   return result;
 }
@@ -124,19 +112,15 @@ GreedyDeployResult greedy_deploy_impl(engine::SolveContext& context,
 
 GreedyDeployResult greedy_deploy(std::shared_ptr<const thermal::StackSpec> spec,
                                  const linalg::Vector& tile_powers,
-                                 const tec::TecDeviceParams& device,
-                                 const GreedyDeployOptions& options) {
+                                 const tec::TecDeviceParams& device, double theta_max) {
   if (spec == nullptr) throw std::invalid_argument("greedy_deploy: null spec");
   device.validate();
-  if (options.coverage_margin < 0.0) {
-    throw std::invalid_argument("greedy_deploy: negative coverage_margin");
-  }
   TFC_SPAN("greedy_deploy");
   // One solve context spans the whole greedy loop; each pass re-stamps it
   // with the grown deployment.
   const TileMask allowed = spec->tec_allowed_tiles();
   engine::SolveContext context(std::move(spec), TileMask(), tile_powers, device);
-  return greedy_deploy_impl(context, allowed, options);
+  return greedy_deploy_impl(context, allowed, theta_max);
 }
 
 }  // namespace tfc::core

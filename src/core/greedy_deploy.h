@@ -19,18 +19,8 @@
 
 namespace tfc::core {
 
-struct GreedyDeployOptions {
-  /// Maximum allowable silicon tile temperature θ_max [K].
-  double theta_max = thermal::to_kelvin(85.0);
-  /// Safety cap on iterations (the loop also terminates by its own logic).
-  std::size_t max_iterations = 64;
-  /// Extension knob (paper value: 0): also cover tiles within this margin
-  /// *below* the limit on each iteration. A small margin pre-empts the
-  /// next iteration's growth (TEC supply heat pushes near-limit neighbours
-  /// over) at the cost of extra devices — ablated in
-  /// bench_ablate_deployment.
-  double coverage_margin = 0.0;
-};
+/// Safety cap on greedy passes (the loop also terminates by its own logic).
+inline constexpr std::size_t kMaxGreedyPasses = 64;
 
 /// One loop iteration, for reporting/analysis.
 struct GreedyIteration {
@@ -59,15 +49,15 @@ struct GreedyDeployResult {
   std::vector<GreedyIteration> iterations;
 };
 
-/// Run Figure 5 on a package. \p tile_powers is the worst-case per-tile power
-/// map [W], row-major over the spec's virtual tile grid (all die grids
-/// stacked vertically). Candidate coverage is clipped to the spec's
-/// TEC-capable interface sites on every pass; deployment fails when the
-/// remaining over-limit tiles sit outside them. Throws std::invalid_argument
-/// on a null spec.
+/// Run Figure 5 on a package against the maximum allowable silicon tile
+/// temperature \p theta_max [K]. \p tile_powers is the worst-case per-tile
+/// power map [W], row-major over the spec's virtual tile grid (all die grids
+/// stacked vertically). Each pass covers exactly the over-limit set T,
+/// clipped to the spec's TEC-capable interface sites; deployment fails when
+/// the remaining over-limit tiles sit outside them. Throws
+/// std::invalid_argument on a null spec.
 GreedyDeployResult greedy_deploy(std::shared_ptr<const thermal::StackSpec> spec,
                                  const linalg::Vector& tile_powers,
-                                 const tec::TecDeviceParams& device,
-                                 const GreedyDeployOptions& options = {});
+                                 const tec::TecDeviceParams& device, double theta_max);
 
 }  // namespace tfc::core

@@ -71,7 +71,7 @@ TileMask union_over_limit(const std::vector<linalg::Vector>& tile_temps,
 MultiScenarioResult greedy_deploy_multi(std::shared_ptr<const thermal::StackSpec> spec,
                                         const std::vector<linalg::Vector>& scenarios,
                                         const tec::TecDeviceParams& device,
-                                        const GreedyDeployOptions& options) {
+                                        double theta_max) {
   if (spec == nullptr) throw std::invalid_argument("greedy_deploy_multi: null spec");
   if (scenarios.empty()) {
     throw std::invalid_argument("greedy_deploy_multi: no scenarios");
@@ -103,7 +103,7 @@ MultiScenarioResult greedy_deploy_multi(std::shared_ptr<const thermal::StackSpec
   result.scenario_peaks.reserve(scenarios.size());
   for (const auto& t : *temps0) result.scenario_peaks.push_back(linalg::max_entry(t));
 
-  TileMask over = union_over_limit(*temps0, rows, cols, options.theta_max);
+  TileMask over = union_over_limit(*temps0, rows, cols, theta_max);
   if (over.empty()) {
     result.success = true;
     return result;
@@ -115,7 +115,7 @@ MultiScenarioResult greedy_deploy_multi(std::shared_ptr<const thermal::StackSpec
   if (cover.empty()) return result;
 
   const linalg::MinimizeOptions search{kCurrentTol, kMaxEvaluations};
-  for (std::size_t it = 0; it < options.max_iterations; ++it) {
+  for (std::size_t it = 0; it < kMaxGreedyPasses; ++it) {
     result.deployment |= cover;
     ++result.iterations;
 
@@ -137,7 +137,7 @@ MultiScenarioResult greedy_deploy_multi(std::shared_ptr<const thermal::StackSpec
     result.peak_tile_temperature =
         *std::max_element(result.scenario_peaks.begin(), result.scenario_peaks.end());
 
-    over = union_over_limit(*temps, rows, cols, options.theta_max);
+    over = union_over_limit(*temps, rows, cols, theta_max);
     if (over.empty()) {
       result.success = true;
       return result;

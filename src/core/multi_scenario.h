@@ -33,15 +33,16 @@ struct MultiScenarioResult {
   std::size_t iterations = 0;
 };
 
-/// GreedyDeploy over a scenario set on the package \p spec. \p scenarios is
-/// a non-empty list of tile power maps (each row-major over the spec's
-/// virtual grid). As in greedy_deploy, coverage is clipped to the spec's
-/// TEC-capable sites; deployment fails when the remaining over-limit tiles
-/// sit outside them. Throws std::invalid_argument on a null spec, no
-/// scenarios or a scenario of the wrong size.
+/// GreedyDeploy over a scenario set on the package \p spec against the tile
+/// limit \p theta_max [K]. \p scenarios is a non-empty list of tile power
+/// maps (each row-major over the spec's virtual grid). As in greedy_deploy,
+/// coverage is clipped to the spec's TEC-capable sites; deployment fails
+/// when the remaining over-limit tiles sit outside them. Throws
+/// std::invalid_argument on a null spec, no scenarios or a scenario of the
+/// wrong size.
 MultiScenarioResult greedy_deploy_multi(std::shared_ptr<const thermal::StackSpec> spec,
                                         const std::vector<linalg::Vector>& scenarios,
                                         const tec::TecDeviceParams& device,
-                                        const GreedyDeployOptions& options = {});
+                                        double theta_max);
 
 }  // namespace tfc::core

@@ -9,6 +9,16 @@
 
 namespace tfc::core {
 
+namespace {
+
+/// Per-coordinate golden-section search: the ceiling [A] and tolerance [A].
+constexpr double kCurrentCap = 20.0;
+constexpr double kCurrentTol = 1e-3;
+/// Stop when a full sweep improves the peak by less than this [K].
+constexpr double kSweepTol = 1e-4;
+
+}  // namespace
+
 std::optional<tec::OperatingPoint> solve_multi_pin(
     const engine::SolveContext& context, const std::vector<double>& currents) {
   const auto& system = context.system();
@@ -74,7 +84,7 @@ std::optional<tec::OperatingPoint> solve_multi_pin(
 }
 
 MultiPinResult optimize_multi_pin(const tec::ElectroThermalSystem& system,
-                                  double shared_start, const MultiPinOptions& options) {
+                                  double shared_start, std::size_t max_sweeps) {
   const std::size_t m = system.model().hot_nodes().size();
   if (m == 0) throw std::invalid_argument("optimize_multi_pin: system has no TECs");
   if (shared_start < 0.0) throw std::invalid_argument("optimize_multi_pin: bad start");
@@ -93,8 +103,8 @@ MultiPinResult optimize_multi_pin(const tec::ElectroThermalSystem& system,
   }
   double best = op->peak_tile_temperature;
 
-  const linalg::MinimizeOptions search{options.current_tol};
-  for (std::size_t sweep = 0; sweep < options.max_sweeps; ++sweep) {
+  const linalg::MinimizeOptions search{kCurrentTol};
+  for (std::size_t sweep = 0; sweep < max_sweeps; ++sweep) {
     const double before = best;
     for (std::size_t j = 0; j < m; ++j) {
       // Golden-section on coordinate j over [0, cap], infeasible points = +inf;
@@ -107,7 +117,7 @@ MultiPinResult optimize_multi_pin(const tec::ElectroThermalSystem& system,
         return o ? o->peak_tile_temperature : std::numeric_limits<double>::infinity();
       };
       const linalg::ScalarMinimum r =
-          linalg::minimize_scalar(eval, 0.0, options.current_cap, search);
+          linalg::minimize_scalar(eval, 0.0, kCurrentCap, search);
       const double candidate = 0.5 * (r.lo + r.hi);
       const double f_candidate = eval(candidate);
       if (f_candidate < best) {
@@ -116,7 +126,7 @@ MultiPinResult optimize_multi_pin(const tec::ElectroThermalSystem& system,
       }
     }
     res.sweeps = sweep + 1;
-    if (before - best < options.sweep_tol) {
+    if (before - best < kSweepTol) {
       res.converged = true;
       break;
     }
@@ -131,8 +141,7 @@ MultiPinResult optimize_multi_pin(const tec::ElectroThermalSystem& system,
 
 GroupedPinResult optimize_grouped_pins(const tec::ElectroThermalSystem& system,
                                        const std::vector<std::size_t>& groups,
-                                       double shared_start,
-                                       const MultiPinOptions& options) {
+                                       double shared_start, std::size_t max_sweeps) {
   const std::size_t m = system.model().hot_nodes().size();
   if (m == 0) throw std::invalid_argument("optimize_grouped_pins: system has no TECs");
   if (groups.size() != m) {
@@ -166,8 +175,8 @@ GroupedPinResult optimize_grouped_pins(const tec::ElectroThermalSystem& system,
   }
   double best = op->peak_tile_temperature;
 
-  const linalg::MinimizeOptions search{options.current_tol};
-  for (std::size_t sweep = 0; sweep < options.max_sweeps; ++sweep) {
+  const linalg::MinimizeOptions search{kCurrentTol};
+  for (std::size_t sweep = 0; sweep < max_sweeps; ++sweep) {
     const double before = best;
     for (std::size_t g = 0; g < n_groups; ++g) {
       const auto eval = [&](double ig) {
@@ -178,7 +187,7 @@ GroupedPinResult optimize_grouped_pins(const tec::ElectroThermalSystem& system,
         return o ? o->peak_tile_temperature : std::numeric_limits<double>::infinity();
       };
       const linalg::ScalarMinimum r =
-          linalg::minimize_scalar(eval, 0.0, options.current_cap, search);
+          linalg::minimize_scalar(eval, 0.0, kCurrentCap, search);
       const double candidate = 0.5 * (r.lo + r.hi);
       const double f_candidate = eval(candidate);
       if (f_candidate < best) {
@@ -187,7 +196,7 @@ GroupedPinResult optimize_grouped_pins(const tec::ElectroThermalSystem& system,
       }
     }
     res.sweeps = sweep + 1;
-    if (before - best < options.sweep_tol) {
+    if (before - best < kSweepTol) {
       res.converged = true;
       break;
     }

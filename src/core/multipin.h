@@ -17,15 +17,6 @@
 
 namespace tfc::core {
 
-struct MultiPinOptions {
-  std::size_t max_sweeps = 8;
-  /// Per-coordinate search ceiling [A].
-  double current_cap = 20.0;
-  double current_tol = 1e-3;
-  /// Stop when a full sweep improves the peak by less than this [K].
-  double sweep_tol = 1e-4;
-};
-
 struct MultiPinResult {
   /// Optimized per-device currents [A], ordered like model().tec_tiles().
   std::vector<double> currents;
@@ -48,10 +39,12 @@ std::optional<tec::OperatingPoint> solve_multi_pin(
 
 /// Coordinate-descent optimization of the per-device currents, starting from
 /// the optimal shared current (so it can only improve on the single-pin
-/// optimum). Throws std::invalid_argument if the system has no TECs.
+/// optimum). Each coordinate is a golden-section search over [0, 20] A to
+/// 1e-3 A; the descent stops after a sweep that lowers the peak by less than
+/// 1e-4 K, or after \p max_sweeps sweeps. Throws std::invalid_argument if
+/// the system has no TECs.
 MultiPinResult optimize_multi_pin(const tec::ElectroThermalSystem& system,
-                                  double shared_start,
-                                  const MultiPinOptions& options = {});
+                                  double shared_start, std::size_t max_sweeps = 8);
 
 /// Result of the grouped (k-pin) optimization.
 struct GroupedPinResult {
@@ -67,12 +60,12 @@ struct GroupedPinResult {
 /// multi-pin: devices share currents within groups (one extra package pin
 /// per group). \p groups assigns each device (ordered like
 /// model().tec_tiles()) to a group id in [0, n_groups). Coordinate descent
-/// over group currents. Throws std::invalid_argument on a malformed
-/// assignment or a system without TECs.
+/// over group currents, searched and stopped as in optimize_multi_pin.
+/// Throws std::invalid_argument on a malformed assignment or a system
+/// without TECs.
 GroupedPinResult optimize_grouped_pins(const tec::ElectroThermalSystem& system,
                                        const std::vector<std::size_t>& groups,
-                                       double shared_start,
-                                       const MultiPinOptions& options = {});
+                                       double shared_start, std::size_t max_sweeps = 8);
 
 /// Convenience grouping: split devices into \p n_groups tiers by passive
 /// tile temperature (hottest tier first). Returns the per-device group ids.

@@ -9,6 +9,9 @@ namespace tfc::core {
 
 namespace {
 
+/// Relative perturbation per parameter (two-sided).
+constexpr double kRelativeStep = 0.10;
+
 struct ProbeResult {
   double peak_celsius = 0.0;
   double lambda_m = 0.0;
@@ -33,14 +36,10 @@ ProbeResult probe(const std::shared_ptr<const thermal::StackSpec>& spec,
 
 std::vector<ParameterSensitivity> device_sensitivities(
     std::shared_ptr<const thermal::StackSpec> spec, const linalg::Vector& tile_powers,
-    const tec::TecDeviceParams& device, const TileMask& deployment,
-    const SensitivityOptions& options) {
+    const tec::TecDeviceParams& device, const TileMask& deployment) {
   if (spec == nullptr) throw std::invalid_argument("device_sensitivities: null spec");
   if (deployment.grid_size() == 0 || deployment.empty()) {
     throw std::invalid_argument("device_sensitivities: empty deployment");
-  }
-  if (!(options.relative_step > 0.0) || options.relative_step >= 1.0) {
-    throw std::invalid_argument("device_sensitivities: relative_step must be in (0, 1)");
   }
 
   using Accessor = std::function<double&(tec::TecDeviceParams&)>;
@@ -57,7 +56,7 @@ std::vector<ParameterSensitivity> device_sensitivities(
 
   std::vector<ParameterSensitivity> out;
   out.reserve(params.size());
-  const double h = options.relative_step;
+  const double h = kRelativeStep;
   for (const auto& [name, access] : params) {
     tec::TecDeviceParams up = device;
     access(up) *= (1.0 + h);

@@ -20,11 +20,6 @@
 
 namespace tfc::core {
 
-struct SensitivityOptions {
-  /// Relative perturbation per parameter (two-sided).
-  double relative_step = 0.10;
-};
-
 /// One row of the sensitivity table.
 struct ParameterSensitivity {
   std::string parameter;
@@ -37,12 +32,12 @@ struct ParameterSensitivity {
 };
 
 /// Evaluate sensitivities of the optimized design around \p device for a
-/// fixed deployment on \p spec. Parameters probed: seebeck, resistance,
-/// internal_conductance, g_hot_contact, g_cold_contact.
+/// fixed deployment on \p spec, by centered differences at ±10 % of each
+/// parameter. Parameters probed: seebeck, resistance, internal_conductance,
+/// g_hot_contact, g_cold_contact.
 /// Throws std::invalid_argument for a null spec or an empty deployment.
 std::vector<ParameterSensitivity> device_sensitivities(
     std::shared_ptr<const thermal::StackSpec> spec, const linalg::Vector& tile_powers,
-    const tec::TecDeviceParams& device, const TileMask& deployment,
-    const SensitivityOptions& options = {});
+    const tec::TecDeviceParams& device, const TileMask& deployment);
 
 }  // namespace tfc::core

@@ -35,8 +35,7 @@ obs::health::Certificate audit_point(const tec::ElectroThermalSystem& system,
   return cert;
 }
 
-bool record_audit_metrics(const obs::health::Certificate& cert,
-                          const obs::health::Tolerances& tolerances) {
+bool record_audit_metrics(const obs::health::Certificate& cert) {
   auto& reg = obs::MetricsRegistry::global();
   reg.counter("engine.audit.samples").increment();
   if (cert.rel_residual >= 0.0) {
@@ -46,7 +45,7 @@ bool record_audit_metrics(const obs::health::Certificate& cert,
     reg.histogram("engine.audit.energy_balance_rel").record(cert.energy_balance_rel);
   }
   if (cert.degraded) reg.counter("engine.audit.degraded").increment();
-  const bool ok = cert.pass(tolerances);
+  const bool ok = cert.pass(obs::health::Tolerances{});
   if (!ok && !cert.degraded) {
     reg.counter("engine.audit.violations").increment();
     TFC_LOG_WARN("engine_audit_violation", {"certificate", cert.describe()});

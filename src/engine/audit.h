@@ -28,9 +28,9 @@ obs::health::Certificate audit_point(const tec::ElectroThermalSystem& system,
                                      bool degraded = false);
 
 /// Record \p cert into the engine.audit.* metrics: samples/violations
-/// counters (judged against \p tolerances), degraded counter, and the
-/// rel_residual / energy_balance_rel histograms. Returns cert.pass().
-bool record_audit_metrics(const obs::health::Certificate& cert,
-                          const obs::health::Tolerances& tolerances);
+/// counters (judged against obs::health::Tolerances{}, the one audit policy
+/// of the engine and the service), degraded counter, and the rel_residual /
+/// energy_balance_rel histograms. Returns cert.pass().
+bool record_audit_metrics(const obs::health::Certificate& cert);
 
 }  // namespace tfc::engine

@@ -154,31 +154,25 @@ std::optional<tec::OperatingPoint> SolveContext::solve_cg(double i,
                                                           std::size_t max_iterations) const {
   if (i < 0.0) return std::nullopt;
   const linalg::SparseMatrix m = system_.system_matrix(i);
-  linalg::Preconditioner precond;
+  const linalg::Vector b = system_.rhs(i);
+  linalg::CgResult r;
   try {
-    precond = linalg::jacobi_preconditioner(m);
+    r = linalg::conjugate_gradient(m, b, max_iterations);
   } catch (const std::invalid_argument&) {
     // A non-positive pencil diagonal certifies loss of positive
     // definiteness (i past λ_m pushes hot-node diagonals negative).
     return std::nullopt;
   }
-  linalg::CgOptions co;
-  co.rel_tol = kCgRelTol;
-  co.max_iterations = max_iterations;
-  const linalg::Vector b = system_.rhs(i);
-  const linalg::CgResult r = linalg::conjugate_gradient(m, b, precond, co);
   if (!r.converged) {
-    if (r.iterations < co.max_iterations) return std::nullopt;  // p·Ap ≤ 0 breakdown
+    if (r.iterations < max_iterations) return std::nullopt;  // p·Ap ≤ 0 breakdown
     // First-class non-convergence signal: count it, leave a degraded audit
     // record showing how wrong the abandoned θ was, then throw a typed error
     // instead of returning a silently-inaccurate operating point.
     obs::MetricsRegistry::global().counter("engine.cg.nonconverged").increment();
     const double rel =
         linalg::norm2(b) > 0.0 ? r.residual_norm / linalg::norm2(b) : r.residual_norm;
-    record_audit_metrics(
-        audit_point(system_, finish_point(system_, i, r.x), cached_runaway_limit(),
-                    /*degraded=*/true),
-        obs::health::Tolerances{});
+    record_audit_metrics(audit_point(system_, finish_point(system_, i, r.x),
+                                     cached_runaway_limit(), /*degraded=*/true));
     throw CgNonConvergedError(r.iterations, rel);
   }
   auto op = finish_point(system_, i, r.x);
@@ -190,13 +184,12 @@ void SolveContext::maybe_audit(const tec::OperatingPoint& op) const {
   const std::uint64_t seq = audit_seq_.fetch_add(1, std::memory_order_relaxed);
   if (seq % kAuditSampleEvery != 0) return;
   TFC_SPAN("engine_audit");
-  record_audit_metrics(audit_point(system_, op, cached_runaway_limit()),
-                       obs::health::Tolerances{});
+  record_audit_metrics(audit_point(system_, op, cached_runaway_limit()));
 }
 
 obs::health::Certificate SolveContext::audit(const tec::OperatingPoint& op) const {
   obs::health::Certificate cert = audit_point(system_, op, cached_runaway_limit());
-  record_audit_metrics(cert, obs::health::Tolerances{});
+  record_audit_metrics(cert);
   return cert;
 }
 

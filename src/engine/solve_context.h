@@ -72,8 +72,8 @@ struct PeakProbe {
 /// set_deployment() mutates the context and must not race any solve.
 class SolveContext {
  public:
-  /// solve_cg() convergence: ‖r‖ ≤ kCgRelTol·‖b‖ within kCgMaxIterations.
-  static constexpr double kCgRelTol = 1e-12;
+  /// solve_cg() convergence: ‖r‖ ≤ linalg::kCgRelTol·‖b‖ within
+  /// kCgMaxIterations.
   static constexpr std::size_t kCgMaxIterations = 20000;
   /// Every kAuditSampleEvery-th point solve (solve, solve_cg) is audited
   /// against obs::health::Tolerances{} (see engine/audit.h): 1 in 16 in

@@ -2,10 +2,27 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <random>
 #include <stdexcept>
 
 namespace tfc::floorplan {
+
+namespace {
+
+// Section VI.B's generation parameters.
+constexpr std::size_t kTileRows = 12;  ///< divisible by the 3-row bands below
+constexpr std::size_t kTileCols = 12;
+/// Fraction of total power assigned to the two hot units.
+constexpr double kHotPowerFraction = 0.30;
+/// Target fraction of area covered by the two hot units.
+constexpr double kHotAreaFraction = 0.10;
+constexpr double kMinTotalPower = 15.0;  ///< [W]
+constexpr double kMaxTotalPower = 25.0;  ///< [W]
+/// Base seed; the chip index is mixed in.
+constexpr std::uint64_t kSeed = 2010;
+
+}  // namespace
 
 std::string hypothetical_chip_name(std::size_t index) {
   if (index < 1 || index > 99) {
@@ -16,27 +33,20 @@ std::string hypothetical_chip_name(std::size_t index) {
   return "HC" + s;
 }
 
-Floorplan hypothetical_chip(std::size_t index, const RandomChipOptions& options) {
+Floorplan hypothetical_chip(std::size_t index) {
   if (index == 0) throw std::invalid_argument("hypothetical_chip: index is 1-based");
-  if (options.tile_rows % 3 != 0 || options.tile_cols < 4) {
-    throw std::invalid_argument(
-        "hypothetical_chip: grid must have rows divisible by 3 and >= 4 columns");
-  }
-  if (options.min_unit_tiles < 1 || options.max_unit_tiles < options.min_unit_tiles) {
-    throw std::invalid_argument("hypothetical_chip: bad unit size bounds");
-  }
 
-  std::mt19937_64 rng(options.seed ^ (0x9e3779b97f4a7c15ULL * (index + 1)));
+  std::mt19937_64 rng(kSeed ^ (0x9e3779b97f4a7c15ULL * (index + 1)));
 
   // --- partition: 3-row bands cut into 3×w segments, w ∈ [2, 5] ------------
   // (every unit has 6–15 tiles, inside the paper's 5–15 band; compact blocks
   // rather than thin strips so the hot units form genuine hot spots).
   std::vector<FunctionalUnit> units;
   const std::size_t band_h = 3;
-  for (std::size_t band = 0; band < options.tile_rows / band_h; ++band) {
+  for (std::size_t band = 0; band < kTileRows / band_h; ++band) {
     std::size_t col = 0;
-    while (col < options.tile_cols) {
-      const std::size_t remaining = options.tile_cols - col;
+    while (col < kTileCols) {
+      const std::size_t remaining = kTileCols - col;
       std::size_t w;
       if (remaining <= 5) {
         w = remaining;
@@ -54,18 +64,17 @@ Floorplan hypothetical_chip(std::size_t index, const RandomChipOptions& options)
   }
 
   // --- total chip power -----------------------------------------------------
-  std::uniform_real_distribution<double> total_dist(options.min_total_power,
-                                                    options.max_total_power);
+  std::uniform_real_distribution<double> total_dist(kMinTotalPower, kMaxTotalPower);
   const double total_power = total_dist(rng);
 
-  // --- choose two hot units covering ~hot_area_fraction of the grid --------
+  // --- choose two hot units covering ~kHotAreaFraction of the grid ---------
   // The pair's tile budget scales with total power so the hot-spot *flux
   // density* stays in the regime the paper evaluates (its ten chips all land
   // in a narrow 89–95 °C band despite totals spanning 15–25 W).
-  const double grid_tiles = double(options.tile_rows * options.tile_cols);
-  const double mid_power = 0.5 * (options.min_total_power + options.max_total_power);
+  const double grid_tiles = double(kTileRows * kTileCols);
+  const double mid_power = 0.5 * (kMinTotalPower + kMaxTotalPower);
   const double target =
-      0.8 * options.hot_area_fraction * grid_tiles * (total_power / mid_power);
+      0.8 * kHotAreaFraction * grid_tiles * (total_power / mid_power);
   std::vector<std::size_t> order(units.size());
   for (std::size_t k = 0; k < order.size(); ++k) order[k] = k;
   std::shuffle(order.begin(), order.end(), rng);
@@ -98,8 +107,8 @@ Floorplan hypothetical_chip(std::size_t index, const RandomChipOptions& options)
   // The paper's "typically 30 %" hot-pair share: drawn per chip from a band
   // just above the nominal fraction so every instance develops a genuine hot
   // spot (the paper's ten chips all exceed the 85 °C limit without TECs).
-  std::uniform_real_distribution<double> frac_dist(options.hot_power_fraction + 0.02,
-                                                   options.hot_power_fraction + 0.06);
+  std::uniform_real_distribution<double> frac_dist(kHotPowerFraction + 0.02,
+                                                   kHotPowerFraction + 0.06);
   const double hot_power = frac_dist(rng) * total_power;
   const double cold_power = total_power - hot_power;
 
@@ -123,7 +132,7 @@ Floorplan hypothetical_chip(std::size_t index, const RandomChipOptions& options)
     units[u].peak_power = cold_power * weights[u] / weight_sum;
   }
 
-  Floorplan plan(options.tile_rows, options.tile_cols, std::move(units));
+  Floorplan plan(kTileRows, kTileCols, std::move(units));
   plan.validate();
   return plan;
 }

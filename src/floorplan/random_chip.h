@@ -9,34 +9,17 @@
 /// Fully deterministic in the chip index.
 #pragma once
 
-#include <cstdint>
-
 #include "floorplan/floorplan.h"
 
 namespace tfc::floorplan {
 
-/// Generation parameters (paper defaults).
-struct RandomChipOptions {
-  std::size_t tile_rows = 12;
-  std::size_t tile_cols = 12;
-  std::size_t min_unit_tiles = 5;
-  std::size_t max_unit_tiles = 15;
-  /// Fraction of total power assigned to the two hot units.
-  double hot_power_fraction = 0.30;
-  /// Target fraction of area covered by the two hot units.
-  double hot_area_fraction = 0.10;
-  double min_total_power = 15.0;  ///< [W]
-  double max_total_power = 25.0;  ///< [W]
-  /// Base seed; chip index is mixed in.
-  std::uint64_t seed = 2010;
-};
-
 /// Benchmark names "HC01".."HC10" map to indices 1..10.
 std::string hypothetical_chip_name(std::size_t index);
 
-/// Generate hypothetical chip \p index (1-based, matching HCxx naming).
-/// The returned floorplan is validated; the two hot units are named
-/// "HotA" and "HotB".
-Floorplan hypothetical_chip(std::size_t index, const RandomChipOptions& options = {});
+/// Generate hypothetical chip \p index (1-based, matching HCxx naming) with
+/// Section VI.B's fixed parameters. The returned floorplan is validated; the
+/// two hot units are named "HotA" and "HotB". Throws std::invalid_argument
+/// on index 0.
+Floorplan hypothetical_chip(std::size_t index);
 
 }  // namespace tfc::floorplan

@@ -8,90 +8,33 @@
 
 namespace tfc::linalg {
 
-Preconditioner identity_preconditioner() {
-  return {[](const Vector& r) { return r; }, "identity"};
-}
-
-Preconditioner jacobi_preconditioner(const SparseMatrix& a) {
-  Vector d = a.diag();
-  for (std::size_t i = 0; i < d.size(); ++i) {
-    if (!(d[i] > 0.0)) {
-      throw std::invalid_argument("jacobi_preconditioner: nonpositive diagonal entry");
-    }
-    d[i] = 1.0 / d[i];
-  }
-  return {[d = std::move(d)](const Vector& r) {
-            Vector z(r.size());
-            for (std::size_t i = 0; i < r.size(); ++i) z[i] = d[i] * r[i];
-            return z;
-          },
-          "jacobi"};
-}
-
-Preconditioner ssor_preconditioner(const SparseMatrix& a, double omega) {
-  if (!(omega > 0.0 && omega < 2.0)) {
-    throw std::invalid_argument("ssor_preconditioner: omega must be in (0, 2)");
-  }
-  if (!a.square()) throw std::invalid_argument("ssor_preconditioner: matrix not square");
-  Vector d = a.diag();
-  for (std::size_t i = 0; i < d.size(); ++i) {
-    if (!(d[i] > 0.0)) {
-      throw std::invalid_argument("ssor_preconditioner: nonpositive diagonal entry");
-    }
-  }
-  // Keep a copy of the matrix for the triangular sweeps.
-  Preconditioner::Fn fn = [a, d = std::move(d), omega](const Vector& r) {
-    const std::size_t n = r.size();
-    const auto& rp = a.row_ptr();
-    const auto& ci = a.col_idx();
-    const auto& vals = a.values();
-    // Forward sweep: (D/ω + L) y = r.
-    Vector y(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      double s = r[i];
-      for (std::size_t k = rp[i]; k < rp[i + 1]; ++k) {
-        if (ci[k] < i) s -= vals[k] * y[ci[k]];
-      }
-      y[i] = s * omega / d[i];
-    }
-    // Scale: z' = (D/ω) y · (2-ω)/ω  →  fold constants into the backward sweep.
-    for (std::size_t i = 0; i < n; ++i) y[i] *= d[i] * (2.0 - omega) / omega;
-    // Backward sweep: (D/ω + Lᵀ) z = y'.
-    Vector z(n);
-    for (std::size_t ii = n; ii-- > 0;) {
-      double s = y[ii];
-      for (std::size_t k = rp[ii]; k < rp[ii + 1]; ++k) {
-        if (ci[k] > ii) s -= vals[k] * z[ci[k]];
-      }
-      z[ii] = s * omega / d[ii];
-    }
-    return z;
-  };
-  return {std::move(fn), "ssor"};
-}
-
 namespace {
 
-CgResult conjugate_gradient_impl(const SparseMatrix& a, const Vector& b,
-                                 const Preconditioner& precond, const CgOptions& opts,
-                                 const Vector& x0) {
-  if (!a.square() || a.rows() != b.size()) {
-    throw std::invalid_argument("conjugate_gradient: dimension mismatch");
+/// diag(A)⁻¹, the Jacobi preconditioner. Throws std::invalid_argument unless
+/// every diagonal entry is strictly positive.
+Vector inverse_diagonal(const SparseMatrix& a) {
+  Vector inv_d = a.diag();
+  for (std::size_t i = 0; i < inv_d.size(); ++i) {
+    if (!(inv_d[i] > 0.0)) {
+      throw std::invalid_argument("conjugate_gradient: nonpositive diagonal entry");
+    }
+    inv_d[i] = 1.0 / inv_d[i];
   }
-  const std::size_t n = b.size();
-  CgResult res;
-  res.x = x0.empty() ? Vector(n) : x0;
-  if (res.x.size() != n) {
-    throw std::invalid_argument("conjugate_gradient: bad initial guess size");
-  }
+  return inv_d;
+}
 
-  Vector r = b;
-  {
-    Vector ax = a * res.x;
-    r -= ax;
-  }
+CgResult conjugate_gradient_impl(const SparseMatrix& a, const Vector& b,
+                                 const Vector& inv_d, std::size_t max_iterations) {
+  const std::size_t n = b.size();
+  const auto precondition = [&](const Vector& r, Vector& z) {
+    for (std::size_t i = 0; i < n; ++i) z[i] = inv_d[i] * r[i];
+  };
+
+  CgResult res;
+  res.x = Vector(n);
+  Vector r = b;  // the residual of x = 0
   const double bnorm = norm2(b);
-  const double target = opts.rel_tol * bnorm + opts.abs_tol;
+  const double target = kCgRelTol * bnorm;
 
   double rnorm = norm2(r);
   if (rnorm <= target || bnorm == 0.0) {
@@ -100,11 +43,12 @@ CgResult conjugate_gradient_impl(const SparseMatrix& a, const Vector& b,
     return res;
   }
 
-  Vector z = precond(r);
+  Vector z(n);
+  precondition(r, z);
   Vector p = z;
   double rz = dot(r, z);
 
-  for (std::size_t it = 0; it < opts.max_iterations; ++it) {
+  for (std::size_t it = 0; it < max_iterations; ++it) {
     Vector ap = a * p;
     const double pap = dot(p, ap);
     if (!(pap > 0.0)) {
@@ -124,7 +68,7 @@ CgResult conjugate_gradient_impl(const SparseMatrix& a, const Vector& b,
       res.residual_norm = rnorm;
       return res;
     }
-    z = precond(r);
+    precondition(r, z);
     const double rz_new = dot(r, z);
     const double beta = rz_new / rz;
     rz = rz_new;
@@ -137,12 +81,15 @@ CgResult conjugate_gradient_impl(const SparseMatrix& a, const Vector& b,
 }  // namespace
 
 CgResult conjugate_gradient(const SparseMatrix& a, const Vector& b,
-                            const Preconditioner& precond, const CgOptions& opts,
-                            const Vector& x0) {
+                            std::size_t max_iterations) {
+  if (!a.square() || a.rows() != b.size()) {
+    throw std::invalid_argument("conjugate_gradient: dimension mismatch");
+  }
+  const Vector inv_d = inverse_diagonal(a);
   TFC_SPAN("cg_solve");
   TFC_SPAN_ATTR("n", b.size());
   const auto t0 = std::chrono::steady_clock::now();
-  CgResult res = conjugate_gradient_impl(a, b, precond, opts, x0);
+  CgResult res = conjugate_gradient_impl(a, b, inv_d, max_iterations);
   TFC_SPAN_ATTR("iterations", res.iterations);
   TFC_SPAN_ATTR("converged", res.converged);
   const double ms = std::chrono::duration<double, std::milli>(
@@ -155,22 +102,20 @@ CgResult conjugate_gradient(const SparseMatrix& a, const Vector& b,
   metrics.histogram("cg.final_residual").record(res.residual_norm);
   metrics.histogram("cg.solve_ms").record(ms);
   TFC_LOG_TRACE("cg_solve", {"n", b.size()}, {"iterations", res.iterations},
-                {"residual", res.residual_norm}, {"preconditioner", precond.tag()},
-                {"converged", res.converged});
+                {"residual", res.residual_norm}, {"converged", res.converged});
   if (!res.converged) {
     metrics.counter("cg.nonconverged").increment();
     TFC_LOG_WARN("cg_no_convergence",
-                 {"reason", res.iterations >= opts.max_iterations ? "max_iterations"
-                                                                  : "breakdown"},
-                 {"iterations", res.iterations}, {"max_iterations", opts.max_iterations},
-                 {"residual", res.residual_norm}, {"preconditioner", precond.tag()},
-                 {"n", b.size()});
+                 {"reason", res.iterations >= max_iterations ? "max_iterations"
+                                                             : "breakdown"},
+                 {"iterations", res.iterations}, {"max_iterations", max_iterations},
+                 {"residual", res.residual_norm}, {"n", b.size()});
   }
   return res;
 }
 
-CgResult cg_solve(const SparseMatrix& a, const Vector& b, const CgOptions& opts) {
-  CgResult r = conjugate_gradient(a, b, jacobi_preconditioner(a), opts);
+CgResult cg_solve(const SparseMatrix& a, const Vector& b, std::size_t max_iterations) {
+  CgResult r = conjugate_gradient(a, b, max_iterations);
   if (!r.converged) {
     throw std::runtime_error("cg_solve: conjugate gradient failed to converge");
   }

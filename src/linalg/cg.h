@@ -1,69 +1,24 @@
 /// \file cg.h
-/// \brief Preconditioned conjugate-gradient solver for SPD sparse systems.
+/// \brief Jacobi-preconditioned conjugate-gradient solver for SPD sparse
+/// systems.
 ///
 /// The compact thermal matrices are irreducible positive-definite Stieltjes
 /// matrices (paper, Lemma 1) and strictly diagonally dominant once the
-/// ambient legs are folded in, so CG with a Jacobi or SSOR preconditioner
+/// ambient legs are folded in, so CG with a Jacobi (diagonal) preconditioner
 /// converges quickly. Used for the fine-grid reference solver where direct
-/// factorization would be wasteful.
+/// factorization would be wasteful, and for the service's independent
+/// cross-check of a direct solve.
 #pragma once
 
 #include <cstddef>
-#include <functional>
-#include <string>
-#include <type_traits>
-#include <utility>
 
 #include "linalg/sparse_matrix.h"
 #include "linalg/vector.h"
 
 namespace tfc::linalg {
 
-/// Preconditioner interface: given r, return z ≈ M⁻¹ r. Carries a short
-/// tag ("identity", "jacobi", "ssor", "custom") so solver telemetry can
-/// report which preconditioner produced an iteration count.
-class Preconditioner {
- public:
-  using Fn = std::function<Vector(const Vector&)>;
-
-  Preconditioner() = default;
-  Preconditioner(Fn fn, std::string tag) : fn_(std::move(fn)), tag_(std::move(tag)) {}
-  /// Implicit from any callable (tagged "custom"), so existing call sites
-  /// passing lambdas keep working.
-  template <class F,
-            std::enable_if_t<!std::is_same_v<std::decay_t<F>, Preconditioner> &&
-                                 std::is_invocable_r_v<Vector, F&, const Vector&>,
-                             int> = 0>
-  Preconditioner(F&& f) : fn_(std::forward<F>(f)) {}  // NOLINT(google-explicit-constructor)
-
-  Vector operator()(const Vector& r) const { return fn_(r); }
-  const std::string& tag() const { return tag_; }
-  explicit operator bool() const { return static_cast<bool>(fn_); }
-
- private:
-  Fn fn_;
-  std::string tag_ = "custom";
-};
-
-/// Identity preconditioner (plain CG).
-Preconditioner identity_preconditioner();
-
-/// Jacobi (diagonal) preconditioner for \p a. Throws if any diagonal entry is
-/// not strictly positive.
-Preconditioner jacobi_preconditioner(const SparseMatrix& a);
-
-/// Symmetric successive-over-relaxation preconditioner,
-/// M = (D/ω + L) (D/ω)⁻¹ (D/ω + L)ᵀ · ω/(2-ω), for SPD \p a.
-/// \p omega must be in (0, 2).
-Preconditioner ssor_preconditioner(const SparseMatrix& a, double omega = 1.0);
-
-/// CG solve options.
-struct CgOptions {
-  std::size_t max_iterations = 10000;
-  /// Convergence: ||r||₂ <= rel_tol * ||b||₂ + abs_tol.
-  double rel_tol = 1e-12;
-  double abs_tol = 0.0;
-};
+/// Convergence: ‖b − A·x‖₂ ≤ kCgRelTol·‖b‖₂.
+inline constexpr double kCgRelTol = 1e-12;
 
 /// CG solve result.
 struct CgResult {
@@ -73,15 +28,17 @@ struct CgResult {
   bool converged = false;
 };
 
-/// Solve A x = b for SPD \p a. \p x0 optional initial guess (zero if empty).
+/// Solve A x = b for SPD \p a from x = 0, preconditioned by diag(A)⁻¹, within
+/// \p max_iterations. Throws std::invalid_argument on a dimension mismatch
+/// or a diagonal entry that is not strictly positive (A is then not PD).
+/// A breakdown p·Ap ≤ 0 (A not PD) returns converged = false with
+/// iterations < max_iterations.
 CgResult conjugate_gradient(const SparseMatrix& a, const Vector& b,
-                            const Preconditioner& precond, const CgOptions& opts = {},
-                            const Vector& x0 = {});
+                            std::size_t max_iterations);
 
-/// Convenience: Jacobi-preconditioned solve. Returns the full CgResult
-/// (solution, iteration count, final residual norm) so callers can report
-/// solver effort; throws std::runtime_error if the iteration fails to
-/// converge (a WARN with the iteration count and residual is logged first).
-CgResult cg_solve(const SparseMatrix& a, const Vector& b, const CgOptions& opts = {});
+/// Convenience: conjugate_gradient() that throws std::runtime_error if the
+/// iteration fails to converge (a WARN with the iteration count and residual
+/// is logged first).
+CgResult cg_solve(const SparseMatrix& a, const Vector& b, std::size_t max_iterations);
 
 }  // namespace tfc::linalg

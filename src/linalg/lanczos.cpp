@@ -24,11 +24,8 @@ std::string scientific(double v) {
 
 }  // namespace
 
-LanczosShiftError::LanczosShiftError(double shift)
-    : std::runtime_error("shift-invert Lanczos: G - sigma*D not positive definite at "
-                         "sigma = " +
-                         scientific(shift)),
-      shift_(shift) {}
+LanczosShiftError::LanczosShiftError()
+    : std::runtime_error("shift-invert Lanczos: G not positive definite") {}
 
 LanczosNonConvergedError::LanczosNonConvergedError(std::size_t iterations,
                                                    double rel_residual)
@@ -97,7 +94,7 @@ Vector tridiagonal_eigenvector(const std::vector<double>& alpha,
   return s;
 }
 
-/// Phase 1 stops once the top Ritz pair's residual ‖C_σ·y − θ·y‖_K =
+/// Phase 1 stops once the top Ritz pair's residual ‖C·y − θ·y‖_G =
 /// |β_{j+1}·s_j| falls to this fraction of θ: the Ritz value is then within
 /// about r²/gap of ν_max, inside the near shift's margin unless the top two
 /// eigenvalues nearly coincide.
@@ -111,11 +108,15 @@ constexpr double kNearShiftGap = 5e-9;
 /// certified residual reaches kNearResidual.
 constexpr int kNearRounds = 4;
 constexpr double kNearResidual = 1e-12;
-/// Refinement rounds of the fallback with K's factor.
+/// Refinement rounds of the fallback with G's factor.
 constexpr int kFallbackRounds = 3;
 
 /// λ is certified minimal when G − σ·D factors at some σ ≥ (1 − kMinimalityMargin)·λ.
 constexpr double kMinimalityMargin = 1e-8;
+
+/// Lanczos step cap (also capped at the dimension — the exact breakdown
+/// bound of a fully reorthogonalized Lanczos).
+constexpr std::size_t kMaxIterations = 512;
 
 struct IterationOutcome {
   double theta_max = 0.0;     ///< largest Ritz value of T_j (any sign)
@@ -132,12 +133,12 @@ void ensure_basis(ShiftInvertLanczosWorkspace& ws, std::size_t n, std::size_t co
   ws.kbasis[count - 1].resize(n);
 }
 
-/// Starts a Lanczos run on C_σ = K⁻¹D from v₁ ∝ K⁻¹·z: z = d⁺, the hot
+/// Starts a Lanczos run on C = G⁻¹D from v₁ ∝ G⁻¹·z: z = d⁺, the hot
 /// plates' Peltier coefficients, when \p hot_plates, else z = d ∘ u₀ for a
 /// deterministic sinusoid u₀. Both lie in range(D), so v₁ lies in
-/// range(K⁻¹D): components outside it are invisible to C_σ anyway, and
+/// range(G⁻¹D): components outside it are invisible to C anyway, and
 /// starting inside it makes the β-breakdown at rank(D) exact rather than
-/// asymptotic. Returns false when z has no K-mass.
+/// asymptotic. Returns false when z has no G-mass.
 bool lanczos_start(const Vector& d, const SparseCholeskyFactor& factor,
                    ShiftInvertLanczosWorkspace& ws, std::size_t n, bool hot_plates) {
   ws.alpha.clear();
@@ -156,7 +157,7 @@ bool lanczos_start(const Vector& d, const SparseCholeskyFactor& factor,
   }
   if (!any) return false;
   factor.solve_into(ws.z, ws.w, ws.solve_scratch);
-  // ‖w‖_K² = wᵀK w = wᵀz (K·w = z by construction).
+  // ‖w‖_G² = wᵀG w = wᵀz (G·w = z by construction).
   const double b0sq = dot(ws.w, ws.z);
   if (!(b0sq > 0.0)) return false;
   const double b0 = std::sqrt(b0sq);
@@ -173,20 +174,20 @@ bool lanczos_start(const Vector& d, const SparseCholeskyFactor& factor,
 /// cap is reached (the last two set out.done). Each next basis vector is
 /// stored before the convergence test, so a later call with a tighter
 /// \p ritz_tol resumes exactly where this one stopped.
-void lanczos_extend(const SparseMatrix& k, const Vector& d,
+void lanczos_extend(const SparseMatrix& g, const Vector& d,
                     const SparseCholeskyFactor& factor, ShiftInvertLanczosWorkspace& ws,
                     std::size_t n, std::size_t cap, double ritz_tol,
                     IterationOutcome& out) {
   for (std::size_t j = out.steps; j < cap; ++j) {
     const Vector& vj = ws.basis[j];
-    // w = C_σ v_j = K⁻¹(d ∘ v_j).
+    // w = C v_j = G⁻¹(d ∘ v_j).
     for (std::size_t i = 0; i < n; ++i) ws.z[i] = d[i] * vj[i];
     factor.solve_into(ws.z, ws.w, ws.solve_scratch);
-    const double aj = dot(ws.z, vj);  // ⟨C v_j, v_j⟩_K = v_jᵀ D v_j
+    const double aj = dot(ws.z, vj);  // ⟨C v_j, v_j⟩_G = v_jᵀ D v_j
     ws.alpha.push_back(aj);
     axpy(-aj, vj, ws.w);
     if (j > 0) axpy(-ws.beta[j], ws.basis[j - 1], ws.w);
-    // Full K-reorthogonalization, two passes ("twice is enough").
+    // Full G-reorthogonalization, two passes ("twice is enough").
     for (int pass = 0; pass < 2; ++pass) {
       for (std::size_t i = 0; i <= j; ++i) {
         const double c = dot(ws.w, ws.kbasis[i]);
@@ -194,11 +195,11 @@ void lanczos_extend(const SparseMatrix& k, const Vector& d,
         axpy(-c, ws.basis[i], ws.w);
       }
     }
-    // The K-image of the new direction is computed, never carried by
-    // recurrence: a recurred image drifts from K·w, and β = ‖w‖_K then
+    // The G-image of the new direction is computed, never carried by
+    // recurrence: a recurred image drifts from G·w, and β = ‖w‖_G then
     // collapses early with a spurious top Ritz value.
     ws.kw.fill(0.0);
-    k.multiply_add(1.0, ws.w, ws.kw);
+    g.multiply_add(1.0, ws.w, ws.kw);
     out.steps = j + 1;
 
     double tscale = 0.0;
@@ -208,7 +209,7 @@ void lanczos_extend(const SparseMatrix& k, const Vector& d,
     const double bj = bsq > 0.0 ? std::sqrt(bsq) : 0.0;
     out.theta_max = tridiagonal_max_eigenvalue(ws.alpha, ws.beta, j + 1);
 
-    // The start vector lives in range(K⁻¹D), so the Krylov space exhausts in
+    // The start vector lives in range(G⁻¹D), so the Krylov space exhausts in
     // at most rank(D) steps — β collapses to roundoff and the Ritz values
     // are exact.
     if (bj <= 1e-13 * std::max(tscale, 1e-300)) {
@@ -293,8 +294,14 @@ int inverse_iterate(const SparseMatrix& g, const Vector& d, const SparseCholesky
 
 std::optional<ShiftInvertLanczosResult> ShiftInvertLanczos::smallest_positive(
     const SparseMatrix& g, const Vector& d, const SparseCholeskySymbolic& symbolic,
-    ShiftInvertLanczosWorkspace& ws, const ShiftInvertLanczosOptions& opts,
-    const SparseCholeskyFactor* g_factor) {
+    ShiftInvertLanczosWorkspace& ws, const SparseCholeskyFactor* g_factor) {
+  return smallest_positive(g, d, symbolic, ws, g_factor, kLanczosRelTol);
+}
+
+std::optional<ShiftInvertLanczosResult> ShiftInvertLanczos::smallest_positive(
+    const SparseMatrix& g, const Vector& d, const SparseCholeskySymbolic& symbolic,
+    ShiftInvertLanczosWorkspace& ws, const SparseCholeskyFactor* g_factor,
+    double rel_tol) {
   const std::size_t n = g.rows();
   if (!g.square() || d.size() != n || symbolic.dim() != n ||
       (g_factor != nullptr && g_factor->dim() != n)) {
@@ -310,45 +317,24 @@ std::optional<ShiftInvertLanczosResult> ShiftInvertLanczos::smallest_positive(
   TFC_SPAN_ATTR("n", n);
   auto& metrics = obs::MetricsRegistry::global();
 
-  // Phase 1's operator K = G − σD: its matrix (for the K-images) and its
-  // factor. σ = 0 is G itself, factored by the caller when g_factor is
-  // given; otherwise the factor lives in ws.factor, which phase 2 reuses.
-  double shift = opts.shift;
-  const SparseMatrix* k = &g;
-  const SparseCholeskyFactor* k_factor = nullptr;
-  const auto factor_k = [&] {
-    if (shift == 0.0) {
-      k = &g;
-      if (g_factor != nullptr) {
-        k_factor = g_factor;
-        return true;
-      }
-    } else {
-      ws.pencil.assign_add_scaled_diagonal(g, d, -shift);
-      k = &ws.pencil;
-    }
-    k_factor = &ws.factor;
-    return symbolic.refactorize_into(*k, ws.factor, ws.factor_scratch);
+  // Phase 1 runs on G's factor: the caller's when given, else its own in
+  // ws.factor, which phase 2 then overwrites with the near-λ_m factor.
+  const auto factor_g = [&] {
+    return symbolic.refactorize_into(g, ws.factor, ws.factor_scratch);
   };
-  if (!factor_k()) {
-    if (shift == 0.0) throw LanczosShiftError(0.0);  // G not SPD: precondition violation
-    if (!opts.allow_reshift) throw LanczosShiftError(shift);
-    metrics.counter("linalg.lanczos.reshifts").increment();
-    TFC_LOG_DEBUG("lanczos_reshift", {"bad_shift", shift});
-    shift = 0.0;
-    if (!factor_k()) throw LanczosShiftError(0.0);
-  }
+  const SparseCholeskyFactor* g_fac = g_factor != nullptr ? g_factor : &ws.factor;
+  if (g_factor == nullptr && !factor_g()) throw LanczosShiftError();
 
   // Phase 1: a coarse top Ritz pair, started from the hot plates' response
-  // K⁻¹·d⁺. A start K-orthogonal to the extremal eigenvector is a
+  // G⁻¹·d⁺. A start G-orthogonal to the extremal eigenvector is a
   // measure-zero accident, but a second sweep from a sinusoid removes even
   // that failure mode.
-  const std::size_t cap = std::min(opts.max_iterations, n);
+  const std::size_t cap = std::min(kMaxIterations, n);
   IterationOutcome out;
   for (bool hot_plates : {true, false}) {
     out = {};
-    if (lanczos_start(d, *k_factor, ws, n, hot_plates)) {
-      lanczos_extend(*k, d, *k_factor, ws, n, cap, kCoarseRitzTol, out);
+    if (lanczos_start(d, *g_fac, ws, n, hot_plates)) {
+      lanczos_extend(g, d, *g_fac, ws, n, cap, kCoarseRitzTol, out);
     }
     if (out.theta_max > 0.0) break;
   }
@@ -363,12 +349,12 @@ std::optional<ShiftInvertLanczosResult> ShiftInvertLanczos::smallest_positive(
     throw LanczosNonConvergedError(out.steps, 1.0);
   }
 
-  // Phase 2: Ritz values of the self-adjoint C_σ lie inside its spectrum, so
-  // λ̃ = σ + 1/θ_max ≥ λ_m. One factorization just below λ̃ drives inverse
+  // Phase 2: Ritz values of the self-adjoint C lie inside its spectrum, so
+  // λ̃ = 1/θ_max ≥ λ_m. One factorization just below λ̃ drives inverse
   // iteration from the Ritz vector and, when it succeeds at a shift within
   // kMinimalityMargin of λ, is the minimality proof: positive definiteness
   // holds on an interval, [0, σ_K] here, so no positive eigenvalue lies below.
-  const double ritz_lambda = shift + 1.0 / out.theta_max;
+  const double ritz_lambda = 1.0 / out.theta_max;
   const double near_shift = (1.0 - kNearShiftGap) * ritz_lambda;
   Vector v;
   double lambda = ritz_lambda, rel = 1.0;
@@ -379,9 +365,8 @@ std::optional<ShiftInvertLanczosResult> ShiftInvertLanczos::smallest_positive(
     if (symbolic.refactorize_into(ws.pencil, ws.factor, ws.factor_scratch)) {
       std::tie(lambda, rel) = certify(g, d, v, ritz_lambda);
       inverse_steps = inverse_iterate(g, d, ws.factor, ws, kNearRounds,
-                                      std::min(kNearResidual, opts.rel_tol), v, lambda,
-                                      rel);
-      certified = rel <= opts.rel_tol && near_shift >= (1.0 - kMinimalityMargin) * lambda;
+                                      std::min(kNearResidual, rel_tol), v, lambda, rel);
+      certified = rel <= rel_tol && near_shift >= (1.0 - kMinimalityMargin) * lambda;
     }
   }
   TFC_SPAN_ATTR("inverse_steps", inverse_steps);
@@ -389,20 +374,20 @@ std::optional<ShiftInvertLanczosResult> ShiftInvertLanczos::smallest_positive(
 
   if (!certified) {
     // Fallback: the single-phase solve. Resume the run to the tight Ritz
-    // stop (phase 2 may have overwritten K's factor in ws.factor), refine
-    // with K's factor, then certify minimality with one more factorization.
+    // stop (phase 2 may have overwritten G's factor in ws.factor), refine
+    // with G's factor, then certify minimality with one more factorization.
     metrics.counter("linalg.lanczos.near_shift_fallbacks").increment();
     TFC_LOG_DEBUG("lanczos_near_shift_fallback", {"steps", out.steps},
                   {"ritz_lambda", ritz_lambda}, {"rel_residual", rel});
-    if (k_factor == &ws.factor && !factor_k()) throw LanczosShiftError(shift);
-    if (!out.done) lanczos_extend(*k, d, *k_factor, ws, n, cap, kRitzResidualTol, out);
+    if (g_fac == &ws.factor && !factor_g()) throw LanczosShiftError();
+    if (!out.done) lanczos_extend(g, d, *g_fac, ws, n, cap, kRitzResidualTol, out);
   }
   record_steps();
   if (!certified) {
     if (!ritz_vector(ws, out, n, v)) throw LanczosNonConvergedError(out.steps, 1.0);
-    std::tie(lambda, rel) = certify(g, d, v, shift + 1.0 / out.theta_max);
-    inverse_iterate(g, d, *k_factor, ws, kFallbackRounds, opts.rel_tol, v, lambda, rel);
-    if (!(rel <= opts.rel_tol)) throw LanczosNonConvergedError(out.steps, rel);
+    std::tie(lambda, rel) = certify(g, d, v, 1.0 / out.theta_max);
+    inverse_iterate(g, d, *g_fac, ws, kFallbackRounds, rel_tol, v, lambda, rel);
+    if (!(rel <= rel_tol)) throw LanczosNonConvergedError(out.steps, rel);
     ws.pencil.assign_add_scaled_diagonal(g, d, -(1.0 - kMinimalityMargin) * lambda);
     if (!symbolic.refactorize_into(ws.pencil, ws.factor, ws.factor_scratch)) {
       throw LanczosNonConvergedError(out.steps, rel);
@@ -414,20 +399,19 @@ std::optional<ShiftInvertLanczosResult> ShiftInvertLanczos::smallest_positive(
   res.eigenvector = std::move(v);
   res.iterations = out.steps;
   res.rel_residual = rel;
-  res.shift = shift;
 
   TFC_SPAN_ATTR("lambda", res.eigenvalue);
   TFC_LOG_TRACE("shift_invert_lanczos", {"n", n}, {"iterations", out.steps},
-                {"shift", shift}, {"lambda", res.eigenvalue},
-                {"rel_residual", res.rel_residual}, {"near_shift", certified});
+                {"lambda", res.eigenvalue}, {"rel_residual", res.rel_residual},
+                {"near_shift", certified});
   return res;
 }
 
 std::optional<ShiftInvertLanczosResult> ShiftInvertLanczos::smallest_positive(
-    const SparseMatrix& g, const Vector& d, const ShiftInvertLanczosOptions& opts) {
+    const SparseMatrix& g, const Vector& d) {
   const SparseCholeskySymbolic symbolic = SparseCholeskySymbolic::analyze(g);
   ShiftInvertLanczosWorkspace ws;
-  return smallest_positive(g, d, symbolic, ws, opts);
+  return smallest_positive(g, d, symbolic, ws);
 }
 
 }  // namespace tfc::linalg

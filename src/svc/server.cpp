@@ -269,8 +269,6 @@ Server::Server(ServerOptions options)
     : options_(std::move(options)),
       cache_(options_.cache_capacity),
       recorder_(options_.recorder_capacity == 0 ? 1 : options_.recorder_capacity),
-      health_(options_.tolerances,
-              options_.health_window == 0 ? 1 : options_.health_window),
       start_time_(Clock::now()) {
   if (options_.workers > par::kMaxThreads) {
     throw std::invalid_argument("svc: more than " + std::to_string(par::kMaxThreads) +

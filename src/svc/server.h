@@ -92,10 +92,6 @@ struct ServerOptions {
   /// re-stamp drift that a residual against the same matrix cannot see.
   /// 0 disables.
   std::size_t cross_check_every = 4;
-  /// Tolerances the health monitor judges certificates against.
-  obs::health::Tolerances tolerances;
-  /// Rolling-window length per session scope for the health verdict.
-  std::size_t health_window = 256;
   /// Enable the test-only `inject` method (fault injection into a session's
   /// solved θ); off in production.
   bool fault_injection = false;

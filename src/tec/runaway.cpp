@@ -95,7 +95,7 @@ RunawayResult runaway_limit_ex(const ElectroThermalSystem& system,
   linalg::ShiftInvertLanczosWorkspace local;
   auto lanczos = linalg::ShiftInvertLanczos::smallest_positive(
       system.matrix_g(), system.d_diagonal(), system.cholesky_symbolic(),
-      ws != nullptr ? *ws : local, {}, g_factor);
+      ws != nullptr ? *ws : local, g_factor);
   if (lanczos) {
     res.lambda_m = lanczos->eigenvalue;
     res.iterations = lanczos->iterations;

@@ -71,9 +71,6 @@ struct PackageGeometry {
 
   double spreader_overhang() const { return 0.5 * (spreader_side - die_width); }
   double sink_overhang() const { return 0.5 * (sink_side - spreader_side); }
-
-  /// Throws std::invalid_argument on non-physical geometry.
-  void validate() const;
 };
 
 }  // namespace tfc::thermal

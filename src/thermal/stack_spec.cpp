@@ -206,7 +206,6 @@ void StackSpec::validate() const {
 }
 
 StackSpec StackSpec::single_die(const PackageGeometry& geometry) {
-  geometry.validate();
   StackSpec spec;
   spec.name = "single-die";
 
@@ -244,6 +243,7 @@ StackSpec StackSpec::single_die(const PackageGeometry& geometry) {
   spec.c4_resistance = geometry.c4_resistance;
   spec.substrate_to_board_resistance = geometry.substrate_to_board_resistance;
   spec.board_convection_resistance = geometry.board_convection_resistance;
+  spec.validate();
   return spec;
 }
 

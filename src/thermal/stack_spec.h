@@ -143,8 +143,8 @@ struct StackSpec {
   void validate() const;
 
   /// The single-die package described by \p geometry: one centered chip of
-  /// [die, TEC-capable TIM] with single-slab layers. Throws
-  /// std::invalid_argument on invalid geometry (PackageGeometry::validate).
+  /// [die, TEC-capable TIM] with single-slab layers, checked by validate()
+  /// before it is returned (std::invalid_argument names the field).
   static StackSpec single_die(const PackageGeometry& geometry);
 
   // --- virtual tile grid ---------------------------------------------------

@@ -19,11 +19,7 @@ linalg::Vector solve_reference(const PackageModel& fine) {
   if (fine.node_count() <= 5000) return solve_steady_state(fine);
   const auto& net = fine.network();
   const linalg::SparseMatrix g = net.conductance_matrix();
-  linalg::CgOptions cg;
-  cg.rel_tol = 1e-12;
-  cg.max_iterations = 50000;
-  auto res = linalg::conjugate_gradient(g, net.rhs(fine.ambient()),
-                                        linalg::jacobi_preconditioner(g), cg);
+  auto res = linalg::conjugate_gradient(g, net.rhs(fine.ambient()), 50000);
   if (!res.converged) {
     throw std::runtime_error("validate_against_reference: CG failed to converge");
   }

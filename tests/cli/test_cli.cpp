@@ -1080,6 +1080,35 @@ TEST(Cli, ServeProfileEndToEndMatchesCliProfileCounts) {
   fs::remove(sock);
 }
 
+TEST(Cli, EveryChipCommandAcceptsTheChipOptions) {
+  // One chip-selection group: every command that designs a chip reads a
+  // --spec package (and the --flp import) the way design does.
+  const std::string spec = std::string(TFC_EXAMPLES_DIR) + "/paper_single_die.json";
+  const std::vector<std::vector<std::string>> commands = {
+      {"design", "--no-full-cover"},
+      {"runaway"},
+      {"validate"},
+      {"sweep", "--points", "3"},
+      {"sensitivity"},
+      {"simulate", "--steps", "20"},
+      {"profile", "--format", "collapsed"}};
+  for (std::vector<std::string> args : commands) {
+    const std::string command = args.front();
+    args.insert(args.end(), {"--spec", spec});
+    const auto r = run(args);
+    EXPECT_EQ(r.code, 0) << command << ": " << r.err;
+    EXPECT_EQ(r.err.find("unknown option"), std::string::npos) << command;
+    const auto help = run({command, "--help"});
+    EXPECT_NE(help.out.find("chip selection:"), std::string::npos) << command;
+    EXPECT_NE(help.out.find("--spec FILE"), std::string::npos) << command;
+    EXPECT_NE(help.out.find("--flp F --ptrace P"), std::string::npos) << command;
+  }
+  // An --flp import reaches load_chip too, which asks for its power trace.
+  const auto flp = run({"simulate", "--flp", "/nonexistent.flp"});
+  EXPECT_EQ(flp.code, 2);
+  EXPECT_NE(flp.err.find("--flp requires --ptrace"), std::string::npos) << flp.err;
+}
+
 TEST(Cli, ImportedChipDesign) {
   namespace fs = std::filesystem;
   const auto dir = fs::temp_directory_path();

@@ -38,28 +38,6 @@ TEST(Convexity, ThrowsWithoutTecs) {
   EXPECT_THROW(certify_convexity(sys), std::invalid_argument);
 }
 
-TEST(Convexity, OptionsValidated) {
-  auto sys = deployed_system();
-  ConvexityOptions o;
-  o.subintervals = 0;
-  EXPECT_THROW(certify_convexity(sys, o), std::invalid_argument);
-  o = {};
-  o.samples_per_interval = 1;
-  EXPECT_THROW(certify_convexity(sys, o), std::invalid_argument);
-  o = {};
-  o.lambda_fraction = 1.5;
-  EXPECT_THROW(certify_convexity(sys, o), std::invalid_argument);
-}
-
-TEST(Convexity, FinerPartitionStillCertifies) {
-  // Theorem 4 allows any partition; a finer one tightens the η′ lower bound.
-  ConvexityOptions fine;
-  fine.subintervals = 16;
-  fine.samples_per_interval = 5;
-  auto cert = certify_convexity(deployed_system(), fine);
-  EXPECT_TRUE(cert.certified);
-}
-
 TEST(Convexity, CertificateBacksActualSecondDifferences) {
   // Cross-check the certificate against sampled curvature of tile temps.
   auto sys = deployed_system();

@@ -87,7 +87,7 @@ TEST(Dtm, ImpossibleLimitStopsAtFloor) {
 
 TEST(Dtm, OptionValidation) {
   DtmPolicyOptions o;
-  o.scale_step = 0.0;
+  o.guard_band = -1.0;
   EXPECT_THROW(simulate_dtm(small_chip(), small_spec(), dev(), TileMask(), o),
                std::invalid_argument);
   o = {};
@@ -133,19 +133,8 @@ TEST(DtmController, EscalatesCurrentBeforeThrottling) {
   auto a3 = ctl.decide(hot);
   EXPECT_EQ(a3.kind, DtmActionKind::kThrottle);
   EXPECT_EQ(a3.unit, 0u);  // "HOT"
-  EXPECT_DOUBLE_EQ(a3.scale, 1.0 - o.scale_step);
+  EXPECT_DOUBLE_EQ(a3.scale, 1.0 - kDtmScaleStep);
   EXPECT_LT(ctl.performance(), 1.0);
-}
-
-TEST(DtmController, ThrottlesFirstWhenCurrentEscalationDisabled) {
-  DtmPolicyOptions o;
-  o.current_levels = {0.0, 1.0};
-  o.escalate_current_first = false;
-  const auto chip = small_chip();
-  DtmController ctl(chip, o);
-  auto a = ctl.decide(tiles_with_hot_spot(330.0, 400.0));
-  EXPECT_EQ(a.kind, DtmActionKind::kThrottle);
-  EXPECT_DOUBLE_EQ(ctl.current(), 0.0);
 }
 
 TEST(DtmController, RecoveryBoostsThenStepsCurrentDown) {
@@ -187,15 +176,14 @@ TEST(DtmController, GuardBandSuppressesRecovery) {
 TEST(DtmController, ThrottleRespectsMinScale) {
   DtmPolicyOptions o;
   o.theta_limit = 300.0;
-  o.scale_step = 0.5;
-  o.min_scale = 0.4;
+  o.min_scale = 0.92;
   const auto chip = small_chip();
   DtmController ctl(chip, o);
   const auto hot = tiles_with_hot_spot(330.0, 400.0);
-  EXPECT_EQ(ctl.decide(hot).kind, DtmActionKind::kThrottle);  // HOT -> 0.5
-  auto floored = ctl.decide(hot);                             // HOT -> 0.4 (clamped)
+  EXPECT_EQ(ctl.decide(hot).kind, DtmActionKind::kThrottle);  // HOT -> 0.95
+  auto floored = ctl.decide(hot);                             // HOT -> 0.92 (clamped)
   EXPECT_EQ(floored.unit, 0u);
-  EXPECT_DOUBLE_EQ(floored.scale, 0.4);
+  EXPECT_DOUBLE_EQ(floored.scale, 0.92);
   // HOT is floored; the hottest unit with remaining headroom takes the hit.
   auto a = ctl.decide(hot);
   EXPECT_EQ(a.kind, DtmActionKind::kThrottle);
@@ -204,9 +192,6 @@ TEST(DtmController, ThrottleRespectsMinScale) {
 
 TEST(DtmController, InvalidPolicyAndInputsThrow) {
   DtmPolicyOptions bad;
-  bad.scale_step = 0.0;
-  EXPECT_THROW(DtmController(small_chip(), bad), std::invalid_argument);
-  bad = {};
   bad.min_scale = 1.0 + 1e-9;
   EXPECT_THROW(DtmController(small_chip(), bad), std::invalid_argument);
   bad.min_scale = -0.1;

@@ -40,9 +40,8 @@ linalg::Vector hot_map() {
 tec::TecDeviceParams dev() { return tec::TecDeviceParams::chowdhury_superlattice(); }
 
 TEST(GreedyDeploy, CoolChipNeedsNoTecs) {
-  GreedyDeployOptions o;
-  o.theta_max = thermal::to_kelvin(120.0);  // generous limit
-  auto r = greedy_deploy(small_spec(), hot_map(), dev(), o);
+  // A generous limit.
+  auto r = greedy_deploy(small_spec(), hot_map(), dev(), thermal::to_kelvin(120.0));
   EXPECT_TRUE(r.success);
   EXPECT_TRUE(r.deployment.empty());
   EXPECT_EQ(r.current, 0.0);
@@ -51,12 +50,11 @@ TEST(GreedyDeploy, CoolChipNeedsNoTecs) {
 }
 
 TEST(GreedyDeploy, HotChipGetsCoveredAndMeetsLimit) {
-  GreedyDeployOptions o;
-  o.theta_max = thermal::to_kelvin(66.0);
-  auto r = greedy_deploy(small_spec(), hot_map(), dev(), o);
+  const double theta_max = thermal::to_kelvin(66.0);
+  auto r = greedy_deploy(small_spec(), hot_map(), dev(), theta_max);
   ASSERT_TRUE(r.success);
   EXPECT_GE(r.deployment.count(), 3u);
-  EXPECT_LE(r.peak_tile_temperature, o.theta_max);
+  EXPECT_LE(r.peak_tile_temperature, theta_max);
   EXPECT_GT(r.current, 0.0);
   EXPECT_GT(r.tec_input_power, 0.0);
   ASSERT_TRUE(r.lambda_m.has_value());
@@ -69,28 +67,22 @@ TEST(GreedyDeploy, HotChipGetsCoveredAndMeetsLimit) {
 }
 
 TEST(GreedyDeploy, TighterLimitNeedsMoreTecs) {
-  GreedyDeployOptions loose, tight;
-  loose.theta_max = thermal::to_kelvin(66.0);
-  tight.theta_max = thermal::to_kelvin(62.0);
-  auto a = greedy_deploy(small_spec(), hot_map(), dev(), loose);
-  auto b = greedy_deploy(small_spec(), hot_map(), dev(), tight);
+  auto a = greedy_deploy(small_spec(), hot_map(), dev(), thermal::to_kelvin(66.0));
+  auto b = greedy_deploy(small_spec(), hot_map(), dev(), thermal::to_kelvin(62.0));
   ASSERT_TRUE(a.success && b.success);
   EXPECT_GT(b.deployment.count(), a.deployment.count());
 }
 
 TEST(GreedyDeploy, ImpossibleLimitFails) {
-  GreedyDeployOptions o;
-  o.theta_max = thermal::to_kelvin(46.0);  // 1 K above ambient: hopeless
-  auto r = greedy_deploy(small_spec(), hot_map(), dev(), o);
+  const double theta_max = thermal::to_kelvin(46.0);  // 1 K above ambient: hopeless
+  auto r = greedy_deploy(small_spec(), hot_map(), dev(), theta_max);
   EXPECT_FALSE(r.success);
   EXPECT_FALSE(r.deployment.empty());
-  EXPECT_GT(r.peak_tile_temperature, o.theta_max);
+  EXPECT_GT(r.peak_tile_temperature, theta_max);
 }
 
 TEST(GreedyDeploy, IterationHistoryConsistent) {
-  GreedyDeployOptions o;
-  o.theta_max = thermal::to_kelvin(62.0);
-  auto r = greedy_deploy(small_spec(), hot_map(), dev(), o);
+  auto r = greedy_deploy(small_spec(), hot_map(), dev(), thermal::to_kelvin(62.0));
   ASSERT_TRUE(r.success);
   ASSERT_FALSE(r.iterations.empty());
   // Deployment only grows; the last iteration has no tiles over the limit.
@@ -103,40 +95,11 @@ TEST(GreedyDeploy, IterationHistoryConsistent) {
   EXPECT_EQ(r.iterations.back().tecs_deployed, r.deployment.count());
 }
 
-TEST(GreedyDeploy, CoverageMarginAddsDevices) {
-  GreedyDeployOptions plain, margin;
-  plain.theta_max = margin.theta_max = thermal::to_kelvin(66.0);
-  margin.coverage_margin = 2.0;
-  auto a = greedy_deploy(small_spec(), hot_map(), dev(), plain);
-  auto b = greedy_deploy(small_spec(), hot_map(), dev(), margin);
-  ASSERT_TRUE(a.success && b.success);
-  EXPECT_GE(b.deployment.count(), a.deployment.count());
-  // Margin deployment still contains the paper's over-limit set.
-  EXPECT_TRUE(a.deployment.subset_of(b.deployment));
-  // Both meet the limit.
-  EXPECT_LE(b.peak_tile_temperature, margin.theta_max);
-}
-
-TEST(GreedyDeploy, NegativeMarginRejected) {
-  GreedyDeployOptions o;
-  o.coverage_margin = -1.0;
-  EXPECT_THROW(greedy_deploy(small_spec(), hot_map(), dev(), o), std::invalid_argument);
-}
-
-TEST(GreedyDeploy, ZeroMarginIsPaperExact) {
-  GreedyDeployOptions plain, zero_margin;
-  plain.theta_max = zero_margin.theta_max = thermal::to_kelvin(64.0);
-  zero_margin.coverage_margin = 0.0;
-  auto a = greedy_deploy(small_spec(), hot_map(), dev(), plain);
-  auto b = greedy_deploy(small_spec(), hot_map(), dev(), zero_margin);
-  EXPECT_EQ(a.deployment, b.deployment);
-  EXPECT_EQ(a.current, b.current);
-}
-
 TEST(GreedyDeploy, InvalidDeviceThrows) {
   auto d = dev();
   d.seebeck = -1.0;
-  EXPECT_THROW(greedy_deploy(small_spec(), hot_map(), d), std::invalid_argument);
+  EXPECT_THROW(greedy_deploy(small_spec(), hot_map(), d, thermal::to_kelvin(85.0)),
+               std::invalid_argument);
 }
 
 TEST(Baselines, FullCoverCoversEverything) {
@@ -185,9 +148,7 @@ TEST(Baselines, GreedyBeatsOrMatchesThresholdWithSameBudget) {
   // With the same device count, covering the over-limit tiles (greedy's
   // choice here equals the hottest tiles) can't be worse than an arbitrary
   // threshold pick of the same size.
-  GreedyDeployOptions o;
-  o.theta_max = thermal::to_kelvin(66.0);
-  auto g = greedy_deploy(small_spec(), hot_map(), dev(), o);
+  auto g = greedy_deploy(small_spec(), hot_map(), dev(), thermal::to_kelvin(66.0));
   ASSERT_TRUE(g.success);
   auto t = threshold_cover(small_spec(), hot_map(), dev(), g.deployment.count());
   EXPECT_LE(g.peak_tile_temperature, t.min_peak_temperature + 0.05);

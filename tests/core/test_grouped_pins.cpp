@@ -31,9 +31,7 @@ tec::ElectroThermalSystem deployed_system() {
 TEST(GroupedPins, SingleGroupMatchesSharedOptimum) {
   auto sys = deployed_system();
   auto shared = optimize_current(sys);
-  MultiPinOptions o;
-  o.current_cap = 20.0;
-  auto grouped = optimize_grouped_pins(sys, {0, 0, 0, 0}, shared.current, o);
+  auto grouped = optimize_grouped_pins(sys, {0, 0, 0, 0}, shared.current);
   EXPECT_NEAR(grouped.peak_tile_temperature, shared.peak_tile_temperature, 0.02);
   ASSERT_EQ(grouped.group_currents.size(), 1u);
   EXPECT_NEAR(grouped.group_currents[0], shared.current, 0.2);

@@ -39,20 +39,17 @@ std::vector<linalg::Vector> two_scenarios() {
   return {a, b};
 }
 
-GreedyDeployOptions opts(double limit_c) {
-  GreedyDeployOptions o;
-  o.theta_max = thermal::to_kelvin(limit_c);
-  return o;
-}
+/// The tile limit θ_max [K] of a limit in °C.
+double limit(double limit_c) { return thermal::to_kelvin(limit_c); }
 
 TEST(MultiScenario, CoversBothHotSpots) {
-  auto r = greedy_deploy_multi(small_spec(), two_scenarios(), dev(), opts(63.0));
+  auto r = greedy_deploy_multi(small_spec(), two_scenarios(), dev(), limit(63.0));
   ASSERT_TRUE(r.success);
   EXPECT_TRUE(r.deployment.test(2, 2));
   EXPECT_TRUE(r.deployment.test(2, 3));
   EXPECT_TRUE(r.deployment.test(4, 4));
   ASSERT_EQ(r.scenario_peaks.size(), 2u);
-  for (double p : r.scenario_peaks) EXPECT_LE(p, opts(63.0).theta_max);
+  for (double p : r.scenario_peaks) EXPECT_LE(p, limit(63.0));
   EXPECT_DOUBLE_EQ(r.peak_tile_temperature,
                    std::max(r.scenario_peaks[0], r.scenario_peaks[1]));
 }
@@ -60,8 +57,8 @@ TEST(MultiScenario, CoversBothHotSpots) {
 TEST(MultiScenario, SingleScenarioMatchesPlainGreedy) {
   auto scenarios = two_scenarios();
   std::vector<linalg::Vector> one = {scenarios[0]};
-  auto multi = greedy_deploy_multi(small_spec(), one, dev(), opts(63.0));
-  auto plain = greedy_deploy(small_spec(), scenarios[0], dev(), opts(63.0));
+  auto multi = greedy_deploy_multi(small_spec(), one, dev(), limit(63.0));
+  auto plain = greedy_deploy(small_spec(), scenarios[0], dev(), limit(63.0));
   ASSERT_TRUE(multi.success && plain.success);
   EXPECT_EQ(multi.deployment, plain.deployment);
   EXPECT_NEAR(multi.current, plain.current, 0.05);
@@ -76,8 +73,8 @@ TEST(MultiScenario, NeverLargerThanFoldedWorstCase) {
   for (std::size_t t = 0; t < 36; ++t) {
     folded[t] = std::max(scenarios[0][t], scenarios[1][t]);
   }
-  auto multi = greedy_deploy_multi(small_spec(), scenarios, dev(), opts(63.0));
-  auto fold = greedy_deploy(small_spec(), folded, dev(), opts(63.0));
+  auto multi = greedy_deploy_multi(small_spec(), scenarios, dev(), limit(63.0));
+  auto fold = greedy_deploy(small_spec(), folded, dev(), limit(63.0));
   ASSERT_TRUE(multi.success && fold.success);
   EXPECT_LE(multi.deployment.count(), fold.deployment.count());
 }
@@ -85,14 +82,14 @@ TEST(MultiScenario, NeverLargerThanFoldedWorstCase) {
 TEST(MultiScenario, CoolScenariosNeedNothing) {
   std::vector<linalg::Vector> cool = {linalg::Vector(36, 0.02),
                                       linalg::Vector(36, 0.03)};
-  auto r = greedy_deploy_multi(small_spec(), cool, dev(), opts(85.0));
+  auto r = greedy_deploy_multi(small_spec(), cool, dev(), limit(85.0));
   EXPECT_TRUE(r.success);
   EXPECT_TRUE(r.deployment.empty());
   EXPECT_EQ(r.iterations, 0u);
 }
 
 TEST(MultiScenario, ImpossibleLimitFails) {
-  auto r = greedy_deploy_multi(small_spec(), two_scenarios(), dev(), opts(46.0));
+  auto r = greedy_deploy_multi(small_spec(), two_scenarios(), dev(), limit(46.0));
   EXPECT_FALSE(r.success);
 }
 
@@ -100,14 +97,14 @@ TEST(MultiScenario, CoverageClippedToTecCapableSites) {
   // Scenario B's hot spot (4, 4) cannot carry a device: the design covers
   // scenario A's hot spot, then fails without deploying outside the sites.
   const auto spec = spec_with_sites({{2, 2}, {2, 3}});
-  auto r = greedy_deploy_multi(spec, two_scenarios(), dev(), opts(63.0));
+  auto r = greedy_deploy_multi(spec, two_scenarios(), dev(), limit(63.0));
   EXPECT_FALSE(r.success);
   EXPECT_EQ(r.deployment, spec->tec_allowed_tiles());
   EXPECT_EQ(r.iterations, 1u);
 
   // No over-limit tile is capable: nothing to deploy.
   const auto corner = spec_with_sites({{0, 0}});
-  auto none = greedy_deploy_multi(corner, two_scenarios(), dev(), opts(63.0));
+  auto none = greedy_deploy_multi(corner, two_scenarios(), dev(), limit(63.0));
   EXPECT_FALSE(none.success);
   EXPECT_TRUE(none.deployment.empty());
   EXPECT_EQ(none.iterations, 0u);
@@ -115,12 +112,12 @@ TEST(MultiScenario, CoverageClippedToTecCapableSites) {
 }
 
 TEST(MultiScenario, Validation) {
-  EXPECT_THROW(greedy_deploy_multi(nullptr, two_scenarios(), dev(), opts(63.0)),
+  EXPECT_THROW(greedy_deploy_multi(nullptr, two_scenarios(), dev(), limit(63.0)),
                std::invalid_argument);
-  EXPECT_THROW(greedy_deploy_multi(small_spec(), {}, dev(), opts(63.0)),
+  EXPECT_THROW(greedy_deploy_multi(small_spec(), {}, dev(), limit(63.0)),
                std::invalid_argument);
   std::vector<linalg::Vector> bad = {linalg::Vector(7)};
-  EXPECT_THROW(greedy_deploy_multi(small_spec(), bad, dev(), opts(63.0)),
+  EXPECT_THROW(greedy_deploy_multi(small_spec(), bad, dev(), limit(63.0)),
                std::invalid_argument);
 }
 

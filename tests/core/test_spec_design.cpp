@@ -101,13 +101,13 @@ TEST(SpecGreedy, PaperEquivalentSpecMatchesGeometryBitwise) {
 
   const linalg::Vector powers = hotspot_powers(g.tile_rows, g.tile_cols, 8.0);
   const auto device = tec::TecDeviceParams::chowdhury_superlattice();
-  GreedyDeployOptions opts;
+  const double theta_max = thermal::to_kelvin(85.0);
 
   GreedyDeployResult from_geometry =
       greedy_deploy(std::make_shared<const thermal::StackSpec>(
                         thermal::StackSpec::single_die(g)),
-                    powers, device, opts);
-  GreedyDeployResult from_spec = greedy_deploy(spec, powers, device, opts);
+                    powers, device, theta_max);
+  GreedyDeployResult from_spec = greedy_deploy(spec, powers, device, theta_max);
 
   EXPECT_EQ(from_spec.success, from_geometry.success);
   EXPECT_EQ(from_spec.deployment.tiles(), from_geometry.deployment.tiles());
@@ -116,16 +116,17 @@ TEST(SpecGreedy, PaperEquivalentSpecMatchesGeometryBitwise) {
 
 TEST(SpecGreedy, NullSpecThrows) {
   EXPECT_THROW(greedy_deploy(std::shared_ptr<const thermal::StackSpec>(),
-                             linalg::Vector(4), tec::TecDeviceParams::chowdhury_superlattice()),
+                             linalg::Vector(4), tec::TecDeviceParams::chowdhury_superlattice(),
+                             thermal::to_kelvin(85.0)),
                std::invalid_argument);
 }
 
 TEST(SpecGreedy, DeploymentStaysWithinAllowedSites) {
   auto spec = stacked_spec();
-  GreedyDeployOptions opts;
-  opts.theta_max = thermal::to_kelvin(200.0);  // generous: greedy succeeds early
-  GreedyDeployResult res =
-      greedy_deploy(spec, spec->tile_powers(), tec::TecDeviceParams::chowdhury_superlattice(), opts);
+  // A generous limit: greedy succeeds early.
+  GreedyDeployResult res = greedy_deploy(spec, spec->tile_powers(),
+                                         tec::TecDeviceParams::chowdhury_superlattice(),
+                                         thermal::to_kelvin(200.0));
   EXPECT_TRUE(res.deployment.grid_size() == 0 ||
               res.deployment.subset_of(spec->tec_allowed_tiles()));
 }
@@ -140,10 +141,9 @@ TEST(SpecGreedy, OverLimitTilesOutsideSitesFail) {
   s.chips[0].layers[1].tec_sites = {Tile{0, 0}};
   s.validate();
   auto spec = std::make_shared<const thermal::StackSpec>(std::move(s));
-  GreedyDeployOptions opts;
-  opts.theta_max = thermal::to_kelvin(85.0);
-  GreedyDeployResult res =
-      greedy_deploy(spec, spec->tile_powers(), tec::TecDeviceParams::chowdhury_superlattice(), opts);
+  GreedyDeployResult res = greedy_deploy(spec, spec->tile_powers(),
+                                         tec::TecDeviceParams::chowdhury_superlattice(),
+                                         thermal::to_kelvin(85.0));
   EXPECT_FALSE(res.success);
   EXPECT_TRUE(res.deployment.grid_size() == 0 ||
               res.deployment.subset_of(spec->tec_allowed_tiles()));

@@ -15,6 +15,7 @@
 #include "engine/audit.h"
 #include "engine/solve_context.h"
 #include "floorplan/alpha21364.h"
+#include "linalg/cg.h"
 #include "obs/obs.h"
 #include "par/thread_pool.h"
 #include "power/workload.h"
@@ -182,17 +183,17 @@ TEST(Audit, RecordAuditMetricsCountsSamplesViolationsAndDegraded) {
   const auto degraded0 = m.counter("engine.audit.degraded").value();
 
   const auto good = audit_point(ctx.system(), *op);
-  EXPECT_TRUE(record_audit_metrics(good, obs::health::Tolerances{}));
+  EXPECT_TRUE(record_audit_metrics(good));
 
   // A corrupted θ is a hard violation; a degraded solve counts separately
   // (the failure was already surfaced, e.g. as CgNonConvergedError).
   auto bad_op = *op;
   for (std::size_t k = 0; k < bad_op.theta.size(); ++k) bad_op.theta[k] += 2.0;
   auto bad = audit_point(ctx.system(), bad_op);
-  EXPECT_FALSE(record_audit_metrics(bad, obs::health::Tolerances{}));
+  EXPECT_FALSE(record_audit_metrics(bad));
 
   auto degraded = audit_point(ctx.system(), *op, std::nullopt, /*degraded=*/true);
-  EXPECT_FALSE(record_audit_metrics(degraded, obs::health::Tolerances{}));
+  EXPECT_FALSE(record_audit_metrics(degraded));
 
   EXPECT_EQ(m.counter("engine.audit.samples").value(), samples0 + 3);
   EXPECT_EQ(m.counter("engine.audit.violations").value(), violations0 + 1);
@@ -214,7 +215,7 @@ TEST(Audit, CgIterationCapThrowsTypedErrorAndCounts) {
     FAIL() << "expected CgNonConvergedError";
   } catch (const CgNonConvergedError& e) {
     EXPECT_EQ(e.iterations(), 3u);
-    EXPECT_GT(e.rel_residual(), SolveContext::kCgRelTol);
+    EXPECT_GT(e.rel_residual(), linalg::kCgRelTol);
     EXPECT_NE(std::string(e.what()).find("failed to converge"),
               std::string::npos);
   }

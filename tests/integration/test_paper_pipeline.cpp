@@ -132,9 +132,7 @@ TEST(PaperPipeline, MultiPinExtensionBeatsSinglePinOnAlpha) {
   auto req = alpha_request();
   auto sys = tec::ElectroThermalSystem::assemble(req.spec, res.deployment,
                                                  req.tile_powers, req.device);
-  core::MultiPinOptions mp_opts;
-  mp_opts.max_sweeps = 2;  // keep the test fast
-  auto mp = core::optimize_multi_pin(sys, res.current, mp_opts);
+  auto mp = core::optimize_multi_pin(sys, res.current, /*max_sweeps=*/2);  // keep it fast
   EXPECT_LE(mp.peak_tile_temperature,
             thermal::to_kelvin(res.peak_greedy_celsius) + 1e-9);
 }

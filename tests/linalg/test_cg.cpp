@@ -13,6 +13,9 @@
 namespace tfc::linalg {
 namespace {
 
+/// Iteration cap of the tests that expect convergence.
+constexpr std::size_t kCap = 10000;
+
 SparseMatrix laplacian_1d(std::size_t n, double ground = 1.0) {
   TripletList t(n, n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -30,7 +33,7 @@ SparseMatrix laplacian_1d(std::size_t n, double ground = 1.0) {
 TEST(Cg, SolvesIdentityInstantly) {
   auto a = SparseMatrix::identity(4);
   Vector b{1.0, 2.0, 3.0, 4.0};
-  auto r = conjugate_gradient(a, b, identity_preconditioner());
+  auto r = conjugate_gradient(a, b, kCap);
   EXPECT_TRUE(r.converged);
   EXPECT_TRUE(approx_equal(r.x, b, 1e-12));
 }
@@ -38,7 +41,7 @@ TEST(Cg, SolvesIdentityInstantly) {
 TEST(Cg, SolvesGroundedLaplacian) {
   auto a = laplacian_1d(50);
   Vector b(50, 1.0);
-  auto r = conjugate_gradient(a, b, jacobi_preconditioner(a));
+  auto r = conjugate_gradient(a, b, kCap);
   ASSERT_TRUE(r.converged);
   EXPECT_LT(norm2(a * r.x - b), 1e-10 * norm2(b));
 }
@@ -49,7 +52,7 @@ TEST(Cg, MatchesDenseCholesky) {
   auto a = SparseMatrix::from_dense(d);
   Vector b(30);
   for (std::size_t i = 0; i < 30; ++i) b[i] = double(i % 5) - 2.0;
-  CgResult r = cg_solve(a, b);
+  CgResult r = cg_solve(a, b, kCap);
   Vector x_ch = CholeskyFactor::factor(d)->solve(b);
   EXPECT_TRUE(approx_equal(r.x, x_ch, 1e-8));
   // cg_solve reports solver effort alongside the solution.
@@ -61,29 +64,16 @@ TEST(Cg, MatchesDenseCholesky) {
 TEST(Cg, ZeroRhsGivesZero) {
   auto a = laplacian_1d(10);
   Vector b(10);
-  auto r = conjugate_gradient(a, b, jacobi_preconditioner(a));
+  auto r = conjugate_gradient(a, b, kCap);
   EXPECT_TRUE(r.converged);
   EXPECT_EQ(r.iterations, 0u);
   EXPECT_DOUBLE_EQ(norm2(r.x), 0.0);
 }
 
-TEST(Cg, WarmStartReducesIterations) {
-  auto a = laplacian_1d(100);
-  Vector b(100, 1.0);
-  auto cold = conjugate_gradient(a, b, jacobi_preconditioner(a));
-  ASSERT_TRUE(cold.converged);
-  auto warm = conjugate_gradient(a, b, jacobi_preconditioner(a), {}, cold.x);
-  EXPECT_TRUE(warm.converged);
-  EXPECT_LE(warm.iterations, 1u);
-}
-
 TEST(Cg, MaxIterationsRespected) {
   auto a = laplacian_1d(200, 1e-6);  // nearly singular, slow convergence
   Vector b(200, 1.0);
-  CgOptions opts;
-  opts.max_iterations = 2;
-  opts.rel_tol = 1e-15;
-  auto r = conjugate_gradient(a, b, identity_preconditioner(), opts);
+  auto r = conjugate_gradient(a, b, 2);
   EXPECT_FALSE(r.converged);
   EXPECT_EQ(r.iterations, 2u);
 }
@@ -99,10 +89,7 @@ TEST(Cg, NonConvergenceLogsWarning) {
 
   auto a = laplacian_1d(200, 1e-6);
   Vector b(200, 1.0);
-  CgOptions opts;
-  opts.max_iterations = 2;
-  opts.rel_tol = 1e-15;
-  auto r = conjugate_gradient(a, b, identity_preconditioner(), opts);
+  auto r = conjugate_gradient(a, b, 2);
 
   logger.set_level(saved_level);
   logger.set_sinks(std::move(saved_sinks));
@@ -119,64 +106,32 @@ TEST(Cg, NonSpdDetected) {
   DenseMatrix d{{1.0, 2.0}, {2.0, 1.0}};
   auto a = SparseMatrix::from_dense(d);
   Vector b{1.0, -1.0};
-  auto r = conjugate_gradient(a, b, identity_preconditioner());
+  auto r = conjugate_gradient(a, b, kCap);
   EXPECT_FALSE(r.converged);
+  EXPECT_LT(r.iterations, kCap);  // a breakdown, not the cap
 }
 
 TEST(Cg, DimensionMismatchThrows) {
   auto a = SparseMatrix::identity(3);
   Vector b(2);
-  EXPECT_THROW(conjugate_gradient(a, b, identity_preconditioner()), std::invalid_argument);
-  Vector ok(3), bad_guess(4);
-  EXPECT_THROW(conjugate_gradient(a, ok, identity_preconditioner(), {}, bad_guess),
-               std::invalid_argument);
+  EXPECT_THROW(conjugate_gradient(a, b, kCap), std::invalid_argument);
 }
 
 TEST(Cg, CgSolveThrowsOnFailure) {
   DenseMatrix d{{1.0, 2.0}, {2.0, 1.0}};
   auto a = SparseMatrix::from_dense(d);
   Vector b{1.0, -1.0};
-  EXPECT_THROW(cg_solve(a, b), std::runtime_error);
+  EXPECT_THROW(cg_solve(a, b, kCap), std::runtime_error);
 }
 
 TEST(Preconditioners, JacobiRequiresPositiveDiagonal) {
+  // A non-positive diagonal entry proves A is not positive definite: the
+  // Jacobi preconditioner refuses it before any iteration.
   TripletList t(2, 2);
   t.add(0, 0, 1.0);
   t.add(1, 1, -1.0);
   auto a = SparseMatrix::from_triplets(t);
-  EXPECT_THROW(jacobi_preconditioner(a), std::invalid_argument);
-}
-
-TEST(Preconditioners, SsorOmegaValidated) {
-  auto a = laplacian_1d(5);
-  EXPECT_THROW(ssor_preconditioner(a, 0.0), std::invalid_argument);
-  EXPECT_THROW(ssor_preconditioner(a, 2.0), std::invalid_argument);
-}
-
-TEST(Preconditioners, SsorSpeedsUpOverJacobi) {
-  auto a = laplacian_1d(400, 0.01);
-  Vector b(400, 1.0);
-  auto jac = conjugate_gradient(a, b, jacobi_preconditioner(a));
-  auto ssor = conjugate_gradient(a, b, ssor_preconditioner(a, 1.2));
-  ASSERT_TRUE(jac.converged);
-  ASSERT_TRUE(ssor.converged);
-  EXPECT_LT(ssor.iterations, jac.iterations);
-  EXPECT_TRUE(approx_equal(jac.x, ssor.x, 1e-6 * norm_inf(jac.x) + 1e-8));
-}
-
-// SSOR preconditioner must be symmetric positive definite as an operator:
-// check <u, M⁻¹v> == <M⁻¹u, v> on random vectors.
-TEST(Preconditioners, SsorOperatorIsSymmetric) {
-  auto a = laplacian_1d(30);
-  auto m = ssor_preconditioner(a, 1.0);
-  std::mt19937_64 rng(4);
-  std::uniform_real_distribution<double> u(-1.0, 1.0);
-  Vector x(30), y(30);
-  for (std::size_t i = 0; i < 30; ++i) {
-    x[i] = u(rng);
-    y[i] = u(rng);
-  }
-  EXPECT_NEAR(dot(x, m(y)), dot(m(x), y), 1e-10);
+  EXPECT_THROW(conjugate_gradient(a, Vector{1.0, 1.0}, kCap), std::invalid_argument);
 }
 
 class CgSizeSweep : public ::testing::TestWithParam<std::size_t> {};
@@ -186,7 +141,7 @@ TEST_P(CgSizeSweep, ResidualBelowTolerance) {
   auto a = laplacian_1d(n);
   Vector b(n);
   for (std::size_t i = 0; i < n; ++i) b[i] = std::sin(0.1 * double(i));
-  auto r = conjugate_gradient(a, b, jacobi_preconditioner(a));
+  auto r = conjugate_gradient(a, b, kCap);
   ASSERT_TRUE(r.converged);
   EXPECT_LT(norm2(a * r.x - b), 1e-9 * (norm2(b) + 1.0));
 }

@@ -1,9 +1,9 @@
 /// Property tests of the sparse shift-invert Lanczos eigensolver against the
 /// dense pencil-bisection oracle, over random Stieltjes matrices (the
-/// paper's own validation family), sizes, shifts — including a near-singular
-/// K = G − σD and a deliberately bad shift that must re-shift or throw — and
-/// the two-phase structure: a caller's factor of G, the counted fallback when
-/// the top two eigenvalues nearly coincide, and the no-positive-entry exit.
+/// paper's own validation family) and sizes; its typed errors (a G that is
+/// not positive definite, an unreachable certificate); and the two-phase
+/// structure: a caller's factor of G, the counted fallback when the top two
+/// eigenvalues nearly coincide, and the no-positive-entry exit.
 #include "linalg/lanczos.h"
 
 #include <gtest/gtest.h>
@@ -25,6 +25,18 @@
 #include "obs/metrics.h"
 
 namespace tfc::linalg {
+
+/// Reaches the solve with a residual certificate other than kLanczosRelTol.
+struct ShiftInvertLanczosTestPeer {
+  static std::optional<ShiftInvertLanczosResult> smallest_positive(const SparseMatrix& g,
+                                                                   const Vector& d,
+                                                                   double rel_tol) {
+    const SparseCholeskySymbolic symbolic = SparseCholeskySymbolic::analyze(g);
+    ShiftInvertLanczosWorkspace ws;
+    return ShiftInvertLanczos::smallest_positive(g, d, symbolic, ws, nullptr, rel_tol);
+  }
+};
+
 namespace {
 
 /// TEC-like diagonal: +mag on `pos` rows, −mag on `neg` rows, 0 elsewhere —
@@ -112,28 +124,9 @@ TEST(ShiftInvertLanczos, EigenpairSatisfiesPencilEquation) {
   EXPECT_LE(norm2(gv) / gvn, 1e-9);
 }
 
-TEST(ShiftInvertLanczos, InteriorShiftMatchesZeroShift) {
-  std::mt19937_64 rng(9);
-  const std::size_t n = 32;
-  const DenseMatrix gd = random_pd_stieltjes(n, rng);
-  const Vector d = tec_like_diagonal(n, 6, 3, rng);
-  const SparseMatrix g = SparseMatrix::from_dense(gd);
-  const auto base = ShiftInvertLanczos::smallest_positive(g, d);
-  ASSERT_TRUE(base.has_value());
-  for (double f : {0.25, 0.5, 0.9, 0.999}) {
-    // Every σ strictly inside (0, λ_m) keeps K = G − σD SPD; f → 1 drives K
-    // toward singular (the near-breakdown regime).
-    ShiftInvertLanczosOptions opts;
-    opts.shift = f * base->eigenvalue;
-    const auto shifted = ShiftInvertLanczos::smallest_positive(g, d, opts);
-    ASSERT_TRUE(shifted.has_value()) << "f=" << f;
-    EXPECT_EQ(shifted->shift, opts.shift) << "f=" << f;  // no re-shift occurred
-    EXPECT_NEAR(shifted->eigenvalue, base->eigenvalue, 1e-8 * base->eigenvalue)
-        << "f=" << f;
-  }
-}
-
-TEST(ShiftInvertLanczos, BadShiftReshiftsWhenAllowed) {
+TEST(ShiftInvertLanczos, NonPdGThrowsLanczosShiftError) {
+  // G − 2·λ_m·D is a symmetric pencil member that is not positive definite:
+  // handed in as "G", the solve's own factorization of it fails.
   std::mt19937_64 rng(13);
   const std::size_t n = 24;
   const DenseMatrix gd = random_pd_stieltjes(n, rng);
@@ -142,32 +135,8 @@ TEST(ShiftInvertLanczos, BadShiftReshiftsWhenAllowed) {
   const auto base = ShiftInvertLanczos::smallest_positive(g, d);
   ASSERT_TRUE(base.has_value());
 
-  ShiftInvertLanczosOptions opts;
-  opts.shift = 2.0 * base->eigenvalue;  // past λ_m: K is indefinite
-  const auto res = ShiftInvertLanczos::smallest_positive(g, d, opts);
-  ASSERT_TRUE(res.has_value());
-  EXPECT_EQ(res->shift, 0.0);  // the re-shift is recorded in the result
-  EXPECT_NEAR(res->eigenvalue, base->eigenvalue, 1e-8 * base->eigenvalue);
-}
-
-TEST(ShiftInvertLanczos, BadShiftThrowsTypedErrorWhenReshiftDisabled) {
-  std::mt19937_64 rng(13);
-  const std::size_t n = 24;
-  const DenseMatrix gd = random_pd_stieltjes(n, rng);
-  const Vector d = tec_like_diagonal(n, 5, 3, rng);
-  const SparseMatrix g = SparseMatrix::from_dense(gd);
-  const auto base = ShiftInvertLanczos::smallest_positive(g, d);
-  ASSERT_TRUE(base.has_value());
-
-  ShiftInvertLanczosOptions opts;
-  opts.shift = 2.0 * base->eigenvalue;
-  opts.allow_reshift = false;
-  try {
-    ShiftInvertLanczos::smallest_positive(g, d, opts);
-    FAIL() << "expected LanczosShiftError";
-  } catch (const LanczosShiftError& e) {
-    EXPECT_EQ(e.shift(), opts.shift);
-  }
+  const SparseMatrix indefinite = g.add_scaled_diagonal(d, -2.0 * base->eigenvalue);
+  EXPECT_THROW(ShiftInvertLanczos::smallest_positive(indefinite, d), LanczosShiftError);
 }
 
 TEST(ShiftInvertLanczos, ImpossibleToleranceThrowsTypedNonConvergence) {
@@ -177,10 +146,9 @@ TEST(ShiftInvertLanczos, ImpossibleToleranceThrowsTypedNonConvergence) {
   const Vector d = tec_like_diagonal(n, 4, 3, rng);
   const SparseMatrix g = SparseMatrix::from_dense(gd);
 
-  ShiftInvertLanczosOptions opts;
-  opts.rel_tol = 1e-30;  // below machine precision: certificate cannot be met
   try {
-    ShiftInvertLanczos::smallest_positive(g, d, opts);
+    // 1e-30 is below machine precision: the certificate cannot be met.
+    ShiftInvertLanczosTestPeer::smallest_positive(g, d, 1e-30);
     FAIL() << "expected LanczosNonConvergedError";
   } catch (const LanczosNonConvergedError& e) {
     EXPECT_GT(e.iterations(), 0u);
@@ -242,7 +210,7 @@ TEST(ShiftInvertLanczos, WorkspaceReuseIsBitIdentical) {
   ASSERT_TRUE(g_factor.has_value());
   for (int rep = 0; rep < 2; ++rep) {
     const auto given =
-        ShiftInvertLanczos::smallest_positive(g, d, symbolic, ws, {}, &*g_factor);
+        ShiftInvertLanczos::smallest_positive(g, d, symbolic, ws, &*g_factor);
     ASSERT_TRUE(given.has_value());
     EXPECT_EQ(first->eigenvalue, given->eigenvalue);
     EXPECT_EQ(first->iterations, given->iterations);
@@ -267,7 +235,7 @@ std::pair<SparseMatrix, Vector> close_top_pair() {
 
 TEST(ShiftInvertLanczos, CloseTopEigenvaluesFallBackToTheSinglePhaseSolve) {
   // The near-λ_m factorization cannot certify, so the solve resumes the run
-  // to the tight stop, refines with K's factor and certifies minimality with
+  // to the tight stop, refines with G's factor and certifies minimality with
   // its own factorization.
   const auto [g, d] = close_top_pair();
   auto& fallbacks =
@@ -323,8 +291,8 @@ TEST(ShiftInvertLanczos, SpanRecordsInverseStepsAndNearShift) {
 }
 
 TEST(ShiftInvertLanczos, NoPositiveEntryReturnsNulloptOnEveryPath) {
-  // A D without a positive entry has no positive eigenvalue, whatever the
-  // shift or factor offered: the solve returns before any Lanczos step.
+  // A D without a positive entry has no positive eigenvalue, whether or not
+  // a factor of G is offered: the solve returns before any Lanczos step.
   std::mt19937_64 rng(29);
   const std::size_t n = 16;
   const DenseMatrix gd = random_pd_stieltjes(n, rng);
@@ -336,11 +304,9 @@ TEST(ShiftInvertLanczos, NoPositiveEntryReturnsNulloptOnEveryPath) {
   auto& steps = obs::MetricsRegistry::global().histogram("linalg.lanczos_iters");
   const std::uint64_t samples0 = steps.summary().count;
   ShiftInvertLanczosWorkspace ws;
-  EXPECT_FALSE(ShiftInvertLanczos::smallest_positive(g, neg, symbolic, ws, {}, &*g_factor)
+  EXPECT_FALSE(ShiftInvertLanczos::smallest_positive(g, neg, symbolic, ws, &*g_factor)
                    .has_value());
-  ShiftInvertLanczosOptions shifted;
-  shifted.shift = 0.5;
-  EXPECT_FALSE(ShiftInvertLanczos::smallest_positive(g, neg, shifted).has_value());
+  EXPECT_FALSE(ShiftInvertLanczos::smallest_positive(g, neg).has_value());
   EXPECT_EQ(steps.summary().count, samples0);
 }
 

@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "common/tile.h"
 #include "thermal/material.h"
 #include "thermal/package.h"
+#include "thermal/stack_spec.h"
 
 namespace tfc {
 namespace {
@@ -81,7 +85,7 @@ TEST(Material, ValidationRejectsNonPhysical) {
 
 TEST(PackageGeometry, DefaultsMatchPaperGrid) {
   thermal::PackageGeometry g;
-  EXPECT_NO_THROW(g.validate());
+  EXPECT_NO_THROW(thermal::StackSpec::single_die(g));
   EXPECT_EQ(g.tile_rows, 12u);
   EXPECT_EQ(g.tile_cols, 12u);
   EXPECT_NEAR(g.tile_pitch_x(), 0.5e-3, 1e-12);  // 0.5 mm TEC footprint
@@ -95,18 +99,35 @@ TEST(PackageGeometry, KelvinConversions) {
 }
 
 TEST(PackageGeometry, ValidateCatchesBadValues) {
+  // StackSpec::single_die validates the package it builds.
   thermal::PackageGeometry g;
   g.die_thickness = 0.0;
-  EXPECT_THROW(g.validate(), std::invalid_argument);
+  EXPECT_THROW(thermal::StackSpec::single_die(g), std::invalid_argument);
   g = {};
   g.tile_rows = 0;
-  EXPECT_THROW(g.validate(), std::invalid_argument);
+  EXPECT_THROW(thermal::StackSpec::single_die(g), std::invalid_argument);
   g = {};
   g.sink_side = g.spreader_side / 2.0;
-  EXPECT_THROW(g.validate(), std::invalid_argument);
+  EXPECT_THROW(thermal::StackSpec::single_die(g), std::invalid_argument);
   g = {};
   g.convection_resistance = -1.0;
-  EXPECT_THROW(g.validate(), std::invalid_argument);
+  EXPECT_THROW(thermal::StackSpec::single_die(g), std::invalid_argument);
+}
+
+TEST(PackageGeometry, SingleDieRefusesOutOfRangeValues) {
+  // Positive but outside the StackSpec ranges: refused by single_die itself,
+  // not only later when the package is assembled.
+  thermal::PackageGeometry g;
+  g.die_thickness = 2.0;  // [m], above StackSpec::kMaxLength
+  try {
+    thermal::StackSpec::single_die(g);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("thickness"), std::string::npos) << e.what();
+  }
+  g = {};
+  g.ambient = 1e308;  // [K], above StackSpec::kMaxAmbient
+  EXPECT_THROW(thermal::StackSpec::single_die(g), std::invalid_argument);
 }
 
 TEST(PackageGeometry, Overhangs) {
