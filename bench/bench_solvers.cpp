@@ -72,7 +72,7 @@ void BM_SteadySolve_Cg(benchmark::State& state) {
   const auto a = sys.system_matrix(4.0);
   const auto b = sys.rhs(4.0);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(linalg::cg_solve(a, b, 10000));
+    benchmark::DoNotOptimize(linalg::conjugate_gradient(a, b, 10000));
   }
   state.counters["nodes"] = double(sys.node_count());
 }

@@ -45,13 +45,8 @@ std::optional<tec::OperatingPoint> solve_multi_pin(
   engine::SolveContext::WorkspaceLease ws(context);
   ws->forget_factor();  // about to hold a per-device pencil, not G − i·D
   ws->pencil.assign_add_scaled_diagonal(system.matrix_g(), d, 1.0);
-  const auto& symbolic = system.cholesky_symbolic();
-  if (!symbolic.pattern_matches(ws->pencil)) {
-    // Cannot happen for a well-formed G; fall back to a one-shot factor.
-    auto f = linalg::SparseCholeskyFactor::factor(ws->pencil);
-    if (!f) return std::nullopt;
-    ws->factor = std::move(*f);
-  } else if (!symbolic.refactorize_into(ws->pencil, ws->factor, ws->factor_scratch)) {
+  if (!system.cholesky_symbolic().refactorize_into(ws->pencil, ws->factor,
+                                                   ws->factor_scratch)) {
     return std::nullopt;
   }
 

@@ -4,10 +4,9 @@ namespace tfc::core {
 
 std::optional<ResponseEvaluator> ResponseEvaluator::at(
     const tec::ElectroThermalSystem& system, double i) {
-  if (i < 0.0) return std::nullopt;
-  auto factor = system.factorize(i);
-  if (!factor) return std::nullopt;
-  return ResponseEvaluator(system, i, std::move(*factor));
+  tec::SolveWorkspace ws;
+  if (!system.factorize_into(i, ws)) return std::nullopt;
+  return ResponseEvaluator(system, i, std::move(ws.factor));
 }
 
 linalg::Vector ResponseEvaluator::h_column(std::size_t l) const {

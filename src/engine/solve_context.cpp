@@ -130,22 +130,6 @@ std::optional<tec::OperatingPoint> SolveContext::solve(double i) const {
   return op;
 }
 
-namespace {
-
-/// Assemble the full OperatingPoint from a solved temperature vector.
-tec::OperatingPoint finish_point(const tec::ElectroThermalSystem& system, double i,
-                                 linalg::Vector theta) {
-  tec::OperatingPoint op;
-  op.current = i;
-  op.theta = std::move(theta);
-  op.tile_temperatures = system.model().tile_temperatures(op.theta);
-  op.peak_tile_temperature = linalg::max_entry(op.tile_temperatures);
-  op.tec_input_power = system.tec_input_power(i, op.theta);
-  return op;
-}
-
-}  // namespace
-
 std::optional<tec::OperatingPoint> SolveContext::solve_cg(double i) const {
   return solve_cg(i, kCgMaxIterations);
 }
@@ -171,11 +155,11 @@ std::optional<tec::OperatingPoint> SolveContext::solve_cg(double i,
     obs::MetricsRegistry::global().counter("engine.cg.nonconverged").increment();
     const double rel =
         linalg::norm2(b) > 0.0 ? r.residual_norm / linalg::norm2(b) : r.residual_norm;
-    record_audit_metrics(audit_point(system_, finish_point(system_, i, r.x),
+    record_audit_metrics(audit_point(system_, system_.operating_point(i, std::move(r.x)),
                                      cached_runaway_limit(), /*degraded=*/true));
     throw CgNonConvergedError(r.iterations, rel);
   }
-  auto op = finish_point(system_, i, r.x);
+  auto op = system_.operating_point(i, std::move(r.x));
   maybe_audit(op);
   return op;
 }

@@ -114,12 +114,4 @@ CgResult conjugate_gradient(const SparseMatrix& a, const Vector& b,
   return res;
 }
 
-CgResult cg_solve(const SparseMatrix& a, const Vector& b, std::size_t max_iterations) {
-  CgResult r = conjugate_gradient(a, b, max_iterations);
-  if (!r.converged) {
-    throw std::runtime_error("cg_solve: conjugate gradient failed to converge");
-  }
-  return r;
-}
-
 }  // namespace tfc::linalg

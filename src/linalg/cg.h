@@ -36,9 +36,4 @@ struct CgResult {
 CgResult conjugate_gradient(const SparseMatrix& a, const Vector& b,
                             std::size_t max_iterations);
 
-/// Convenience: conjugate_gradient() that throws std::runtime_error if the
-/// iteration fails to converge (a WARN with the iteration count and residual
-/// is logged first).
-CgResult cg_solve(const SparseMatrix& a, const Vector& b, std::size_t max_iterations);
-
 }  // namespace tfc::linalg

@@ -11,7 +11,7 @@
 ///
 /// which is self-adjoint in the G-inner product ⟨x, y⟩_G = xᵀG y, and factors
 /// the near-λ_m pencil through the same SparseCholeskySymbolic
-/// analyze/refactorize split every current probe already shares. Because D is
+/// analyze/refactorize_into split every current probe already shares. Because D is
 /// supported on the TEC plate rows only, rank(C) ≤ nnz(D), so the Krylov
 /// space exhausts after at most that many steps.
 ///

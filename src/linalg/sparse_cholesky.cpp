@@ -148,14 +148,6 @@ bool SparseCholeskySymbolic::pattern_matches(const SparseMatrix& a) const {
          a.col_idx() == a_col_idx_;
 }
 
-std::optional<SparseCholeskyFactor> SparseCholeskySymbolic::numeric(
-    const SparseMatrix& a) const {
-  SparseCholeskyFactor f;
-  std::vector<double> x;
-  if (!numeric_into(a, f, x)) return std::nullopt;
-  return f;
-}
-
 bool SparseCholeskySymbolic::numeric_into(const SparseMatrix& a, SparseCholeskyFactor& f,
                                           std::vector<double>& x) const {
   const auto& vals = a.values();
@@ -218,33 +210,22 @@ bool SparseCholeskySymbolic::refactorize_into(const SparseMatrix& a, SparseChole
   return ok;
 }
 
-std::optional<SparseCholeskyFactor> SparseCholeskySymbolic::refactorize(
-    const SparseMatrix& a) const {
-  if (!pattern_matches(a)) {
-    throw std::invalid_argument("SparseCholeskySymbolic::refactorize: pattern mismatch");
-  }
-  TFC_SPAN("sparse_refactor");
-  TFC_SPAN_ATTR("n", a.rows());
-  const auto t0 = std::chrono::steady_clock::now();
-  auto f = numeric(a);
-  auto& metrics = obs::MetricsRegistry::global();
-  metrics.counter("cholesky.sparse.refactors").increment();
-  metrics.histogram("cholesky.sparse.refactor_ms").record(ms_since(t0));
-  if (!f) metrics.counter("cholesky.sparse.not_pd").increment();
-  return f;
-}
-
 std::optional<SparseCholeskyFactor> SparseCholeskyFactor::factor(const SparseMatrix& a) {
   TFC_SPAN("sparse_factor");
   TFC_SPAN_ATTR("n", a.rows());
   const auto t0 = std::chrono::steady_clock::now();
   const SparseCholeskySymbolic symbolic = SparseCholeskySymbolic::analyze(a);
-  auto f = symbolic.numeric(a);
+  SparseCholeskyFactor f;
+  std::vector<double> scratch;
+  const bool ok = symbolic.numeric_into(a, f, scratch);
 
   auto& metrics = obs::MetricsRegistry::global();
   metrics.counter("cholesky.sparse.factors").increment();
   metrics.histogram("cholesky.sparse.factor_ms").record(ms_since(t0));
-  if (!f) metrics.counter("cholesky.sparse.not_pd").increment();
+  if (!ok) {
+    metrics.counter("cholesky.sparse.not_pd").increment();
+    return std::nullopt;
+  }
   return f;
 }
 
@@ -255,24 +236,10 @@ std::size_t SparseCholeskyFactor::factor_nnz() const {
 }
 
 Vector SparseCholeskyFactor::solve(const Vector& b) const {
-  if (b.size() != n_) throw std::invalid_argument("SparseCholeskyFactor::solve: dimension mismatch");
-  // Permute RHS into factor ordering.
-  Vector pb = permute(b, perm_);
-
-  // Forward: L y = pb (columns scatter).
-  for (std::size_t j = 0; j < n_; ++j) {
-    pb[j] /= diag_[j];
-    const double yj = pb[j];
-    for (const Entry& e : cols_[j]) pb[e.row] -= e.value * yj;
-  }
-  // Backward: Lᵀ x = y (columns gather).
-  for (std::size_t jj = n_; jj-- > 0;) {
-    double s = pb[jj];
-    for (const Entry& e : cols_[jj]) s -= e.value * pb[e.row];
-    pb[jj] = s / diag_[jj];
-  }
-  // Un-permute.
-  return permute(pb, inv_perm_);
+  Vector x;
+  Vector scratch;
+  solve_into(b, x, scratch);
+  return x;
 }
 
 void SparseCholeskyFactor::solve_into(const Vector& b, Vector& x, Vector& scratch) const {

@@ -7,12 +7,13 @@
 /// expensive part of the factorization — fill-reducing ordering, elimination
 /// tree, per-row fill patterns — is computed **once** per deployment
 /// (`SparseCholeskySymbolic::analyze`) and every candidate/current probe only
-/// reruns the numeric sweep (`refactorize`). The numeric phase is `const`
-/// and allocates its own workspaces, so concurrent probes from the tfc::par
-/// pool are safe. The one fill-reducing ordering is the approximate minimum
-/// degree (linalg/ordering.h). Like the dense variant, a failed numeric
-/// phase doubles as a negative positive-definiteness probe (Theorem 1
-/// binary search).
+/// reruns the numeric sweep (`refactorize_into`). The numeric phase is
+/// `const` and writes only caller-owned storage, so concurrent probes from
+/// the tfc::par pool, each with its own factor, are safe. The one
+/// fill-reducing ordering is the approximate minimum degree
+/// (linalg/ordering.h). Like the dense variant, a failed numeric phase
+/// doubles as a negative positive-definiteness probe (Theorem 1 binary
+/// search).
 #pragma once
 
 #include <cstddef>
@@ -45,13 +46,13 @@ class SparseCholeskyFactor {
   /// Number of stored nonzeros of L (including the diagonal).
   std::size_t factor_nnz() const;
 
-  /// Solve A x = b.
+  /// Solve A x = b (solve_into on fresh storage).
   Vector solve(const Vector& b) const;
 
   /// Solve A x = b into caller-owned storage. \p x and \p scratch are
   /// resized to dim() — zero allocations once both have adopted it.
-  /// \p x must not alias \p scratch; \p b may alias \p x. Identical
-  /// arithmetic to solve().
+  /// \p x must not alias \p scratch; \p b may alias \p x. Opens a
+  /// sparse_solve span.
   void solve_into(const Vector& b, Vector& x, Vector& scratch) const;
 
   /// Column j of A⁻¹.
@@ -78,7 +79,7 @@ class SparseCholeskyFactor {
 /// The pattern-only half of the factorization: fill-reducing permutation,
 /// elimination tree reach (per-row fill patterns of L), and a gather map
 /// from the original CSR value array into the permuted lower triangle.
-/// Immutable once built; `refactorize` is const and thread-safe, so one
+/// Immutable once built; `refactorize_into` is const and thread-safe, so one
 /// analysis can serve concurrent numeric factorizations.
 class SparseCholeskySymbolic {
  public:
@@ -94,19 +95,16 @@ class SparseCholeskySymbolic {
   std::size_t factor_nnz() const { return n_ + lpat_idx_.size(); }
 
   /// True when \p a has exactly the analyzed pattern (same row_ptr and
-  /// col_idx arrays) — the precondition of refactorize.
+  /// col_idx arrays) — the precondition of refactorize_into.
   bool pattern_matches(const SparseMatrix& a) const;
 
-  /// Numeric factorization of \p a reusing the analysis. Returns nullopt on
-  /// a non-positive pivot (matrix not positive definite). Throws
-  /// std::invalid_argument when \p a does not match the analyzed pattern.
-  std::optional<SparseCholeskyFactor> refactorize(const SparseMatrix& a) const;
-
-  /// Numeric factorization into a caller-owned factor, reusing its storage —
-  /// zero allocations once \p f has been warmed on this pattern. \p scratch
-  /// is the dense row workspace (resized to dim()). Returns false on a
-  /// non-positive pivot, leaving \p f partially overwritten (invalid).
-  /// Identical arithmetic (and the same span/metrics) as refactorize().
+  /// Numeric factorization of \p a reusing the analysis, into a
+  /// caller-owned factor whose storage it reuses — zero allocations once
+  /// \p f has been warmed on this pattern. \p scratch is the dense row
+  /// workspace (resized to dim()). Returns false on a non-positive pivot
+  /// (matrix not positive definite), leaving \p f partially overwritten
+  /// (invalid). Throws std::invalid_argument when \p a does not match the
+  /// analyzed pattern. Opens a sparse_refactor span.
   bool refactorize_into(const SparseMatrix& a, SparseCholeskyFactor& f,
                         std::vector<double>& scratch) const;
 
@@ -115,11 +113,8 @@ class SparseCholeskySymbolic {
 
   SparseCholeskySymbolic() = default;
 
-  /// The shared numeric sweep (no metrics, no validation).
-  std::optional<SparseCholeskyFactor> numeric(const SparseMatrix& a) const;
-
-  /// Numeric sweep writing into caller storage; shared by numeric() and
-  /// refactorize_into().
+  /// The numeric sweep (no metrics, no validation) behind
+  /// refactorize_into() and SparseCholeskyFactor::factor().
   bool numeric_into(const SparseMatrix& a, SparseCholeskyFactor& f,
                     std::vector<double>& x) const;
 

@@ -149,33 +149,15 @@ SparseMatrix SparseMatrix::add_scaled(const SparseMatrix& b, double alpha) const
 }
 
 SparseMatrix SparseMatrix::add_scaled_diagonal(const Vector& d, double alpha) const {
-  if (!square() || d.size() != rows_) {
-    throw std::invalid_argument("SparseMatrix::add_scaled_diagonal: shape mismatch");
-  }
-  SparseMatrix out = *this;
-  for (std::size_t r = 0; r < rows_; ++r) {
-    const double add = alpha * d[r];
-    if (add == 0.0) continue;
-    const auto begin = out.col_idx_.begin() + std::ptrdiff_t(out.row_ptr_[r]);
-    const auto end = out.col_idx_.begin() + std::ptrdiff_t(out.row_ptr_[r + 1]);
-    const auto it = std::lower_bound(begin, end, r);
-    if (it == end || *it != r) {
-      // No stored diagonal to update: give up on pattern preservation.
-      TripletList t(rows_, cols_);
-      for (std::size_t k = 0; k < rows_; ++k) {
-        if (d[k] != 0.0) t.add(k, k, alpha * d[k]);
-      }
-      return add_scaled(SparseMatrix::from_triplets(t), 1.0);
-    }
-    out.values_[std::size_t(it - out.col_idx_.begin())] += add;
-  }
+  SparseMatrix out;
+  out.assign_add_scaled_diagonal(*this, d, alpha);
   return out;
 }
 
 void SparseMatrix::assign_add_scaled_diagonal(const SparseMatrix& base, const Vector& d,
                                               double alpha) {
   if (!base.square() || d.size() != base.rows_) {
-    throw std::invalid_argument("SparseMatrix::assign_add_scaled_diagonal: shape mismatch");
+    throw std::invalid_argument("SparseMatrix::add_scaled_diagonal: shape mismatch");
   }
   rows_ = base.rows_;
   cols_ = base.cols_;
@@ -189,8 +171,12 @@ void SparseMatrix::assign_add_scaled_diagonal(const SparseMatrix& base, const Ve
     const auto end = col_idx_.begin() + std::ptrdiff_t(row_ptr_[r + 1]);
     const auto it = std::lower_bound(begin, end, r);
     if (it == end || *it != r) {
-      // No stored diagonal to update: fall back to the allocating path.
-      *this = base.add_scaled_diagonal(d, alpha);
+      // No stored diagonal to update: give up on pattern preservation.
+      TripletList t(rows_, cols_);
+      for (std::size_t k = 0; k < rows_; ++k) {
+        if (d[k] != 0.0) t.add(k, k, alpha * d[k]);
+      }
+      *this = base.add_scaled(SparseMatrix::from_triplets(t), 1.0);
       return;
     }
     values_[std::size_t(it - col_idx_.begin())] += add;

@@ -87,19 +87,18 @@ class SparseMatrix {
   /// A + alpha * B, patterns merged. Shapes must match.
   SparseMatrix add_scaled(const SparseMatrix& b, double alpha) const;
 
-  /// A + alpha·diag(d) for square A, preserving A's sparsity pattern exactly
-  /// (row_ptr/col_idx are copied verbatim; entries that cancel to zero stay
-  /// stored). This keeps the pattern of the pencil `G − i·D` identical for
-  /// every i, which is what lets a single symbolic Cholesky analysis serve
-  /// all currents. Requires a stored diagonal entry wherever d[k] != 0;
-  /// falls back to the pattern-merging add_scaled otherwise.
+  /// A + alpha·diag(d) for square A (assign_add_scaled_diagonal into a new
+  /// matrix).
   SparseMatrix add_scaled_diagonal(const Vector& d, double alpha) const;
 
-  /// In-place variant for hot probe loops: make *this equal
-  /// base + alpha·diag(d), reusing this matrix's storage — no allocation
-  /// once *this has adopted base's pattern. Same arithmetic (and the same
-  /// structural-diagonal requirement with the same fallback) as
-  /// add_scaled_diagonal, entry for entry.
+  /// Make *this equal base + alpha·diag(d), preserving base's sparsity
+  /// pattern exactly (row_ptr/col_idx are copied verbatim; entries that
+  /// cancel to zero stay stored) and reusing this matrix's storage — no
+  /// allocation once *this has adopted base's pattern. This keeps the
+  /// pattern of the pencil `G − i·D` identical for every i, which is what
+  /// lets a single symbolic Cholesky analysis serve all currents. Requires a
+  /// stored diagonal entry wherever alpha·d[k] != 0; falls back to the
+  /// pattern-merging add_scaled otherwise. \p base must not be *this.
   void assign_add_scaled_diagonal(const SparseMatrix& base, const Vector& d, double alpha);
 
   /// Structural symmetry AND value symmetry within tolerance.

@@ -42,8 +42,6 @@ void append_json_value(std::ostringstream& out, const Field::Value& value) {
 
 }  // namespace
 
-const Context* current_context() { return t_current_context; }
-
 RequestTrace* current_request_trace() {
   return t_current_context != nullptr ? t_current_context->trace : nullptr;
 }

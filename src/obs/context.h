@@ -102,9 +102,6 @@ struct Context {
   RequestTrace* trace = nullptr;
 };
 
-/// Current thread's context (nullptr outside any request scope).
-const Context* current_context();
-
 /// Current thread's request trace (nullptr outside any request scope).
 /// One relaxed thread-local read — cheap enough for solver hot paths.
 RequestTrace* current_request_trace();

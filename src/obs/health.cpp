@@ -1,6 +1,7 @@
 #include "obs/health.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 
 namespace tfc::obs::health {
@@ -19,14 +20,18 @@ std::string ratio(double v) {
 
 bool Certificate::pass(const Tolerances& tol) const {
   if (degraded) return false;
+  // Every comparison below is false for a NaN, so finiteness comes first.
+  if (!std::isfinite(rel_residual) || !std::isfinite(energy_balance_rel) ||
+      !std::isfinite(theta_min_k) || !std::isfinite(theta_max_k)) {
+    return false;
+  }
+  if (has_lambda_margin && !std::isfinite(lambda_margin_a)) return false;
   if (rel_residual >= 0.0 && rel_residual > tol.max_rel_residual) return false;
   if (energy_balance_rel >= 0.0 &&
       energy_balance_rel > tol.max_energy_balance_rel) {
     return false;
   }
-  if (theta_min_k < tol.theta_min_k || theta_max_k > tol.theta_max_k) {
-    return false;
-  }
+  if (theta_min_k < tol.theta_min_k) return false;
   if (has_lambda_margin && lambda_margin_a <= 0.0) return false;
   return true;
 }

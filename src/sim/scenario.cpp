@@ -101,10 +101,12 @@ double ScenarioEngine::scheduled_current(std::size_t step) const {
 thermal::TransientSolver& ScenarioEngine::solver_for(double current) {
   auto it = solvers_.find(current);
   if (it != solvers_.end()) return it->second;
-  // Every pencil G − i·D shares G's pattern: hand the first solver's
-  // symbolic analysis to every later level (numeric-only factorization).
-  std::shared_ptr<const linalg::SparseCholeskySymbolic> symbolic;
-  if (!solvers_.empty()) symbolic = solvers_.begin()->second.symbolic();
+  // G − i·D + C/dt has G's pattern, which the system has already analyzed
+  // (and caches for its copies): every level borrows that analysis and runs
+  // only the numeric factorization. The borrow holds no ownership; system_
+  // outlives solvers_.
+  std::shared_ptr<const linalg::SparseCholeskySymbolic> symbolic(
+      std::shared_ptr<const void>(), &system_.cholesky_symbolic());
   it = solvers_
            .try_emplace(current, system_.system_matrix(current),
                         system_.model().network().capacitance_vector(), options_.dt,
@@ -147,11 +149,11 @@ ScenarioSummary ScenarioEngine::run(const FrameSink& sink) {
   theta_ = linalg::Vector(n, model.ambient());
   if (options_.start_from_steady_state) {
     build_rhs(0, unthrottled, 0.0);
-    const auto factor = system_.factorize(0.0);
-    if (!factor) {
+    tec::SolveWorkspace ws;
+    if (!system_.factorize_into(0.0, ws)) {
       throw std::runtime_error("ScenarioEngine: passive system not positive definite");
     }
-    theta_ = factor->solve(rhs_scratch_);
+    ws.factor.solve_into(rhs_scratch_, theta_, ws.solve_scratch);
   }
   theta_next_ = linalg::Vector(n);
 
@@ -190,7 +192,8 @@ ScenarioSummary ScenarioEngine::run(const FrameSink& sink) {
     std::swap(theta_, theta_next_);
     ++executed;
 
-    const double peak = model.peak_tile_temperature(theta_);
+    model.tile_temperatures_into(theta_, tiles_scratch_);
+    const double peak = linalg::max_entry(tiles_scratch_);
     sum.final_peak_k = peak;
     sum.max_peak_k = std::max(sum.max_peak_k, peak);
     if (peak > options_.policy.theta_limit) {
@@ -220,10 +223,7 @@ ScenarioSummary ScenarioEngine::run(const FrameSink& sink) {
       frame.performance = performance;
       frame.actions = std::move(pending_actions);
       pending_actions.clear();
-      if (options_.include_tiles) {
-        model.tile_temperatures_into(theta_, tiles_scratch_);
-        frame.tile_k = tiles_scratch_;
-      }
+      if (options_.include_tiles) frame.tile_k = tiles_scratch_;
       frames_counter.increment();
       ++sum.frames;
       if (sink && !sink(frame)) {

@@ -15,11 +15,12 @@
 /// on-demand hysteresis switch is a DtmController policy (min_scale 1,
 /// current_levels {0, I_on}) driven every step.
 ///
-/// Every TEC pencil G − i·D keeps one sparsity pattern, so all current
-/// levels share one symbolic Cholesky analysis; switching levels is a
-/// numeric-only refactorization. Deterministic by construction: fixed
-/// workload seed, fixed dt, no wall-clock values in frames — byte-identical
-/// frame payloads at any thread count.
+/// Every TEC pencil G − i·D keeps G's sparsity pattern, so the steady start
+/// and all current levels share the system's one cached symbolic Cholesky
+/// analysis; switching levels is a numeric-only refactorization.
+/// Deterministic by construction: fixed workload seed, fixed dt, no
+/// wall-clock values in frames — byte-identical frame payloads at any thread
+/// count.
 #pragma once
 
 #include <cstddef>
@@ -176,7 +177,7 @@ class ScenarioEngine {
   double scheduled_current(std::size_t step) const;
 
   /// The per-level integrator, created on first use; every level shares the
-  /// first level's symbolic analysis.
+  /// system's cached symbolic analysis of G's pattern.
   thermal::TransientSolver& solver_for(double current);
 
   /// Rasterize the per-tile power map of \p step under \p scales (each unit

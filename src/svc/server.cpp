@@ -48,37 +48,42 @@ void close_if_open(int& fd) {
   }
 }
 
-/// Methods with pre-registered per-method latency histograms. Anything else
-/// (unknown methods, shutdown) is bucketed under "other" so a misbehaving
+/// Every queued method: its wire name and its static-lifetime span name
+/// (TFC_SPAN keeps the pointer), so the profiler/trace tree groups request
+/// handling as svc.method.<name>. Each has pre-registered per-method latency
+/// histograms. Anything else (unknown methods, and `shutdown`, which is
+/// answered before the queue) is bucketed under "other" so a misbehaving
 /// client cannot grow the registry without bound.
-constexpr const char* kMethodLabels[] = {"ping",   "stats",  "solve",
-                                         "design", "runaway", "sweep",
-                                         "metrics", "recent", "health",
-                                         "inject", "simulate", "profile"};
+struct MethodNames {
+  const char* name;
+  const char* span;
+};
 
-const char* method_label(const std::string& method) {
-  for (const char* known : kMethodLabels) {
-    if (method == known) return known;
+constexpr MethodNames kMethods[] = {
+    {"ping", "svc.method.ping"},         {"stats", "svc.method.stats"},
+    {"solve", "svc.method.solve"},       {"design", "svc.method.design"},
+    {"runaway", "svc.method.runaway"},   {"sweep", "svc.method.sweep"},
+    {"metrics", "svc.method.metrics"},   {"recent", "svc.method.recent"},
+    {"health", "svc.method.health"},     {"inject", "svc.method.inject"},
+    {"simulate", "svc.method.simulate"}, {"profile", "svc.method.profile"},
+};
+
+constexpr MethodNames kOtherMethod = {"other", "svc.method.other"};
+
+const MethodNames& method_names(const std::string& method) {
+  for (const MethodNames& known : kMethods) {
+    if (method == known.name) return known;
   }
-  return "other";
+  return kOtherMethod;
 }
 
-/// Static-lifetime span name per method (TFC_SPAN keeps the pointer), so the
-/// profiler/trace tree groups request handling as svc.method.<name>.
-const char* method_span_name(const std::string& method) {
-  if (method == "ping") return "svc.method.ping";
-  if (method == "stats") return "svc.method.stats";
-  if (method == "solve") return "svc.method.solve";
-  if (method == "design") return "svc.method.design";
-  if (method == "runaway") return "svc.method.runaway";
-  if (method == "sweep") return "svc.method.sweep";
-  if (method == "metrics") return "svc.method.metrics";
-  if (method == "recent") return "svc.method.recent";
-  if (method == "health") return "svc.method.health";
-  if (method == "inject") return "svc.method.inject";
-  if (method == "simulate") return "svc.method.simulate";
-  if (method == "profile") return "svc.method.profile";
-  return "svc.method.other";
+const char* method_label(const std::string& method) { return method_names(method).name; }
+
+/// "ping|stats|...|shutdown": every method a client may call.
+std::string method_list() {
+  std::string out;
+  for (const MethodNames& known : kMethods) out += std::string(known.name) + "|";
+  return out + "shutdown";
 }
 
 std::string latency_metric(const char* method) {
@@ -126,9 +131,9 @@ void register_metrics() {
   m.counter("svc.stream.deadline_aborts");
   // Continuous-profiler cost surface (refreshed on every scrape).
   m.gauge("tfc.prof.overhead_ratio");
-  for (const char* method : kMethodLabels) {
-    m.histogram(latency_metric(method));
-    m.histogram(queue_wait_metric(method));
+  for (const MethodNames& method : kMethods) {
+    m.histogram(latency_metric(method.name));
+    m.histogram(queue_wait_metric(method.name));
   }
   m.histogram(latency_metric("other"));
   m.histogram(queue_wait_metric("other"));
@@ -838,7 +843,7 @@ io::JsonValue Server::dispatch(const Request& request, DispatchInfo& info,
                                StreamContext& stream) {
   using io::JsonValue;
   const JsonValue& params = request.params;
-  TFC_SPAN(method_span_name(request.method));
+  TFC_SPAN(method_names(request.method).span);
 
   if (request.method == "ping") {
     const double delay_ms = params.number_or("delay_ms", 0.0);
@@ -1046,7 +1051,6 @@ io::JsonValue Server::dispatch(const Request& request, DispatchInfo& info,
     tolerances.set("max_energy_balance_rel",
                    JsonValue::make_number(tol.max_energy_balance_rel));
     tolerances.set("theta_min_k", JsonValue::make_number(tol.theta_min_k));
-    tolerances.set("theta_max_k", JsonValue::make_number(tol.theta_max_k));
     tolerances.set("max_cross_check_drift",
                    JsonValue::make_number(tol.max_cross_check_drift));
     result.set("tolerances", tolerances);
@@ -1150,9 +1154,7 @@ io::JsonValue Server::dispatch(const Request& request, DispatchInfo& info,
 
   throw ProtocolError(
       ErrorCode::kUnknownMethod,
-      "unknown method '" + request.method +
-          "' (use ping|stats|metrics|recent|health|profile|solve|design|"
-          "runaway|sweep|simulate|shutdown)");
+      "unknown method '" + request.method + "' (use " + method_list() + ")");
 }
 
 void Server::audit_solve(const Session& session, const tec::OperatingPoint& op,

@@ -34,6 +34,7 @@ ElectroThermalSystem::ElectroThermalSystem(thermal::PackageModel model,
     throw std::invalid_argument("ElectroThermalSystem: model carries no TEC tiles");
   }
   g_ = model_.network().conductance_matrix();
+  tile_powers_ = model_.tile_powers();
   d_diag_ = linalg::Vector(model_.node_count());
   for (std::size_t hot : model_.hot_nodes()) d_diag_[hot] = +device_.seebeck;
   for (std::size_t cold : model_.cold_nodes()) d_diag_[cold] = -device_.seebeck;
@@ -60,14 +61,6 @@ ElectroThermalSystem ElectroThermalSystem::assemble(
                   deployment, tile_powers, device, stages);
 }
 
-linalg::SparseMatrix ElectroThermalSystem::matrix_d() const {
-  linalg::TripletList t(d_diag_.size(), d_diag_.size());
-  for (std::size_t i = 0; i < d_diag_.size(); ++i) {
-    if (d_diag_[i] != 0.0) t.add(i, i, d_diag_[i]);
-  }
-  return linalg::SparseMatrix::from_triplets(t);
-}
-
 linalg::SparseMatrix ElectroThermalSystem::system_matrix(double i) const {
   if (i == 0.0) return g_;
   // Pattern-preserving diagonal update: every i yields G's exact pattern,
@@ -84,52 +77,21 @@ const linalg::SparseCholeskySymbolic& ElectroThermalSystem::cholesky_symbolic() 
   return *cache.symbolic;
 }
 
-std::optional<linalg::SparseCholeskyFactor> ElectroThermalSystem::factorize(
-    double i) const {
-  if (i < 0.0) return std::nullopt;
-  const linalg::SparseMatrix m = system_matrix(i);
-  const auto& symbolic = cholesky_symbolic();
-  if (!symbolic.pattern_matches(m)) {
-    // Cannot happen for a well-formed G (full structural diagonal), but fall
-    // back to a one-shot factorization rather than fail.
-    return linalg::SparseCholeskyFactor::factor(m);
-  }
-  return symbolic.refactorize(m);
-}
-
 bool ElectroThermalSystem::factorize_into(double i, SolveWorkspace& ws) const {
   if (i < 0.0) return false;
   if (holds_factor(ws, i)) return true;
   ws.forget_factor();
-  const auto& symbolic = cholesky_symbolic();
   const linalg::SparseMatrix* m = &g_;
   if (i != 0.0) {
     ws.pencil.assign_add_scaled_diagonal(g_, d_diag_, -i);
     m = &ws.pencil;
   }
-  bool ok = false;
-  if (!symbolic.pattern_matches(*m)) {
-    // Cannot happen for a well-formed G (full structural diagonal), but fall
-    // back to a one-shot factorization rather than fail.
-    auto f = linalg::SparseCholeskyFactor::factor(*m);
-    ok = f.has_value();
-    if (ok) ws.factor = std::move(*f);
-  } else {
-    ok = symbolic.refactorize_into(*m, ws.factor, ws.factor_scratch);
-  }
+  const bool ok = cholesky_symbolic().refactorize_into(*m, ws.factor, ws.factor_scratch);
   if (ok) {
     ws.factor_pencil = pencil_id_;
     ws.factor_current = i;
   }
   return ok;
-}
-
-linalg::Vector ElectroThermalSystem::power(double i) const {
-  linalg::Vector p = model_.network().power_vector();
-  const double joule = 0.5 * device_.resistance * i * i;
-  for (std::size_t hot : model_.hot_nodes()) p[hot] += joule;
-  for (std::size_t cold : model_.cold_nodes()) p[cold] += joule;
-  return p;
 }
 
 linalg::Vector ElectroThermalSystem::rhs(double i) const {
@@ -139,18 +101,7 @@ linalg::Vector ElectroThermalSystem::rhs(double i) const {
 }
 
 void ElectroThermalSystem::rhs_into(double i, linalg::Vector& out) const {
-  const auto& net = model_.network();
-  const std::size_t n = net.node_count();
-  out.resize(n);
-  for (std::size_t k = 0; k < n; ++k) out[k] = net.power(k);
-  const double joule = 0.5 * device_.resistance * i * i;
-  for (std::size_t hot : model_.hot_nodes()) out[hot] += joule;
-  for (std::size_t cold : model_.cold_nodes()) out[cold] += joule;
-  const double ambient = model_.ambient();
-  for (std::size_t k = 0; k < n; ++k) {
-    const double g = net.ambient_conductance(k);
-    if (g > 0.0) out[k] += g * ambient;
-  }
+  rhs_into(i, tile_powers_, out);
 }
 
 void ElectroThermalSystem::rhs_into(double i, const linalg::Vector& tile_powers,
@@ -207,16 +158,20 @@ std::optional<OperatingPoint> ElectroThermalSystem::solve(double i,
   TFC_SPAN("et_solve");
   TFC_SPAN_ATTR("n", model_.node_count());
   TFC_SPAN_ATTR("current_a", i);
-  OperatingPoint op;
-  op.current = i;
-
   SolveWorkspace local;
   SolveWorkspace& w = ws != nullptr ? *ws : local;
   rhs_into(i, w.rhs);
   // The factorization doubles as the positive-definiteness probe.
   if (!factorize_into(i, w)) return std::nullopt;
-  w.factor.solve_into(w.rhs, op.theta, w.solve_scratch);
+  linalg::Vector theta;
+  w.factor.solve_into(w.rhs, theta, w.solve_scratch);
+  return operating_point(i, std::move(theta));
+}
 
+OperatingPoint ElectroThermalSystem::operating_point(double i, linalg::Vector theta) const {
+  OperatingPoint op;
+  op.current = i;
+  op.theta = std::move(theta);
   op.tile_temperatures = model_.tile_temperatures(op.theta);
   op.peak_tile_temperature = linalg::max_entry(op.tile_temperatures);
   op.tec_input_power = tec_input_power(i, op.theta);

@@ -131,9 +131,6 @@ class ElectroThermalSystem {
   /// Diagonal of D of Eq. (5): +α on hot nodes, −α on cold nodes, 0 elsewhere.
   const linalg::Vector& d_diagonal() const { return d_diag_; }
 
-  /// D as a sparse matrix.
-  linalg::SparseMatrix matrix_d() const;
-
   /// System matrix G − i·D. Same sparsity pattern for every i (the diagonal
   /// update preserves G's pattern exactly).
   linalg::SparseMatrix system_matrix(double i) const;
@@ -154,35 +151,26 @@ class ElectroThermalSystem {
   /// copies of the system share the cached analysis.
   const linalg::SparseCholeskySymbolic& cholesky_symbolic() const;
 
-  /// Factor G − i·D reusing the shared symbolic analysis — the numeric-only
-  /// fast path behind solve(). Returns nullopt when the matrix is not
-  /// positive definite (i ≥ λ_m) or i < 0. Safe to call concurrently.
-  std::optional<linalg::SparseCholeskyFactor> factorize(double i) const;
-
   /// Factor G − i·D into caller-owned storage (pencil, factor and sweep
-  /// scratch live in \p ws) — the zero-allocation variant of factorize().
-  /// Skips the work when \p ws already holds that factor (holds_factor()).
-  /// Returns false when the matrix is not positive definite (i ≥ λ_m) or
-  /// i < 0, leaving ws.factor invalid and its record cleared. Identical
-  /// arithmetic to factorize().
+  /// scratch live in \p ws) through the shared symbolic analysis — the
+  /// numeric-only path behind every pencil factorization. Skips the work
+  /// when \p ws already holds that factor (holds_factor()). Returns false
+  /// when the matrix is not positive definite (i ≥ λ_m) or i < 0, leaving
+  /// ws.factor invalid and its record cleared. Safe to call concurrently
+  /// with distinct workspaces.
   bool factorize_into(double i, SolveWorkspace& ws) const;
 
-  /// Power vector p(i): tile powers on silicon nodes plus r·i²/2 on every
-  /// hot/cold node (paper's definition of p).
-  linalg::Vector power(double i) const;
-
-  /// Full right-hand side p(i) + g_amb·θ_amb.
+  /// Full right-hand side p(i) + g_amb·θ_amb for the installed power map.
   linalg::Vector rhs(double i) const;
 
-  /// rhs(i) into caller-owned storage (resized to node_count()); identical
-  /// arithmetic to rhs().
+  /// rhs(i) into caller-owned storage (resized to node_count()).
   void rhs_into(double i, linalg::Vector& out) const;
 
-  /// Right-hand side for the power map \p tile_powers [W per tile, virtual
-  /// grid] instead of the installed one, into caller-owned storage (resized
-  /// to node_count()): the ambient legs g_amb·θ_amb, each tile's power on its
-  /// silicon node, and r·i²/2 on every hot/cold plate, in that order. Throws
-  /// std::invalid_argument on a tile-count mismatch.
+  /// Right-hand side p(i) + g_amb·θ_amb for the power map \p tile_powers [W
+  /// per tile, virtual grid], into caller-owned storage (resized to
+  /// node_count()): the ambient legs g_amb·θ_amb, each tile's power on its
+  /// silicon node, and the Joule half r·i²/2 on every hot/cold plate (the
+  /// paper's p(i)). Throws std::invalid_argument on a tile-count mismatch.
   void rhs_into(double i, const linalg::Vector& tile_powers, linalg::Vector& out) const;
 
   /// Right-hand side of dθ/di = H(i)·(D·θ + p′(i)) into caller-owned storage
@@ -204,6 +192,11 @@ class ElectroThermalSystem {
   /// still owns its vectors.
   std::optional<OperatingPoint> solve(double i, SolveWorkspace* ws = nullptr) const;
 
+  /// The operating point of node temperatures \p theta solved at current
+  /// \p i (by solve() or any other solver): tile temperatures, their peak
+  /// and Σ Eq. (3).
+  OperatingPoint operating_point(double i, linalg::Vector theta) const;
+
   /// Σ over devices of Eq. (3) evaluated at the solved temperatures.
   double tec_input_power(double i, const linalg::Vector& theta) const;
 
@@ -220,6 +213,8 @@ class ElectroThermalSystem {
   TecDeviceParams device_;
   linalg::SparseMatrix g_;
   linalg::Vector d_diag_;
+  /// The model's installed tile power map, gathered once for rhs_into().
+  linalg::Vector tile_powers_;
   std::shared_ptr<SymbolicCache> symbolic_cache_;
   std::uint64_t pencil_id_;
 };

@@ -1,27 +1,9 @@
 #include "thermal/network.h"
 
 #include <stdexcept>
+#include <string>
 
 namespace tfc::thermal {
-
-std::string to_string(NodeKind kind) {
-  switch (kind) {
-    case NodeKind::kSilicon: return "silicon";
-    case NodeKind::kTim: return "tim";
-    case NodeKind::kTecCold: return "tec_cold";
-    case NodeKind::kTecHot: return "tec_hot";
-    case NodeKind::kSpreaderCenter: return "spreader_center";
-    case NodeKind::kSpreaderEdge: return "spreader_edge";
-    case NodeKind::kSpreaderCorner: return "spreader_corner";
-    case NodeKind::kSinkCenter: return "sink_center";
-    case NodeKind::kSinkInnerEdge: return "sink_inner_edge";
-    case NodeKind::kSinkInnerCorner: return "sink_inner_corner";
-    case NodeKind::kSinkOuterEdge: return "sink_outer_edge";
-    case NodeKind::kSinkOuterCorner: return "sink_outer_corner";
-    case NodeKind::kOther: return "other";
-  }
-  return "unknown";
-}
 
 std::size_t ConductanceNetwork::add_node(const NodeInfo& info) {
   nodes_.push_back(info);
@@ -99,24 +81,6 @@ double ConductanceNetwork::ambient_heat_flow(const linalg::Vector& theta,
     if (ambient_legs_[i] > 0.0) flow += ambient_legs_[i] * (theta[i] - ambient);
   }
   return flow;
-}
-
-linalg::Vector ConductanceNetwork::ambient_heat_flow_per_node(
-    const linalg::Vector& theta, double ambient) const {
-  if (theta.size() != nodes_.size()) {
-    throw std::invalid_argument("ambient_heat_flow_per_node: theta size mismatch");
-  }
-  linalg::Vector flow(nodes_.size());
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    flow[i] = ambient_legs_[i] > 0.0 ? ambient_legs_[i] * (theta[i] - ambient) : 0.0;
-  }
-  return flow;
-}
-
-linalg::Vector ConductanceNetwork::power_vector() const {
-  linalg::Vector p(nodes_.size());
-  for (std::size_t i = 0; i < nodes_.size(); ++i) p[i] = power_[i];
-  return p;
 }
 
 linalg::Vector ConductanceNetwork::capacitance_vector() const {

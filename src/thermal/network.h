@@ -12,7 +12,6 @@
 #pragma once
 
 #include <cstddef>
-#include <string>
 #include <vector>
 
 #include "linalg/sparse_matrix.h"
@@ -20,8 +19,8 @@
 
 namespace tfc::thermal {
 
-/// Role of a node inside the package stack (used for index maps, reporting,
-/// and the TEC stamper).
+/// Role of a node inside the package stack (geometry bookkeeping of the
+/// package builder).
 enum class NodeKind {
   kSilicon,
   kTim,
@@ -37,9 +36,6 @@ enum class NodeKind {
   kSinkOuterCorner,
   kOther,
 };
-
-/// Human-readable name of a NodeKind.
-std::string to_string(NodeKind kind);
 
 /// Node metadata (geometry bookkeeping, not used by the solver itself).
 struct NodeInfo {
@@ -112,14 +108,6 @@ class ConductanceNetwork {
   /// Joule + net Peltier transport) — the conservation side of the
   /// numerical-health audit. Throws std::invalid_argument on size mismatch.
   double ambient_heat_flow(const linalg::Vector& theta, double ambient) const;
-
-  /// Per-node ambient heat flow g_amb,k·(θ_k − θ_amb) [W] (zero for interior
-  /// nodes) — the boundary-flux breakdown behind ambient_heat_flow().
-  linalg::Vector ambient_heat_flow_per_node(const linalg::Vector& theta,
-                                            double ambient) const;
-
-  /// Node power vector only (without ambient contribution).
-  linalg::Vector power_vector() const;
 
   /// Node capacitance vector (transient solver).
   linalg::Vector capacitance_vector() const;

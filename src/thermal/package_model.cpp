@@ -615,97 +615,4 @@ PackageModel PackageModel::build(std::shared_ptr<const StackSpec> spec,
   return model;
 }
 
-namespace {
-
-std::string grid_suffix(std::size_t slab, std::size_t row, std::size_t col,
-                        bool with_slab) {
-  std::string out;
-  if (with_slab) out += "/s" + std::to_string(slab);
-  out += "/r" + std::to_string(row) + "c" + std::to_string(col);
-  return out;
-}
-
-std::string chip_label(const ChipSpec& ch, std::size_t ci) {
-  return ch.name.empty() ? "chip" + std::to_string(ci) : ch.name;
-}
-
-std::string layer_label(const LayerSpec& layer, std::size_t li) {
-  return layer.name.empty() ? "layer" + std::to_string(li) : layer.name;
-}
-
-}  // namespace
-
-std::string PackageModel::node_name(std::size_t node) const {
-  if (node >= network_.node_count()) {
-    throw std::out_of_range("PackageModel::node_name: node out of range");
-  }
-  const NodeInfo& info = network_.node(node);
-
-  for (std::size_t ci = 0; ci < lay_.size(); ++ci) {
-    const ChipSpec& ch = spec_->chips[ci];
-    for (std::size_t li = 0; li < lay_[ci].size(); ++li) {
-      for (std::size_t sl = 0; sl < lay_[ci][li].size(); ++sl) {
-        const auto& cells = lay_[ci][li][sl];
-        for (std::size_t j = 0; j < cells.size(); ++j) {
-          if (cells[j] == node) {
-            return chip_label(ch, ci) + "." + layer_label(ch.layers[li], li) +
-                   grid_suffix(sl, j / ch.tile_cols, j % ch.tile_cols,
-                               lay_[ci][li].size() > 1);
-          }
-        }
-      }
-    }
-    for (std::size_t sl = 0; sl < sprg_[ci].size(); ++sl) {
-      const auto& cells = sprg_[ci][sl];
-      for (std::size_t j = 0; j < cells.size(); ++j) {
-        if (cells[j] == node) {
-          return "spreader." + chip_label(ch, ci) +
-                 grid_suffix(sl, j / ch.tile_cols, j % ch.tile_cols,
-                             sprg_[ci].size() > 1);
-        }
-      }
-    }
-    for (std::size_t j = 0; j < snkg_[ci].size(); ++j) {
-      if (snkg_[ci][j] == node) {
-        return "sink." + chip_label(ch, ci) +
-               grid_suffix(0, j / ch.tile_cols, j % ch.tile_cols, false);
-      }
-    }
-  }
-
-  if (info.kind == NodeKind::kTecCold || info.kind == NodeKind::kTecHot) {
-    std::string out = "tec.r" + std::to_string(info.row) + "c" + std::to_string(info.col);
-    if (stages_ > 1) out += "/s" + std::to_string(info.slab);
-    out += info.kind == NodeKind::kTecCold ? "/cold" : "/hot";
-    return out;
-  }
-
-  // Macro nodes: the k-th node of this kind (creation order is N, S, W, E for
-  // edges and NW, NE, SW, SE for corners; substrate/board pairs per chip).
-  std::size_t ord = 0;
-  for (std::size_t i = 0; i < node; ++i) {
-    if (network_.node(i).kind == info.kind) ++ord;
-  }
-  static const char* kEdgeName[4] = {"N", "S", "W", "E"};
-  static const char* kCornerName[4] = {"NW", "NE", "SW", "SE"};
-  switch (info.kind) {
-    case NodeKind::kSpreaderEdge:
-      return std::string("spreader.edge") + kEdgeName[ord % 4];
-    case NodeKind::kSpreaderCorner:
-      return std::string("spreader.corner") + kCornerName[ord % 4];
-    case NodeKind::kSinkInnerEdge:
-      return std::string("sink.inner_edge") + kEdgeName[ord % 4];
-    case NodeKind::kSinkInnerCorner:
-      return std::string("sink.inner_corner") + kCornerName[ord % 4];
-    case NodeKind::kSinkOuterEdge:
-      return std::string("sink.outer_edge") + kEdgeName[ord % 4];
-    case NodeKind::kSinkOuterCorner:
-      return std::string("sink.outer_corner") + kCornerName[ord % 4];
-    case NodeKind::kOther:
-      return (ord % 2 == 0 ? "substrate" : "board") + std::to_string(ord / 2);
-    default:
-      return to_string(info.kind) + std::string("#") + std::to_string(node);
-  }
-}
-
 }  // namespace tfc::thermal

@@ -13,13 +13,13 @@
 /// Where a tile carries a TEC, the interface node is replaced by a hot-side
 /// and a cold-side node (Section IV.B): die —g_c— cold —κ— hot —g_h— layer
 /// above. Peltier terms (±α·i) and Joule heat (r·i²/2) are *not* stamped
-/// here; they belong to the electro-thermal layer (tec::TecStamper), keeping
-/// this model purely a conductance network.
+/// here; they belong to the electro-thermal layer
+/// (tec::ElectroThermalSystem), keeping this model purely a conductance
+/// network.
 #pragma once
 
 #include <cstddef>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "common/tile.h"
@@ -71,9 +71,6 @@ class PackageModel {
   /// Virtual-grid mask of the tiles carrying TECs.
   const TileMask& deployment() const { return deployment_; }
   std::size_t tec_stages() const { return stages_; }
-  /// Stable human-readable node name ("chip0.die/r3c4", "tec.r3c4/cold",
-  /// "spreader.edgeN", ...) for audits, traces and docs.
-  std::string node_name(std::size_t node) const;
   ConductanceNetwork& network() { return network_; }
   const ConductanceNetwork& network() const { return network_; }
 

@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 #include <utility>
+#include <vector>
 
 namespace tfc::thermal {
 
@@ -37,31 +38,35 @@ TransientSolver::TransientSolver(
     symbolic_ = std::make_shared<const linalg::SparseCholeskySymbolic>(
         linalg::SparseCholeskySymbolic::analyze(a));
   }
-  auto factor = symbolic_->refactorize(a);
-  if (!factor) {
+  std::vector<double> scratch;
+  if (!symbolic_->refactorize_into(a, factor_, scratch)) {
     throw std::runtime_error("TransientSolver: G + C/dt not positive definite");
   }
-  factor_ = std::move(*factor);
 }
 
 linalg::Vector TransientSolver::step(const linalg::Vector& theta,
                                      const linalg::Vector& rhs) const {
-  if (theta.size() != c_over_dt_.size() || rhs.size() != c_over_dt_.size()) {
-    throw std::invalid_argument("TransientSolver::step: dimension mismatch");
-  }
-  linalg::Vector b = rhs;
-  for (std::size_t i = 0; i < b.size(); ++i) b[i] += c_over_dt_[i] * theta[i];
-  return factor_.solve(b);
+  linalg::Vector b;
+  linalg::Vector out;
+  linalg::Vector scratch;
+  advance(theta, rhs, b, out, scratch);
+  return out;
 }
 
 void TransientSolver::step_into(const linalg::Vector& theta, const linalg::Vector& rhs,
                                 linalg::Vector& out) const {
+  advance(theta, rhs, step_b_, out, solve_scratch_);
+}
+
+void TransientSolver::advance(const linalg::Vector& theta, const linalg::Vector& rhs,
+                              linalg::Vector& b, linalg::Vector& out,
+                              linalg::Vector& scratch) const {
   if (theta.size() != c_over_dt_.size() || rhs.size() != c_over_dt_.size()) {
-    throw std::invalid_argument("TransientSolver::step_into: dimension mismatch");
+    throw std::invalid_argument("TransientSolver::step: dimension mismatch");
   }
-  step_b_ = rhs;
-  for (std::size_t i = 0; i < step_b_.size(); ++i) step_b_[i] += c_over_dt_[i] * theta[i];
-  factor_.solve_into(step_b_, out, solve_scratch_);
+  b = rhs;
+  for (std::size_t i = 0; i < b.size(); ++i) b[i] += c_over_dt_[i] * theta[i];
+  factor_.solve_into(b, out, scratch);
 }
 
 }  // namespace tfc::thermal

@@ -11,9 +11,10 @@
 /// SparseCholeskySymbolic analysis of the pattern, reused by every numeric
 /// refactorization. Because C/dt only touches stored diagonal entries
 /// (SparseMatrix::add_scaled_diagonal), the analyzed pattern is exactly G's —
-/// which is also the pattern of every TEC pencil G − i·D. Sibling solvers
-/// for other supply-current levels of one deployment therefore share one
-/// analysis through symbolic() and run only the numeric factorization.
+/// which is also the pattern of every TEC pencil G − i·D. Every
+/// supply-current level of one deployment can therefore share one analysis
+/// (sim::ScenarioEngine passes the system's own) and run only the numeric
+/// factorization.
 #pragma once
 
 #include <memory>
@@ -28,10 +29,10 @@ namespace tfc::thermal {
 class TransientSolver {
  public:
   /// \p g assembled conductance matrix (or TEC pencil G − i·D); \p capacitance
-  /// per-node C [J/K] (entries must be > 0); \p dt time step [s]. Pass a
-  /// sibling solver's symbolic() as \p symbolic to skip the pattern analysis
-  /// (the pencil keeps one pattern for every current level); the analyzed
-  /// pattern must match \p g exactly.
+  /// per-node C [J/K] (entries must be > 0); \p dt time step [s]. Pass an
+  /// analysis of \p g's pattern as \p symbolic (a sibling solver's
+  /// symbolic(), or the system's cached one) to skip the pattern analysis;
+  /// the analyzed pattern must match \p g exactly.
   TransientSolver(const linalg::SparseMatrix& g, const linalg::Vector& capacitance,
                   double dt,
                   std::shared_ptr<const linalg::SparseCholeskySymbolic> symbolic = nullptr);
@@ -46,18 +47,24 @@ class TransientSolver {
   }
 
   /// One step: returns θ(t+dt) given θ(t) and the (constant-over-step)
-  /// right-hand side p + g_amb·θ_amb.
+  /// right-hand side p + g_amb·θ_amb. Uses only its own scratch, so it is
+  /// safe to call concurrently.
   linalg::Vector step(const linalg::Vector& theta, const linalg::Vector& rhs) const;
 
   /// In-place step into caller-owned storage — zero allocations once \p out
   /// has adopted the system dimension. \p out must not alias \p theta or
-  /// \p rhs. Identical arithmetic to step(). Uses internal scratch, so
-  /// concurrent step_into calls on one solver must be externally serialized
-  /// (step() remains safe to call concurrently).
+  /// \p rhs. Uses internal scratch, so concurrent step_into calls on one
+  /// solver must be externally serialized.
   void step_into(const linalg::Vector& theta, const linalg::Vector& rhs,
                  linalg::Vector& out) const;
 
  private:
+  /// The backward-Euler step behind step() and step_into():
+  /// b = rhs + (C/dt)·θ, then out = (G + C/dt)⁻¹·b with \p scratch as the
+  /// triangular-solve workspace.
+  void advance(const linalg::Vector& theta, const linalg::Vector& rhs, linalg::Vector& b,
+               linalg::Vector& out, linalg::Vector& scratch) const;
+
   double dt_;
   linalg::Vector c_over_dt_;
   std::shared_ptr<const linalg::SparseCholeskySymbolic> symbolic_;

@@ -59,6 +59,18 @@ SolveContext make_context() {
                       tec::TecDeviceParams::chowdhury_superlattice());
 }
 
+/// The paper's Alpha chip under its worst-case map at an 85 °C limit.
+core::DesignRequest alpha_request() {
+  const auto plan = floorplan::alpha21364();
+  power::WorkloadSynthesizer synth(plan);
+  core::DesignRequest req;
+  req.chip_name = "Alpha";
+  req.tile_powers =
+      power::worst_case_profile(plan, synth.synthesize_suite(8)).tile_powers();
+  req.theta_limit_celsius = 85.0;
+  return req;
+}
+
 TEST(Audit, HealthyDirectSolveCertifiesWithinDefaultTolerances) {
   const SolveContext ctx = make_context();
   const auto op = ctx.solve(1.0);
@@ -120,13 +132,7 @@ TEST(Audit, ResidualBelowTargetOnAlphaAcrossBackendsAndThreads) {
   // The acceptance bar: on the paper's Alpha worst-case deployment the
   // direct solve certifies at rel residual < 1e-10 and balance < 1e-8, and
   // the CG cross-check at < 1e-9, at every thread count.
-  const auto plan = floorplan::alpha21364();
-  power::WorkloadSynthesizer synth(plan);
-  core::DesignRequest req;
-  req.chip_name = "Alpha";
-  req.tile_powers =
-      power::worst_case_profile(plan, synth.synthesize_suite(8)).tile_powers();
-  req.theta_limit_celsius = 85.0;
+  const core::DesignRequest req = alpha_request();
   const auto design = core::design_cooling_system(req);
   ASSERT_TRUE(design.success);
 
@@ -148,6 +154,25 @@ TEST(Audit, ResidualBelowTargetOnAlphaAcrossBackendsAndThreads) {
     }
   }
   par::ThreadPool::set_global_threads(0);
+}
+
+TEST(Audit, NearRunawaySolvePasses) {
+  // Near λ_m the steady θ is correct and far above any fixed ceiling: on
+  // Alpha's designed deployment at 0.95·λ_m the hottest node passes 1000 K,
+  // and the certificate (residual, balance, finiteness, floor, margin) holds.
+  const core::DesignRequest req = alpha_request();
+  const auto design = core::design_cooling_system(req);
+  ASSERT_TRUE(design.success);
+
+  const SolveContext ctx(thermal::PackageGeometry{}, design.deployment, req.tile_powers,
+                         tec::TecDeviceParams::chowdhury_superlattice());
+  const auto lambda_m = ctx.runaway_limit();
+  ASSERT_TRUE(lambda_m.has_value());
+  const auto op = ctx.solve(0.95 * *lambda_m);
+  ASSERT_TRUE(op.has_value());
+  const auto cert = ctx.audit(*op);
+  EXPECT_GT(cert.theta_max_k, 1000.0);
+  EXPECT_TRUE(cert.pass(obs::health::Tolerances{})) << cert.describe();
 }
 
 TEST(Audit, CorruptedThetaTripsTheCertificate) {

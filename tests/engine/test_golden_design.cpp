@@ -87,7 +87,7 @@ TEST(EngineGolden, ByteIdenticalAcrossThreadCounts) {
   EXPECT_EQ(design_json({"--chip", "hc3", "--threads", "8"}), golden);
 }
 
-TEST(EngineGolden, ByteIdenticalAcrossBackendThreadMatrix) {
+TEST(EngineGolden, AlphaGoldenAtOneAndEightThreads) {
   // Every point solve is the direct factorization, so the matrix has only
   // its thread axis left: the alpha golden at 1 and 8 threads.
   const std::string golden = fixture("golden_design_alpha.json");
@@ -215,7 +215,8 @@ TEST(SparseRunaway, AlphaGoldenDeploymentsCertifyAtTheNearShift) {
     const auto lm = context.runaway_limit();
     ASSERT_TRUE(lm.has_value()) << mask.count() << " TECs";
     EXPECT_EQ(fallbacks.value(), before) << mask.count() << " TECs";
-    EXPECT_TRUE(context.system().factorize((1.0 - 1e-8) * *lm).has_value())
+    tec::SolveWorkspace ws;
+    EXPECT_TRUE(context.system().factorize_into((1.0 - 1e-8) * *lm, ws))
         << mask.count() << " TECs";
   }
 }

@@ -70,7 +70,7 @@ void expect_fresh_assembly(const SolveContext& ctx, const TileMask& deployment) 
   }
 }
 
-TEST(SolveContext, ExtendRestampsIncrementallyAndMatchesFreshAssembly) {
+TEST(SolveContext, SetDeploymentRestampsEachPassAndMatchesFreshAssembly) {
   // Greedy deployment grows the deployment pass by pass; every pass is one
   // re-stamp, and the grown context is the fresh assembly.
   SolveContext ctx(small_geom(), TileMask(), small_powers(),
@@ -88,7 +88,7 @@ TEST(SolveContext, ExtendRestampsIncrementallyAndMatchesFreshAssembly) {
   expect_fresh_assembly(ctx, dep);
 }
 
-TEST(SolveContext, ExtendWithAlreadyDeployedTilesIsANoOp) {
+TEST(SolveContext, SetDeploymentToTheCurrentMaskIsANoOp) {
   SolveContext ctx = make_context();
   const std::uint64_t restamps0 = restamps();
   const std::uint64_t pencil = ctx.system().pencil_id();
@@ -218,7 +218,7 @@ TEST(SolveContext, ExtendForgetsTheReusedFactor) {
   EXPECT_EQ(probe->slope, fresh->slope);
 }
 
-TEST(SolveContext, AllBackendsAgreeOnTheOperatingPoint) {
+TEST(SolveContext, DirectSolveAndCgAgreeOnTheOperatingPoint) {
   // The direct solve and the CG cross-check (the service's independent
   // reference) reach the same operating point.
   const SolveContext ctx = make_context();
@@ -230,7 +230,7 @@ TEST(SolveContext, AllBackendsAgreeOnTheOperatingPoint) {
   EXPECT_NEAR(cg->tec_input_power, direct->tec_input_power, 1e-7);
 }
 
-TEST(SolveContext, AllBackendsDetectLossOfPositiveDefiniteness) {
+TEST(SolveContext, DirectSolveAndCgDetectLossOfPositiveDefiniteness) {
   const SolveContext ctx = make_context();
   const auto lambda_m = ctx.runaway_limit();
   ASSERT_TRUE(lambda_m.has_value());
@@ -244,7 +244,7 @@ TEST(SolveContext, AllBackendsDetectLossOfPositiveDefiniteness) {
   EXPECT_FALSE(ctx.solve_cg(-1.0).has_value());
 }
 
-TEST(SolveContext, RunawayLimitIsCachedUntilExtend) {
+TEST(SolveContext, RunawayLimitIsCachedUntilSetDeployment) {
   SolveContext ctx = make_context();
   const auto first = ctx.runaway_limit();
   const auto second = ctx.runaway_limit();

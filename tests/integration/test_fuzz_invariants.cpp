@@ -82,7 +82,7 @@ TEST_P(FuzzSweep, AssembledSystemSatisfiesAllInvariants) {
     const double ga = sys.model().network().ambient_conductance(k);
     if (ga > 0.0) q_out += ga * (op->theta[k] - ambient);
   }
-  const double p_in = linalg::sum(sys.power(0.0)) + op->tec_input_power;
+  const double p_in = linalg::sum(sys.model().tile_powers()) + op->tec_input_power;
   EXPECT_NEAR(q_out, p_in, 1e-6 * std::max(1.0, p_in)) << "energy imbalance";
 
   // Lemma 3 (sampled): response columns nonnegative below λ_m.

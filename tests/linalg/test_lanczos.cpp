@@ -16,6 +16,7 @@
 #include <string>
 #include <utility>
 #include <variant>
+#include <vector>
 
 #include "linalg/dense_matrix.h"
 #include "linalg/eigen.h"
@@ -206,11 +207,12 @@ TEST(ShiftInvertLanczos, WorkspaceReuseIsBitIdentical) {
   auto& fallbacks =
       obs::MetricsRegistry::global().counter("linalg.lanczos.near_shift_fallbacks");
   const std::uint64_t fallbacks0 = fallbacks.value();
-  const auto g_factor = symbolic.refactorize(g);
-  ASSERT_TRUE(g_factor.has_value());
+  SparseCholeskyFactor g_factor;
+  std::vector<double> factor_scratch;
+  ASSERT_TRUE(symbolic.refactorize_into(g, g_factor, factor_scratch));
   for (int rep = 0; rep < 2; ++rep) {
     const auto given =
-        ShiftInvertLanczos::smallest_positive(g, d, symbolic, ws, &*g_factor);
+        ShiftInvertLanczos::smallest_positive(g, d, symbolic, ws, &g_factor);
     ASSERT_TRUE(given.has_value());
     EXPECT_EQ(first->eigenvalue, given->eigenvalue);
     EXPECT_EQ(first->iterations, given->iterations);
@@ -298,13 +300,14 @@ TEST(ShiftInvertLanczos, NoPositiveEntryReturnsNulloptOnEveryPath) {
   const DenseMatrix gd = random_pd_stieltjes(n, rng);
   const SparseMatrix g = SparseMatrix::from_dense(gd);
   const auto symbolic = SparseCholeskySymbolic::analyze(g);
-  const auto g_factor = symbolic.refactorize(g);
-  ASSERT_TRUE(g_factor.has_value());
+  SparseCholeskyFactor g_factor;
+  std::vector<double> factor_scratch;
+  ASSERT_TRUE(symbolic.refactorize_into(g, g_factor, factor_scratch));
   const Vector neg = tec_like_diagonal(n, 0, 5, rng);
   auto& steps = obs::MetricsRegistry::global().histogram("linalg.lanczos_iters");
   const std::uint64_t samples0 = steps.summary().count;
   ShiftInvertLanczosWorkspace ws;
-  EXPECT_FALSE(ShiftInvertLanczos::smallest_positive(g, neg, symbolic, ws, &*g_factor)
+  EXPECT_FALSE(ShiftInvertLanczos::smallest_positive(g, neg, symbolic, ws, &g_factor)
                    .has_value());
   EXPECT_FALSE(ShiftInvertLanczos::smallest_positive(g, neg).has_value());
   EXPECT_EQ(steps.summary().count, samples0);

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 
 namespace tfc::obs::health {
@@ -41,7 +42,7 @@ TEST(Certificate, EachComputedFieldIsJudged) {
   EXPECT_FALSE(c.pass(tol));
 
   c = good_certificate();
-  c.theta_max_k = 1500.0;  // above the sanity ceiling
+  c.theta_max_k = std::numeric_limits<double>::infinity();  // not a solution
   EXPECT_FALSE(c.pass(tol));
 
   c = good_certificate();
@@ -55,6 +56,48 @@ TEST(Certificate, EachComputedFieldIsJudged) {
   c = good_certificate();
   c.degraded = true;
   EXPECT_FALSE(c.pass(tol));
+}
+
+TEST(Certificate, NonFiniteFieldsFail) {
+  // Every bound is a </> comparison, which a NaN never trips: finiteness is
+  // its own check.
+  const Tolerances tol;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+
+  Certificate c = good_certificate();
+  c.rel_residual = nan;
+  EXPECT_FALSE(c.pass(tol));
+
+  c = good_certificate();
+  c.energy_balance_rel = nan;
+  EXPECT_FALSE(c.pass(tol));
+
+  c = good_certificate();
+  c.theta_min_k = nan;
+  EXPECT_FALSE(c.pass(tol));
+
+  c = good_certificate();
+  c.theta_max_k = nan;
+  EXPECT_FALSE(c.pass(tol));
+
+  c = good_certificate();
+  c.theta_max_k = inf;
+  EXPECT_FALSE(c.pass(tol));
+
+  c = good_certificate();
+  c.lambda_margin_a = nan;
+  EXPECT_FALSE(c.pass(tol));
+
+  // All four computed fields NaN at once.
+  c = good_certificate();
+  c.rel_residual = c.energy_balance_rel = c.theta_min_k = c.theta_max_k = nan;
+  EXPECT_FALSE(c.pass(tol));
+
+  // A hot but finite θ is physics, not a broken solve.
+  c = good_certificate();
+  c.theta_max_k = 5000.0;
+  EXPECT_TRUE(c.pass(tol));
 }
 
 TEST(Certificate, DescribeNamesTheJudgedQuantities) {

@@ -15,6 +15,7 @@
 
 #include "engine/solve_context.h"
 #include "floorplan/alpha21364.h"
+#include "obs/context.h"
 #include "par/thread_pool.h"
 
 namespace tfc::sim {
@@ -244,6 +245,35 @@ TEST(Scenario, RunIsRepeatableAndByteIdenticalAcrossThreadCounts) {
   par::ThreadPool::set_global_threads(8);
   const std::string parallel = render();
   EXPECT_EQ(serial, parallel);
+}
+
+TEST(Scenario, RunReusesTheSystemAnalysis) {
+  // The steady start and every current level factor a matrix with G's
+  // pattern, which the context has already analyzed (its λ_m solve factors
+  // G): the run analyzes nothing and only refactors, once for the steady
+  // start and once per level.
+  const auto plan = floorplan::alpha21364();
+  const auto context = context_of(thermal::paper_package(), center_deployment());
+  ASSERT_TRUE(context.runaway_limit().has_value());
+  ScenarioOptions o;
+  o.steps = 20;
+  o.dtm = false;
+  o.schedule = {{0, 1.0}, {10, 2.0}};
+  ScenarioEngine engine(plan, context, o);
+
+  obs::RequestTrace trace;
+  {
+    obs::ScopedRequestContext scope("scenario-analysis", &trace);
+    EXPECT_EQ(engine.run().distinct_currents, 2u);
+  }
+  std::size_t analyses = 0;
+  std::size_t refactors = 0;
+  for (const auto& span : trace.spans()) {
+    if (std::string(span.name) == "sparse_analyze") ++analyses;
+    if (std::string(span.name) == "sparse_refactor") ++refactors;
+  }
+  EXPECT_EQ(analyses, 0u);
+  EXPECT_EQ(refactors, 3u);
 }
 
 /// A session stub: options() reads only the design and the θ-limit.

@@ -105,8 +105,14 @@ TEST(Service, UnknownMethodNamed) {
   auto reply = client.call("frobnicate");
   EXPECT_FALSE(reply.at("ok").as_bool());
   EXPECT_EQ(reply.at("error").at("code").as_string(), "unknown_method");
-  EXPECT_NE(reply.at("error").at("message").as_string().find("frobnicate"),
-            std::string::npos);
+  const std::string message = reply.at("error").at("message").as_string();
+  EXPECT_NE(message.find("frobnicate"), std::string::npos);
+  // The hint lists every method a client may call.
+  for (const char* method : {"ping", "stats", "solve", "design", "runaway", "sweep",
+                             "metrics", "recent", "health", "inject", "simulate",
+                             "profile", "shutdown"}) {
+    EXPECT_NE(message.find(method), std::string::npos) << method;
+  }
 }
 
 TEST(Service, ProfileMethodValidatesFormatAndReportsState) {

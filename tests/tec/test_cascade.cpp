@@ -70,7 +70,7 @@ TEST(Cascade, EnergyBalanceHolds) {
     const double g = sys.model().network().ambient_conductance(k);
     if (g > 0.0) q_out += g * (op->theta[k] - sys.model().ambient());
   }
-  EXPECT_NEAR(q_out, linalg::sum(sys.power(0.0)) + op->tec_input_power,
+  EXPECT_NEAR(q_out, linalg::sum(sys.model().tile_powers()) + op->tec_input_power,
               1e-6 * q_out);
   // Two stages in series draw twice the Joule power of one at equal current.
   auto op1 = make(1).solve(i);

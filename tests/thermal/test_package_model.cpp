@@ -212,7 +212,7 @@ TEST(PackageModel, RefinedTilePowerSplitsEvenly) {
   EXPECT_EQ(m.tile_rows(), 8u);
   for (std::size_t r = 0; r < 2; ++r) {
     for (std::size_t c = 0; c < 2; ++c) {
-      EXPECT_DOUBLE_EQ(m.network().power_vector()[m.silicon_node({r, c})], 0.25);
+      EXPECT_DOUBLE_EQ(m.network().power(m.silicon_node({r, c})), 0.25);
     }
   }
 }

@@ -33,7 +33,7 @@ linalg::Vector test_powers() {
   return p;
 }
 
-TEST(SteadyState, BackendsAgree) {
+TEST(SteadyState, SparseSolveMatchesCgAndDenseOracles) {
   // The sparse Cholesky solve against the Jacobi-CG and dense Cholesky
   // oracles.
   PackageModel m = small_model();
